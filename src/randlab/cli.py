@@ -1,14 +1,13 @@
 """labcli: load fixtures, run exact property suites, emit deterministic reports.
 
 All numeric evidence in reports is rendered as "p/q" strings.  Records are
-sorted by a canonical key before encoding, so worker counts and scheduling
-never change the output bytes.
+sorted by a canonical key before encoding, so identical inputs give
+identical output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from fractions import Fraction
@@ -16,7 +15,13 @@ from typing import Any, Optional
 
 from . import derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .errors import ParseError, RandlabError
-from .intervals import format_interval, format_rational, parse_rational, RationalInterval
+from .intervals import (
+    RationalInterval,
+    bit_strings,
+    format_interval,
+    format_rational,
+    parse_rational,
+)
 
 VERSION = "0.1.0"
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
@@ -66,9 +71,7 @@ def _verify_martingale(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     d = min(depth, 8)
     rep = martingales.check_fairness(m, d)
     records = [_record(f"{tag}:fairness_to_depth_{d}", rep.ok, rep.violation or "")]
-    level_sum = sum(
-        (m.value(format(i, f"0{d}b")) for i in range(2**d)), Fraction(0)
-    )
+    level_sum = sum((m.value(s) for s in bit_strings(d)), Fraction(0))
     expected = 2**d * m.initial_capital
     records.append(
         _record(
@@ -218,13 +221,7 @@ def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
     paths = sorted(
         os.path.join(base, f) for f in os.listdir(base) if f.endswith(".json")
     )
-    workers = max(1, args.workers)
-    if workers == 1:
-        batches = [verify_fixture(p, args.depth) for p in paths]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda p: verify_fixture(p, args.depth), paths))
-    records = [r for batch in batches for r in batch]
+    records = [r for p in paths for r in verify_fixture(p, args.depth)]
     records.sort(key=lambda r: r["name"])
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
@@ -286,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
     p.add_argument("--fixture-dir", default=None)
     p.add_argument("--depth", type=int, default=8)
+    # accepted for compatibility; fixtures are always verified in order
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_report)
 

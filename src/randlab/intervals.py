@@ -176,18 +176,6 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
     return IntervalUnion(parts=tuple(out))
 
 
-def measure(u: IntervalUnion) -> Fraction:
-    """Exact total length of a normalized union."""
-    return u.measure
-
-
-def union_of(*unions: IntervalUnion) -> IntervalUnion:
-    parts: list[RationalInterval] = []
-    for u in unions:
-        parts.extend(u.parts)
-    return normalize_union(parts)
-
-
 def dyadic_value(sigma: str) -> Fraction:
     """0.sigma as an exact rational (empty string -> 0)."""
     if sigma and set(sigma) - {"0", "1"}:
@@ -199,6 +187,12 @@ def dyadic_cylinder(sigma: str) -> RationalInterval:
     """The half-open interval [0.sigma, 0.sigma + 2^{-|sigma|})."""
     lo = dyadic_value(sigma)
     return RationalInterval(lo, lo + Fraction(1, 2 ** len(sigma)), hi_open=True)
+
+
+def bit_strings(n: int) -> list[str]:
+    """{0,1}^n in lexicographic order, which is the left-to-right order of
+    the length-n cylinders; [""] at n = 0."""
+    return [format(i, f"0{n}b") for i in range(2**n)] if n else [""]
 
 
 def coverage_at_least(

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction
 from .errors import BudgetExceeded, CoverViolation, ExtensionUndefined
-from .intervals import RationalInterval
+from .intervals import RationalInterval, bit_strings
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -310,13 +310,12 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
         extrema.append(level)
     extrema.reverse()  # extrema[k] now indexed by level k = |sigma|
 
-    tree: set[str] = set()
-    for k in range(depth + 1):
-        for v in range(2**k):
-            mn, mx = extrema[k][v]
-            if mx - mn > threshold:
-                tree.add(format(v, f"0{k}b") if k else "")
-    return tree
+    return {
+        s
+        for k in range(depth + 1)
+        for s, (mn, mx) in zip(bit_strings(k), extrema[k])
+        if mx - mn > threshold
+    }
 
 
 @dataclass(frozen=True)

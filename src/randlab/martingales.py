@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InvariantViolation
+from .intervals import bit_strings
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -120,45 +121,49 @@ def savings_transform(m: Martingale, depth: int) -> Martingale:
     M'(τ) >= M'(σ) - 2·M(ε) for all τ ⊒ σ within depth.
     """
     ref = m.initial_capital
-    state: dict[str, tuple[Fraction, Fraction]] = {"": (ref, Fraction(0))}
     table: dict[str, Fraction] = {"": ref}
-    frontier = [""]
-    for _ in range(depth):
-        nxt: list[str] = []
-        for s in frontier:
-            w, b = state[s]
-            base = m.value(s)
-            for bit in "01":
-                child = s + bit
-                ratio = m.value(child) / base if base != 0 else Fraction(1)
-                wc = w * ratio
-                if ref > 0 and wc >= 2 * ref:
-                    bc = b + wc / 2
-                    wc = wc / 2
-                else:
-                    bc = b
-                state[child] = (wc, bc)
-                table[child] = wc + bc
-                nxt.append(child)
-        frontier = nxt
+    # (base capital, working, bank) at each node of the current level
+    level = [(ref, ref, Fraction(0))]
+    for k in range(1, depth + 1):
+        strings = bit_strings(k)
+        nxt = []
+        for i, s in enumerate(strings):
+            base, w, b = level[i // 2]
+            # a zero capital places no bet: at the last level its children go unread
+            v = m.value(s) if base != 0 or k < depth else None
+            if base != 0:
+                w = w * (v / base)
+            if ref > 0 and w >= 2 * ref:
+                b += w / 2
+                w = w / 2
+            nxt.append((v, w, b))
+        table.update(zip(strings, (w + b for _, w, b in nxt)))
+        level = nxt
     return Martingale(f"savings({m.name})", lambda s: table[s], depth_budget=depth)
 
 
 def savings_violation_search(
     m: Martingale, depth: int, drop: Fraction = Fraction(2)
 ) -> Optional[tuple[str, str]]:
-    """First pair σ ⊑ τ (|τ| <= depth) with M(τ) < M(σ) - drop, if any."""
-    for sigma_len in range(depth + 1):
-        for si in range(2**sigma_len):
-            sigma = format(si, f"0{sigma_len}b") if sigma_len else ""
-            vs = m.value(sigma)
-            stack = [sigma]
-            while stack:
-                tau = stack.pop()
-                if m.value(tau) < vs - drop:
-                    return sigma, tau
-                if len(tau) < depth:
-                    stack.extend((tau + "0", tau + "1"))
+    """First pair σ ⊑ τ (|τ| <= depth) with M(τ) < M(σ) - drop, if any.
+
+    σ is the first in (length, lexicographic) order with a violation below
+    it; τ is the first violation in the depth-first preorder under σ that
+    visits the 1-child before the 0-child.
+    """
+    values = [[m.value(s) for s in bit_strings(k)] for k in range(depth + 1)]
+    lows = values[-1:]  # lows[k][i]: the least capital below node i of level k
+    for level in reversed(values[:-1]):
+        lows.insert(0, [min(v, *lows[0][2 * i : 2 * i + 2]) for i, v in enumerate(level)])
+    for k, level in enumerate(values):
+        for i, v in enumerate(level):
+            bar = v - drop
+            if lows[k][i] < bar:
+                sigma = tau = bit_strings(k)[i]
+                while values[len(tau)][i] >= bar:
+                    bit = int(lows[len(tau) + 1][2 * i + 1] < bar)
+                    i, tau = 2 * i + bit, tau + str(bit)
+                return sigma, tau
     return None
 
 
@@ -172,11 +177,15 @@ def savings_growth_constants(
     path.
     """
     c = base.initial_capital
+    # running maxima of both capitals along the path to each node of a level
+    peaks = [(c, transformed.initial_capital)]
+    for k in range(1, depth + 1):
+        peaks = [
+            (max(peaks[i // 2][0], base.value(s)), max(peaks[i // 2][1], transformed.value(s)))
+            for i, s in enumerate(bit_strings(k))
+        ]
     worst = Fraction(0)
-    for leaf in range(2**depth):
-        path = format(leaf, f"0{depth}b")
-        mx_base = max(capital_trace(base, path).capitals)
-        mx_tr = max(capital_trace(transformed, path).capitals)
+    for mx_base, mx_tr in peaks:
         log2_floor = max(0, mx_base.numerator.bit_length() - 1) if mx_base >= 1 else 0
         worst = max(worst, c * log2_floor - mx_tr)
     return c, worst

@@ -236,7 +236,6 @@ class EvaluationSummary:
 
 def _membership(u: IntervalUnion, z: CauchyName, m: int) -> Verdict:
     if z.exact is not None:
-        point = RationalInterval(z.exact, z.exact)
         for part in u.parts:
             if part.contains(z.exact):
                 return Verdict(VerdictResult.CAPTURED, ((m, part),))
@@ -321,7 +320,7 @@ def build_pi1_ml_test(
     for m in range(len(C) - 1):
         cm1 = C[m + 1]
         ivs: list[RationalInterval] = []
-        k = sum(1 for j in (0,) if j in cm1)
+        k = int(0 in cm1)
         for n in range(1, n_max + 1):
             if n in cm1:
                 k += 1
@@ -471,28 +470,3 @@ def schnorr_to_interval_sequence(
         fail = rep.first_failure()
         raise InvariantViolation(fail.detail if fail else "per-block bound fails")
     return out
-
-
-def materialized_union(t: TestFamily, m: int) -> IntervalUnion:
-    """The m-th open set under the kind's reading (final version; for
-    INTERVAL_SEQUENCE the aggregate of live blocks; for PI1 the residual union)."""
-    if t.kind is TestKind.INTERVAL_SEQUENCE:
-        blocks = t.kind_data["blocks"]
-        excluded = t.kind_data["excluded"]
-        ivs = [
-            iv
-            for (mm, r), table in blocks.items()
-            if mm == m
-            for k, iv in table.items()
-            if k not in excluded.get((mm, r), frozenset())
-        ]
-        return normalize_union(ivs)
-    if t.kind is TestKind.PI1:
-        q = t.kind_data["q"]
-        cm = t.kind_data["C"][m]
-        return normalize_union(
-            RationalInterval(min(q[n], q[n + 1]), max(q[n], q[n + 1]))
-            for n in range(1, len(q) - 1)
-            if n not in cm
-        )
-    return t.final(m)

@@ -7,7 +7,6 @@ string, so round-trips are exact and reports are reproducible bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .cauchy import CauchyName, const_name, scripted_name

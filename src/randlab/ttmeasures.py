@@ -9,9 +9,10 @@ of dyadic prefixes along the quantile coupling.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from .cauchy import ModulusFunction
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     InvariantViolation,
     ZeroMassCylinder,
 )
-from .intervals import dyadic_value, format_rational
+from .intervals import bit_strings, dyadic_value, format_rational
 from .markov import MarkovFunction
 
 USE_BOUND_BUDGET = 24
@@ -74,8 +75,7 @@ def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
             f"use bound {u} at length {length} exceeds {USE_BOUND_BUDGET}"
         )
     counts: dict[str, int] = {}
-    for block in range(2**u):
-        bits = tuple((block >> (u - 1 - i)) & 1 for i in range(u))
+    for bits in itertools.product((0, 1), repeat=u):
         out = "".join(str(b) for b in phi.apply_prefix(bits, length))
         counts[out] = counts.get(out, 0) + 1
     phi._tally[length] = counts
@@ -144,29 +144,22 @@ class MeasureCheck:
 def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[MeasureCheck, ...]:
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
     plus total mass 1 at the root."""
+    masses = [mu("")]
     checks = [
-        MeasureCheck(
-            "total_mass",
-            mu("") == 1,
-            f"mass(ε) = {format_rational(mu(''))}",
-        )
+        MeasureCheck("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
     ]
-    frontier = [""]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            lhs = mu(s)
-            rhs = mu(s + "0") + mu(s + "1")
-            if lhs != rhs:
+    for k in range(depth):
+        children = [mu(s) for s in bit_strings(k + 1)]
+        for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
+            if lhs != m0 + m1:
                 checks.append(
                     MeasureCheck(
                         f"additivity[{s or 'ε'}]",
                         False,
-                        f"{format_rational(lhs)} != {format_rational(rhs)}",
+                        f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
                     )
                 )
-            nxt.extend((s + "0", s + "1"))
-        frontier = nxt
+        masses = children
     if all(c.passed for c in checks):
         checks.append(MeasureCheck(f"additivity_to_depth_{depth}", True))
     return tuple(checks)
@@ -257,8 +250,7 @@ def transport_pushforward_check(
         raise ValueError("depth must be at least the target length")
     total = Fraction(0)
     residual = Fraction(0)
-    for block in range(2**depth):
-        a = format(block, f"0{depth}b")
+    for a in bit_strings(depth):
         m = mu(a)
         if m == 0:
             continue

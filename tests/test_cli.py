@@ -160,3 +160,18 @@ def test_report_deterministic_across_workers(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_martingale_at_depth_0(capsys):
+    code, out = run(
+        capsys,
+        "verify",
+        "--fixture",
+        fixture("martingale_split_3_4.json"),
+        "--depth",
+        "0",
+    )
+    assert code == 0
+    records = {r["name"]: r for r in json.loads(out)["records"]}
+    level_sum = records["martingale_split_3_4.json:level_sum_depth_0"]
+    assert level_sum["status"] == "PASS" and level_sum["detail"] == "1/1 vs 1/1"

@@ -1,0 +1,195 @@
+"""The level walks over {0,1}^{<=d} against brute-force references.
+
+Each reference is the straightforward node-by-node (or path-by-path) walk
+that the level versions replace; the property tests assert exact equality
+on random non-negative tables up to depth 6.
+"""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from randlab.errors import InvariantViolation
+from randlab.intervals import bit_strings, dyadic_value, format_rational as q
+from randlab.martingales import (
+    Martingale,
+    capital_trace,
+    savings_growth_constants,
+    savings_transform,
+    savings_violation_search,
+    table_martingale,
+)
+from randlab.ttmeasures import MeasureCheck, table_measure, validate_measure
+
+MAX_DEPTH = 6
+
+
+def ref_violation_search(m: Martingale, depth: int, drop: Fraction):
+    """One depth-first search (1-child first) below every σ, σ in
+    (length, lexicographic) order."""
+    for sigma_len in range(depth + 1):
+        for si in range(2**sigma_len):
+            sigma = format(si, f"0{sigma_len}b") if sigma_len else ""
+            vs = m.value(sigma)
+            stack = [sigma]
+            while stack:
+                tau = stack.pop()
+                if m.value(tau) < vs - drop:
+                    return sigma, tau
+                if len(tau) < depth:
+                    stack.extend((tau + "0", tau + "1"))
+    return None
+
+
+def ref_growth_constants(base: Martingale, transformed: Martingale, depth: int):
+    """The maxima of two capital traces per leaf."""
+    c = base.initial_capital
+    worst = Fraction(0)
+    for leaf in product("01", repeat=depth):
+        path = "".join(leaf)
+        mx_base = max(capital_trace(base, path).capitals)
+        mx_tr = max(capital_trace(transformed, path).capitals)
+        log2_floor = max(0, mx_base.numerator.bit_length() - 1) if mx_base >= 1 else 0
+        worst = max(worst, c * log2_floor - mx_tr)
+    return c, worst
+
+
+def ref_validate_measure(mu, depth: int):
+    """Three mass reads per node: μ(σ), μ(σ0), μ(σ1)."""
+    checks = [MeasureCheck("total_mass", mu("") == 1, f"mass(ε) = {q(mu(''))}")]
+    frontier = [""]
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            lhs, rhs = mu(s), mu(s + "0") + mu(s + "1")
+            if lhs != rhs:
+                checks.append(
+                    MeasureCheck(f"additivity[{s or 'ε'}]", False, f"{q(lhs)} != {q(rhs)}")
+                )
+            nxt.extend((s + "0", s + "1"))
+        frontier = nxt
+    if all(c.passed for c in checks):
+        checks.append(MeasureCheck(f"additivity_to_depth_{depth}", True))
+    return tuple(checks)
+
+
+def ref_savings_table(m: Martingale, depth: int) -> dict[str, Fraction]:
+    """(working, bank) kept per node in a dict, grown from a frontier."""
+    ref = m.initial_capital
+    state = {"": (ref, Fraction(0))}
+    table = {"": ref}
+    frontier = [""]
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            w, b = state[s]
+            base = m.value(s)
+            for bit in "01":
+                child = s + bit
+                ratio = m.value(child) / base if base != 0 else Fraction(1)
+                wc = w * ratio
+                if ref > 0 and wc >= 2 * ref:
+                    bc, wc = b + wc / 2, wc / 2
+                else:
+                    bc = b
+                state[child] = (wc, bc)
+                table[child] = wc + bc
+                nxt.append(child)
+        frontier = nxt
+    return table
+
+
+def _nodes(depth: int) -> list[str]:
+    return [s for k in range(depth + 1) for s in bit_strings(k)]
+
+
+weights = st.integers(0, 6).map(lambda n: Fraction(n, 6))
+capitals = st.integers(0, 48).map(lambda n: Fraction(n, 6))
+
+
+@st.composite
+def tables(draw, fair: bool):
+    """A table on {0,1}^{<=d}: fair splits of the root (2M(σ) = M(σ0) + M(σ1))
+    or arbitrary non-negative entries."""
+    depth = draw(st.integers(0, MAX_DEPTH))
+    table = {"": draw(capitals)}
+    for s in _nodes(depth)[1:]:
+        if not fair:
+            table[s] = draw(capitals)
+        elif s.endswith("0"):
+            table[s] = 2 * table[s[:-1]] * draw(weights)
+        else:
+            table[s] = 2 * table[s[:-1]] - table[s[:-1] + "0"]
+    return depth, table
+
+
+any_table = st.booleans().flatmap(tables)
+
+
+def test_bit_strings_are_the_cylinders_left_to_right():
+    assert bit_strings(0) == [""]
+    assert bit_strings(1) == ["0", "1"]
+    for n in range(1, 7):
+        level = bit_strings(n)
+        assert level == ["".join(t) for t in product("01", repeat=n)]
+        assert [dyadic_value(s) for s in level] == [Fraction(i, 2**n) for i in range(2**n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_table, st.fractions(min_value=-1, max_value=4, max_denominator=4), st.data())
+def test_violation_search_matches_nested_dfs(dt, drop, data):
+    depth, table = dt
+    d = data.draw(st.integers(0, depth))
+    m = table_martingale(table)
+    assert savings_violation_search(m, d, drop) == ref_violation_search(m, d, drop)
+    saved = savings_transform(m, d)
+    assert savings_violation_search(saved, d, drop) == ref_violation_search(saved, d, drop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_table, st.data())
+def test_growth_constants_match_per_leaf_traces(dt, data):
+    depth, table = dt
+    d = data.draw(st.integers(0, depth))
+    m = table_martingale(table)
+    saved = savings_transform(m, d)
+    assert savings_growth_constants(m, saved, d) == ref_growth_constants(m, saved, d)
+    assert savings_growth_constants(m, m, d) == ref_growth_constants(m, m, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_table, st.data())
+def test_validate_measure_matches_additivity_triples(dt, data):
+    depth, table = dt
+    d = data.draw(st.integers(0, depth))
+    root = table[""] or Fraction(1)
+    for mu in (
+        # a fair table scaled by 2^-|σ| is additive
+        table_measure("fair", {s: v / root / 2 ** len(s) for s, v in table.items()}),
+        table_measure("raw", table),
+    ):
+        assert validate_measure(mu, d) == ref_validate_measure(mu, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_table, st.data())
+def test_savings_table_matches_at_every_node(dt, data):
+    depth, table = dt
+    d = data.draw(st.integers(0, depth))
+    m = table_martingale(table)
+    saved = savings_transform(m, d)
+    expected = ref_savings_table(m, d)
+    assert {s: saved.value(s) for s in _nodes(d)} == expected
+
+
+def test_negative_capital_raises_where_nested_dfs_returned():
+    # the nested search meets the violation at "1" before it reads the
+    # negative capital at "0"; the one-pass search reads every capital first
+    m = table_martingale({"": Fraction(4), "0": Fraction(-1), "1": Fraction(0)})
+    assert ref_violation_search(m, 1, Fraction(2)) == ("", "1")
+    with pytest.raises(InvariantViolation):
+        savings_violation_search(m, 1, Fraction(2))
+    with pytest.raises(InvariantViolation):
+        savings_growth_constants(m, m, 1)

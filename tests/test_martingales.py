@@ -120,3 +120,8 @@ def test_savings_growth_constants():
             log2_floor = mx.numerator.bit_length() - 1
             mxt = max(capital_trace(savings_transform(base, 6), path).capitals)
             assert mxt >= c * log2_floor - const
+
+
+def test_savings_growth_constants_at_depth_0():
+    base = split_bet(Fraction(3, 4))
+    assert savings_growth_constants(base, savings_transform(base, 0), 0) == (1, 0)

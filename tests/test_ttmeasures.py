@@ -181,6 +181,12 @@ def test_pushforward_bracketing(mu):
             assert chk.passed
 
 
+def test_pushforward_at_depth_0_walks_the_root():
+    chk = transport_pushforward_check(bernoulli_measure(Fraction(3, 4)), "", 0)
+    assert chk.passed
+    assert chk.transported_mass == chk.target_mass == 1
+
+
 def test_tt_from_ucf_identity_round_trip():
     phi = tt_from_ucf(identity_fn(), 8)
     for i in range(16):
