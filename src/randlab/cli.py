@@ -226,6 +226,17 @@ def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
 
+def _depth(text: str) -> int:
+    """argparse type of every --depth: a non-negative integer."""
+    try:
+        depth = int(text)
+        if depth >= 0:
+            return depth
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labcli",
@@ -247,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="validate fixture invariants exactly", parents=[common]
     )
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_depth, default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("evaluate", help="membership of a point in a test", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
     p.add_argument("--name", required=True, help="cauchy_name fixture path")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_depth, default=8)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("transport", help="transport a dyadic prefix along a cdf", parents=[common])
@@ -272,17 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="oscillation tree of a function", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--precision", type=int, default=0)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_depth, default=8)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_depth, default=8)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
     p.add_argument("--fixture-dir", default=None)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_depth, default=8)
     # accepted for compatibility; fixtures are always verified in order
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_report)

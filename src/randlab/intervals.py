@@ -7,9 +7,11 @@ measure ignores endpoints, membership queries must not.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError
@@ -200,26 +202,49 @@ def coverage_at_least(
 ) -> IntervalUnion:
     """Points lying in at least `threshold` of the given unions.
 
-    Exact sweep over endpoint breakpoints: open segments between consecutive
-    breakpoints have constant coverage (sampled at the midpoint); breakpoints
-    themselves are counted pointwise so endpoint flags come out right.
+    One sweep over the sorted part endpoints, O(P log P) for P parts in all.
+    Coverage is constant on each open segment between consecutive endpoints
+    and changes only by the parts that start or end at an endpoint; the
+    endpoint itself is counted apart, so open/closed flags come out right.
+    Parts are counted in place of unions, so a union whose parts overlap or
+    touch is canonicalised first.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    pts: set[Fraction] = set()
-    for u in unions:
-        for p in u.parts:
-            pts.add(p.lo)
-            pts.add(p.hi)
-    if not pts:
+    if threshold > len(unions):
         return EMPTY_UNION
-    bps = sorted(pts)
+    parts: list[RationalInterval] = []
+    for u in unions:
+        if any(_mergeable(a, b) for a, b in zip(u.parts, u.parts[1:])):
+            u = normalize_union(u.parts)
+        parts.extend(u.parts)
+    # endpoints scaled to integers over one common denominator, so the sort
+    # and the grouping compare ints, not Fractions
+    scale = math.lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
+    # (scaled x, x, change of the count at x, change of the count right of
+    # x), both changes measured from the count just left of x
+    events: list[tuple[int, Fraction, int, int]] = []
+    for p in parts:
+        lo = p.lo.numerator * (scale // p.lo.denominator)
+        hi = p.hi.numerator * (scale // p.hi.denominator)
+        if lo == hi:
+            events.append((lo, p.lo, 1, 0))
+        else:
+            events.append((lo, p.lo, 0 if p.lo_open else 1, 1))
+            events.append((hi, p.hi, -1 if p.hi_open else 0, -1))
+    events.sort(key=itemgetter(0))
     pieces: list[RationalInterval] = []
-    for a, b in zip(bps, bps[1:]):
-        mid = (a + b) / 2
-        if sum(1 for u in unions if u.contains(mid)) >= threshold:
-            pieces.append(RationalInterval(a, b, lo_open=True, hi_open=True))
-    for p in bps:
-        if sum(1 for u in unions if u.contains(p)) >= threshold:
-            pieces.append(RationalInterval(p, p))
+    seg = 0
+    i, n = 0, len(events)
+    while i < n:
+        key, x = events[i][:2]
+        at = seg
+        while i < n and events[i][0] == key:
+            at += events[i][2]
+            seg += events[i][3]
+            i += 1
+        if at >= threshold:
+            pieces.append(RationalInterval(x, x))
+        if seg >= threshold:
+            pieces.append(RationalInterval(x, events[i][1], True, True))
     return normalize_union(pieces)

@@ -287,11 +287,15 @@ def convert_solovay_to_ml(t: TestFamily, depth: int) -> TestFamily:
     if t.kind is not TestKind.SOLOVAY:
         raise ValueError("source must be a Solovay test")
     bound: Fraction = t.kind_data["total_bound"]
+    if bound <= 0:
+        raise InvariantViolation(
+            f"Solovay total bound {format_rational(bound)} is not positive"
+        )
     ceil_c = -((-bound.numerator) // bound.denominator)
     unions = [t.final(m) for m in t.indices()]
     comps: dict[int, list[IntervalUnion]] = {}
     for k in range(depth + 1):
-        u = coverage_at_least(unions, ceil_c * 2**k) if unions else EMPTY_UNION
+        u = coverage_at_least(unions, ceil_c * 2**k)
         if u.measure > Fraction(1, 2**k):
             raise InvariantViolation(
                 f"converted component {k} has measure {u.measure} > 2^-{k}"

@@ -103,6 +103,10 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
                 kd["relativized"] = True
         elif kind is TestKind.SOLOVAY:
             kd["total_bound"] = parse_rational(payload["total_bound"])
+            if kd["total_bound"] <= 0:
+                raise ParseError(
+                    f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
+                )
         elif kind is TestKind.INTERVAL_SEQUENCE:
             blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
             excluded: dict[tuple[int, int], frozenset[int]] = {}

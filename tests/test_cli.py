@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from randlab.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def fixture(name: str) -> str:
@@ -175,3 +178,39 @@ def test_verify_martingale_at_depth_0(capsys):
     records = {r["name"]: r for r in json.loads(out)["records"]}
     level_sum = records["martingale_split_3_4.json:level_sum_depth_0"]
     assert level_sum["status"] == "PASS" and level_sum["detail"] == "1/1 vs 1/1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fixture", fixture("martingale_split_3_4.json")],
+        ["report", "--fixture-dir", FIXTURES],
+        ["convert", "--fixture", fixture("solovay_geometric.json")],
+        ["tree", "--function", "square"],
+    ],
+    ids=["verify", "report", "convert", "tree"],
+)
+def test_negative_depth_is_usage_error(capsys, argv):
+    assert main(argv + ["--depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth: expected a non-negative integer, got '-1'" in captured.err
+
+
+@pytest.mark.parametrize("bound", ["0/1", "-1/1"])
+def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
+    doc = json.load(open(fixture("solovay_geometric.json")))
+    doc["kind_data"]["total_bound"] = bound
+    bad = tmp_path / "solovay_bad_bound.json"
+    bad.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "randlab.cli", "convert", "--fixture", str(bad)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("labcli: ")
+    assert "total_bound" in lines[0]

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from typing import Sequence
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from randlab import randomness
 from randlab.errors import ParseError
 from randlab.intervals import (
     EMPTY_UNION,
@@ -17,6 +20,7 @@ from randlab.intervals import (
     parse_interval,
     parse_rational,
 )
+from randlab.randomness import TestFamily, TestKind, convert_solovay_to_ml
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=2**10)
 unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=2**10)
@@ -135,6 +139,111 @@ def test_coverage_threshold_beyond_count_is_empty():
     u1 = IntervalUnion((RationalInterval(Fraction(0), Fraction(1, 2)),))
     assert coverage_at_least([u1], 2).is_empty
     assert coverage_at_least([], 1).is_empty
+
+
+def ref_coverage_at_least(
+    unions: Sequence[IntervalUnion], threshold: int
+) -> IntervalUnion:
+    """The midpoint-sampling version the sweep replaced: every union is
+    tested at every breakpoint and at the midpoint of every segment between
+    consecutive breakpoints."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    pts: set[Fraction] = set()
+    for u in unions:
+        for p in u.parts:
+            pts.add(p.lo)
+            pts.add(p.hi)
+    if not pts:
+        return EMPTY_UNION
+    bps = sorted(pts)
+    pieces: list[RationalInterval] = []
+    for a, b in zip(bps, bps[1:]):
+        mid = (a + b) / 2
+        if sum(1 for u in unions if u.contains(mid)) >= threshold:
+            pieces.append(RationalInterval(a, b, lo_open=True, hi_open=True))
+    for p in bps:
+        if sum(1 for u in unions if u.contains(p)) >= threshold:
+            pieces.append(RationalInterval(p, p))
+    return normalize_union(pieces)
+
+
+# endpoints on a grid of eighths, so parts of different unions share and
+# touch endpoints often; equal endpoints give degenerate closed points
+eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
+grid_interval = st.tuples(eighths, eighths, st.booleans(), st.booleans()).map(
+    lambda t: RationalInterval(min(t[0], t[1]), max(t[0], t[1]), t[2], t[3])
+    if t[0] != t[1]
+    else RationalInterval(t[0], t[1], False, False)
+)
+any_interval = st.one_of(grid_interval, interval_strategy())
+canonical_unions = st.lists(any_interval, max_size=5).map(normalize_union)
+# raw parts: unsorted, overlapping or touching, as IntervalUnion(parts) allows
+raw_unions = st.lists(any_interval, max_size=5).map(
+    lambda ivs: IntervalUnion(tuple(ivs))
+)
+union_lists = st.lists(st.one_of(canonical_unions, raw_unions), max_size=6)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_coverage_sweep_equals_reference(data):
+    unions = data.draw(union_lists)
+    threshold = data.draw(st.integers(1, len(unions) + 1))
+    # RationalInterval equality compares both endpoints and both flags
+    assert coverage_at_least(unions, threshold) == ref_coverage_at_least(
+        unions, threshold
+    )
+
+
+def test_coverage_counts_unions_not_parts():
+    # two touching closed parts of one union cover 1/2 once, not twice
+    half = Fraction(1, 2)
+    raw = IntervalUnion(
+        (RationalInterval(Fraction(0), half), RationalInterval(half, Fraction(1)))
+    )
+    assert coverage_at_least([raw, raw], 3).is_empty
+    assert coverage_at_least([raw, raw], 2).parts == (
+        RationalInterval(Fraction(0), Fraction(1)),
+    )
+
+
+def test_coverage_point_between_open_parts():
+    # (0,1/2) and (1/2,1) meet at an excluded point; [1/2,1/2] alone covers it
+    half = Fraction(1, 2)
+    left = RationalInterval(Fraction(0), half, True, True)
+    right = RationalInterval(half, Fraction(1), True, True)
+    u = normalize_union([left, right])
+    point = IntervalUnion((RationalInterval(half, half),))
+    assert coverage_at_least([u, u], 2) == u
+    assert coverage_at_least([u, point], 1).parts == (
+        RationalInterval(Fraction(0), Fraction(1), True, True),
+    )
+    assert coverage_at_least([u, point], 2).is_empty
+
+
+def test_coverage_rejects_non_positive_threshold():
+    for threshold in (0, -1):
+        with pytest.raises(ValueError):
+            coverage_at_least([], threshold)
+
+
+solovay_components = st.dictionaries(
+    st.integers(1, 8), st.lists(any_interval, min_size=1, max_size=4), max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(solovay_components, st.fractions(min_value=0, max_value=2, max_denominator=16))
+def test_convert_solovay_matches_reference(comps, slack):
+    unions = {m: [normalize_union(ivs)] for m, ivs in comps.items()}
+    total = sum((u[0].measure for u in unions.values()), Fraction(0))
+    bound = total + slack if total + slack > 0 else Fraction(1, 16)
+    t = TestFamily(TestKind.SOLOVAY, unions, {"total_bound": bound})
+    got = convert_solovay_to_ml(t, 6)
+    with mock.patch.object(randomness, "coverage_at_least", ref_coverage_at_least):
+        want = convert_solovay_to_ml(t, 6)
+    assert got.components == want.components
 
 
 def test_empty_union():

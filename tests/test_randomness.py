@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from randlab.cauchy import const_name, scripted_name
 from randlab.errors import (
     BudgetExceeded,
+    InvariantViolation,
     MeasureBoundViolation,
     NotPrefixFree,
+    ParseError,
 )
 from randlab.intervals import RationalInterval, normalize_union
 from randlab.randomness import (
@@ -23,6 +25,7 @@ from randlab.randomness import (
     schnorr_to_interval_sequence,
     validate,
 )
+from randlab import serialize
 from randlab.ttmeasures import LimitOracle
 
 
@@ -125,6 +128,18 @@ def test_convert_solovay_to_ml_bounds_and_membership():
     # 2^-9 lies in all eight source components, so it survives every threshold
     s = evaluate(ml, const_name(Fraction(1, 2**9)), 3)
     assert s.captured == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("bound", [Fraction(0), Fraction(-1)])
+def test_non_positive_solovay_bound_is_rejected(bound):
+    t = TestFamily(
+        TestKind.SOLOVAY, {1: [geometric(1)]}, {"total_bound": bound}
+    )
+    with pytest.raises(InvariantViolation):
+        convert_solovay_to_ml(t, 3)
+    doc = serialize.test_family_to_json(t)
+    with pytest.raises(ParseError):
+        serialize.test_family_from_json(doc)
 
 
 def test_build_pi1_ml_test_bounds():
