@@ -10,6 +10,7 @@ is a first-class verdict, never an error.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -105,8 +106,7 @@ def sub(x: CauchyName, y: CauchyName) -> CauchyName:
 
 def _ceil_log2(c: Fraction) -> int:
     # least t with 2^t >= c, for c >= 1
-    num_ceil = -((-c.numerator) // c.denominator)
-    return max(0, (num_ceil - 1).bit_length())
+    return max(0, (math.ceil(c) - 1).bit_length())
 
 
 def mul(x: CauchyName, y: CauchyName) -> CauchyName:

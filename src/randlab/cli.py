@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, NoReturn, Optional
 
 from . import derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .errors import ParseError, RandlabError
@@ -166,14 +166,24 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, output
 
 
+def _function(name: str) -> markov.MarkovFunction:
+    try:
+        return markov.function_by_name(name)
+    except ValueError as exc:
+        raise ParseError(f"--function: {exc}") from exc
+
+
 def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    f = markov.function_by_name(args.function)
+    f = _function(args.function)
     from .cauchy import const_name
 
     z = const_name(parse_rational(args.at))
-    est = derivatives.pseudo_derivative(
-        f, z, parse_rational(args.scale), args.precision
-    )
+    try:
+        est = derivatives.pseudo_derivative(
+            f, z, parse_rational(args.scale), args.precision
+        )
+    except ValueError as exc:
+        raise ParseError(f"derive: {exc}") from exc
     verdict = derivatives.classify_denjoy(est, parse_rational(args.tol))
     output = {
         "upper": "inf" if est.upper_infinite else format_rational(est.upper),
@@ -194,7 +204,7 @@ def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def cmd_tree(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    f = markov.function_by_name(args.function)
+    f = _function(args.function)
     tree = markov.oscillation_tree(f, args.precision, args.depth)
     closed = all(s[:-1] in tree or s == "" for s in tree)
     records = [_record("downward_closed", closed, f"{len(tree)} strings")]
@@ -226,19 +236,34 @@ def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
 
-def _depth(text: str) -> int:
-    """argparse type of every --depth: a non-negative integer."""
-    try:
-        depth = int(text)
-        if depth >= 0:
-            return depth
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _natural(limit: Optional[int] = None) -> Callable[[str], int]:
+    """argparse type: a non-negative integer, at most `limit` if one is given."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= 0 and (limit is None or value <= limit):
+                return value
+        except ValueError:
+            pass
+        most = "" if limit is None else f" at most {limit}"
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer{most}, got {text!r}"
+        )
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so main reports them as one
+    `labcli:` line with exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="labcli",
         description="exact-arithmetic lab for interval tests, transports, "
         "and derivative estimates",
@@ -258,13 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="validate fixture invariants exactly", parents=[common]
     )
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_depth, default=8)
+    p.add_argument("--depth", type=_natural(), default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("evaluate", help="membership of a point in a test", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
     p.add_argument("--name", required=True, help="cauchy_name fixture path")
-    p.add_argument("--depth", type=_depth, default=8)
+    p.add_argument("--depth", type=_natural(), default=8)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("transport", help="transport a dyadic prefix along a cdf", parents=[common])
@@ -276,24 +301,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument("--at", required=True)
     p.add_argument("--scale", default="1/1024")
-    p.add_argument("--precision", type=int, default=14)
+    p.add_argument(
+        "--precision",
+        type=_natural(derivatives.GRID_DENOMINATOR_BUDGET),
+        default=14,
+    )
     p.add_argument("--tol", default="1/16")
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("tree", help="oscillation tree of a function", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--precision", type=int, default=0)
-    p.add_argument("--depth", type=_depth, default=8)
+    p.add_argument("--depth", type=_natural(), default=8)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_depth, default=8)
+    p.add_argument("--depth", type=_natural(), default=8)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
     p.add_argument("--fixture-dir", default=None)
-    p.add_argument("--depth", type=_depth, default=8)
+    p.add_argument("--depth", type=_natural(), default=8)
     # accepted for compatibility; fixtures are always verified in order
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_report)
@@ -320,13 +349,12 @@ def render(command: str, records: list[dict], output: dict, fmt: str) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         records, output = args.fn(args)
+    except SystemExit:
+        # only --help exits here: usage errors raise ParseError
+        return 0
     except ParseError as exc:
         sys.stderr.write(f"labcli: {exc}\n")
         return 2

@@ -9,6 +9,7 @@ uncomputable, so UNRESOLVED is an honest verdict.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -68,15 +69,11 @@ def pseudo_derivative(
     lo_lim = max(Fraction(0), w.lo - h)
     hi_lim = min(Fraction(1), w.hi)
 
-    def grid_ceil(x: Fraction) -> int:
-        return -((-x.numerator * 2**d) // x.denominator)
-
-    def grid_floor(x: Fraction) -> int:
-        return (x.numerator * 2**d) // x.denominator
-
     best_hi: Optional[Fraction] = None
     best_lo: Optional[Fraction] = None
-    a_first, a_last = grid_ceil(lo_lim), grid_floor(hi_lim)
+    a_first, a_last = math.ceil(lo_lim * 2**d), math.floor(hi_lim * 2**d)
+    # b lies right of the window and within h of a
+    b_min, b_span = math.ceil(w.lo * 2**d), math.floor(h * 2**d)
     fvals: dict[int, Fraction] = {}
 
     def fv(k: int) -> Fraction:
@@ -85,10 +82,7 @@ def pseudo_derivative(
         return fvals[k]
 
     for ka in range(a_first, a_last + 1):
-        a = ka * step
-        b_first = max(ka + 1, grid_ceil(w.lo))
-        b_last = min(grid_floor(min(Fraction(1), a + h)), 2**d)
-        for kb in range(b_first, b_last + 1):
+        for kb in range(max(ka + 1, b_min), min(ka + b_span, 2**d) + 1):
             s = (fv(kb) - fv(ka)) / ((kb - ka) * step)
             if best_hi is None or s > best_hi:
                 best_hi = s

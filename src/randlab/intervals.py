@@ -145,37 +145,20 @@ class IntervalUnion:
 EMPTY_UNION = IntervalUnion(parts=())
 
 
-def _mergeable(cur: RationalInterval, nxt: RationalInterval) -> bool:
-    # Assumes cur.lo <= nxt.lo.  Merge when they overlap, or touch with at
-    # least one side including the touch point.
-    if nxt.lo < cur.hi:
-        return True
-    if nxt.lo == cur.hi:
-        return not (cur.hi_open and nxt.lo_open)
-    return False
-
-
 def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
     """Canonical disjoint sorted form covering exactly the same points.
 
     Idempotent and order-insensitive; touching intervals are merged whenever
-    their set union is itself an interval.
+    their set union is itself an interval.  Parts that are already canonical
+    come back unchanged after one linear check.
     """
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open, iv.hi, iv.hi_open))
-    out: list[RationalInterval] = []
-    for iv in ivs:
-        if out and _mergeable(out[-1], iv):
-            cur = out[-1]
-            if iv.hi > cur.hi:
-                hi, hi_open = iv.hi, iv.hi_open
-            elif iv.hi == cur.hi:
-                hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
-            else:
-                hi, hi_open = cur.hi, cur.hi_open
-            out[-1] = RationalInterval(cur.lo, hi, cur.lo_open, hi_open)
-        else:
-            out.append(iv)
-    return IntervalUnion(parts=tuple(out))
+    parts = tuple(intervals)
+    if all(
+        a.hi < b.lo or (a.hi == b.lo and a.hi_open and b.lo_open)
+        for a, b in zip(parts, parts[1:])
+    ):
+        return IntervalUnion(parts)
+    return _components(parts, 1)
 
 
 def dyadic_value(sigma: str) -> Fraction:
@@ -202,22 +185,27 @@ def coverage_at_least(
 ) -> IntervalUnion:
     """Points lying in at least `threshold` of the given unions.
 
-    One sweep over the sorted part endpoints, O(P log P) for P parts in all.
-    Coverage is constant on each open segment between consecutive endpoints
-    and changes only by the parts that start or end at an endpoint; the
-    endpoint itself is counted apart, so open/closed flags come out right.
-    Parts are counted in place of unions, so a union whose parts overlap or
-    touch is canonicalised first.
+    One endpoint sweep, O(P log P) for P parts in all.  Parts are counted in
+    place of unions, so each union is canonicalised first.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if threshold > len(unions):
         return EMPTY_UNION
-    parts: list[RationalInterval] = []
-    for u in unions:
-        if any(_mergeable(a, b) for a, b in zip(u.parts, u.parts[1:])):
-            u = normalize_union(u.parts)
-        parts.extend(u.parts)
+    return _components(
+        [p for u in unions for p in normalize_union(u.parts).parts], threshold
+    )
+
+
+def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUnion:
+    """The points lying in at least `threshold` of `parts`, as maximal runs.
+
+    Coverage is constant on each open segment between consecutive endpoints
+    and changes only by the parts that start or end at an endpoint; the
+    endpoint itself is counted apart, so open/closed flags come out right.
+    A run opens where the count reaches the threshold and closes where it
+    drops, so the runs come out sorted, disjoint and non-touching.
+    """
     # endpoints scaled to integers over one common denominator, so the sort
     # and the grouping compare ints, not Fractions
     scale = math.lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
@@ -233,7 +221,8 @@ def coverage_at_least(
             events.append((lo, p.lo, 0 if p.lo_open else 1, 1))
             events.append((hi, p.hi, -1 if p.hi_open else 0, -1))
     events.sort(key=itemgetter(0))
-    pieces: list[RationalInterval] = []
+    runs: list[RationalInterval] = []
+    run: tuple[Fraction, bool] | None = None  # (lo, lo_open) of the open run
     seg = 0
     i, n = 0, len(events)
     while i < n:
@@ -244,7 +233,12 @@ def coverage_at_least(
             seg += events[i][3]
             i += 1
         if at >= threshold:
-            pieces.append(RationalInterval(x, x))
-        if seg >= threshold:
-            pieces.append(RationalInterval(x, events[i][1], True, True))
-    return normalize_union(pieces)
+            run = run or (x, False)
+            if seg < threshold:
+                runs.append(RationalInterval(run[0], x, run[1], False))
+                run = None
+        else:
+            if run:
+                runs.append(RationalInterval(run[0], x, run[1], True))
+            run = (x, True) if seg >= threshold else None
+    return IntervalUnion(tuple(runs))

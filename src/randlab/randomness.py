@@ -9,9 +9,10 @@ artifact never asserts randomness of an infinite object.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cauchy import CauchyName
 from .errors import (
@@ -104,6 +105,18 @@ def _bound_check(m: int, version: int, u: IntervalUnion) -> CheckRecord:
     )
 
 
+def _live_blocks(
+    t: TestFamily,
+) -> Iterator[tuple[tuple[int, int], list[RationalInterval]]]:
+    """Each block (m, r) of an interval-sequence test, in (m, r) order, with
+    its parts Q^m_r(k) in k order, less the indices excised by E^m_r."""
+    blocks: dict[tuple[int, int], dict[int, RationalInterval]] = t.kind_data["blocks"]
+    excluded: dict[tuple[int, int], frozenset[int]] = t.kind_data["excluded"]
+    for key, table in sorted(blocks.items()):
+        excl = excluded.get(key, frozenset())
+        yield key, [iv for k, iv in sorted(table.items()) if k not in excl]
+
+
 def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationReport:
     """Exact per-kind invariant checks; PASS or the first violated bound.
 
@@ -147,12 +160,8 @@ def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationRep
             )
 
     if kind is TestKind.INTERVAL_SEQUENCE:
-        blocks: dict[tuple[int, int], dict[int, RationalInterval]] = t.kind_data["blocks"]
-        excluded: dict[tuple[int, int], frozenset[int]] = t.kind_data["excluded"]
         per_m: dict[int, list[RationalInterval]] = {}
-        for (m, r), table in sorted(blocks.items()):
-            excl = excluded.get((m, r), frozenset())
-            live = [iv for k, iv in sorted(table.items()) if k not in excl]
+        for (m, r), live in _live_blocks(t):
             u = normalize_union(live)
             bound = Fraction(1, 2 ** (m + r))
             records.append(
@@ -291,7 +300,7 @@ def convert_solovay_to_ml(t: TestFamily, depth: int) -> TestFamily:
         raise InvariantViolation(
             f"Solovay total bound {format_rational(bound)} is not positive"
         )
-    ceil_c = -((-bound.numerator) // bound.denominator)
+    ceil_c = math.ceil(bound)
     unions = [t.final(m) for m in t.indices()]
     comps: dict[int, list[IntervalUnion]] = {}
     for k in range(depth + 1):
@@ -406,16 +415,10 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
     if not rep.passed:
         fail = rep.first_failure()
         raise InvariantViolation(fail.detail if fail else "per-block bound fails")
-    blocks: dict[tuple[int, int], dict[int, RationalInterval]] = t.kind_data["blocks"]
-    excluded: dict[tuple[int, int], frozenset[int]] = t.kind_data["excluded"]
     per_m: dict[int, list[RationalInterval]] = {}
-    for (m, r), table in sorted(blocks.items()):
-        if r > depth:
-            continue
-        excl = excluded.get((m, r), frozenset())
-        per_m.setdefault(m, []).extend(
-            iv for k, iv in sorted(table.items()) if k not in excl
-        )
+    for (m, r), live in _live_blocks(t):
+        if r <= depth:
+            per_m.setdefault(m, []).extend(live)
     comps = {m: [normalize_union(ivs)] for m, ivs in per_m.items()}
     declared = {m: comps[m][0].measure for m in comps}
     return TestFamily(

@@ -295,7 +295,7 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
         lo = dyadic_value(prefix)
         hi = lo + Fraction(1, 2**u)
         ylo = min(g(lo), g(hi))
-        for cp in getattr(g, "critical_points", ()) or ():
+        for cp in g.critical_points:
             if lo < cp < hi:
                 ylo = min(ylo, g(cp))
         if ylo >= 1:

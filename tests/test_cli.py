@@ -197,6 +197,52 @@ def test_negative_depth_is_usage_error(capsys, argv):
     assert "--depth: expected a non-negative integer, got '-1'" in captured.err
 
 
+def assert_labcli_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("labcli: ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["tree", "--function", "square", "--depth", "x"],
+        ["verify", "--fixture", fixture("ml_geometric.json"), "--depth", "-1"],
+        ["no-such-command"],
+    ],
+    ids=["missing-fixture", "tree-depth-x", "verify-depth-negative", "no-such-command"],
+)
+def test_usage_error_is_one_labcli_line(capsys, argv):
+    assert_labcli_usage_error(capsys, argv)
+
+
+def test_help_still_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: labcli")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--precision", "-1"],
+        ["--precision", "15"],
+        ["--function", "nope"],
+        ["--function", "canonical_nonuc:x"],
+        ["--at", "2"],
+        ["--scale", "0"],
+    ],
+    ids=["precision-negative", "precision-15", "unknown-function",
+         "bad-stage-count", "at-outside-unit", "scale-zero"],
+)
+def test_derive_bad_input_exits_two(capsys, flags):
+    # later flags override the defaults given first
+    argv = ["derive", "--function", "square", "--at", "1/3"] + flags
+    assert_labcli_usage_error(capsys, argv)
+
+
 @pytest.mark.parametrize("bound", ["0/1", "-1/1"])
 def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
     doc = json.load(open(fixture("solovay_geometric.json")))

@@ -34,6 +34,37 @@ def interval_strategy():
     )
 
 
+def _ref_mergeable(cur: RationalInterval, nxt: RationalInterval) -> bool:
+    # Assumes cur.lo <= nxt.lo.  Merge when they overlap, or touch with at
+    # least one side including the touch point.
+    if nxt.lo < cur.hi:
+        return True
+    if nxt.lo == cur.hi:
+        return not (cur.hi_open and nxt.lo_open)
+    return False
+
+
+def ref_normalize_union(intervals) -> IntervalUnion:
+    """The sort-and-merge that the endpoint sweep replaced: parts sorted by
+    their left end, each merged into the last output part it overlaps or
+    touches at an included point."""
+    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open, iv.hi, iv.hi_open))
+    out: list[RationalInterval] = []
+    for iv in ivs:
+        if out and _ref_mergeable(out[-1], iv):
+            cur = out[-1]
+            if iv.hi > cur.hi:
+                hi, hi_open = iv.hi, iv.hi_open
+            elif iv.hi == cur.hi:
+                hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
+            else:
+                hi, hi_open = cur.hi, cur.hi_open
+            out[-1] = RationalInterval(cur.lo, hi, cur.lo_open, hi_open)
+        else:
+            out.append(iv)
+    return IntervalUnion(parts=tuple(out))
+
+
 @given(rationals)
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
@@ -165,7 +196,7 @@ def ref_coverage_at_least(
     for p in bps:
         if sum(1 for u in unions if u.contains(p)) >= threshold:
             pieces.append(RationalInterval(p, p))
-    return normalize_union(pieces)
+    return ref_normalize_union(pieces)
 
 
 # endpoints on a grid of eighths, so parts of different unions share and
@@ -177,12 +208,27 @@ grid_interval = st.tuples(eighths, eighths, st.booleans(), st.booleans()).map(
     else RationalInterval(t[0], t[1], False, False)
 )
 any_interval = st.one_of(grid_interval, interval_strategy())
-canonical_unions = st.lists(any_interval, max_size=5).map(normalize_union)
+canonical_unions = st.lists(any_interval, max_size=5).map(ref_normalize_union)
 # raw parts: unsorted, overlapping or touching, as IntervalUnion(parts) allows
 raw_unions = st.lists(any_interval, max_size=5).map(
     lambda ivs: IntervalUnion(tuple(ivs))
 )
 union_lists = st.lists(st.one_of(canonical_unions, raw_unions), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normalize_union_equals_reference(data):
+    ivs = data.draw(st.lists(any_interval, max_size=8))
+    if data.draw(st.booleans()):
+        # canonical parts, which take the linear check's early return
+        ivs = list(ref_normalize_union(ivs).parts)
+    if data.draw(st.booleans()):
+        ivs = data.draw(st.permutations(ivs))
+    u = normalize_union(ivs)
+    # RationalInterval equality compares both endpoints and both flags
+    assert u == ref_normalize_union(ivs)
+    assert normalize_union(u.parts) == u
 
 
 @settings(max_examples=250, deadline=None)
