@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Callable, NoReturn, Optional
 
 from . import derivatives, markov, martingales, randomness, serialize, ttmeasures
-from .errors import ParseError, RandlabError
+from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
     bit_strings,
@@ -45,9 +45,7 @@ def _record(name: str, passed: bool, detail: str = "") -> dict[str, str]:
 def _verify_test_family(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     t = serialize.test_family_from_json(doc)
     records = []
-    for event in doc.get("updates", []):
-        m = event["m"]
-        u = serialize._union_from_json(event["union"])
+    for m, u in serialize.updates_from_json(doc):
         try:
             t = randomness.demuth_update(t, m, u)
             records.append(_record(f"{tag}:update[m={m}]", True))
@@ -169,7 +167,7 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
 def _function(name: str) -> markov.MarkovFunction:
     try:
         return markov.function_by_name(name)
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         raise ParseError(f"--function: {exc}") from exc
 
 
@@ -300,11 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="pseudo-derivative estimate", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--at", required=True)
-    p.add_argument("--scale", default="1/1024")
+    p.add_argument(
+        "--scale",
+        default="1/1024",
+        help="largest pair width h; must be at least 2^-(p+2), and some pair "
+        "of grid points at most h apart must straddle the point, so the "
+        "default 1/1024 needs --precision 10 or more",
+    )
     p.add_argument(
         "--precision",
         type=_natural(derivatives.GRID_DENOMINATOR_BUDGET),
         default=14,
+        help="p: slopes are taken over the grid k/2^p, "
+        f"0..{derivatives.GRID_DENOMINATOR_BUDGET} (default %(default)s); see --scale",
     )
     p.add_argument("--tol", default="1/16")
     p.set_defaults(fn=cmd_derive)

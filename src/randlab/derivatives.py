@@ -61,9 +61,11 @@ def pseudo_derivative(
     """
     if grid_denominator > GRID_DENOMINATOR_BUDGET:
         raise ValueError(f"grid_denominator > {GRID_DENOMINATOR_BUDGET}")
-    if h < Fraction(1, 2 ** (grid_denominator + 2)):
-        raise ValueError("scale h below grid resolution")
     d = grid_denominator
+    if h < Fraction(1, 2 ** (d + 2)):
+        raise ValueError(
+            f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
+        )
     step = Fraction(1, 2**d)
     w = z.window(d)
     lo_lim = max(Fraction(0), w.lo - h)
@@ -89,7 +91,10 @@ def pseudo_derivative(
             if best_lo is None or s < best_lo:
                 best_lo = s
     if best_hi is None or best_lo is None:
-        raise ValueError("no grid pairs straddle the point at this scale")
+        raise ValueError(
+            f"no pair of points of the grid k/2^{d} at most h = {h} apart "
+            "straddles the point"
+        )
 
     up_inf = best_hi > BLOWUP_THRESHOLD
     lo_inf = best_lo < -BLOWUP_THRESHOLD

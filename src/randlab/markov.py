@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +28,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 OSCILLATION_DEPTH_BUDGET = 16
+CANONICAL_NONUC_STAGE_BUDGET = 64
 EXTENSION_PRECISION_BUDGET = 20
 EXTENSION_REFINEMENTS = 8
 SLOPE_GRID_PAIR_BUDGET = 2**12
@@ -44,21 +46,28 @@ class PolygonalFunction:
     """Piecewise-linear data: breakpoints with strictly increasing x, 0 to 1."""
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    # breakpoint x-coordinates and the slope of each segment, set once
+    _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        xs = [x for x, _ in self.breakpoints]
+        xs = tuple(x for x, _ in self.breakpoints)
         if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
             raise ValueError("breakpoints must span [0,1]")
         if any(a >= b for a, b in zip(xs, xs[1:])):
             raise ValueError("breakpoint x-coordinates must strictly increase")
+        slopes = tuple(
+            (y1 - y0) / (x1 - x0)
+            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
+        )
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_slopes", slopes)
 
     def value(self, x: Fraction) -> Fraction:
-        xs = [bx for bx, _ in self.breakpoints]
-        i = bisect.bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
+        i = bisect.bisect_right(self._xs, x) - 1
+        if i == len(self._slopes):
             return self.breakpoints[-1][1]
-        (x0, y0), (x1, y1) = self.breakpoints[i], self.breakpoints[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return self.breakpoints[i][1] + self._slopes[i] * (x - self._xs[i])
 
 
 @dataclass(frozen=True)
@@ -198,15 +207,6 @@ def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunc
     )
 
 
-def _tent_value(iv: RationalInterval, peak: Fraction, x: Fraction) -> Fraction:
-    mid = (iv.lo + iv.hi) / 2
-    if x <= mid:
-        if mid == iv.lo:
-            return peak
-        return peak * (x - iv.lo) / (mid - iv.lo)
-    return peak * (iv.hi - x) / (iv.hi - mid)
-
-
 def canonical_nonuc(stage_count: int) -> MarkovFunction:
     """The built-in non-uniformly-continuous example.
 
@@ -217,20 +217,33 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     """
     if stage_count < 1:
         raise ValueError("stage_count must be >= 1")
+    if stage_count > CANONICAL_NONUC_STAGE_BUDGET:
+        raise BudgetExceeded(
+            f"stage_count {stage_count} > CANONICAL_NONUC_STAGE_BUDGET "
+            f"({CANONICAL_NONUC_STAGE_BUDGET})"
+        )
     tents: list[tuple[RationalInterval, Fraction]] = []
+    # per tent: lo, mid, hi, the slope up to the peak and the slope down
+    shapes: list[tuple[Fraction, Fraction, Fraction, Fraction, Fraction]] = []
     for n in range(stage_count):
         lo = 1 - Fraction(1, 2**n)
         hi = 1 - Fraction(3, 2 ** (n + 2))
-        tents.append((RationalInterval(lo, hi), Fraction(n)))
-    los = [iv.lo for iv, _ in tents]
-    crit: list[Fraction] = []
-    for iv, _ in tents:
-        crit.extend((iv.lo, (iv.lo + iv.hi) / 2, iv.hi))
+        mid = (lo + hi) / 2
+        peak = Fraction(n)
+        tents.append((RationalInterval(lo, hi), peak))
+        shapes.append((lo, mid, hi, peak / (mid - lo), peak / (hi - mid)))
+    los = [lo for lo, _, _, _, _ in shapes]
+    crit = [p for shape in shapes for p in shape[:3]]
 
     def ev(x: Fraction) -> Fraction:
         i = bisect.bisect_right(los, x) - 1
-        if i >= 0 and tents[i][0].contains(x):
-            return _tent_value(tents[i][0], tents[i][1], x)
+        if i < 0:
+            return ZERO
+        lo, mid, hi, up, down = shapes[i]
+        if x <= mid:
+            return up * (x - lo)
+        if x <= hi:
+            return down * (hi - x)
         return ZERO
 
     return MarkovFunction(
@@ -255,17 +268,24 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     rep = check_H(c)
     if not rep.ok:
         raise CoverViolation(rep.violation or "H(C) fails")
-    ivs = sorted(c.all_intervals(), key=lambda iv: iv.lo)
+    # a point interval sorts before an interval starting at the same point,
+    # so the search below finds the one with an interior
+    ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
     los = [iv.lo for iv in ivs]
-    endpoint_vals = [(f(iv.lo), f(iv.hi)) for iv in ivs]
+    # per interval: lo, hi, f(lo) and the chord's slope (a point interval
+    # has no interior, so its slope is never read)
+    chords: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
+    for iv in ivs:
+        ylo, yhi = f(iv.lo), f(iv.hi)
+        slope = (yhi - ylo) / iv.length if iv.length else ZERO
+        chords.append((iv.lo, iv.hi, ylo, slope))
 
     def ev(x: Fraction) -> Fraction:
         i = bisect.bisect_right(los, x) - 1
         if i >= 0:
-            iv = ivs[i]
-            if iv.lo < x < iv.hi:
-                ylo, yhi = endpoint_vals[i]
-                return ylo + (yhi - ylo) * (x - iv.lo) / (iv.hi - iv.lo)
+            lo, hi, ylo, slope = chords[i]
+            if lo < x < hi:
+                return ylo + slope * (x - lo)
         return f(x)
 
     crit = set(f.critical_points)
@@ -292,29 +312,28 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     """
     if depth > OSCILLATION_DEPTH_BUDGET:
         raise BudgetExceeded(f"depth {depth} > {OSCILLATION_DEPTH_BUDGET}")
-    grid_bits = depth + 4
-    size = 2**grid_bits
-    denom = Fraction(1, size)
-    vals = [f(k * denom) for k in range(size)]  # [sigma) excludes the right end
+    size = 2 ** (depth + 4)
+    vals = [f(Fraction(k, size)) for k in range(size)]  # [sigma) excludes the right end
     threshold = Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
 
-    # extrema[k][v] = (min, max) over the grid slice of the v-th node at level k
-    level = [(v, v) for v in vals]
-    extrema: list[list[tuple[Fraction, Fraction]]] = [level]
-    while len(level) > 1:
-        level = [
-            (min(level[2 * i][0], level[2 * i + 1][0]),
-             max(level[2 * i][1], level[2 * i + 1][1]))
-            for i in range(len(level) // 2)
-        ]
-        extrema.append(level)
+    # the grid values as integers over one common denominator, so the
+    # extrema fold compares ints and the threshold test needs no Fraction
+    den = math.lcm(*{v.denominator for v in vals})
+    lo = hi = [v.numerator * (den // v.denominator) for v in vals]
+    bound = threshold.numerator * den
+    # extrema[k] = (minima, maxima) over the grid slices of the nodes at level k
+    extrema = [(lo, hi)]
+    while len(lo) > 1:
+        lo = list(map(min, lo[::2], lo[1::2]))
+        hi = list(map(max, hi[::2], hi[1::2]))
+        extrema.append((lo, hi))
     extrema.reverse()  # extrema[k] now indexed by level k = |sigma|
 
     return {
         s
         for k in range(depth + 1)
-        for s, (mn, mx) in zip(bit_strings(k), extrema[k])
-        if mx - mn > threshold
+        for s, mn, mx in zip(bit_strings(k), *extrema[k])
+        if (mx - mn) * threshold.denominator > bound
     }
 
 

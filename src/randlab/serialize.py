@@ -130,6 +130,20 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
         raise ParseError(f"malformed test_family fixture: {exc}") from exc
 
 
+def updates_from_json(doc: dict[str, Any]) -> list[tuple[int, IntervalUnion]]:
+    """The `updates` of a test_family document as (component, union) pairs."""
+    updates = []
+    for i, event in enumerate(doc.get("updates", [])):
+        try:
+            m, parts = event["m"], event["union"]
+        except KeyError as exc:
+            raise ParseError(
+                f"malformed test_family fixture: updates[{i}] has no {exc} key"
+            ) from exc
+        updates.append((m, _union_from_json(parts)))
+    return updates
+
+
 def measure_from_json(doc: dict[str, Any]) -> CylinderMeasure:
     if doc.get("type") != "measure":
         raise ParseError("expected a measure document")

@@ -19,6 +19,7 @@ from .errors import (
     AtomSuspected,
     BudgetExceeded,
     InvariantViolation,
+    ParseError,
     ZeroMassCylinder,
 )
 from .intervals import bit_strings, dyadic_value, format_rational
@@ -123,7 +124,7 @@ def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
     def mass(sigma: str) -> Fraction:
         if sigma in table:
             return table[sigma]
-        raise KeyError(f"no mass recorded for cylinder {sigma!r}")
+        raise ParseError(f"table measure {name!r} has no mass for cylinder {sigma!r}")
 
     return CylinderMeasure(name, mass)
 

@@ -203,6 +203,7 @@ def assert_labcli_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert lines and all(line.startswith("labcli: ") for line in lines)
+    return captured.err
 
 
 @pytest.mark.parametrize(
@@ -260,3 +261,42 @@ def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("labcli: ")
     assert "total_bound" in lines[0]
+
+
+def demuth_with_update(update):
+    doc = json.load(open(fixture("demuth_two_versions.json")))
+    doc["updates"] = [update]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (demuth_with_update({"union": ["(0/1,1/8)"]}), "'m'"),
+        (demuth_with_update({"m": 1}), "'union'"),
+        ({"type": "measure", "rule": "table", "table": {"": "1", "0": "1/2"}}, "'1'"),
+    ],
+    ids=["update-without-m", "update-without-union", "table-measure-hole"],
+)
+def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
+    path = tmp_path / "hole.json"
+    path.write_text(json.dumps(doc))
+    assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
+
+
+def test_tree_stage_count_over_budget_exits_two(capsys):
+    argv = ["tree", "--function", "canonical_nonuc:100000", "--depth", "2"]
+    err = assert_labcli_usage_error(capsys, argv)
+    assert "CANONICAL_NONUC_STAGE_BUDGET" in err and "100000" in err
+
+
+@pytest.mark.parametrize(
+    "precision, named",
+    [("7", ["1/1024", "2^-9", "k/2^7"]), ("9", ["1/1024", "k/2^9"])],
+)
+def test_derive_scale_error_names_scale_and_grid(capsys, precision, named):
+    argv = ["derive", "--function", "square", "--at", "1/3", "--precision", precision]
+    err = assert_labcli_usage_error(capsys, argv)
+    assert all(part in err for part in named)
+    # the default scale 1/1024 first has grid pairs at precision 10
+    assert main(argv[:-1] + ["10"]) == 0

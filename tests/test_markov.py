@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randlab.cauchy import const_name
-from randlab.errors import CoverViolation, ExtensionUndefined
-from randlab.intervals import RationalInterval
+from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
+from randlab.intervals import RationalInterval, bit_strings
 from randlab.markov import (
+    CANONICAL_NONUC_STAGE_BUDGET,
     StagedCover,
     abs_offset_fn,
     canonical_nonuc,
@@ -183,3 +184,159 @@ def test_function_registry():
     assert function_by_name("canonical_nonuc:8")(Fraction(1)) == 0
     with pytest.raises(ValueError):
         function_by_name("no_such_function")
+
+
+def test_canonical_nonuc_stage_budget():
+    canonical_nonuc(CANONICAL_NONUC_STAGE_BUDGET)
+    with pytest.raises(BudgetExceeded, match="CANONICAL_NONUC_STAGE_BUDGET") as info:
+        canonical_nonuc(100000)
+    assert "100000" in str(info.value)
+
+
+def test_truncation_point_interval_sharing_a_left_end():
+    # [1/4,1/4] listed after [1/4,1/2]: x = 3/8 still takes the chord
+    q = Fraction(1, 4)
+    c = StagedCover(
+        stages=((RationalInterval(q, 2 * q), RationalInterval(q, q)),),
+        size_bound=(0,),
+    )
+    assert truncate(square_fn(), c)(Fraction(3, 8)) == Fraction(5, 32)
+
+
+# --- slow references: the Fraction code the integer and per-interval
+# --- constant versions replaced, kept as oracles
+
+
+def ref_oscillation_tree(f, n, depth):
+    """Grid extrema folded as Fraction pairs, threshold as a Fraction."""
+    size = 2 ** (depth + 4)
+    denom = Fraction(1, size)
+    vals = [f(k * denom) for k in range(size)]
+    threshold = Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
+    level = [(v, v) for v in vals]
+    extrema = [level]
+    while len(level) > 1:
+        level = [
+            (min(level[2 * i][0], level[2 * i + 1][0]),
+             max(level[2 * i][1], level[2 * i + 1][1]))
+            for i in range(len(level) // 2)
+        ]
+        extrema.append(level)
+    extrema.reverse()
+    return {
+        s
+        for k in range(depth + 1)
+        for s, (mn, mx) in zip(bit_strings(k), extrema[k])
+        if mx - mn > threshold
+    }
+
+
+def ref_tent_value(iv, peak, x):
+    mid = (iv.lo + iv.hi) / 2
+    if x <= mid:
+        if mid == iv.lo:
+            return peak
+        return peak * (x - iv.lo) / (mid - iv.lo)
+    return peak * (iv.hi - x) / (iv.hi - mid)
+
+
+def ref_nonuc_value(f, x):
+    for iv, peak in cover_intervals(f):
+        if iv.contains(x):
+            return ref_tent_value(iv, peak, x)
+    return Fraction(0)
+
+
+def ref_truncation_value(f, ivs, x):
+    for iv in ivs:
+        if iv.lo < x < iv.hi:
+            ylo, yhi = f(iv.lo), f(iv.hi)
+            return ylo + (yhi - ylo) * (x - iv.lo) / (iv.hi - iv.lo)
+    return f(x)
+
+
+def ref_polygonal_value(breakpoints, x):
+    for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:]):
+        if x0 <= x < x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return breakpoints[-1][1]
+
+
+rational = st.fractions(min_value=-16, max_value=16, max_denominator=64)
+inner = st.fractions(min_value=0, max_value=1, max_denominator=96)
+
+
+@st.composite
+def polygons(draw):
+    xs = sorted(set(draw(st.lists(inner, max_size=5))) - {0, 1})
+    return [(x, draw(rational)) for x in [Fraction(0)] + xs + [Fraction(1)]]
+
+
+@st.composite
+def covers(draw):
+    """Non-overlapping closed intervals, point intervals and shared
+    endpoints included, as one or two stages in a random order."""
+    ends = sorted(draw(st.lists(inner, max_size=8)))
+    ivs = [RationalInterval(a, b) for a, b in zip(ends[::2], ends[1::2])]
+    ivs = draw(st.permutations(ivs))
+    cut = draw(st.integers(0, len(ivs)))
+    return StagedCover(stages=(tuple(ivs[:cut]), tuple(ivs[cut:])), size_bound=(1, 1))
+
+
+bases = st.sampled_from(["square", "abs_offset", "nonuc"]).map(
+    lambda name: canonical_nonuc(6) if name == "nonuc" else function_by_name(name)
+)
+tree_sizes = st.tuples(st.integers(-2, 4), st.integers(0, 6))
+
+
+def interval_marks(ivs):
+    """Every endpoint and midpoint of the intervals."""
+    return [p for iv in ivs for p in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), tree_sizes)
+def test_tree_of_nonuc_equals_reference(k, size):
+    f = canonical_nonuc(k)
+    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases, covers(), tree_sizes)
+def test_tree_of_truncation_equals_reference(base, cover, size):
+    g = truncate(base, cover)
+    assert oscillation_tree(g, *size) == ref_oscillation_tree(g, *size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygons(), tree_sizes)
+def test_tree_of_polygonal_equals_reference(breakpoints, size):
+    f = polygonal_fn(breakpoints)
+    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20), st.lists(unit, max_size=20))
+def test_nonuc_value_equals_reference(k, xs):
+    f = canonical_nonuc(k)
+    for x in xs + interval_marks(iv for iv, _ in cover_intervals(f)) + [Fraction(1)]:
+        assert f(x) == ref_nonuc_value(f, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases, covers(), st.lists(unit, max_size=20))
+def test_truncation_value_equals_reference(base, cover, xs):
+    g = truncate(base, cover)
+    ivs = cover.all_intervals()
+    for x in xs + interval_marks(ivs) + [Fraction(0), Fraction(1)]:
+        assert g(x) == ref_truncation_value(base, ivs, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygons(), st.lists(unit, max_size=20))
+def test_polygonal_value_equals_reference(breakpoints, xs):
+    f = polygonal_fn(breakpoints)
+    marks = [x for x, _ in breakpoints]
+    marks += [(a + b) / 2 for a, b in zip(marks, marks[1:])]
+    for x in xs + marks:
+        assert f(x) == ref_polygonal_value(breakpoints, x)
