@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, NoReturn, Optional
 
-from . import derivatives, markov, martingales, randomness, serialize, ttmeasures
+from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
@@ -23,7 +23,6 @@ from .intervals import (
     parse_rational,
 )
 
-VERSION = "0.1.0"
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
 
 
@@ -107,7 +106,7 @@ _VERIFIERS = {
 def verify_fixture(path: str, depth: int) -> list[dict]:
     doc = serialize.load_fixture(_resolve(path))
     kind = doc.get("type")
-    verifier = _VERIFIERS.get(kind)
+    verifier = _VERIFIERS.get(kind) if isinstance(kind, str) else None
     if verifier is None:
         raise ParseError(f"{path}: unknown fixture type {kind!r}")
     tag = os.path.basename(path)
@@ -146,7 +145,10 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
     mu = serialize.measure_from_json(serialize.load_fixture(_resolve(args.measure)))
-    res = ttmeasures.transport(mu, args.prefix)
+    try:
+        res = ttmeasures.transport(mu, args.prefix)
+    except BudgetExceeded as exc:
+        raise ParseError(f"--prefix: {exc}") from exc
     output = {
         "c_prefix": res.c_prefix,
         "status": res.status.value,
@@ -180,7 +182,7 @@ def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
         est = derivatives.pseudo_derivative(
             f, z, parse_rational(args.scale), args.precision
         )
-    except ValueError as exc:
+    except (ValueError, BudgetExceeded) as exc:
         raise ParseError(f"derive: {exc}") from exc
     verdict = derivatives.classify_denjoy(est, parse_rational(args.tol))
     output = {
@@ -226,28 +228,31 @@ def cmd_convert(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
     base = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV) or "fixtures"
-    paths = sorted(
-        os.path.join(base, f) for f in os.listdir(base) if f.endswith(".json")
-    )
+    try:
+        names = os.listdir(base)
+    except OSError as exc:
+        raise ParseError(f"cannot list fixture directory {base!r}: {exc}") from exc
+    paths = sorted(os.path.join(base, f) for f in names if f.endswith(".json"))
     records = [r for p in paths for r in verify_fixture(p, args.depth)]
-    records.sort(key=lambda r: r["name"])
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
 
-def _natural(limit: Optional[int] = None) -> Callable[[str], int]:
-    """argparse type: a non-negative integer, at most `limit` if one is given."""
+def _natural(limit: Optional[int] = None, name: str = "") -> Callable[[str], int]:
+    """argparse type: a non-negative integer, at most the budget `name`
+    (`limit`) if one is given."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
-            if value >= 0 and (limit is None or value <= limit):
-                return value
         except ValueError:
-            pass
-        most = "" if limit is None else f" at most {limit}"
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer{most}, got {text!r}"
-        )
+            value = -1
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a non-negative integer, got {text!r}"
+            )
+        if limit is not None and value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds {name} ({limit})")
+        return value
 
     return parse
 
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--precision",
-        type=_natural(derivatives.GRID_DENOMINATOR_BUDGET),
+        type=_natural(derivatives.GRID_DENOMINATOR_BUDGET, "GRID_DENOMINATOR_BUDGET"),
         default=14,
         help="p: slopes are taken over the grid k/2^p, "
         f"0..{derivatives.GRID_DENOMINATOR_BUDGET} (default %(default)s); see --scale",
@@ -323,7 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_natural(), default=8)
+    p.add_argument(
+        "--depth",
+        type=_natural(randomness.COMPONENT_INDEX_BUDGET, "COMPONENT_INDEX_BUDGET"),
+        default=8,
+    )
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
@@ -341,7 +350,7 @@ def render(command: str, records: list[dict], output: dict, fmt: str) -> str:
     failed = sum(1 for r in records if r["status"] == "FAIL")
     doc = {
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "records": records,
         "summary": {"total": len(records), "passed": len(records) - failed, "failed": failed},
     }

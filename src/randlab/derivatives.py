@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .cauchy import CauchyName
-from .errors import DegeneratePair
+from .errors import BudgetExceeded, DegeneratePair
 from .markov import MarkovFunction
 
 BLOWUP_THRESHOLD = Fraction(2**16)
 GRID_DENOMINATOR_BUDGET = 14
+PSEUDO_DERIVATIVE_PAIR_BUDGET = 2**16
 
 
 def slope(f: MarkovFunction, a: Fraction, b: Fraction) -> Fraction:
@@ -76,6 +77,13 @@ def pseudo_derivative(
     a_first, a_last = math.ceil(lo_lim * 2**d), math.floor(hi_lim * 2**d)
     # b lies right of the window and within h of a
     b_min, b_span = math.ceil(w.lo * 2**d), math.floor(h * 2**d)
+    # at most b_span partners per left point: bound the pairs before any f call
+    pairs = max(0, a_last - a_first + 1) * b_span
+    if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"up to {pairs} grid pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET "
+            f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
+        )
     fvals: dict[int, Fraction] = {}
 
     def fv(k: int) -> Fraction:

@@ -9,10 +9,6 @@ class ParseError(RandlabError):
     """Malformed rational, interval, or fixture text."""
 
 
-class FixtureInvalid(RandlabError):
-    """A fixture file parsed but violates its schema or invariants."""
-
-
 class BudgetExceeded(RandlabError):
     """An enumeration/depth/precision budget was exceeded."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation, ParseError
 from .intervals import bit_strings
 
 FAIRNESS_DEPTH_BUDGET = 16
@@ -66,7 +66,9 @@ def table_martingale(table: dict[str, Fraction], name: str = "table") -> Marting
     depth = max((len(k) for k in table), default=0)
 
     def v(s: str) -> Fraction:
-        return table[s]
+        if s in table:
+            return table[s]
+        raise ParseError(f"table martingale {name!r} has no capital for {s!r}")
 
     return Martingale(name, v, depth_budget=depth)
 

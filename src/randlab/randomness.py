@@ -32,6 +32,9 @@ from .intervals import (
 )
 
 EVALUATE_MAX_PRECISION = 48
+# largest |m| of a component, update or interval-sequence block index, and
+# the most PI1 C sets: 2^-m and the conversion depth grow with it
+COMPONENT_INDEX_BUDGET = 1024
 
 
 class TestKind(enum.Enum):

@@ -6,8 +6,9 @@ string, so round-trips are exact and reports are reproducible bytes.
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any
+from typing import Any, Callable
 
 from .cauchy import CauchyName, const_name, scripted_name
 from .errors import ParseError
@@ -21,7 +22,7 @@ from .intervals import (
     parse_rational,
 )
 from .martingales import Martingale, all_in_on_0, constant_martingale, split_bet, table_martingale
-from .randomness import TestFamily, TestKind
+from .randomness import COMPONENT_INDEX_BUDGET, TestFamily, TestKind
 from .ttmeasures import (
     CylinderMeasure,
     bernoulli_measure,
@@ -37,6 +38,8 @@ def _union_to_json(u: IntervalUnion) -> list[str]:
 
 
 def _union_from_json(parts: list[str]) -> IntervalUnion:
+    if not isinstance(parts, list):
+        raise TypeError(f"a union is a list of interval strings, got {parts!r}")
     return normalize_union(parse_interval(p) for p in parts)
 
 
@@ -83,122 +86,137 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
     return doc
 
 
+def _decoder(kind: str) -> Callable[[Callable], Callable]:
+    """The one boundary for malformed fixtures: the wrapped decoder gets a
+    JSON object of type `kind`, and a KeyError, TypeError, ValueError or
+    AttributeError it raises becomes a ParseError naming the fixture type."""
+
+    def wrap(decode: Callable[[dict[str, Any]], Any]) -> Callable[[Any], Any]:
+        @functools.wraps(decode)
+        def decoded(doc: Any) -> Any:
+            if not isinstance(doc, dict) or doc.get("type") != kind:
+                raise ParseError(f"expected a {kind} document")
+            try:
+                return decode(doc)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+                raise ParseError(f"malformed {kind} fixture: {detail}") from exc
+        return decoded
+    return wrap
+
+
+def _index(value: Any, what: str, low: int = 0) -> int:
+    """`value` (an int or a decimal string) as an index in low..budget."""
+    m = int(str(value))  # a float or a bool is malformed, not truncated
+    if not low <= m <= COMPONENT_INDEX_BUDGET:
+        raise ParseError(
+            f"{what} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
+            f"({COMPONENT_INDEX_BUDGET})"
+        )
+    return m
+
+
+@_decoder("test_family")
 def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
-    if doc.get("type") != "test_family":
-        raise ParseError("expected a test_family document")
-    try:
-        kind = TestKind(doc["kind"])
-        components = {
-            int(m): [_union_from_json(v) for v in versions]
-            for m, versions in doc.get("components", {}).items()
+    kind = TestKind(doc["kind"])
+    components = {
+        _index(m, "component index", -COMPONENT_INDEX_BUDGET): [
+            _union_from_json(v) for v in versions
+        ]
+        for m, versions in doc.get("components", {}).items()
+    }
+    payload = doc.get("kind_data", {})
+    kd: dict[str, Any] = {}
+    if kind is TestKind.SCHNORR:
+        kd["declared_measures"] = {
+            int(m): parse_rational(q)
+            for m, q in payload.get("declared_measures", {}).items()
         }
-        payload = doc.get("kind_data", {})
-        kd: dict[str, Any] = {}
-        if kind is TestKind.SCHNORR:
-            kd["declared_measures"] = {
-                int(m): parse_rational(q)
-                for m, q in payload.get("declared_measures", {}).items()
+        if payload.get("relativized"):
+            kd["relativized"] = True
+    elif kind is TestKind.SOLOVAY:
+        kd["total_bound"] = parse_rational(payload["total_bound"])
+        if kd["total_bound"] <= 0:
+            raise ParseError(
+                f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
+            )
+    elif kind is TestKind.INTERVAL_SEQUENCE:
+        blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
+        excluded: dict[tuple[int, int], frozenset[int]] = {}
+        for rec in payload.get("blocks", []):
+            key = (_index(rec["m"], "block m"), _index(rec["r"], "block r"))
+            blocks[key] = {
+                int(k): parse_interval(iv) for k, iv in rec["table"].items()
             }
-            if payload.get("relativized"):
-                kd["relativized"] = True
-        elif kind is TestKind.SOLOVAY:
-            kd["total_bound"] = parse_rational(payload["total_bound"])
-            if kd["total_bound"] <= 0:
-                raise ParseError(
-                    f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
-                )
-        elif kind is TestKind.INTERVAL_SEQUENCE:
-            blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
-            excluded: dict[tuple[int, int], frozenset[int]] = {}
-            for rec in payload.get("blocks", []):
-                key = (rec["m"], rec["r"])
-                blocks[key] = {
-                    int(k): parse_interval(iv) for k, iv in rec["table"].items()
-                }
-                excluded[key] = frozenset(rec.get("excluded", []))
-            kd["blocks"] = blocks
-            kd["excluded"] = excluded
-        elif kind is TestKind.PI1:
-            kd["q"] = [parse_rational(x) for x in payload["q"]]
-            kd["C"] = [frozenset(c) for c in payload["C"]]
-        elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
-            kd["budgets"] = {
-                int(m): int(b) for m, b in payload.get("budgets", {}).items()
-            }
-        return TestFamily(kind, components, kd, doc.get("label", ""))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"malformed test_family fixture: {exc}") from exc
+            excluded[key] = frozenset(rec.get("excluded", []))
+        kd["blocks"] = blocks
+        kd["excluded"] = excluded
+    elif kind is TestKind.PI1:
+        kd["q"] = [parse_rational(x) for x in payload["q"]]
+        kd["C"] = [frozenset(c) for c in payload["C"]]
+        _index(len(kd["C"]), "number of PI1 C sets")
+    elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
+        kd["budgets"] = {
+            int(m): int(str(b)) for m, b in payload.get("budgets", {}).items()
+        }
+    return TestFamily(kind, components, kd, doc.get("label", ""))
 
 
+@_decoder("test_family")
 def updates_from_json(doc: dict[str, Any]) -> list[tuple[int, IntervalUnion]]:
     """The `updates` of a test_family document as (component, union) pairs."""
-    updates = []
-    for i, event in enumerate(doc.get("updates", [])):
-        try:
-            m, parts = event["m"], event["union"]
-        except KeyError as exc:
-            raise ParseError(
-                f"malformed test_family fixture: updates[{i}] has no {exc} key"
-            ) from exc
-        updates.append((m, _union_from_json(parts)))
-    return updates
+    return [
+        (_index(event["m"], "update m"), _union_from_json(event["union"]))
+        for event in doc.get("updates", [])
+    ]
 
 
+@_decoder("measure")
 def measure_from_json(doc: dict[str, Any]) -> CylinderMeasure:
-    if doc.get("type") != "measure":
-        raise ParseError("expected a measure document")
-    try:
-        rule = doc["rule"]
-        if rule == "uniform":
-            return uniform_measure()
-        if rule == "bernoulli":
-            return bernoulli_measure(parse_rational(doc["p"]))
-        if rule == "table":
-            table = {s: parse_rational(q) for s, q in doc["table"].items()}
-            return table_measure(doc.get("name", "table"), table)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed measure fixture: {exc}") from exc
-    raise ParseError(f"unknown measure rule {doc.get('rule')!r}")
+    rule = doc["rule"]
+    if rule == "uniform":
+        return uniform_measure()
+    if rule == "bernoulli":
+        return bernoulli_measure(parse_rational(doc["p"]))
+    if rule == "table":
+        table = {s: parse_rational(q) for s, q in doc["table"].items()}
+        return table_measure(doc.get("name", "table"), table)
+    raise ParseError(f"unknown measure rule {rule!r}")
 
 
+@_decoder("martingale")
 def martingale_from_json(doc: dict[str, Any]) -> Martingale:
-    if doc.get("type") != "martingale":
-        raise ParseError("expected a martingale document")
-    try:
-        rule = doc["rule"]
-        if rule == "constant":
-            return constant_martingale(parse_rational(doc["value"]))
-        if rule == "all_in_on_0":
-            return all_in_on_0()
-        if rule == "split_bet":
-            return split_bet(parse_rational(doc["p"]))
-        if rule == "table":
-            table = {s: parse_rational(q) for s, q in doc["table"].items()}
-            return table_martingale(table, doc.get("name", "table"))
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed martingale fixture: {exc}") from exc
-    raise ParseError(f"unknown martingale rule {doc.get('rule')!r}")
+    rule = doc["rule"]
+    if rule == "constant":
+        return constant_martingale(parse_rational(doc["value"]))
+    if rule == "all_in_on_0":
+        return all_in_on_0()
+    if rule == "split_bet":
+        return split_bet(parse_rational(doc["p"]))
+    if rule == "table":
+        table = {s: parse_rational(q) for s, q in doc["table"].items()}
+        return table_martingale(table, doc.get("name", "table"))
+    raise ParseError(f"unknown martingale rule {rule!r}")
 
 
+@_decoder("cauchy_name")
 def name_from_json(doc: dict[str, Any]) -> CauchyName:
-    if doc.get("type") != "cauchy_name":
-        raise ParseError("expected a cauchy_name document")
-    try:
-        if "exact" in doc and "values" not in doc:
-            return const_name(parse_rational(doc["exact"]))
-        values = [parse_rational(q) for q in doc["values"]]
-        exact = parse_rational(doc["exact"]) if doc.get("exact") else None
-        return scripted_name(values, doc.get("provenance", "fixture"), exact)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"malformed cauchy_name fixture: {exc}") from exc
+    if "exact" in doc and "values" not in doc:
+        return const_name(parse_rational(doc["exact"]))
+    values = [parse_rational(q) for q in doc["values"]]
+    exact = parse_rational(doc["exact"]) if doc.get("exact") else None
+    return scripted_name(values, doc.get("provenance", "fixture"), exact)
 
 
 def load_fixture(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read fixture {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"fixture {path!r} is not a JSON object")
+    return doc
 
 
 def canonical_json(doc: Any) -> str:

@@ -204,6 +204,11 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
     The input cylinder [a) maps to the image interval [g(0.a), g(0.a+2^-|a|));
     emit output bits while a dyadic half splits the image cleanly.
     """
+    if len(a_prefix) > TRANSPORT_LENGTH_CAP:
+        # the output stops at the cap, so it could never reach status OK
+        raise BudgetExceeded(
+            f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
+        )
     lo = cdf(mu, dyadic_value(a_prefix))
     hi = cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
     if lo == hi:

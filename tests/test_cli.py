@@ -1,18 +1,52 @@
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from randlab.cli import main
 
-FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
-SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+FIXTURES = os.path.join(ROOT, "fixtures")
+SRC = os.path.join(ROOT, "src")
 
 
 def fixture(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def load(name: str):
+    with open(fixture(name)) as fh:
+        return json.load(fh)
+
+
+def run_labcli(*argv, timeout=10, cwd=None):
+    """labcli in a fresh interpreter; a hang fails the test after `timeout` s."""
+    return subprocess.run(
+        [sys.executable, "-m", "randlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=timeout,
+        cwd=cwd,
+    )
+
+
+def assert_one_labcli_line(proc) -> str:
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("labcli: "), proc.stderr
+    return lines[0]
 
 
 def run(capsys, *argv):
@@ -213,8 +247,10 @@ def assert_labcli_usage_error(capsys, argv):
         ["tree", "--function", "square", "--depth", "x"],
         ["verify", "--fixture", fixture("ml_geometric.json"), "--depth", "-1"],
         ["no-such-command"],
+        ["report", "--fixture-dir", os.path.join(FIXTURES, "no-such-dir")],
     ],
-    ids=["missing-fixture", "tree-depth-x", "verify-depth-negative", "no-such-command"],
+    ids=["missing-fixture", "tree-depth-x", "verify-depth-negative", "no-such-command",
+         "report-missing-dir"],
 )
 def test_usage_error_is_one_labcli_line(capsys, argv):
     assert_labcli_usage_error(capsys, argv)
@@ -246,27 +282,26 @@ def test_derive_bad_input_exits_two(capsys, flags):
 
 @pytest.mark.parametrize("bound", ["0/1", "-1/1"])
 def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
-    doc = json.load(open(fixture("solovay_geometric.json")))
+    doc = load("solovay_geometric.json")
     doc["kind_data"]["total_bound"] = bound
     bad = tmp_path / "solovay_bad_bound.json"
     bad.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "randlab.cli", "convert", "--fixture", str(bad)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("labcli: ")
-    assert "total_bound" in lines[0]
+    assert "total_bound" in assert_one_labcli_line(run_labcli("convert", "--fixture", str(bad)))
+
+
+def with_path(name, path, value):
+    """The fixture `name` with the value at `path` (a key sequence) replaced."""
+    doc = load(name)
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    return doc
 
 
 def demuth_with_update(update):
-    doc = json.load(open(fixture("demuth_two_versions.json")))
-    doc["updates"] = [update]
-    return doc
+    return with_path("demuth_two_versions.json", ["updates"], [update])
+
+
+def with_block(key, value):
+    return with_path("interval_sequence_basic.json", ["kind_data", "blocks", 0, key], value)
 
 
 @pytest.mark.parametrize(
@@ -275,8 +310,22 @@ def demuth_with_update(update):
         (demuth_with_update({"union": ["(0/1,1/8)"]}), "'m'"),
         (demuth_with_update({"m": 1}), "'union'"),
         ({"type": "measure", "rule": "table", "table": {"": "1", "0": "1/2"}}, "'1'"),
+        ({"type": "martingale", "rule": "table", "table": {"": "1", "0": "1"}},
+         "'table' has no capital for '1'"),
+        ([1, 2], "not a JSON object"),
+        (with_path("measure_bernoulli_3_4.json", ["p"], 5), "malformed measure fixture"),
+        (with_path("name_half_script.json", ["exact"], 5), "malformed cauchy_name fixture"),
+        (with_path("demuth_two_versions.json", ["updates"], ["x"]),
+         "malformed test_family fixture"),
+        (demuth_with_update({"m": "a", "union": []}), "'a'"),
+        (demuth_with_update({"m": 1, "union": 5}), "got 5"),
+        (with_block("m", "x"), "'x'"),
+        (with_path("ml_geometric.json", ["type"], ["x"]), "unknown fixture type ['x']"),
     ],
-    ids=["update-without-m", "update-without-union", "table-measure-hole"],
+    ids=["update-without-m", "update-without-union", "table-measure-hole",
+         "table-martingale-hole", "top-level-list", "measure-p-int", "name-exact-int",
+         "update-not-object", "update-m-not-int", "update-union-not-list",
+         "block-m-not-int", "type-not-string"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"
@@ -284,10 +333,175 @@ def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
 
 
-def test_tree_stage_count_over_budget_exits_two(capsys):
-    argv = ["tree", "--function", "canonical_nonuc:100000", "--depth", "2"]
-    err = assert_labcli_usage_error(capsys, argv)
+def test_tree_stage_count_over_budget_exits_two():
+    proc = run_labcli("tree", "--function", "canonical_nonuc:100000", "--depth", "2")
+    err = assert_one_labcli_line(proc)
     assert "CANONICAL_NONUC_STAGE_BUDGET" in err and "100000" in err
+
+
+def with_component(name, m):
+    return with_path(name, ["components", m], [[]])
+
+
+def pi1_with_c_sets(count):
+    return with_path("pi1_halfpoint.json", ["kind_data", "C"], [[0]] * count)
+
+
+# a constant name at 1/2 on the grid k/2^14 with scale k/2^14 straddles with
+# (k + 3) left points of k partners each: 258 * 255 = 65,790 > 2^16
+DERIVE_AT_HALF = ["derive", "--function", "square", "--at", "1/2", "--precision", "14"]
+
+
+INDEX = "COMPONENT_INDEX_BUDGET"
+PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
+
+
+@pytest.mark.parametrize(
+    "argv, doc, named",
+    [
+        (["verify"], with_component("ml_geometric.json", "1025"), [INDEX, "1025"]),
+        (["verify"], with_component("ml_geometric.json", "-1025"), [INDEX, "-1025"]),
+        (["verify"], demuth_with_update({"m": 1025, "union": []}), [INDEX, "1025"]),
+        (["verify"], demuth_with_update({"m": -1, "union": []}), [INDEX, "-1"]),
+        (["verify"], with_block("m", 1025), [INDEX, "1025"]),
+        (["verify"], with_block("r", 1025), [INDEX, "1025"]),
+        (["verify"], pi1_with_c_sets(1025), [INDEX, "1025"]),
+        (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "1025"],
+         None, [INDEX, "1025"]),
+        (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "15000"],
+         None, [INDEX, "15000"]),
+        (DERIVE_AT_HALF + ["--scale", "255/16384"], None, [PAIRS, "65790"]),
+        (["derive", "--function", "square", "--at", "1/3", "--scale", "1", "--precision", "14"],
+         None, [PAIRS]),
+        (["transport", "--measure", fixture("measure_uniform.json"), "--prefix", "0" * 65],
+         None, ["TRANSPORT_LENGTH_CAP", "65"]),
+    ],
+    ids=["component-1025", "component-minus-1025", "update-m-1025", "update-m-negative",
+         "block-m-1025", "block-r-1025", "pi1-1025-c-sets", "convert-depth-1025",
+         "convert-depth-15000", "derive-pairs-65790", "derive-scale-1",
+         "transport-prefix-65"],
+)
+def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
+    if doc is not None:
+        path = tmp_path / "over_budget.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--fixture", str(path)]
+    err = assert_one_labcli_line(run_labcli(*argv))
+    assert all(part in err for part in named)
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["verify"], with_component("ml_geometric.json", "1024")),
+        (["verify"], with_component("ml_geometric.json", "-1024")),
+        (["verify"], demuth_with_update({"m": 1024, "union": []})),
+        (["verify"], pi1_with_c_sets(1024)),
+        (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "1024"], None),
+        (DERIVE_AT_HALF + ["--scale", "254/16384"], None),
+        (["transport", "--measure", fixture("measure_uniform.json"), "--prefix", "0" * 64],
+         None),
+    ],
+    ids=["component-1024", "component-minus-1024", "update-m-1024", "pi1-1024-c-sets",
+         "convert-depth-1024", "derive-pairs-65278", "transport-prefix-64"],
+)
+def test_budget_limit_is_accepted(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "at_budget.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--fixture", str(path)]
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def readme_commands():
+    """Every command of README's labcli block, backslash continuations
+    joined and comments dropped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## labcli", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip()
+    ]
+
+
+def test_readme_examples():
+    commands = readme_commands()
+    assert commands, "no labcli commands found in README.md"
+    for argv in commands:
+        assert argv[0] == "labcli", argv
+        proc = run_labcli(*argv[1:], timeout=300, cwd=ROOT)
+        # exit 1 is a failed check (evaluate and transport exit 1 by design);
+        # above 1, or any other stderr, breaks the contract
+        assert proc.returncode <= 1, (argv, proc.stderr)
+        stray = [l for l in proc.stderr.splitlines() if not l.startswith("labcli: ")]
+        assert not stray, (argv, proc.stderr)
+
+
+RATIONALS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.text(max_size=6) | RATIONALS
+    | st.builds("{}{},{}{}".format, st.sampled_from("[("), RATIONALS, RATIONALS,
+                st.sampled_from(")]")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def value_paths(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from value_paths(value, path + (key,))
+
+
+def mutate(doc, data):
+    """One mutation: replace the value at a path, delete a key or item, or
+    rename a component key."""
+    op = data.draw(st.sampled_from(["replace", "delete", "rename"]))
+    components = doc.get("components") if isinstance(doc, dict) else None
+    if op == "rename" and isinstance(components, dict) and components:
+        old = data.draw(st.sampled_from(sorted(components)))
+        new = data.draw(st.integers(-2000, 2000).map(str) | st.text(max_size=4))
+        components[new] = components.pop(old)
+        return doc
+    paths = list(value_paths(doc))
+    if op == "delete" and len(paths) > 1:
+        path = data.draw(st.sampled_from(paths[1:]))
+        del functools.reduce(operator.getitem, path[:-1], doc)[path[-1]]
+        return doc
+    path = data.draw(st.sampled_from(paths))
+    if not path:
+        return data.draw(JSON_VALUES)
+    functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
+
+
+@settings(max_examples=200, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(FIXTURE_FILES), data=st.data())
+def test_mutated_fixtures_keep_the_exit_contract(name, data):
+    doc = load(name)
+    commands = ["verify"] + (["convert"] if doc["type"] == "test_family" else [])
+    for _ in range(data.draw(st.integers(1, 2))):
+        doc = mutate(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--fixture", path])
+            assert code in (0, 1, 2)
+            assert all(line.startswith("labcli: ") for line in err.getvalue().splitlines())
+            assert code != 2 or out.getvalue() == ""
 
 
 @pytest.mark.parametrize(
