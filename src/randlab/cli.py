@@ -323,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="oscillation tree of a function", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--precision", type=int, default=0)
-    p.add_argument("--depth", type=_natural(), default=8)
+    p.add_argument(
+        "--depth",
+        type=_natural(markov.OSCILLATION_DEPTH_BUDGET, "OSCILLATION_DEPTH_BUDGET"),
+        default=8,
+    )
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])

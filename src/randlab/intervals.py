@@ -21,6 +21,8 @@ Rational = Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer) into a Fraction; no decimal forms."""
+    if not isinstance(text, str):
+        raise ParseError(f'bad rational {text!r}: expected a "p/q" string')
     s = text.strip()
     if not re.fullmatch(r"-?\d+(/\d+)?", s):
         raise ParseError(f"bad rational {text!r}: expected p/q")
@@ -93,6 +95,8 @@ class RationalInterval:
 
 def parse_interval(text: str) -> RationalInterval:
     """Parse "[lo,hi)" style interval strings; brackets encode openness."""
+    if not isinstance(text, str):
+        raise ParseError(f'bad interval {text!r}: expected a "[lo,hi)" string')
     s = text.strip()
     if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
         raise ParseError(f"bad interval {text!r}")

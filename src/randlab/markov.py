@@ -9,12 +9,18 @@ Exact range computation over a subinterval works off a finite list of
 "critical points" (points where monotonicity may change); between consecutive
 critical points every function here is monotone, so min/max are attained at
 the sampled candidates.
+
+Whole dyadic grids k/2^D come from `MarkovFunction.grid` as integers over one
+common denominator.  The lab's own evaluators carry a native grid (one integer
+arithmetic progression per linear piece, or a closed form); any other
+evaluator is called once per grid point.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,6 +135,25 @@ class MarkovFunction:
     def __call__(self, x: Fraction) -> Fraction:
         return self.eval_at(x)
 
+    def grid(self, depth: int) -> tuple[list[int], int]:
+        """The values at k/2^depth for 0 <= k < 2^depth, as (ints, den):
+        the value at k/2^depth is ints[k]/den.
+
+        The native grid belongs to the evaluator: it is the `grid` attribute
+        of `eval_at` when there is one, so `dataclasses.replace(f,
+        eval_at=g)` reads g's values.  Any other evaluator is called exactly
+        once per grid point.
+        """
+        if depth < 0:
+            raise ValueError(f"grid depth {depth} < 0")
+        native = getattr(self.eval_at, "grid", None)
+        if native is not None:
+            return native(depth)
+        size = 2**depth
+        vals = [self.eval_at(Fraction(k, size)) for k in range(size)]
+        den = math.lcm(*{v.denominator for v in vals})
+        return [v.numerator * (den // v.denominator) for v in vals], den
+
     def range_on(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact (min, max) of the function over [lo, hi] ⊆ [0, 1]."""
         if lo > hi:
@@ -138,11 +163,58 @@ class MarkovFunction:
         return min(vals), max(vals)
 
 
+def _runs_den(runs) -> int:
+    """The least common denominator of every run's a and b."""
+    return math.lcm(*(q.denominator for _, _, a, b in runs for q in (a, b)))
+
+
+def _write_runs(ints: list[int], den: int, runs) -> list[int]:
+    """Write each run (k0, k1, a, b), the grid values a + b·k at k0 <= k < k1
+    (a and b Fractions), into ints[k0:k1] as one integer progression over
+    den, a multiple of `_runs_den(runs)`."""
+    for k0, k1, a, b in runs:
+        step = b.numerator * (den // b.denominator)
+        start = a.numerator * (den // a.denominator) + step * k0
+        count = k1 - k0
+        ints[k0:k1] = range(start, start + step * count, step) if step else [start] * count
+    return ints
+
+
+def _linear_grid(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
+    """The native grid of a piecewise-linear function.  `pieces` lists
+    (x0, a, s) with x0 ascending from 0: the function is a + s·x from x0 up
+    to the next piece's x0."""
+
+    def grid(depth: int) -> tuple[list[int], int]:
+        size = 2**depth
+        starts = [math.ceil(x0 * size) for x0, _, _ in pieces] + [size]
+        runs = [
+            (k0, k1, a, s / size)
+            for (_, a, s), k0, k1 in zip(pieces, starts, starts[1:])
+            if k0 < k1
+        ]
+        den = _runs_den(runs)
+        return _write_runs([0] * size, den, runs), den
+
+    return grid
+
+
+def _with_grid(ev, grid):
+    """The evaluator `ev` carrying its native grid (see MarkovFunction.grid)."""
+    ev.grid = grid
+    return ev
+
+
+def _square_grid(depth: int) -> tuple[list[int], int]:
+    size = 2**depth
+    return [k * k for k in range(size)], size * size
+
+
 def identity_fn() -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         "identity",
-        lambda x: x,
+        _with_grid(lambda x: x, _linear_grid([(ZERO, ZERO, ONE)])),
         modulus=ModulusFunction(lambda eps: eps),
     )
 
@@ -152,7 +224,7 @@ def square_fn() -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         "square",
-        lambda x: x * x,
+        _with_grid(lambda x: x * x, _square_grid),
         modulus=ModulusFunction(lambda eps: eps / 2),
     )
 
@@ -161,7 +233,7 @@ def const_fn(q: Fraction) -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         f"const({q})",
-        lambda x: q,
+        _with_grid(lambda x: q, _linear_grid([(ZERO, q, ZERO)])),
         modulus=ModulusFunction(lambda eps: ONE),
     )
 
@@ -172,7 +244,7 @@ def abs_offset_fn() -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         "abs_offset",
-        lambda x: abs(x - h),
+        _with_grid(lambda x: abs(x - h), _linear_grid([(ZERO, h, -ONE), (h, -h, ONE)])),
         critical_points=(h,),
         modulus=ModulusFunction(lambda eps: eps),
     )
@@ -182,7 +254,7 @@ def half_fn() -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         "half",
-        lambda x: x / 2,
+        _with_grid(lambda x: x / 2, _linear_grid([(ZERO, ZERO, Fraction(1, 2))])),
         modulus=ModulusFunction(lambda eps: 2 * eps),
     )
 
@@ -191,17 +263,18 @@ def complement_fn() -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.SYMBOLIC,
         "complement",
-        lambda x: 1 - x,
+        _with_grid(lambda x: 1 - x, _linear_grid([(ZERO, ONE, -ONE)])),
         modulus=ModulusFunction(lambda eps: eps),
     )
 
 
 def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunction:
     poly = PolygonalFunction(tuple(breakpoints))
+    pieces = [(x0, y0 - s * x0, s) for (x0, y0), s in zip(poly.breakpoints, poly._slopes)]
     return MarkovFunction(
         MarkovKind.POLYGONAL,
         "polygonal",
-        poly.value,
+        _with_grid(functools.partial(PolygonalFunction.value, poly), _linear_grid(pieces)),
         critical_points=tuple(x for x, _ in poly.breakpoints[1:-1]),
         payload=poly,
     )
@@ -246,10 +319,16 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
             return down * (hi - x)
         return ZERO
 
+    # the function is continuous, so each piece may own its left end
+    pieces = [
+        piece
+        for lo, mid, hi, up, down in shapes
+        for piece in ((lo, -up * lo, up), (mid, down * hi, -down), (hi, ZERO, ZERO))
+    ]
     return MarkovFunction(
         MarkovKind.COVER_BASED,
         f"canonical_nonuc({stage_count})",
-        ev,
+        _with_grid(ev, _linear_grid(pieces)),
         critical_points=tuple(p for p in crit if 0 < p < 1),
         payload=tuple(tents),
     )
@@ -288,6 +367,22 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
                 return ylo + slope * (x - lo)
         return f(x)
 
+    def grid(depth: int) -> tuple[list[int], int]:
+        # f's grid, with each chord written over the grid points inside its
+        # interval's interior (a point interval has none)
+        size = 2**depth
+        runs = [
+            (max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size),
+             ylo - slope * lo, slope / size)
+            for lo, hi, ylo, slope in chords
+        ]
+        runs = [run for run in runs if run[0] < run[1]]
+        ints, den = f.grid(depth)
+        full = math.lcm(den, _runs_den(runs))
+        if full != den:
+            ints = [v * (full // den) for v in ints]
+        return _write_runs(ints, full, runs), full
+
     crit = set(f.critical_points)
     for iv in ivs:
         crit.add(iv.lo)
@@ -295,7 +390,7 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     return MarkovFunction(
         MarkovKind.TRUNCATED,
         f"[{f.name},C]",
-        ev,
+        _with_grid(ev, grid),
         critical_points=tuple(sorted(p for p in crit if 0 < p < 1)),
         payload=(f, tuple(ivs)),
     )
@@ -309,17 +404,20 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     A witness pair exists iff max - min over the grid exceeds the threshold,
     so the search computes grid extrema bottom-up; downward closure under
     prefixes is then structural (a parent's grid contains each child's).
+
+    The grid is `f.grid(depth + 4)`, the points k/2^{depth+4} with k below
+    2^{depth+4} ([sigma) excludes its right end), as integers over one
+    common denominator: the extrema fold compares ints and the threshold test
+    needs no Fraction.  The lab's own evaluators give that grid natively; any
+    other `eval_at` is called once per grid point.
     """
     if depth > OSCILLATION_DEPTH_BUDGET:
-        raise BudgetExceeded(f"depth {depth} > {OSCILLATION_DEPTH_BUDGET}")
-    size = 2 ** (depth + 4)
-    vals = [f(Fraction(k, size)) for k in range(size)]  # [sigma) excludes the right end
+        raise BudgetExceeded(
+            f"depth {depth} > OSCILLATION_DEPTH_BUDGET ({OSCILLATION_DEPTH_BUDGET})"
+        )
     threshold = Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
-
-    # the grid values as integers over one common denominator, so the
-    # extrema fold compares ints and the threshold test needs no Fraction
-    den = math.lcm(*{v.denominator for v in vals})
-    lo = hi = [v.numerator * (den // v.denominator) for v in vals]
+    lo, den = f.grid(depth + 4)
+    hi = lo
     bound = threshold.numerator * den
     # extrema[k] = (minima, maxima) over the grid slices of the nodes at level k
     extrema = [(lo, hi)]

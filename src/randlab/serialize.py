@@ -88,8 +88,9 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
 
 def _decoder(kind: str) -> Callable[[Callable], Callable]:
     """The one boundary for malformed fixtures: the wrapped decoder gets a
-    JSON object of type `kind`, and a KeyError, TypeError, ValueError or
-    AttributeError it raises becomes a ParseError naming the fixture type."""
+    JSON object of type `kind`, and a ParseError, KeyError, TypeError,
+    ValueError or AttributeError it raises becomes a ParseError naming the
+    fixture type."""
 
     def wrap(decode: Callable[[dict[str, Any]], Any]) -> Callable[[Any], Any]:
         @functools.wraps(decode)
@@ -98,7 +99,7 @@ def _decoder(kind: str) -> Callable[[Callable], Callable]:
                 raise ParseError(f"expected a {kind} document")
             try:
                 return decode(doc)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (ParseError, KeyError, TypeError, ValueError, AttributeError) as exc:
                 detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
                 raise ParseError(f"malformed {kind} fixture: {detail}") from exc
         return decoded

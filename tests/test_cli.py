@@ -314,6 +314,10 @@ def with_block(key, value):
          "'table' has no capital for '1'"),
         ([1, 2], "not a JSON object"),
         (with_path("measure_bernoulli_3_4.json", ["p"], 5), "malformed measure fixture"),
+        (with_path("measure_bernoulli_3_4.json", ["p"], 5),
+         'bad rational 5: expected a "p/q" string'),
+        (demuth_with_update({"m": 1, "union": [5]}),
+         'bad interval 5: expected a "[lo,hi)" string'),
         (with_path("name_half_script.json", ["exact"], 5), "malformed cauchy_name fixture"),
         (with_path("demuth_two_versions.json", ["updates"], ["x"]),
          "malformed test_family fixture"),
@@ -323,7 +327,8 @@ def with_block(key, value):
         (with_path("ml_geometric.json", ["type"], ["x"]), "unknown fixture type ['x']"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
-         "table-martingale-hole", "top-level-list", "measure-p-int", "name-exact-int",
+         "table-martingale-hole", "top-level-list", "measure-p-int",
+         "measure-p-int-named", "union-entry-int", "name-exact-int",
          "update-not-object", "update-m-not-int", "update-union-not-list",
          "block-m-not-int", "type-not-string"],
 )
@@ -375,11 +380,13 @@ PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
          None, [PAIRS]),
         (["transport", "--measure", fixture("measure_uniform.json"), "--prefix", "0" * 65],
          None, ["TRANSPORT_LENGTH_CAP", "65"]),
+        (["tree", "--function", "square", "--depth", "17"],
+         None, ["OSCILLATION_DEPTH_BUDGET", "17"]),
     ],
     ids=["component-1025", "component-minus-1025", "update-m-1025", "update-m-negative",
          "block-m-1025", "block-r-1025", "pi1-1025-c-sets", "convert-depth-1025",
          "convert-depth-15000", "derive-pairs-65790", "derive-scale-1",
-         "transport-prefix-65"],
+         "transport-prefix-65", "tree-depth-17"],
 )
 def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
     if doc is not None:
@@ -401,9 +408,10 @@ def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
         (DERIVE_AT_HALF + ["--scale", "254/16384"], None),
         (["transport", "--measure", fixture("measure_uniform.json"), "--prefix", "0" * 64],
          None),
+        (["tree", "--function", "const:0", "--depth", "16"], None),
     ],
     ids=["component-1024", "component-minus-1024", "update-m-1024", "pi1-1024-c-sets",
-         "convert-depth-1024", "derive-pairs-65278", "transport-prefix-64"],
+         "convert-depth-1024", "derive-pairs-65278", "transport-prefix-64", "tree-depth-16"],
 )
 def test_budget_limit_is_accepted(tmp_path, capsys, argv, doc):
     if doc is not None:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -80,6 +81,16 @@ def test_parse_rational_rejects_garbage():
     for bad in ("", "1/0", "a/b", "1.5", "1/2/3"):
         with pytest.raises(ParseError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", [5, None, ["1/2"]])
+def test_parse_rejects_a_non_string_by_value(bad):
+    rational = f'bad rational {bad!r}: expected a "p/q" string'
+    with pytest.raises(ParseError, match=re.escape(rational)):
+        parse_rational(bad)
+    interval = f'bad interval {bad!r}: expected a "[lo,hi)" string'
+    with pytest.raises(ParseError, match=re.escape(interval)):
+        parse_interval(bad)
 
 
 @given(interval_strategy())

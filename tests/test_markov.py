@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,14 @@ from randlab.cauchy import const_name
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
 from randlab.intervals import RationalInterval, bit_strings
 from randlab.markov import (
+    BUILTIN_FUNCTIONS,
     CANONICAL_NONUC_STAGE_BUDGET,
+    OSCILLATION_DEPTH_BUDGET,
     StagedCover,
     abs_offset_fn,
     canonical_nonuc,
     check_H,
+    const_fn,
     cover_intervals,
     eval_extension,
     function_by_name,
@@ -283,10 +287,12 @@ def covers(draw):
     return StagedCover(stages=(tuple(ivs[:cut]), tuple(ivs[cut:])), size_bound=(1, 1))
 
 
-bases = st.sampled_from(["square", "abs_offset", "nonuc"]).map(
-    lambda name: canonical_nonuc(6) if name == "nonuc" else function_by_name(name)
+builtin_fns = (
+    st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name) | rational.map(const_fn)
 )
+bases = builtin_fns | st.just(canonical_nonuc(6))
 tree_sizes = st.tuples(st.integers(-2, 4), st.integers(0, 6))
+grid_depths = st.integers(0, 10)
 
 
 def interval_marks(ivs):
@@ -315,6 +321,12 @@ def test_tree_of_polygonal_equals_reference(breakpoints, size):
     assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
 
 
+@settings(max_examples=60, deadline=None)
+@given(builtin_fns, tree_sizes)
+def test_tree_of_builtin_equals_reference(f, size):
+    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 20), st.lists(unit, max_size=20))
 def test_nonuc_value_equals_reference(k, xs):
@@ -340,3 +352,88 @@ def test_polygonal_value_equals_reference(breakpoints, xs):
     marks += [(a + b) / 2 for a, b in zip(marks, marks[1:])]
     for x in xs + marks:
         assert f(x) == ref_polygonal_value(breakpoints, x)
+
+
+def per_point_grid(f, depth):
+    """The oracle of `MarkovFunction.grid`: eval_at at every grid point."""
+    return [f.eval_at(Fraction(k, 2**depth)) for k in range(2**depth)]
+
+
+def assert_grid_is_per_point(f, depth):
+    ints, den = f.grid(depth)
+    assert [Fraction(v, den) for v in ints] == per_point_grid(f, depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygons(), grid_depths)
+def test_polygonal_grid_equals_per_point(breakpoints, depth):
+    assert_grid_is_per_point(polygonal_fn(breakpoints), depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, CANONICAL_NONUC_STAGE_BUDGET), grid_depths)
+def test_nonuc_grid_equals_per_point(k, depth):
+    assert_grid_is_per_point(canonical_nonuc(k), depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(builtin_fns, grid_depths)
+def test_builtin_grid_equals_per_point(f, depth):
+    assert_grid_is_per_point(f, depth)
+
+
+grid_bases = (
+    builtin_fns
+    | st.integers(1, CANONICAL_NONUC_STAGE_BUDGET).map(canonical_nonuc)
+    | polygons().map(polygonal_fn)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_bases, covers(), grid_depths)
+def test_truncation_grid_equals_per_point(base, cover, depth):
+    assert_grid_is_per_point(truncate(base, cover), depth)
+
+
+def test_lab_evaluators_carry_a_native_grid():
+    fs = [f() for f in BUILTIN_FUNCTIONS.values()] + [
+        const_fn(Fraction(1, 3)),
+        canonical_nonuc(3),
+        polygonal_fn([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]),
+        truncate(square_fn(), HALF_COVER),
+    ]
+    assert all(callable(getattr(f.eval_at, "grid", None)) for f in fs)
+
+
+def cube_counting(calls):
+    def g(x):
+        calls.append(x)
+        return x * x * x
+    return g
+
+
+def test_grid_of_replaced_evaluator_is_per_point():
+    # the closed form of square belongs to its evaluator, not to the function
+    calls = []
+    f = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
+    ints, den = f.grid(6)
+    assert len(calls) == 2**6
+    assert [Fraction(v, den) for v in ints] == [Fraction(k, 64) ** 3 for k in range(64)]
+
+
+def test_truncation_grid_over_replaced_base_reads_the_replacement():
+    calls = []
+    base = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
+    t = truncate(base, HALF_COVER)
+    ints, den = t.grid(4)
+    assert len(calls) == 2 + 2**4  # the chord's ends, then the base's grid
+    vals = [Fraction(v, den) for v in ints]
+    assert vals == per_point_grid(t, 4)
+    # the chord from (0,0) to (1/2,1/8) inside the cover, x^3 outside it
+    assert vals[4] == Fraction(1, 16) and vals[12] == Fraction(27, 64)
+
+
+def test_oscillation_tree_depth_budget():
+    with pytest.raises(BudgetExceeded, match="OSCILLATION_DEPTH_BUDGET") as info:
+        oscillation_tree(identity_fn(), 0, OSCILLATION_DEPTH_BUDGET + 1)
+    assert str(OSCILLATION_DEPTH_BUDGET + 1) in str(info.value)
