@@ -104,9 +104,9 @@ def sub(x: CauchyName, y: CauchyName) -> CauchyName:
     )
 
 
-def _ceil_log2(c: Fraction) -> int:
-    # least t with 2^t >= c, for c >= 1
-    return max(0, (math.ceil(c) - 1).bit_length())
+def ceil_log2(c: Fraction) -> int:
+    """The least t >= 0 with 2^t >= c, for c > 0."""
+    return (math.ceil(c) - 1).bit_length()
 
 
 def mul(x: CauchyName, y: CauchyName) -> CauchyName:
@@ -115,7 +115,7 @@ def mul(x: CauchyName, y: CauchyName) -> CauchyName:
     With C = |x(0)| + |y(0)| + 3 we have |x(m)y(m) - xy| <= C 2^{-m}, so
     querying both factors at m = n + 1 + ceil(log2 C) restores the contract.
     """
-    shift = 1 + _ceil_log2(abs(x.at(0)) + abs(y.at(0)) + 3)
+    shift = 1 + ceil_log2(abs(x.at(0)) + abs(y.at(0)) + 3)
     exact = x.exact * y.exact if x.exact is not None and y.exact is not None else None
     return CauchyName(
         approx=lambda n: x.at(n + shift) * y.at(n + shift),

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import bisect
 import enum
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cauchy import CauchyName, ModulusFunction
+from .cauchy import CauchyName, ModulusFunction, ceil_log2
 from .errors import BudgetExceeded, CoverViolation, ExtensionUndefined
-from .intervals import RationalInterval, bit_strings
+from .intervals import RationalInterval
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,35 +44,6 @@ class MarkovKind(enum.Enum):
     COVER_BASED = "COVER_BASED"
     TRUNCATED = "TRUNCATED"
     SYMBOLIC = "SYMBOLIC"
-
-
-@dataclass(frozen=True)
-class PolygonalFunction:
-    """Piecewise-linear data: breakpoints with strictly increasing x, 0 to 1."""
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    # breakpoint x-coordinates and the slope of each segment, set once
-    _xs: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _slopes: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        xs = tuple(x for x, _ in self.breakpoints)
-        if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
-            raise ValueError("breakpoints must span [0,1]")
-        if any(a >= b for a, b in zip(xs, xs[1:])):
-            raise ValueError("breakpoint x-coordinates must strictly increase")
-        slopes = tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
-        )
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_slopes", slopes)
-
-    def value(self, x: Fraction) -> Fraction:
-        i = bisect.bisect_right(self._xs, x) - 1
-        if i == len(self._slopes):
-            return self.breakpoints[-1][1]
-        return self.breakpoints[i][1] + self._slopes[i] * (x - self._xs[i])
 
 
 @dataclass(frozen=True)
@@ -205,6 +175,18 @@ def _with_grid(ev, grid):
     return ev
 
 
+def _piecewise(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
+    """The evaluator of the piecewise-linear function that `pieces` lists as
+    in `_linear_grid`, carrying that native grid."""
+    x0s = [x0 for x0, _, _ in pieces]
+
+    def ev(x: Fraction) -> Fraction:
+        _, a, s = pieces[bisect.bisect_right(x0s, x) - 1]
+        return a + s * x
+
+    return _with_grid(ev, _linear_grid(pieces))
+
+
 def _square_grid(depth: int) -> tuple[list[int], int]:
     size = 2**depth
     return [k * k for k in range(size)], size * size
@@ -269,14 +251,23 @@ def complement_fn() -> MarkovFunction:
 
 
 def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunction:
-    poly = PolygonalFunction(tuple(breakpoints))
-    pieces = [(x0, y0 - s * x0, s) for (x0, y0), s in zip(poly.breakpoints, poly._slopes)]
+    """The polygon through `breakpoints`, whose x strictly increase from 0 to 1."""
+    points = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+    xs = [x for x, _ in points]
+    if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
+        raise ValueError("breakpoints must span [0,1]")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("breakpoint x-coordinates must strictly increase")
+    pieces = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        pieces.append((x0, y0 - s * x0, s))
     return MarkovFunction(
         MarkovKind.POLYGONAL,
         "polygonal",
-        _with_grid(functools.partial(PolygonalFunction.value, poly), _linear_grid(pieces)),
-        critical_points=tuple(x for x, _ in poly.breakpoints[1:-1]),
-        payload=poly,
+        _piecewise(pieces),
+        critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
+        payload=points,
     )
 
 
@@ -296,40 +287,23 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
             f"({CANONICAL_NONUC_STAGE_BUDGET})"
         )
     tents: list[tuple[RationalInterval, Fraction]] = []
-    # per tent: lo, mid, hi, the slope up to the peak and the slope down
-    shapes: list[tuple[Fraction, Fraction, Fraction, Fraction, Fraction]] = []
+    # per tent: the rise from lo, the fall from its peak at mid, and 0 from
+    # hi up to the next tent; the function is continuous, so each piece may
+    # own its left end
+    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
     for n in range(stage_count):
         lo = 1 - Fraction(1, 2**n)
         hi = 1 - Fraction(3, 2 ** (n + 2))
         mid = (lo + hi) / 2
         peak = Fraction(n)
         tents.append((RationalInterval(lo, hi), peak))
-        shapes.append((lo, mid, hi, peak / (mid - lo), peak / (hi - mid)))
-    los = [lo for lo, _, _, _, _ in shapes]
-    crit = [p for shape in shapes for p in shape[:3]]
-
-    def ev(x: Fraction) -> Fraction:
-        i = bisect.bisect_right(los, x) - 1
-        if i < 0:
-            return ZERO
-        lo, mid, hi, up, down = shapes[i]
-        if x <= mid:
-            return up * (x - lo)
-        if x <= hi:
-            return down * (hi - x)
-        return ZERO
-
-    # the function is continuous, so each piece may own its left end
-    pieces = [
-        piece
-        for lo, mid, hi, up, down in shapes
-        for piece in ((lo, -up * lo, up), (mid, down * hi, -down), (hi, ZERO, ZERO))
-    ]
+        up, down = peak / (mid - lo), peak / (hi - mid)
+        pieces += [(lo, -up * lo, up), (mid, down * hi, -down), (hi, ZERO, ZERO)]
     return MarkovFunction(
         MarkovKind.COVER_BASED,
         f"canonical_nonuc({stage_count})",
-        _with_grid(ev, _linear_grid(pieces)),
-        critical_points=tuple(p for p in crit if 0 < p < 1),
+        _piecewise(pieces),
+        critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
         payload=tuple(tents),
     )
 
@@ -351,20 +325,20 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     # so the search below finds the one with an interior
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
     los = [iv.lo for iv in ivs]
-    # per interval: lo, hi, f(lo) and the chord's slope (a point interval
-    # has no interior, so its slope is never read)
+    # per interval: lo, hi and the chord a + s·x (a point interval has no
+    # interior, so its chord is never read)
     chords: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
     for iv in ivs:
         ylo, yhi = f(iv.lo), f(iv.hi)
-        slope = (yhi - ylo) / iv.length if iv.length else ZERO
-        chords.append((iv.lo, iv.hi, ylo, slope))
+        s = (yhi - ylo) / iv.length if iv.length else ZERO
+        chords.append((iv.lo, iv.hi, ylo - s * iv.lo, s))
 
     def ev(x: Fraction) -> Fraction:
         i = bisect.bisect_right(los, x) - 1
         if i >= 0:
-            lo, hi, ylo, slope = chords[i]
+            lo, hi, a, s = chords[i]
             if lo < x < hi:
-                return ylo + slope * (x - lo)
+                return a + s * x
         return f(x)
 
     def grid(depth: int) -> tuple[list[int], int]:
@@ -372,9 +346,8 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
         # interval's interior (a point interval has none)
         size = 2**depth
         runs = [
-            (max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size),
-             ylo - slope * lo, slope / size)
-            for lo, hi, ylo, slope in chords
+            (max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size), a, s / size)
+            for lo, hi, a, s in chords
         ]
         runs = [run for run in runs if run[0] < run[1]]
         ints, den = f.grid(depth)
@@ -415,10 +388,8 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
         raise BudgetExceeded(
             f"depth {depth} > OSCILLATION_DEPTH_BUDGET ({OSCILLATION_DEPTH_BUDGET})"
         )
-    threshold = Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
     lo, den = f.grid(depth + 4)
     hi = lo
-    bound = threshold.numerator * den
     # extrema[k] = (minima, maxima) over the grid slices of the nodes at level k
     extrema = [(lo, hi)]
     while len(lo) > 1:
@@ -427,11 +398,19 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
         extrema.append((lo, hi))
     extrema.reverse()  # extrema[k] now indexed by level k = |sigma|
 
+    # a node is in the tree iff spread·scale > bound (a spread is an int over
+    # den).  |n| is clamped where the tree stops changing, so 2^|n| stays
+    # small: past 2^{-n} < 1/den every nonzero spread passes, and past the
+    # root's spread none does
+    if n >= 0:
+        scale, bound = 2 ** min(n, den.bit_length()), den
+    else:
+        scale, bound = 1, den << min(-n, (hi[0] - lo[0]).bit_length())
     return {
-        s
+        format(i, f"0{k}b") if k else ""
         for k in range(depth + 1)
-        for s, mn, mx in zip(bit_strings(k), *extrema[k])
-        if (mx - mn) * threshold.denominator > bound
+        for i, (mn, mx) in enumerate(zip(*extrema[k]))
+        if (mx - mn) * scale > bound
     }
 
 
@@ -488,13 +467,10 @@ class ExtensionResult:
 
 
 def _modulus_precision(theta: ModulusFunction, eps: Fraction) -> int:
-    """Least m with 2^{-m+1} <= theta(eps)."""
-    delta = theta(eps)
-    m = 0
-    while Fraction(2, 2**m) > delta:
-        m += 1
-        if m > 4096:
-            raise BudgetExceeded("modulus too small to realize")
+    """Least m >= 0 with 2^{-m+1} <= theta(eps)."""
+    m = ceil_log2(2 / theta(eps))
+    if m > 4096:
+        raise BudgetExceeded("modulus too small to realize")
     return m
 
 

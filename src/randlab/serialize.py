@@ -166,9 +166,15 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
 @_decoder("test_family")
 def updates_from_json(doc: dict[str, Any]) -> list[tuple[int, IntervalUnion]]:
     """The `updates` of a test_family document as (component, union) pairs."""
+    events = doc.get("updates", [])
+    if not isinstance(events, list):
+        raise ParseError(f"updates is a list of objects, got {events!r}")
+    for event in events:
+        if not isinstance(event, dict):
+            raise ParseError(f"an update is an object with m and union, got {event!r}")
     return [
         (_index(event["m"], "update m"), _union_from_json(event["union"]))
-        for event in doc.get("updates", [])
+        for event in events
     ]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .cauchy import ModulusFunction
+from .cauchy import ModulusFunction, ceil_log2
 from .errors import (
     AtomSuspected,
     BudgetExceeded,
@@ -284,14 +284,11 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
 
     def use_bound(n: int) -> int:
         if n not in use_cache:
-            eps = theta(Fraction(1, 2 ** (n + 2)))
-            k = 0
-            while Fraction(1, 2**k) > eps:
-                k += 1
-                if k > USE_BOUND_BUDGET:
-                    raise BudgetExceeded(
-                        f"modulus demands use beyond {USE_BOUND_BUDGET} at bit {n}"
-                    )
+            k = ceil_log2(1 / theta(Fraction(1, 2 ** (n + 2))))
+            if k > USE_BOUND_BUDGET:
+                raise BudgetExceeded(
+                    f"modulus demands use beyond {USE_BOUND_BUDGET} at bit {n}"
+                )
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
 

@@ -141,6 +141,16 @@ def test_tree_subcommand(capsys):
     assert all(len(s) < 3 for s in doc["output"]["strings"])
 
 
+@pytest.mark.parametrize("precision, size", [(10**20, 7), (-(10**20), 0)])
+def test_tree_huge_precision_returns(precision, size):
+    # square moves inside every cylinder, by less than 2^{10^20}
+    proc = run_labcli(
+        "tree", "--function", "square", "--precision", str(precision), "--depth", "2"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["output"]["strings"]) == size
+
+
 def test_convert_subcommand(capsys):
     code, out = run(
         capsys,
@@ -319,8 +329,8 @@ def with_block(key, value):
         (demuth_with_update({"m": 1, "union": [5]}),
          'bad interval 5: expected a "[lo,hi)" string'),
         (with_path("name_half_script.json", ["exact"], 5), "malformed cauchy_name fixture"),
-        (with_path("demuth_two_versions.json", ["updates"], ["x"]),
-         "malformed test_family fixture"),
+        (with_path("demuth_two_versions.json", ["updates"], ["x"]), "'x'"),
+        (with_path("demuth_two_versions.json", ["updates"], 5), "got 5"),
         (demuth_with_update({"m": "a", "union": []}), "'a'"),
         (demuth_with_update({"m": 1, "union": 5}), "got 5"),
         (with_block("m", "x"), "'x'"),
@@ -329,7 +339,7 @@ def with_block(key, value):
     ids=["update-without-m", "update-without-union", "table-measure-hole",
          "table-martingale-hole", "top-level-list", "measure-p-int",
          "measure-p-int-named", "union-entry-int", "name-exact-int",
-         "update-not-object", "update-m-not-int", "update-union-not-list",
+         "update-not-object", "updates-not-list", "update-m-not-int", "update-union-not-list",
          "block-m-not-int", "type-not-string"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):

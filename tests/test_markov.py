@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randlab.cauchy import const_name
+from randlab.cauchy import ModulusFunction, const_name
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
 from randlab.intervals import RationalInterval, bit_strings
 from randlab.markov import (
@@ -12,6 +12,7 @@ from randlab.markov import (
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
     StagedCover,
+    _modulus_precision,
     abs_offset_fn,
     canonical_nonuc,
     check_H,
@@ -291,7 +292,7 @@ builtin_fns = (
     st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name) | rational.map(const_fn)
 )
 bases = builtin_fns | st.just(canonical_nonuc(6))
-tree_sizes = st.tuples(st.integers(-2, 4), st.integers(0, 6))
+tree_sizes = st.tuples(st.integers(-80, 80), st.integers(0, 6))
 grid_depths = st.integers(0, 10)
 
 
@@ -437,3 +438,69 @@ def test_oscillation_tree_depth_budget():
     with pytest.raises(BudgetExceeded, match="OSCILLATION_DEPTH_BUDGET") as info:
         oscillation_tree(identity_fn(), 0, OSCILLATION_DEPTH_BUDGET + 1)
     assert str(OSCILLATION_DEPTH_BUDGET + 1) in str(info.value)
+
+
+def test_integer_breakpoints_evaluate_exactly():
+    f = polygonal_fn([(0, 0), (1, 1)])
+    value = f(Fraction(1, 3))
+    assert type(value) is Fraction and value == Fraction(1, 3)
+    assert oscillation_tree(f, 3, 4) == ref_oscillation_tree(f, 3, 4)
+
+
+def test_tree_of_integer_grid_at_every_threshold():
+    # a grid over den 1 with spreads near 2^{-n}: the clamp of a negative n
+    # must keep the root's spread below the threshold
+    f = polygonal_fn([(0, 0), (1, 2**10)])
+    for n in range(-12, 3):
+        for depth in range(3):
+            assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth)
+
+
+def ref_polygonal_critical_points(breakpoints):
+    return tuple(x for x, _ in breakpoints[1:-1])
+
+
+def ref_nonuc_critical_points(k):
+    marks = interval_marks(tent_interval(n) for n in range(k))
+    return tuple(p for p in marks if 0 < p < 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygons())
+def test_polygonal_critical_points_equal_reference(breakpoints):
+    assert polygonal_fn(breakpoints).critical_points == ref_polygonal_critical_points(breakpoints)
+
+
+def test_nonuc_critical_points_equal_reference():
+    for k in range(1, CANONICAL_NONUC_STAGE_BUDGET + 1):
+        assert canonical_nonuc(k).critical_points == ref_nonuc_critical_points(k)
+
+
+def ref_modulus_precision(delta):
+    """The least m >= 0 with 2^{-m+1} <= delta, by counting up; None past
+    the 4096 budget."""
+    m = 0
+    while Fraction(2, 2**m) > delta:
+        m += 1
+        if m > 4096:
+            return None
+    return m
+
+
+positive = (
+    st.builds(Fraction, st.integers(1, 2**64), st.integers(1, 2**64))
+    | st.integers(-4200, 80).map(lambda e: Fraction(2) ** e)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive)
+def test_modulus_precision_equals_reference(delta):
+    theta = ModulusFunction(lambda eps: delta)
+    want = ref_modulus_precision(delta)
+    if want is None:
+        with pytest.raises(BudgetExceeded, match="modulus too small to realize"):
+            _modulus_precision(theta, Fraction(1, 2))
+    else:
+        assert _modulus_precision(theta, Fraction(1, 2)) == want
+

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from randlab.cauchy import ModulusFunction
 from randlab.errors import AtomSuspected, BudgetExceeded, ZeroMassCylinder
 from randlab.markov import half_fn, identity_fn
 from randlab.ttmeasures import (
+    USE_BOUND_BUDGET,
     LimitOracle,
     MonotoneCDF,
     TransportStatus,
@@ -214,3 +216,32 @@ def test_limit_oracle_change_counting():
     assert o.final("q", 10) == 3
     tight = LimitOracle(script, budget=2)
     assert not tight.validate_budget("q", 10)
+
+
+def ref_use_bound(theta, n):
+    """u(n) by counting k up to the least with 2^{-k} <= theta(2^{-n-2});
+    None past USE_BOUND_BUDGET."""
+    eps = theta(Fraction(1, 2 ** (n + 2)))
+    k = 0
+    while Fraction(1, 2**k) > eps:
+        k += 1
+        if k > USE_BOUND_BUDGET:
+            return None
+    return max(k, n + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(1, 2**40), st.integers(1, 2**40))
+    | st.integers(-30, 30).map(lambda e: Fraction(2) ** e),
+    st.integers(0, 30),
+)
+def test_use_bound_equals_reference(c, n):
+    theta = ModulusFunction(lambda eps: c * eps)
+    phi = tt_from_ucf(dataclasses.replace(identity_fn(), modulus=theta), 8)
+    want = ref_use_bound(theta, n)
+    if want is None:
+        with pytest.raises(BudgetExceeded, match=f"beyond {USE_BOUND_BUDGET} at bit {n}"):
+            phi.use_bound(n)
+    else:
+        assert phi.use_bound(n) == want
