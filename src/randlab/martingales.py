@@ -49,28 +49,30 @@ def all_in_on_0() -> Martingale:
 
 
 def split_bet(p: Fraction) -> Martingale:
-    """Stakes fraction: M(σ0) = 2p·M(σ), M(σ1) = 2(1-p)·M(σ)."""
+    """Stakes fraction: M(σ0) = 2p·M(σ), M(σ1) = 2(1-p)·M(σ).
+
+    For p = a/b the capital is the closed form (2a)^#0 · (2(b-a))^#1 / b^|σ|;
+    any character other than "0" counts as a 1.
+    """
+    p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0,1]")
+    win, lose, b = 2 * p.numerator, 2 * (p.denominator - p.numerator), p.denominator
 
     def v(s: str) -> Fraction:
-        out = Fraction(1)
-        for bit in s:
-            out *= 2 * p if bit == "0" else 2 * (1 - p)
-        return out
+        zeros = s.count("0")
+        return Fraction(win**zeros * lose ** (len(s) - zeros), b ** len(s))
 
     return Martingale(f"split_bet({p})", v)
 
 
 def table_martingale(table: dict[str, Fraction], name: str = "table") -> Martingale:
-    depth = max((len(k) for k in table), default=0)
-
     def v(s: str) -> Fraction:
         if s in table:
             return table[s]
         raise ParseError(f"table martingale {name!r} has no capital for {s!r}")
 
-    return Martingale(name, v, depth_budget=depth)
+    return Martingale(name, v)
 
 
 @dataclass(frozen=True)

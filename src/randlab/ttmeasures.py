@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -108,14 +109,16 @@ def uniform_measure() -> CylinderMeasure:
 
 
 def bernoulli_measure(p: Fraction) -> CylinderMeasure:
-    if not Fraction(0) < p < Fraction(1):
+    """μ(σ) = p^#1 · (1-p)^#0, computed for p = a/b as a^#1 · (b-a)^#0 / b^|σ|;
+    any character other than "1" counts as a 0."""
+    p = Fraction(p)
+    if not 0 < p < 1:
         raise ValueError("bias must lie strictly between 0 and 1")
+    a, b = p.numerator, p.denominator
 
     def mass(sigma: str) -> Fraction:
-        out = Fraction(1)
-        for b in sigma:
-            out *= p if b == "1" else 1 - p
-        return out
+        ones = sigma.count("1")
+        return Fraction(a**ones * (b - a) ** (len(sigma) - ones), b ** len(sigma))
 
     return CylinderMeasure(f"bernoulli {format_rational(p)}", mass)
 
@@ -221,16 +224,20 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
             raise AtomSuspected(
                 f"image of {a_prefix!r} is not shrinking against its half-prefix"
             )
+    # descend in integers: lo = lo_n/q, hi = hi_n/q, the output cylinder is
+    # [j/2^k, (j+1)/2^k) and its midpoint (2j+1)/2^(k+1)
+    q = math.lcm(lo.denominator, hi.denominator)
+    lo_n, hi_n = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
     c = ""
-    c_lo, c_hi = Fraction(0), Fraction(1)
-    while len(c) < TRANSPORT_LENGTH_CAP:
-        mid = (c_lo + c_hi) / 2
-        if hi <= mid:
+    j = 0
+    for k in range(TRANSPORT_LENGTH_CAP):
+        mid_q = (2 * j + 1) * q
+        if hi_n << (k + 1) <= mid_q:
+            j = 2 * j
             c += "0"
-            c_hi = mid
-        elif lo >= mid:
+        elif lo_n << (k + 1) >= mid_q:
+            j = 2 * j + 1
             c += "1"
-            c_lo = mid
         else:
             break
     status = TransportStatus.OK if len(c) >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT

@@ -306,6 +306,12 @@ def with_path(name, path, value):
     return doc
 
 
+# a fair table that stops at depth 1: read deeper, it has a hole, not a budget
+SHALLOW_TABLE_MARTINGALE = {
+    "type": "martingale", "rule": "table", "table": {"": "1", "0": "1", "1": "1"}
+}
+
+
 def demuth_with_update(update):
     return with_path("demuth_two_versions.json", ["updates"], [update])
 
@@ -322,6 +328,7 @@ def with_block(key, value):
         ({"type": "measure", "rule": "table", "table": {"": "1", "0": "1/2"}}, "'1'"),
         ({"type": "martingale", "rule": "table", "table": {"": "1", "0": "1"}},
          "'table' has no capital for '1'"),
+        (SHALLOW_TABLE_MARTINGALE, "'table' has no capital for '10'"),
         ([1, 2], "not a JSON object"),
         (with_path("measure_bernoulli_3_4.json", ["p"], 5), "malformed measure fixture"),
         (with_path("measure_bernoulli_3_4.json", ["p"], 5),
@@ -337,7 +344,7 @@ def with_block(key, value):
         (with_path("ml_geometric.json", ["type"], ["x"]), "unknown fixture type ['x']"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
-         "table-martingale-hole", "top-level-list", "measure-p-int",
+         "table-martingale-hole", "table-martingale-shallow", "top-level-list", "measure-p-int",
          "measure-p-int-named", "union-entry-int", "name-exact-int",
          "update-not-object", "updates-not-list", "update-m-not-int", "update-union-not-list",
          "block-m-not-int", "type-not-string"],
@@ -346,6 +353,14 @@ def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"
     path.write_text(json.dumps(doc))
     assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
+
+
+def test_shallow_table_martingale_passes_to_its_depth(tmp_path, capsys):
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(SHALLOW_TABLE_MARTINGALE))
+    code, out = run(capsys, "verify", "--fixture", str(path), "--depth", "1")
+    assert code == 0
+    assert all(r["status"] == "PASS" for r in json.loads(out)["records"])
 
 
 def test_tree_stage_count_over_budget_exits_two():

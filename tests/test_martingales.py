@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from randlab.errors import BudgetExceeded, InvariantViolation
 from randlab.martingales import (
+    FAIRNESS_DEPTH_BUDGET,
     Martingale,
     all_in_on_0,
     capital_trace,
@@ -48,14 +49,43 @@ def test_all_in_doubles_along_zeros():
     assert m.value("") == 1
 
 
+def ref_split_bet_value(p, s: str) -> Fraction:
+    """One Fraction product per bit: 2p on a "0", 2(1-p) on anything else."""
+    out = Fraction(1)
+    for bit in s:
+        out *= 2 * p if bit == "0" else 2 * (1 - p)
+    return out
+
+
 @given(prefixes)
 def test_split_bet_value_oracle(s):
-    # betting fraction p on 0: value = prod over bits of (2p on 0, 2(1-p) on 1)
     p = Fraction(3, 4)
-    expected = Fraction(1)
-    for b in s:
-        expected *= 2 * p if b == "0" else 2 * (1 - p)
-    assert split_bet(p).value(s) == expected
+    assert split_bet(p).value(s) == ref_split_bet_value(p, s)
+
+
+@st.composite
+def unit_rationals(draw):
+    """p = a/b with b <= 64 and 0 <= p <= 1; 0 and 1 also as ints."""
+    b = draw(st.integers(1, 64))
+    p = Fraction(draw(st.integers(0, b)), b)
+    return int(p) if p.denominator == 1 and draw(st.booleans()) else p
+
+
+long_prefixes = st.text(alphabet="01", max_size=24) | st.text(alphabet="01x", max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_rationals(), long_prefixes)
+def test_split_bet_closed_form_matches_products(p, s):
+    # value_at: the capital itself, past the depth budget that value() enforces
+    got, want = split_bet(p).value_at(s), ref_split_bet_value(p, s)
+    assert got == want and type(got) is type(want) is Fraction
+
+
+@given(prefixes)
+def test_split_bet_float_bias_gives_exact_capitals(s):
+    got = split_bet(0.75).value(s)
+    assert got == ref_split_bet_value(Fraction(3, 4), s) and type(got) is Fraction
 
 
 def test_negative_capital_rejected():
@@ -67,6 +97,14 @@ def test_negative_capital_rejected():
 def test_depth_budget_enforced():
     with pytest.raises(BudgetExceeded):
         check_fairness(constant_martingale(), 17)
+
+
+def test_table_martingale_reads_to_the_fairness_budget():
+    deep = FAIRNESS_DEPTH_BUDGET + 1
+    m = table_martingale({"0" * k: Fraction(2**k) for k in range(deep + 1)})
+    assert m.value("0" * FAIRNESS_DEPTH_BUDGET) == 2**FAIRNESS_DEPTH_BUDGET
+    with pytest.raises(BudgetExceeded):
+        m.value("0" * deep)
 
 
 def test_unfair_table_detected():

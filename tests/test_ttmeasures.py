@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from randlab.cauchy import ModulusFunction
 from randlab.errors import AtomSuspected, BudgetExceeded, ZeroMassCylinder
+from randlab.intervals import bit_strings, dyadic_value
 from randlab.markov import half_fn, identity_fn
 from randlab.ttmeasures import (
+    TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
     LimitOracle,
     MonotoneCDF,
+    TransportResult,
     TransportStatus,
     bernoulli_measure,
     bit_flip_tt,
@@ -245,3 +249,104 @@ def test_use_bound_equals_reference(c, n):
             phi.use_bound(n)
     else:
         assert phi.use_bound(n) == want
+
+
+def ref_bernoulli_mass(p: Fraction, sigma: str) -> Fraction:
+    """One Fraction product per bit: p on a "1", 1-p on anything else."""
+    out = Fraction(1)
+    for b in sigma:
+        out *= p if b == "1" else 1 - p
+    return out
+
+
+def ref_transport(mu, a_prefix: str) -> TransportResult:
+    """The greedy descent over Fraction midpoints of the output cylinder."""
+    if len(a_prefix) > TRANSPORT_LENGTH_CAP:
+        raise BudgetExceeded(
+            f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
+        )
+    lo = cdf(mu, dyadic_value(a_prefix))
+    hi = cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
+    if lo == hi:
+        raise ZeroMassCylinder(f"cylinder {a_prefix!r} has image of length 0")
+    if len(a_prefix) >= 8:
+        half = a_prefix[: len(a_prefix) // 2]
+        h_lo = cdf(mu, dyadic_value(half))
+        h_hi = cdf(mu, dyadic_value(half) + Fraction(1, 2 ** len(half)))
+        if hi - lo > (h_hi - h_lo) / 2:
+            raise AtomSuspected(
+                f"image of {a_prefix!r} is not shrinking against its half-prefix"
+            )
+    c = ""
+    c_lo, c_hi = Fraction(0), Fraction(1)
+    while len(c) < TRANSPORT_LENGTH_CAP:
+        mid = (c_lo + c_hi) / 2
+        if hi <= mid:
+            c += "0"
+            c_hi = mid
+        elif lo >= mid:
+            c += "1"
+            c_lo = mid
+        else:
+            break
+    status = TransportStatus.OK if len(c) >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT
+    return TransportResult(c, status, lo, hi)
+
+
+def outcome(f, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def biases(draw):
+    """p = a/b with 2 <= b <= 64 and 0 < p < 1."""
+    b = draw(st.integers(2, 64))
+    return Fraction(draw(st.integers(1, b - 1)), b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(biases(), st.text(alphabet="01", max_size=24) | st.text(alphabet="01x", max_size=8))
+def test_bernoulli_closed_form_matches_products(p, sigma):
+    got, want = bernoulli_measure(p)(sigma), ref_bernoulli_mass(p, sigma)
+    assert got == want and type(got) is type(want) is Fraction
+
+
+def test_bernoulli_float_bias_gives_exact_masses():
+    mu = bernoulli_measure(0.75)
+    assert mu.name == "bernoulli 3/4"
+    assert mu("1101") == ref_bernoulli_mass(Fraction(3, 4), "1101") == Fraction(27, 256)
+
+
+@settings(max_examples=300, deadline=None)
+@given(biases(), st.text(alphabet="01", max_size=24))
+def test_bernoulli_transport_matches_fraction_descent(p, a):
+    mu = bernoulli_measure(p)
+    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**32), st.data())
+def test_table_transport_matches_fraction_descent(depth, seed, data):
+    # random entries, neither additive nor bounded by 1, some zero or negative;
+    # prefixes one bit past the table reach its holes
+    rng = random.Random(seed)
+    table = {
+        s: Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 4, 6, 8)))
+        for k in range(depth + 1)
+        for s in bit_strings(k)
+    }
+    mu = table_measure("random", table)
+    a = data.draw(st.text(alphabet="01", max_size=depth + 1))
+    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
+
+
+@pytest.mark.parametrize("length", [TRANSPORT_LENGTH_CAP + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("bit", "01")
+def test_transport_at_the_length_cap_matches_fraction_descent(length, bit):
+    mu = uniform_measure()
+    a = bit * length
+    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
