@@ -19,7 +19,6 @@ evaluator is called once per grid point.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +38,6 @@ EXTENSION_REFINEMENTS = 8
 SLOPE_GRID_PAIR_BUDGET = 2**12
 
 
-class MarkovKind(enum.Enum):
-    POLYGONAL = "POLYGONAL"
-    COVER_BASED = "COVER_BASED"
-    TRUNCATED = "TRUNCATED"
-    SYMBOLIC = "SYMBOLIC"
-
-
 @dataclass(frozen=True)
 class StagedCover:
     """A c.e. set of closed rational intervals as a replayable staged script.
@@ -61,29 +53,23 @@ class StagedCover:
         return [iv for stage in self.stages for iv in stage]
 
 
-@dataclass(frozen=True)
-class HReport:
-    ok: bool
-    violation: Optional[str] = None
-
-
-def check_H(c: StagedCover) -> HReport:
-    """Verify non-overlap plus the staged size-bound protocol."""
+def check_H(c: StagedCover) -> Optional[str]:
+    """The first violation of non-overlap or of the staged size-bound
+    protocol, or None when the cover satisfies H(C)."""
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
     for a, b in zip(ivs, ivs[1:]):
         if b.lo < a.hi:
-            return HReport(False, f"overlap between {a} and {b}")
+            return f"overlap between {a} and {b}"
     for k in range(len(c.stages)):
         bound_stage = c.size_bound[k] if k < len(c.size_bound) else c.size_bound[-1]
         for s in range(bound_stage + 1, len(c.stages)):
             for iv in c.stages[s]:
                 if iv.length >= Fraction(1, 2**k):
-                    return HReport(
-                        False,
+                    return (
                         f"size violation at k={k}: stage {s} interval {iv} "
-                        f"has length {iv.length} >= 2^-{k}",
+                        f"has length {iv.length} >= 2^-{k}"
                     )
-    return HReport(True)
+    return None
 
 
 @dataclass(frozen=True)
@@ -95,12 +81,10 @@ class MarkovFunction:
     uniform continuity when one exists.
     """
 
-    kind: MarkovKind
     name: str
     eval_at: Callable[[Fraction], Fraction]
     critical_points: tuple[Fraction, ...] = ()
     modulus: Optional[ModulusFunction] = None
-    payload: object = None
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.eval_at(x)
@@ -194,7 +178,6 @@ def _square_grid(depth: int) -> tuple[list[int], int]:
 
 def identity_fn() -> MarkovFunction:
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         "identity",
         _with_grid(lambda x: x, _linear_grid([(ZERO, ZERO, ONE)])),
         modulus=ModulusFunction(lambda eps: eps),
@@ -204,7 +187,6 @@ def identity_fn() -> MarkovFunction:
 def square_fn() -> MarkovFunction:
     # |x^2 - y^2| <= 2|x - y| on [0,1]
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         "square",
         _with_grid(lambda x: x * x, _square_grid),
         modulus=ModulusFunction(lambda eps: eps / 2),
@@ -213,7 +195,6 @@ def square_fn() -> MarkovFunction:
 
 def const_fn(q: Fraction) -> MarkovFunction:
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         f"const({q})",
         _with_grid(lambda x: q, _linear_grid([(ZERO, q, ZERO)])),
         modulus=ModulusFunction(lambda eps: ONE),
@@ -224,7 +205,6 @@ def abs_offset_fn() -> MarkovFunction:
     """|x - 1/2|: the canonical corner example."""
     h = Fraction(1, 2)
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         "abs_offset",
         _with_grid(lambda x: abs(x - h), _linear_grid([(ZERO, h, -ONE), (h, -h, ONE)])),
         critical_points=(h,),
@@ -234,7 +214,6 @@ def abs_offset_fn() -> MarkovFunction:
 
 def half_fn() -> MarkovFunction:
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         "half",
         _with_grid(lambda x: x / 2, _linear_grid([(ZERO, ZERO, Fraction(1, 2))])),
         modulus=ModulusFunction(lambda eps: 2 * eps),
@@ -243,7 +222,6 @@ def half_fn() -> MarkovFunction:
 
 def complement_fn() -> MarkovFunction:
     return MarkovFunction(
-        MarkovKind.SYMBOLIC,
         "complement",
         _with_grid(lambda x: 1 - x, _linear_grid([(ZERO, ONE, -ONE)])),
         modulus=ModulusFunction(lambda eps: eps),
@@ -263,11 +241,9 @@ def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunc
         s = (y1 - y0) / (x1 - x0)
         pieces.append((x0, y0 - s * x0, s))
     return MarkovFunction(
-        MarkovKind.POLYGONAL,
         "polygonal",
         _piecewise(pieces),
         critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
-        payload=points,
     )
 
 
@@ -286,7 +262,6 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
             f"stage_count {stage_count} > CANONICAL_NONUC_STAGE_BUDGET "
             f"({CANONICAL_NONUC_STAGE_BUDGET})"
         )
-    tents: list[tuple[RationalInterval, Fraction]] = []
     # per tent: the rise from lo, the fall from its peak at mid, and 0 from
     # hi up to the next tent; the function is continuous, so each piece may
     # own its left end
@@ -296,31 +271,21 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
         hi = 1 - Fraction(3, 2 ** (n + 2))
         mid = (lo + hi) / 2
         peak = Fraction(n)
-        tents.append((RationalInterval(lo, hi), peak))
         up, down = peak / (mid - lo), peak / (hi - mid)
         pieces += [(lo, -up * lo, up), (mid, down * hi, -down), (hi, ZERO, ZERO)]
     return MarkovFunction(
-        MarkovKind.COVER_BASED,
         f"canonical_nonuc({stage_count})",
         _piecewise(pieces),
         critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
-        payload=tuple(tents),
     )
-
-
-def cover_intervals(f: MarkovFunction) -> tuple[tuple[RationalInterval, Fraction], ...]:
-    """The (interval, peak) pairs of a COVER_BASED function."""
-    if f.kind is not MarkovKind.COVER_BASED:
-        raise ValueError("not a cover-based function")
-    return f.payload  # type: ignore[return-value]
 
 
 def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     """[f, C]: equal to f outside (and at the endpoints of) every interval of
     the cover, linear across each interval's interior."""
-    rep = check_H(c)
-    if not rep.ok:
-        raise CoverViolation(rep.violation or "H(C) fails")
+    violation = check_H(c)
+    if violation is not None:
+        raise CoverViolation(violation)
     # a point interval sorts before an interval starting at the same point,
     # so the search below finds the one with an interior
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
@@ -361,11 +326,9 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
         crit.add(iv.lo)
         crit.add(iv.hi)
     return MarkovFunction(
-        MarkovKind.TRUNCATED,
         f"[{f.name},C]",
         _with_grid(ev, grid),
         critical_points=tuple(sorted(p for p in crit if 0 < p < 1)),
-        payload=(f, tuple(ivs)),
     )
 
 
@@ -446,7 +409,7 @@ def slope_bounds_check(
                 f"lower clause fails on {iv}: w·(b-a) = {w * iv.length}, "
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
-    t = truncate(f, c) if c.stages else f
+    t = truncate(f, c)
     pts = [Fraction(k, grid) for k in range(grid + 1)]
     tv = [t(p) for p in pts]
     for i in range(len(pts)):

@@ -99,7 +99,7 @@ class ValidationReport:
 
 
 def _bound_check(m: int, version: int, u: IntervalUnion) -> CheckRecord:
-    bound = Fraction(1, 2**m) if m >= 0 else Fraction(2**-m)
+    bound = Fraction(2) ** -m
     mu = u.measure
     return CheckRecord(
         name=f"measure[m={m},v={version}]",
@@ -329,8 +329,7 @@ def build_pi1_ml_test(
     pi1 = TestFamily(TestKind.PI1, kind_data={"q": list(q), "C": list(C)})
     rep = validate(pi1)
     if not rep.passed:
-        fail = rep.first_failure()
-        raise InvariantViolation(f"PI1 bound fails: {fail and fail.detail}")
+        raise InvariantViolation(f"PI1 bound fails: {rep.first_failure().detail}")
     comps: dict[int, list[IntervalUnion]] = {}
     n_max = min(depth, len(q) - 1)
     for m in range(len(C) - 1):
@@ -397,7 +396,7 @@ def demuth_update(t: TestFamily, m: int, new_version: IntervalUnion) -> TestFami
         raise BudgetExceeded(
             f"component {m} already has {len(versions)} versions, budget {budget}"
         )
-    bound = Fraction(1, 2**m)
+    bound = Fraction(2) ** -m
     if new_version.measure > bound:
         raise MeasureBoundViolation(
             f"proposed measure {format_rational(new_version.measure)} exceeds "
@@ -416,8 +415,7 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
         raise ValueError("source must be an interval-sequence test")
     rep = validate(t)
     if not rep.passed:
-        fail = rep.first_failure()
-        raise InvariantViolation(fail.detail if fail else "per-block bound fails")
+        raise InvariantViolation(rep.first_failure().detail)
     per_m: dict[int, list[RationalInterval]] = {}
     for (m, r), live in _live_blocks(t):
         if r <= depth:
@@ -477,6 +475,5 @@ def schnorr_to_interval_sequence(
     )
     rep = validate(out)
     if not rep.passed:
-        fail = rep.first_failure()
-        raise InvariantViolation(fail.detail if fail else "per-block bound fails")
+        raise InvariantViolation(rep.first_failure().detail)
     return out

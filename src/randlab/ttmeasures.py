@@ -25,6 +25,7 @@ from .errors import (
 )
 from .intervals import bit_strings, dyadic_value, format_rational
 from .markov import MarkovFunction
+from .randomness import CheckRecord
 
 USE_BOUND_BUDGET = 24
 TRANSPORT_LENGTH_CAP = 64
@@ -138,26 +139,19 @@ def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
     )
 
 
-@dataclass(frozen=True)
-class MeasureCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[MeasureCheck, ...]:
+def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]:
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
     plus total mass 1 at the root."""
     masses = [mu("")]
     checks = [
-        MeasureCheck("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
+        CheckRecord("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
     ]
     for k in range(depth):
         children = [mu(s) for s in bit_strings(k + 1)]
         for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
             if lhs != m0 + m1:
                 checks.append(
-                    MeasureCheck(
+                    CheckRecord(
                         f"additivity[{s or 'ε'}]",
                         False,
                         f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
@@ -165,7 +159,7 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[MeasureCheck, ...
                 )
         masses = children
     if all(c.passed for c in checks):
-        checks.append(MeasureCheck(f"additivity_to_depth_{depth}", True))
+        checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
     return tuple(checks)
 
 

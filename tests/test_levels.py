@@ -21,7 +21,8 @@ from randlab.martingales import (
     savings_violation_search,
     table_martingale,
 )
-from randlab.ttmeasures import MeasureCheck, table_measure, validate_measure
+from randlab.randomness import CheckRecord
+from randlab.ttmeasures import table_measure, validate_measure
 
 MAX_DEPTH = 6
 
@@ -58,7 +59,7 @@ def ref_growth_constants(base: Martingale, transformed: Martingale, depth: int):
 
 def ref_validate_measure(mu, depth: int):
     """Three mass reads per node: μ(σ), μ(σ0), μ(σ1)."""
-    checks = [MeasureCheck("total_mass", mu("") == 1, f"mass(ε) = {q(mu(''))}")]
+    checks = [CheckRecord("total_mass", mu("") == 1, f"mass(ε) = {q(mu(''))}")]
     frontier = [""]
     for _ in range(depth):
         nxt = []
@@ -66,12 +67,12 @@ def ref_validate_measure(mu, depth: int):
             lhs, rhs = mu(s), mu(s + "0") + mu(s + "1")
             if lhs != rhs:
                 checks.append(
-                    MeasureCheck(f"additivity[{s or 'ε'}]", False, f"{q(lhs)} != {q(rhs)}")
+                    CheckRecord(f"additivity[{s or 'ε'}]", False, f"{q(lhs)} != {q(rhs)}")
                 )
             nxt.extend((s + "0", s + "1"))
         frontier = nxt
     if all(c.passed for c in checks):
-        checks.append(MeasureCheck(f"additivity_to_depth_{depth}", True))
+        checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
     return tuple(checks)
 
 

@@ -11,13 +11,13 @@ from randlab.markov import (
     BUILTIN_FUNCTIONS,
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
+    SlopeBoundsVerdict,
     StagedCover,
     _modulus_precision,
     abs_offset_fn,
     canonical_nonuc,
     check_H,
     const_fn,
-    cover_intervals,
     eval_extension,
     function_by_name,
     identity_fn,
@@ -38,6 +38,11 @@ HALF_COVER = StagedCover(
 
 def tent_interval(n: int) -> RationalInterval:
     return RationalInterval(1 - Fraction(1, 2**n), 1 - Fraction(3, 2 ** (n + 2)))
+
+
+def nonuc_tents(k: int) -> list[tuple[RationalInterval, Fraction]]:
+    """The (interval, peak) pairs of canonical_nonuc(k): peak n on I_n."""
+    return [(tent_interval(n), Fraction(n)) for n in range(k)]
 
 
 @given(unit)
@@ -84,10 +89,9 @@ def test_nonuc_range_is_exact():
 
 
 def test_check_H_accepts_disjoint_tents():
-    f = canonical_nonuc(10)
-    stages = tuple((iv,) for iv, _ in cover_intervals(f))
+    stages = tuple((iv,) for iv, _ in nonuc_tents(10))
     c = StagedCover(stages=stages, size_bound=tuple(range(len(stages))))
-    assert check_H(c).ok
+    assert check_H(c) is None
 
 
 def test_check_H_rejects_overlap():
@@ -98,8 +102,8 @@ def test_check_H_rejects_overlap():
         ),
         size_bound=(0, 0),
     )
-    rep = check_H(c)
-    assert not rep.ok and "overlap" in rep.violation
+    violation = check_H(c)
+    assert violation is not None and "overlap" in violation
 
 
 def test_check_H_rejects_late_big_interval():
@@ -107,7 +111,8 @@ def test_check_H_rejects_late_big_interval():
         stages=((), (RationalInterval(Fraction(0), Fraction(3, 4)),)),
         size_bound=(0, 0),
     )
-    assert not check_H(c).ok
+    violation = check_H(c)
+    assert violation is not None and "size violation at k=1" in violation
 
 
 def test_truncation_linear_inside_cover():
@@ -245,8 +250,8 @@ def ref_tent_value(iv, peak, x):
     return peak * (iv.hi - x) / (iv.hi - mid)
 
 
-def ref_nonuc_value(f, x):
-    for iv, peak in cover_intervals(f):
+def ref_nonuc_value(k, x):
+    for iv, peak in nonuc_tents(k):
         if iv.contains(x):
             return ref_tent_value(iv, peak, x)
     return Fraction(0)
@@ -258,6 +263,21 @@ def ref_truncation_value(f, ivs, x):
             ylo, yhi = f(iv.lo), f(iv.hi)
             return ylo + (yhi - ylo) * (x - iv.lo) / (iv.hi - iv.lo)
     return f(x)
+
+
+def ref_slope_bounds(f, w, z, grid):
+    """The slope check over an empty cover, read directly off f."""
+    pts = [Fraction(k, grid) for k in range(grid + 1)]
+    tv = [f(p) for p in pts]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if not tv[j] - tv[i] < z * (pts[j] - pts[i]):
+                return SlopeBoundsVerdict(
+                    False, True, False,
+                    f"upper clause fails at x={pts[i]}, y={pts[j]}: "
+                    f"slope {(tv[j] - tv[i]) / (pts[j] - pts[i])} >= {z}",
+                )
+    return SlopeBoundsVerdict(True, True, True)
 
 
 def ref_polygonal_value(breakpoints, x):
@@ -332,8 +352,27 @@ def test_tree_of_builtin_equals_reference(f, size):
 @given(st.integers(1, 20), st.lists(unit, max_size=20))
 def test_nonuc_value_equals_reference(k, xs):
     f = canonical_nonuc(k)
-    for x in xs + interval_marks(iv for iv, _ in cover_intervals(f)) + [Fraction(1)]:
-        assert f(x) == ref_nonuc_value(f, x)
+    for x in xs + interval_marks(iv for iv, _ in nonuc_tents(k)) + [Fraction(1)]:
+        assert f(x) == ref_nonuc_value(k, x)
+
+
+def test_slope_bounds_on_empty_cover_equals_reference():
+    # truncating across no interval leaves f: both verdicts occur below
+    empty = StagedCover(stages=(), size_bound=())
+    fs = [
+        square_fn(),
+        abs_offset_fn(),
+        canonical_nonuc(5),
+        polygonal_fn([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(0))]),
+    ]
+    sizes = [(0, 3, 8), (0, 2, 16), (-1, 1, 16), (0, 20, 32)]
+    verdicts = []
+    for f in fs:
+        for w, z, grid in sizes:
+            v = slope_bounds_check(f, empty, Fraction(w), Fraction(z), grid)
+            assert v == ref_slope_bounds(f, Fraction(w), Fraction(z), grid)
+            verdicts.append(v.passed)
+    assert verdicts.count(True) == 9 and verdicts.count(False) == 7
 
 
 @settings(max_examples=100, deadline=None)

@@ -210,6 +210,19 @@ def test_demuth_update_measure_enforced():
         demuth_update(demuth_family(), 3, geometric(2))
 
 
+def test_demuth_update_at_negative_index_bounds_by_two():
+    # component m = -1 has bound 2^1, as validate reads it
+    def span(hi):
+        return normalize_union([RationalInterval(Fraction(0), hi, True, True)])
+
+    t = TestFamily(TestKind.DEMUTH, {-1: [span(Fraction(1))]}, {"budgets": {-1: 3}})
+    assert validate(t).passed
+    t2 = demuth_update(t, -1, span(Fraction(2)))
+    assert len(t2.components[-1]) == 2 and validate(t2).passed
+    with pytest.raises(MeasureBoundViolation, match="exceeds 2/1 at m=-1"):
+        demuth_update(t, -1, span(Fraction(5, 2)))
+
+
 def iseq_family() -> TestFamily:
     blocks, excl = {}, {}
     for m in range(1, 4):
