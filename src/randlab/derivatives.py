@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -59,6 +60,10 @@ def pseudo_derivative(
 
     The point is known only through its certified window at the grid's
     precision, so "a <= z <= b" means the pair straddles that window.
+
+    f is called once at each grid point some pair reads, and the values are
+    put over one denominator; slopes are compared as (rise, gap) pairs of
+    ints, one gap at a time, and only the two extremes become Fractions.
     """
     if grid_denominator > GRID_DENOMINATOR_BUDGET:
         raise ValueError(f"grid_denominator > {GRID_DENOMINATOR_BUDGET}")
@@ -67,16 +72,14 @@ def pseudo_derivative(
         raise ValueError(
             f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
         )
-    step = Fraction(1, 2**d)
+    size = 2**d
     w = z.window(d)
     lo_lim = max(Fraction(0), w.lo - h)
     hi_lim = min(Fraction(1), w.hi)
 
-    best_hi: Optional[Fraction] = None
-    best_lo: Optional[Fraction] = None
-    a_first, a_last = math.ceil(lo_lim * 2**d), math.floor(hi_lim * 2**d)
+    a_first, a_last = math.ceil(lo_lim * size), math.floor(hi_lim * size)
     # b lies right of the window and within h of a
-    b_min, b_span = math.ceil(w.lo * 2**d), math.floor(h * 2**d)
+    b_min, b_span = math.ceil(w.lo * size), math.floor(h * size)
     # at most b_span partners per left point: bound the pairs before any f call
     pairs = max(0, a_last - a_first + 1) * b_span
     if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
@@ -84,25 +87,42 @@ def pseudo_derivative(
             f"up to {pairs} grid pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET "
             f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
         )
-    fvals: dict[int, Fraction] = {}
-
-    def fv(k: int) -> Fraction:
-        if k not in fvals:
-            fvals[k] = f(Fraction(k, 2**d))
-        return fvals[k]
-
-    for ka in range(a_first, a_last + 1):
-        for kb in range(max(ka + 1, b_min), min(ka + b_span, 2**d) + 1):
-            s = (fv(kb) - fv(ka)) / ((kb - ka) * step)
-            if best_hi is None or s > best_hi:
-                best_hi = s
-            if best_lo is None or s < best_lo:
-                best_lo = s
-    if best_hi is None or best_lo is None:
+    # per gap g (in grid steps): the left ends a_first <= ka <= a_last whose
+    # partner ka + g lies right of the window (>= b_min) and on the grid
+    spans = [
+        (g, lo, hi)
+        for g in range(1, b_span + 1)
+        for lo, hi in [(max(a_first, b_min - g), min(a_last, size - g))]
+        if lo <= hi
+    ]
+    if not spans:
         raise ValueError(
             f"no pair of points of the grid k/2^{d} at most h = {h} apart "
             "straddles the point"
         )
+    # a pair exists, so b_min <= a_last + 1: the pairs read every index from
+    # the least left end to the greatest right end, with no gap.  f is called
+    # once at each, and the values go over one denominator
+    first = min(lo for _, lo, _ in spans)
+    last = max(g + hi for g, _, hi in spans)
+    vals = [f(Fraction(k, size)) for k in range(first, last + 1)]
+    den = math.lcm(*{v.denominator for v in vals})
+    F = [v.numerator * (den // v.denominator) for v in vals]
+
+    # a slope is a pair (rise over den, gap in grid steps); gaps are >= 0, so
+    # two slopes compare by cross-multiplying ints, and (-1, 0) and (1, 0)
+    # stand for -inf and +inf
+    (hi_rise, hi_gap), (lo_rise, lo_gap) = (-1, 0), (1, 0)
+    for g, lo, hi in spans:
+        lo, hi = lo - first, hi - first + 1
+        rises = list(map(operator.sub, F[lo + g : hi + g], F[lo:hi]))
+        top, bottom = max(rises), min(rises)
+        if top * hi_gap > hi_rise * g:
+            hi_rise, hi_gap = top, g
+        if bottom * lo_gap < lo_rise * g:
+            lo_rise, lo_gap = bottom, g
+    best_hi = Fraction(hi_rise * size, hi_gap * den)
+    best_lo = Fraction(lo_rise * size, lo_gap * den)
 
     up_inf = best_hi > BLOWUP_THRESHOLD
     lo_inf = best_lo < -BLOWUP_THRESHOLD

@@ -19,6 +19,7 @@ evaluator is called once per grid point.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,8 @@ def check_H(c: StagedCover) -> Optional[str]:
     for a, b in zip(ivs, ivs[1:]):
         if b.lo < a.hi:
             return f"overlap between {a} and {b}"
+    if c.stages and not c.size_bound:
+        return f"no size bound for a cover of {len(c.stages)} stages"
     for k in range(len(c.stages)):
         bound_stage = c.size_bound[k] if k < len(c.size_bound) else c.size_bound[-1]
         for s in range(bound_stage + 1, len(c.stages)):
@@ -337,13 +340,15 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     contains two dyadic rationals of denominator <= 2^{depth+4} with function
     values more than 2^{-n} apart.
 
-    A witness pair exists iff max - min over the grid exceeds the threshold,
-    so the search computes grid extrema bottom-up; downward closure under
-    prefixes is then structural (a parent's grid contains each child's).
+    A witness pair exists iff max - min over the grid exceeds the threshold.
+    A parent's grid contains each child's, so the tree is closed under
+    prefixes, and the search goes top-down: the root's spread comes from the
+    whole grid, and a node's slice is read only when its parent is in the
+    tree.
 
     The grid is `f.grid(depth + 4)`, the points k/2^{depth+4} with k below
     2^{depth+4} ([sigma) excludes its right end), as integers over one
-    common denominator: the extrema fold compares ints and the threshold test
+    common denominator: min and max compare ints and the threshold test
     needs no Fraction.  The lab's own evaluators give that grid natively; any
     other `eval_at` is called once per grid point.
     """
@@ -351,16 +356,8 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
         raise BudgetExceeded(
             f"depth {depth} > OSCILLATION_DEPTH_BUDGET ({OSCILLATION_DEPTH_BUDGET})"
         )
-    lo, den = f.grid(depth + 4)
-    hi = lo
-    # extrema[k] = (minima, maxima) over the grid slices of the nodes at level k
-    extrema = [(lo, hi)]
-    while len(lo) > 1:
-        lo = list(map(min, lo[::2], lo[1::2]))
-        hi = list(map(max, hi[::2], hi[1::2]))
-        extrema.append((lo, hi))
-    extrema.reverse()  # extrema[k] now indexed by level k = |sigma|
-
+    vals, den = f.grid(depth + 4)
+    lo, hi = min(vals), max(vals)
     # a node is in the tree iff spread·scale > bound (a spread is an int over
     # den).  |n| is clamped where the tree stops changing, so 2^|n| stays
     # small: past 2^{-n} < 1/den every nonzero spread passes, and past the
@@ -368,13 +365,24 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     if n >= 0:
         scale, bound = 2 ** min(n, den.bit_length()), den
     else:
-        scale, bound = 1, den << min(-n, (hi[0] - lo[0]).bit_length())
-    return {
-        format(i, f"0{k}b") if k else ""
-        for k in range(depth + 1)
-        for i, (mn, mx) in enumerate(zip(*extrema[k]))
-        if (mx - mn) * scale > bound
-    }
+        scale, bound = 1, den << min(-n, (hi - lo).bit_length())
+    if (hi - lo) * scale <= bound:
+        return set()
+    # level by level from the root: a child's grid slice lies inside its
+    # parent's, so only the children of a node in the tree can be in it
+    tree = {""}
+    level = [0]
+    for k in range(1, depth + 1):
+        width = len(vals) >> k
+        level = [
+            i
+            for parent in level
+            for i in (2 * parent, 2 * parent + 1)
+            for piece in [vals[i * width : (i + 1) * width]]
+            if (max(piece) - min(piece)) * scale > bound
+        ]
+        tree.update(format(i, f"0{k}b") for i in level)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -395,8 +403,10 @@ def slope_bounds_check(
     """Two-sided slope bounds for a truncation.
 
     Lower clause: w(b-a) < f(b) - f(a) exactly on every cover interval.
-    Upper clause: [f,C](y) - [f,C](x) < z(y-x) on all ordered dyadic grid
-    pairs, where the grid has `grid` subdivisions of [0,1].
+    Upper clause: [f,C](y) - [f,C](x) < z(y-x) on all ordered grid pairs
+    x < y, where the grid has `grid` subdivisions of [0,1]; the first failing
+    pair in (x, y) order is the counterexample.  The clause is one pass over
+    integer values, O(grid), not a loop over the pairs.
     """
     if w >= z:
         raise ValueError("requires w < z")
@@ -410,17 +420,27 @@ def slope_bounds_check(
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
     t = truncate(f, c)
-    pts = [Fraction(k, grid) for k in range(grid + 1)]
-    tv = [t(p) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not tv[j] - tv[i] < z * (pts[j] - pts[i]):
-                return SlopeBoundsVerdict(
-                    False, True, False,
-                    f"upper clause fails at x={pts[i]}, y={pts[j]}: "
-                    f"slope {(tv[j] - tv[i]) / (pts[j] - pts[i])} >= {z}",
-                )
-    return SlopeBoundsVerdict(True, True, True)
+    tv = [t(Fraction(k, grid)) for k in range(grid + 1)]
+    # the pair x = i/grid < y = j/grid fails iff g_j >= g_i, where
+    # g_k = t(k/grid) - z·k/grid, here scaled to an int by den·z.den·grid > 0
+    den = math.lcm(*{v.denominator for v in tv})
+    zn, zd = z.numerator, z.denominator
+    g = [
+        v.numerator * (den // v.denominator) * zd * grid - zn * den * k
+        for k, v in enumerate(tv)
+    ]
+    # the first failing pair in (i, j) order: the least i with a later
+    # g_j >= g_i (read off the suffix maxima), then the first such j
+    later = list(itertools.accumulate(reversed(g[1:]), max))[::-1]
+    i = next((i for i, top in enumerate(later) if top >= g[i]), None)
+    if i is None:
+        return SlopeBoundsVerdict(True, True, True)
+    j = next(j for j in range(i + 1, grid + 1) if g[j] >= g[i])
+    x, y = Fraction(i, grid), Fraction(j, grid)
+    return SlopeBoundsVerdict(
+        False, True, False,
+        f"upper clause fails at x={x}, y={y}: slope {(tv[j] - tv[i]) / (y - x)} >= {z}",
+    )
 
 
 @dataclass(frozen=True)

@@ -438,7 +438,10 @@ def schnorr_to_interval_sequence(
     The oracle, queried at ("block", m, r) and stage s, returns the current
     guess for the r-th block group of G_m as a tuple of intervals.  Each mind
     change excises all previously emitted indices for (m, r) via E^m_r; the
-    final stage's groups must satisfy the per-block measure bound.
+    final stage's groups must satisfy the per-block measure bound.  A query
+    whose guess changes more often than `oracle.budget` up to stage `depth`
+    (the stage-0 guess is not a change, as in `LimitOracle.changes`) raises
+    BudgetExceeded.
     """
     if t.kind is not TestKind.SCHNORR:
         raise ValueError("source must be a Schnorr test")
@@ -453,15 +456,22 @@ def schnorr_to_interval_sequence(
             excl: set[int] = set()
             next_k = 0
             prev = None
+            changes = 0
             for stage in range(depth + 1):
                 guess = oracle.value(("block", m, r), stage)
                 if guess == prev:
                     continue
+                changes += stage > 0
                 excl.update(table.keys())
                 for iv in guess:
                     table[next_k] = iv
                     next_k += 1
                 prev = guess
+            if changes > oracle.budget:
+                raise BudgetExceeded(
+                    f"oracle query ('block', {m}, {r}) changes its guess {changes} "
+                    f"times up to stage {depth} > its budget ({oracle.budget})"
+                )
             if table:
                 blocks[key] = table
                 excluded[key] = excl

@@ -1,18 +1,31 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randlab.cauchy import const_name
 from randlab.derivatives import (
+    BLOWUP_THRESHOLD,
+    PSEUDO_DERIVATIVE_PAIR_BUDGET,
     DenjoyVerdict,
     PseudoDerivativeEstimate,
     classify_denjoy,
     pseudo_derivative,
     slope,
 )
-from randlab.errors import DegeneratePair
-from randlab.markov import abs_offset_fn, identity_fn, polygonal_fn, square_fn
+from randlab.errors import BudgetExceeded, DegeneratePair
+from randlab.markov import (
+    BUILTIN_FUNCTIONS,
+    abs_offset_fn,
+    canonical_nonuc,
+    const_fn,
+    function_by_name,
+    identity_fn,
+    polygonal_fn,
+    square_fn,
+)
 
 H = Fraction(1, 2**10)
 TOL = Fraction(1, 16)
@@ -116,3 +129,128 @@ def test_finite_opposite_sign_spread_is_neither():
         grid_denominator=14,
     )
     assert classify_denjoy(est, TOL) is DenjoyVerdict.NEITHER
+
+
+# --- slow reference: the Fraction pair loop the integer version replaced,
+# --- kept as its oracle
+
+
+def ref_pseudo_derivative(f, z, h, grid_denominator):
+    """Every straddling pair's slope as a Fraction, f cached per grid index."""
+    d = grid_denominator
+    if h < Fraction(1, 2 ** (d + 2)):
+        raise ValueError(
+            f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
+        )
+    step = Fraction(1, 2**d)
+    w = z.window(d)
+    lo_lim = max(Fraction(0), w.lo - h)
+    hi_lim = min(Fraction(1), w.hi)
+    best_hi = best_lo = None
+    a_first, a_last = math.ceil(lo_lim * 2**d), math.floor(hi_lim * 2**d)
+    b_min, b_span = math.ceil(w.lo * 2**d), math.floor(h * 2**d)
+    pairs = max(0, a_last - a_first + 1) * b_span
+    if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"up to {pairs} grid pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET "
+            f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
+        )
+    fvals = {}
+
+    def fv(k):
+        if k not in fvals:
+            fvals[k] = f(Fraction(k, 2**d))
+        return fvals[k]
+
+    for ka in range(a_first, a_last + 1):
+        for kb in range(max(ka + 1, b_min), min(ka + b_span, 2**d) + 1):
+            s = (fv(kb) - fv(ka)) / ((kb - ka) * step)
+            if best_hi is None or s > best_hi:
+                best_hi = s
+            if best_lo is None or s < best_lo:
+                best_lo = s
+    if best_hi is None:
+        raise ValueError(
+            f"no pair of points of the grid k/2^{d} at most h = {h} apart "
+            "straddles the point"
+        )
+    up_inf = best_hi > BLOWUP_THRESHOLD
+    lo_inf = best_lo < -BLOWUP_THRESHOLD
+    return PseudoDerivativeEstimate(
+        upper=None if up_inf else best_hi,
+        lower=None if lo_inf else best_lo,
+        upper_infinite=up_inf,
+        lower_infinite=lo_inf,
+        scale=h,
+        grid_denominator=d,
+    )
+
+
+def outcome(fn, *args):
+    """The value, or the error's type and message."""
+    try:
+        return fn(*args)
+    except (ValueError, BudgetExceeded) as e:
+        return type(e), str(e)
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=96)
+rational = st.fractions(min_value=-16, max_value=16, max_denominator=64)
+
+
+@st.composite
+def polygons(draw):
+    xs = sorted(set(draw(st.lists(unit, max_size=5))) - {0, 1})
+    return polygonal_fn([(x, draw(rational)) for x in [Fraction(0)] + xs + [Fraction(1)]])
+
+
+functions = (
+    st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name)
+    | rational.map(const_fn)
+    | st.integers(1, 12).map(canonical_nonuc)
+    | polygons()
+)
+
+
+@st.composite
+def estimate_inputs(draw):
+    """(z, h, d) with d <= 10: points on the grid and off it (a little outside
+    [0, 1] too), scales from below a quarter step (which raises) up to past
+    the pair budget."""
+    d = draw(st.integers(0, 10))
+    on_grid = st.integers(-2, 2**d + 2).map(lambda k: Fraction(k, 2**d))
+    z = draw(on_grid | st.fractions(min_value=-Fraction(1, 8), max_value=Fraction(9, 8), max_denominator=999))
+    h = Fraction(1, 2 ** draw(st.integers(0, d + 3)))
+    return const_name(z), h, d
+
+
+# a first step of slope 2^17 trips both blow-up flags
+STEEP = polygonal_fn([(0, 0), (Fraction(1, 2**10), 128), (Fraction(2, 2**10), 0), (1, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(functions, estimate_inputs())
+@example(STEEP, (const_name(Fraction(1, 2**10)), Fraction(1, 2**3), 10))
+def test_pseudo_derivative_equals_reference(f, inputs):
+    assert outcome(pseudo_derivative, f, *inputs) == outcome(ref_pseudo_derivative, f, *inputs)
+
+
+def counting(f):
+    calls = []
+
+    def ev(x):
+        calls.append(x)
+        return f(x)
+
+    return dataclasses.replace(f, eval_at=ev), calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(functions, estimate_inputs())
+def test_pseudo_derivative_reads_f_where_the_reference_does(f, inputs):
+    g, calls = counting(f)
+    ref_g, ref_calls = counting(f)
+    outcome(pseudo_derivative, g, *inputs)
+    outcome(ref_pseudo_derivative, ref_g, *inputs)
+    assert sorted(calls) == sorted(ref_calls)
+    assert len(set(calls)) == len(calls)

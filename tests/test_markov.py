@@ -115,6 +115,16 @@ def test_check_H_rejects_late_big_interval():
     assert violation is not None and "size violation at k=1" in violation
 
 
+def test_cover_without_size_bound_is_a_cover_violation():
+    c = StagedCover(stages=((RationalInterval(Fraction(0), Fraction(1, 4)),),), size_bound=())
+    assert check_H(c) == "no size bound for a cover of 1 stages"
+    with pytest.raises(CoverViolation, match="no size bound"):
+        truncate(square_fn(), c)
+    # the lower clause holds (0 < 1/4), so the check reaches the truncation
+    with pytest.raises(CoverViolation, match="no size bound"):
+        slope_bounds_check(identity_fn(), c, Fraction(0), Fraction(2), 8)
+
+
 def test_truncation_linear_inside_cover():
     g = truncate(square_fn(), HALF_COVER)
     # chord from (0,0) to (1/2,1/4) has slope 1/2
@@ -266,7 +276,8 @@ def ref_truncation_value(f, ivs, x):
 
 
 def ref_slope_bounds(f, w, z, grid):
-    """The slope check over an empty cover, read directly off f."""
+    """The upper clause read directly off f (a truncation, or f itself
+    under an empty cover): a Fraction loop over every grid pair."""
     pts = [Fraction(k, grid) for k in range(grid + 1)]
     tv = [f(p) for p in pts]
     for i in range(len(pts)):
@@ -373,6 +384,68 @@ def test_slope_bounds_on_empty_cover_equals_reference():
             assert v == ref_slope_bounds(f, Fraction(w), Fraction(z), grid)
             verdicts.append(v.passed)
     assert verdicts.count(True) == 9 and verdicts.count(False) == 7
+
+
+@st.composite
+def slope_bounds_inputs(draw):
+    """(f, cover, w, z, grid) whose lower clause holds, with z from a
+    random rational, the slope of a grid pair of the truncation (a tie
+    g_j = g_i), or the steepest grid slope with or without a margin (the
+    steepest pairs tie, or every pair passes)."""
+    f, cover = draw(bases | polygons().map(polygonal_fn)), draw(covers())
+    # w·0 < 0 fails on a point interval, so the lower clause needs none
+    cover = StagedCover(
+        tuple(tuple(iv for iv in stage if iv.length) for stage in cover.stages), cover.size_bound
+    )
+    grid = draw(st.integers(1, 40))
+    t = truncate(f, cover)
+    tv = [t(Fraction(k, grid)) for k in range(grid + 1)]
+    slopes = [
+        (tv[j] - tv[i]) * grid / (j - i) for i in range(grid + 1) for j in range(i + 1, grid + 1)
+    ]
+    z = draw(
+        rational
+        | st.sampled_from(slopes)
+        | st.just(max(slopes))
+        | st.just(max(slopes) + Fraction(1, draw(st.integers(1, 2**20))))
+    )
+    # |slope| < 2^19 here (polygon corners are >= 1/(96·95) apart and at
+    # most 32 apart in height), so this w passes every lower clause
+    w = min(z, 0) - 2**20
+    return f, cover, w, z, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(slope_bounds_inputs())
+def test_slope_bounds_of_truncation_equal_reference(inputs):
+    f, cover, w, z, grid = inputs
+    v = slope_bounds_check(f, cover, w, z, grid)
+    assert v.lower_clause_ok
+    assert v == ref_slope_bounds(truncate(f, cover), w, z, grid)
+
+
+def test_slope_bounds_report_the_first_of_tied_pairs():
+    # identity under z = 1: every g_k is 0, so (0, 1/8) is the first failure
+    v = slope_bounds_check(identity_fn(), StagedCover((), ()), Fraction(0), Fraction(1), 8)
+    assert v.counterexample == "upper clause fails at x=0, y=1/8: slope 1 >= 1"
+    assert v == ref_slope_bounds(identity_fn(), Fraction(0), Fraction(1), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational, st.integers(0, 6), st.sampled_from([-80, -1, 0, 1, 80]))
+def test_tree_of_constant_is_empty(q, depth, n):
+    f = const_fn(q)
+    assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth) == set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bases | st.integers(1, 12).map(canonical_nonuc) | polygons().map(polygonal_fn),
+    st.integers(0, 6),
+    st.sampled_from([-80, 80]),
+)
+def test_tree_at_extreme_thresholds_equals_reference(f, depth, n):
+    assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth)
 
 
 @settings(max_examples=100, deadline=None)

@@ -278,6 +278,35 @@ def test_schnorr_to_interval_sequence_with_mind_changes():
     assert all(excl for excl in t.kind_data["excluded"].values())
 
 
+def three_mind_changes(query, stage):
+    """A guess per block query that changes at stages 1, 2 and 3."""
+    _, m, r = query
+    w = Fraction(1, 2 ** (m + r + 4))
+    return (RationalInterval(Fraction(min(stage, 3), 4), Fraction(min(stage, 3), 4) + w, True, True),)
+
+
+def test_schnorr_to_interval_sequence_enforces_the_mind_change_budget():
+    sch = interval_sequence_to_schnorr(iseq_family(), 4)
+    oracle = LimitOracle(three_mind_changes, budget=0)
+    assert not oracle.validate_budget(("block", 1, 1), 3)
+    with pytest.raises(BudgetExceeded) as info:
+        schnorr_to_interval_sequence(sch, oracle, 3)
+    assert str(info.value) == (
+        "oracle query ('block', 1, 1) changes its guess 3 times up to stage 3 "
+        "> its budget (0)"
+    )
+
+
+def test_schnorr_to_interval_sequence_accepts_a_budget_equal_to_the_changes():
+    sch = interval_sequence_to_schnorr(iseq_family(), 4)
+    oracle = LimitOracle(three_mind_changes, budget=3)
+    assert oracle.changes(("block", 1, 1), 3) == 3 and oracle.validate_budget(("block", 1, 1), 3)
+    t = schnorr_to_interval_sequence(sch, oracle, 3)
+    assert validate(t).passed
+    # three changes excise the first three emitted indices of every block
+    assert all(excl == {0, 1, 2} for excl in t.kind_data["excluded"].values())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 6),
