@@ -88,10 +88,13 @@ def pseudo_derivative(
             f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
         )
     # per gap g (in grid steps): the left ends a_first <= ka <= a_last whose
-    # partner ka + g lies right of the window (>= b_min) and on the grid
+    # partner ka + g lies right of the window (>= b_min) and on the grid.
+    # A partner is at most size and ka >= a_first >= 0, so no gap past
+    # size - a_first has one: at most 2^d gaps are looked at, however large
+    # h is
     spans = [
         (g, lo, hi)
-        for g in range(1, b_span + 1)
+        for g in range(1, min(b_span, size - a_first) + 1)
         for lo, hi in [(max(a_first, b_min - g), min(a_last, size - g))]
         if lo <= hi
     ]

@@ -341,10 +341,11 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     values more than 2^{-n} apart.
 
     A witness pair exists iff max - min over the grid exceeds the threshold.
-    A parent's grid contains each child's, so the tree is closed under
-    prefixes, and the search goes top-down: the root's spread comes from the
-    whole grid, and a node's slice is read only when its parent is in the
-    tree.
+    The extrema are read once: min and max of each depth-level node's 16
+    grid points, folded pairwise up to the root, O(2^{depth+4}) whatever the
+    tree's size.  A parent's grid contains each child's, so the tree is
+    closed under prefixes, and it is read top-down: only the children of a
+    node in the tree are tested.
 
     The grid is `f.grid(depth + 4)`, the points k/2^{depth+4} with k below
     2^{depth+4} ([sigma) excludes its right end), as integers over one
@@ -357,7 +358,17 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
             f"depth {depth} > OSCILLATION_DEPTH_BUDGET ({OSCILLATION_DEPTH_BUDGET})"
         )
     vals, den = f.grid(depth + 4)
-    lo, hi = min(vals), max(vals)
+    # extrema[k] = (minima, maxima) over the grid slices of the nodes at
+    # level k; the deepest nodes' slices are the grid's runs of 16
+    lo = list(map(min, zip(*[iter(vals)] * 16)))
+    hi = list(map(max, zip(*[iter(vals)] * 16)))
+    extrema = [(lo, hi)]
+    while len(lo) > 1:
+        lo = list(map(min, lo[::2], lo[1::2]))
+        hi = list(map(max, hi[::2], hi[1::2]))
+        extrema.append((lo, hi))
+    extrema.reverse()  # extrema[k] now indexed by level k = |sigma|
+    lo, hi = lo[0], hi[0]
     # a node is in the tree iff spread·scale > bound (a spread is an int over
     # den).  |n| is clamped where the tree stops changing, so 2^|n| stays
     # small: past 2^{-n} < 1/den every nonzero spread passes, and past the
@@ -366,22 +377,14 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
         scale, bound = 2 ** min(n, den.bit_length()), den
     else:
         scale, bound = 1, den << min(-n, (hi - lo).bit_length())
-    if (hi - lo) * scale <= bound:
-        return set()
     # level by level from the root: a child's grid slice lies inside its
     # parent's, so only the children of a node in the tree can be in it
-    tree = {""}
+    tree: set[str] = set()
     level = [0]
-    for k in range(1, depth + 1):
-        width = len(vals) >> k
-        level = [
-            i
-            for parent in level
-            for i in (2 * parent, 2 * parent + 1)
-            for piece in [vals[i * width : (i + 1) * width]]
-            if (max(piece) - min(piece)) * scale > bound
-        ]
-        tree.update(format(i, f"0{k}b") for i in level)
+    for k, (mins, maxs) in enumerate(extrema):
+        level = [i for i in level if (maxs[i] - mins[i]) * scale > bound]
+        tree.update(format(i, f"0{k}b") if k else "" for i in level)
+        level = [c for i in level for c in (2 * i, 2 * i + 1)]
     return tree
 
 

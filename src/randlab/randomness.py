@@ -439,8 +439,7 @@ def schnorr_to_interval_sequence(
     guess for the r-th block group of G_m as a tuple of intervals.  Each mind
     change excises all previously emitted indices for (m, r) via E^m_r; the
     final stage's groups must satisfy the per-block measure bound.  A query
-    whose guess changes more often than `oracle.budget` up to stage `depth`
-    (the stage-0 guess is not a change, as in `LimitOracle.changes`) raises
+    that fails `oracle.validate_budget` up to stage `depth` raises
     BudgetExceeded.
     """
     if t.kind is not TestKind.SCHNORR:
@@ -452,26 +451,26 @@ def schnorr_to_interval_sequence(
             continue
         for r in range(1, depth + 1):
             key = (m, r)
+            query = ("block", m, r)
+            if not oracle.validate_budget(query, depth):
+                raise BudgetExceeded(
+                    f"oracle query {query} changes its guess "
+                    f"{oracle.changes(query, depth)} times up to stage {depth} "
+                    f"> its budget ({oracle.budget})"
+                )
             table: dict[int, RationalInterval] = {}
             excl: set[int] = set()
             next_k = 0
             prev = None
-            changes = 0
             for stage in range(depth + 1):
-                guess = oracle.value(("block", m, r), stage)
+                guess = oracle.value(query, stage)
                 if guess == prev:
                     continue
-                changes += stage > 0
                 excl.update(table.keys())
                 for iv in guess:
                     table[next_k] = iv
                     next_k += 1
                 prev = guess
-            if changes > oracle.budget:
-                raise BudgetExceeded(
-                    f"oracle query ('block', {m}, {r}) changes its guess {changes} "
-                    f"times up to stage {depth} > its budget ({oracle.budget})"
-                )
             if table:
                 blocks[key] = table
                 excluded[key] = excl

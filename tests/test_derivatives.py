@@ -26,6 +26,7 @@ from randlab.markov import (
     polygonal_fn,
     square_fn,
 )
+from strategies import polygons, rational
 
 H = Fraction(1, 2**10)
 TOL = Fraction(1, 16)
@@ -194,33 +195,25 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
-unit = st.fractions(min_value=0, max_value=1, max_denominator=96)
-rational = st.fractions(min_value=-16, max_value=16, max_denominator=64)
-
-
-@st.composite
-def polygons(draw):
-    xs = sorted(set(draw(st.lists(unit, max_size=5))) - {0, 1})
-    return polygonal_fn([(x, draw(rational)) for x in [Fraction(0)] + xs + [Fraction(1)]])
-
-
 functions = (
     st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name)
     | rational.map(const_fn)
     | st.integers(1, 12).map(canonical_nonuc)
-    | polygons()
+    | polygons().map(polygonal_fn)
 )
 
 
 @st.composite
 def estimate_inputs(draw):
-    """(z, h, d) with d <= 10: points on the grid and off it (a little outside
-    [0, 1] too), scales from below a quarter step (which raises) up to past
-    the pair budget."""
+    """(z, h, d) with d <= 10: points on the grid and off it, a little
+    outside [0, 1] or far from it, and scales from below a quarter step
+    (which raises) up to 2^40, far past the pair budget."""
     d = draw(st.integers(0, 10))
     on_grid = st.integers(-2, 2**d + 2).map(lambda k: Fraction(k, 2**d))
-    z = draw(on_grid | st.fractions(min_value=-Fraction(1, 8), max_value=Fraction(9, 8), max_denominator=999))
-    h = Fraction(1, 2 ** draw(st.integers(0, d + 3)))
+    near = st.fractions(min_value=-Fraction(1, 8), max_value=Fraction(9, 8), max_denominator=999)
+    far = st.fractions(min_value=-4, max_value=4, max_denominator=99)
+    z = draw(on_grid | near | far)
+    h = Fraction(2) ** -draw(st.integers(0, d + 3) | st.integers(-40, -1))
     return const_name(z), h, d
 
 
@@ -233,6 +226,24 @@ STEEP = polygonal_fn([(0, 0), (Fraction(1, 2**10), 128), (Fraction(2, 2**10), 0)
 @example(STEEP, (const_name(Fraction(1, 2**10)), Fraction(1, 2**3), 10))
 def test_pseudo_derivative_equals_reference(f, inputs):
     assert outcome(pseudo_derivative, f, *inputs) == outcome(ref_pseudo_derivative, f, *inputs)
+
+
+@pytest.mark.parametrize(
+    "z, h, d, error",
+    [
+        # left of [0, 1] no left end exists, however large h is
+        (-1, 10**9, 14, ValueError),
+        (-1, Fraction(10**9, 7), 10, ValueError),
+        # right of [0, 1] no right end exists; a huge h trips the budget first
+        (5, 4, 10, ValueError),
+        (5, 10**9, 14, BudgetExceeded),
+    ],
+)
+def test_pseudo_derivative_far_from_the_unit_interval(z, h, d, error):
+    inputs = const_name(Fraction(z)), Fraction(h), d
+    got = outcome(pseudo_derivative, square_fn(), *inputs)
+    assert got[0] is error
+    assert got == outcome(ref_pseudo_derivative, square_fn(), *inputs)
 
 
 def counting(f):

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randlab.cauchy import ModulusFunction, const_name
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
@@ -27,6 +27,7 @@ from randlab.markov import (
     square_fn,
     truncate,
 )
+from strategies import inner, polygons, rational
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=2**10)
 
@@ -298,16 +299,6 @@ def ref_polygonal_value(breakpoints, x):
     return breakpoints[-1][1]
 
 
-rational = st.fractions(min_value=-16, max_value=16, max_denominator=64)
-inner = st.fractions(min_value=0, max_value=1, max_denominator=96)
-
-
-@st.composite
-def polygons(draw):
-    xs = sorted(set(draw(st.lists(inner, max_size=5))) - {0, 1})
-    return [(x, draw(rational)) for x in [Fraction(0)] + xs + [Fraction(1)]]
-
-
 @st.composite
 def covers(draw):
     """Non-overlapping closed intervals, point intervals and shared
@@ -332,8 +323,11 @@ def interval_marks(ivs):
     return [p for iv in ivs for p in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi)]
 
 
+# n = ±80 clamps the threshold at both ends; a constant has spread 0
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), tree_sizes)
+@example(12, (80, 6))
+@example(12, (-80, 6))
 def test_tree_of_nonuc_equals_reference(k, size):
     f = canonical_nonuc(k)
     assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
@@ -341,6 +335,8 @@ def test_tree_of_nonuc_equals_reference(k, size):
 
 @settings(max_examples=60, deadline=None)
 @given(bases, covers(), tree_sizes)
+@example(square_fn(), HALF_COVER, (80, 6))
+@example(canonical_nonuc(6), HALF_COVER, (-80, 6))
 def test_tree_of_truncation_equals_reference(base, cover, size):
     g = truncate(base, cover)
     assert oscillation_tree(g, *size) == ref_oscillation_tree(g, *size)
@@ -348,6 +344,8 @@ def test_tree_of_truncation_equals_reference(base, cover, size):
 
 @settings(max_examples=60, deadline=None)
 @given(polygons(), tree_sizes)
+@example([(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(16)), (Fraction(1), Fraction(-16))], (80, 6))
+@example([(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(16)), (Fraction(1), Fraction(-16))], (-80, 6))
 def test_tree_of_polygonal_equals_reference(breakpoints, size):
     f = polygonal_fn(breakpoints)
     assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
@@ -355,6 +353,11 @@ def test_tree_of_polygonal_equals_reference(breakpoints, size):
 
 @settings(max_examples=60, deadline=None)
 @given(builtin_fns, tree_sizes)
+@example(square_fn(), (80, 6))
+@example(square_fn(), (-80, 6))
+@example(const_fn(Fraction(-3, 7)), (80, 6))
+@example(const_fn(Fraction(-3, 7)), (-80, 6))
+@example(const_fn(Fraction(5)), (0, 6))
 def test_tree_of_builtin_equals_reference(f, size):
     assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
 
@@ -429,23 +432,6 @@ def test_slope_bounds_report_the_first_of_tied_pairs():
     v = slope_bounds_check(identity_fn(), StagedCover((), ()), Fraction(0), Fraction(1), 8)
     assert v.counterexample == "upper clause fails at x=0, y=1/8: slope 1 >= 1"
     assert v == ref_slope_bounds(identity_fn(), Fraction(0), Fraction(1), 8)
-
-
-@settings(max_examples=60, deadline=None)
-@given(rational, st.integers(0, 6), st.sampled_from([-80, -1, 0, 1, 80]))
-def test_tree_of_constant_is_empty(q, depth, n):
-    f = const_fn(q)
-    assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth) == set()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    bases | st.integers(1, 12).map(canonical_nonuc) | polygons().map(polygonal_fn),
-    st.integers(0, 6),
-    st.sampled_from([-80, 80]),
-)
-def test_tree_at_extreme_thresholds_equals_reference(f, depth, n):
-    assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth)
 
 
 @settings(max_examples=100, deadline=None)

@@ -285,15 +285,16 @@ def three_mind_changes(query, stage):
     return (RationalInterval(Fraction(min(stage, 3), 4), Fraction(min(stage, 3), 4) + w, True, True),)
 
 
-def test_schnorr_to_interval_sequence_enforces_the_mind_change_budget():
+@pytest.mark.parametrize("budget", [0, 2])
+def test_schnorr_to_interval_sequence_enforces_the_mind_change_budget(budget):
     sch = interval_sequence_to_schnorr(iseq_family(), 4)
-    oracle = LimitOracle(three_mind_changes, budget=0)
+    oracle = LimitOracle(three_mind_changes, budget=budget)
     assert not oracle.validate_budget(("block", 1, 1), 3)
     with pytest.raises(BudgetExceeded) as info:
         schnorr_to_interval_sequence(sch, oracle, 3)
     assert str(info.value) == (
         "oracle query ('block', 1, 1) changes its guess 3 times up to stage 3 "
-        "> its budget (0)"
+        f"> its budget ({budget})"
     )
 
 
