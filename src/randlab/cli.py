@@ -8,6 +8,7 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -349,6 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: `parse_args` returns
+    a fresh namespace and leaves the parser as it was."""
+    return build_parser()
+
+
 def render(command: str, records: list[dict], output: dict, fmt: str) -> str:
     records = sorted(records, key=lambda r: r["name"])
     failed = sum(1 for r in records if r["status"] == "FAIL")
@@ -369,7 +377,7 @@ def render(command: str, records: list[dict], output: dict, fmt: str) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         records, output = args.fn(args)
     except SystemExit:
         # only --help exits here: usage errors raise ParseError
@@ -382,8 +390,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     text = render(args.command, records, output, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(
+                f"labcli: cannot write --out {args.out}: {exc.strerror or exc}\n"
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if all(r["status"] == "PASS" for r in records) else 1

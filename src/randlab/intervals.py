@@ -18,16 +18,22 @@ from .errors import ParseError
 
 Rational = Fraction
 
+_RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer) into a Fraction; no decimal forms."""
+    """Parse "p/q" (or a plain integer) into a Fraction; no decimal forms.
+
+    Each integer is read once, by `int`, which accepts the same Unicode
+    decimal digits that the pattern's digit class matches."""
     if not isinstance(text, str):
         raise ParseError(f'bad rational {text!r}: expected a "p/q" string')
-    s = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", s):
+    m = _RATIONAL.fullmatch(text.strip())
+    if not m:
         raise ParseError(f"bad rational {text!r}: expected p/q")
+    p, q = m.groups()
     try:
-        return Fraction(s)
+        return Fraction(int(p), int(q or 1))
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
 
@@ -123,7 +129,8 @@ class IntervalUnion:
 
     @property
     def measure(self) -> Fraction:
-        return sum((p.length for p in self.parts), Fraction(0))
+        den, ends = _scaled_ends(self.parts)
+        return Fraction(sum(hi - lo for lo, hi in ends), den)
 
     @property
     def is_empty(self) -> bool:
@@ -201,6 +208,19 @@ def coverage_at_least(
     )
 
 
+def _scaled_ends(
+    parts: Sequence[RationalInterval],
+) -> tuple[int, list[tuple[int, int]]]:
+    """One common denominator of the parts' endpoints (1 for no parts) and
+    each part's (lo, hi) as integers over it."""
+    den = math.lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
+    return den, [
+        (p.lo.numerator * (den // p.lo.denominator),
+         p.hi.numerator * (den // p.hi.denominator))
+        for p in parts
+    ]
+
+
 def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUnion:
     """The points lying in at least `threshold` of `parts`, as maximal runs.
 
@@ -210,15 +230,12 @@ def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUn
     A run opens where the count reaches the threshold and closes where it
     drops, so the runs come out sorted, disjoint and non-touching.
     """
-    # endpoints scaled to integers over one common denominator, so the sort
-    # and the grouping compare ints, not Fractions
-    scale = math.lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
     # (scaled x, x, change of the count at x, change of the count right of
-    # x), both changes measured from the count just left of x
+    # x), both changes measured from the count just left of x; x is scaled
+    # to an integer over one common denominator, so the sort and the
+    # grouping compare ints, not Fractions
     events: list[tuple[int, Fraction, int, int]] = []
-    for p in parts:
-        lo = p.lo.numerator * (scale // p.lo.denominator)
-        hi = p.hi.numerator * (scale // p.hi.denominator)
+    for p, (lo, hi) in zip(parts, _scaled_ends(parts)[1]):
         if lo == hi:
             events.append((lo, p.lo, 1, 0))
         else:

@@ -413,6 +413,8 @@ def slope_bounds_check(
     """
     if w >= z:
         raise ValueError("requires w < z")
+    if grid < 1:
+        raise ValueError("requires grid >= 1")
     if grid * (grid + 1) // 2 > SLOPE_GRID_PAIR_BUDGET:
         raise BudgetExceeded("too many grid pairs")
     for iv in c.all_intervals():

@@ -193,6 +193,43 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["summary"]["failed"] == 0
 
 
+def test_out_to_a_missing_directory_is_one_labcli_line(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    proc = run_labcli(
+        "--out", str(target), "verify", "--fixture", fixture("ml_geometric.json")
+    )
+    line = assert_one_labcli_line(proc)
+    assert line.startswith(f"labcli: cannot write --out {target}: ")
+    assert not target.exists()
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
+    # help is wrapped to the terminal width; pin it for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    target = tmp_path / "evaluate.json"
+    calls = [
+        ["--format", "text", "verify", "--fixture", fixture("measure_uniform.json")],
+        ["verify", "--fixture", fixture("ml_geometric.json")],
+        ["--out", str(target), "evaluate", "--fixture", fixture("ml_geometric.json"),
+         "--name", fixture("name_half_script.json"), "--depth", "4"],
+        ["verify", "--depth", "x", "--fixture", fixture("ml_geometric.json")],
+        ["--help"],
+        ["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "4"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = target.read_text() if "--out" in argv else None
+        in_process.append((code, captured.out, captured.err, written))
+    assert [c[0] for c in in_process] == [0, 0, 1, 2, 0, 0]
+    for argv, got in zip(calls, in_process):
+        target.unlink(missing_ok=True)
+        proc = run_labcli(*argv)
+        written = target.read_text() if "--out" in argv else None
+        assert got == (proc.returncode, proc.stdout, proc.stderr, written), argv
+
+
 def test_report_deterministic_across_workers(capsys):
     outputs = []
     for workers in ("1", "3"):

@@ -4,7 +4,7 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randlab import randomness
 from randlab.errors import ParseError
@@ -93,6 +93,77 @@ def test_parse_rejects_a_non_string_by_value(bad):
         parse_interval(bad)
 
 
+def ref_parse_rational(text):
+    """The parse that reading two ints replaced: the pattern, then
+    `Fraction(str)`, which reads the text a second time."""
+    if not isinstance(text, str):
+        raise ParseError(f'bad rational {text!r}: expected a "p/q" string')
+    s = text.strip()
+    if not re.fullmatch(r"-?\d+(/\d+)?", s):
+        raise ParseError(f"bad rational {text!r}: expected p/q")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"bad rational {text!r}: zero denominator") from exc
+
+
+def outcome(fn, arg):
+    """The value fn returns, with its type, or the type and message of what
+    it raises."""
+    try:
+        value = fn(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# ASCII and other Unicode decimal digits, with "_" (which Fraction(str)
+# accepts between digits and the pattern does not)
+digit_runs = st.text(
+    alphabet=st.one_of(st.sampled_from("0123456789_"), st.characters(categories=["Nd"])),
+    max_size=6,
+)
+# str.strip whitespace, and U+200B, which is not whitespace
+spaces = st.text(
+    alphabet=st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000\u200b"), max_size=3
+)
+rational_texts = st.builds(
+    lambda *pieces: "".join(pieces),
+    spaces,
+    st.sampled_from(["", "-", "+", "--", "+-", "-+"]),
+    digit_runs,
+    st.sampled_from(["", "/", "/0", "//", "/-", "/+", "."]),
+    digit_runs,
+    spaces,
+)
+parse_inputs = st.one_of(
+    rational_texts,
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.binary(max_size=4),
+    st.lists(st.text(max_size=3), max_size=2),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(parse_inputs)
+@example(" -\u0967\u0966/\u0968\u3000")
+@example("-0/00")
+@example("1_0")
+@example("+1")
+@example("/2")
+@example("1/")
+@example("\u200b1")
+def test_parse_rational_equals_reference(text):
+    assert outcome(parse_rational, text) == outcome(ref_parse_rational, text)
+
+
+def test_parse_rational_reads_unicode_digits():
+    assert parse_rational("\u0663/\u0664") == Fraction(3, 4)
+
+
 @given(interval_strategy())
 def test_interval_round_trip(iv):
     assert parse_interval(format_interval(iv)) == iv
@@ -125,6 +196,42 @@ def test_normalize_union_is_canonical(ivs):
         assert a.disjoint_from(b)
     # idempotent
     assert normalize_union(parts) == u
+
+
+def ref_measure(u: IntervalUnion) -> Fraction:
+    """The measure that one common denominator replaced: the parts'
+    Fraction lengths, added one at a time."""
+    return sum((p.length for p in u.parts), Fraction(0))
+
+
+# pairwise coprime denominators of 9 to 27 digits, so a common
+# denominator of a few endpoints runs to hundreds of bits
+huge_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([2**61 - 1, 2**89 - 1, 10**9 + 7, 998244353, 3**40, 5**27]),
+)
+
+
+def _interval(lo, hi, lo_open, hi_open):
+    if lo == hi:
+        return RationalInterval(lo, hi)  # a degenerate point is closed
+    return RationalInterval(min(lo, hi), max(lo, hi), lo_open, hi_open)
+
+
+measure_ends = st.one_of(unit_rationals, huge_rationals, st.integers(0, 4).map(Fraction))
+measure_intervals = st.builds(
+    _interval, measure_ends, measure_ends, st.booleans(), st.booleans()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(measure_intervals, max_size=8), st.booleans())
+def test_measure_equals_reference(ivs, canonical):
+    u = normalize_union(ivs) if canonical else IntervalUnion(tuple(ivs))
+    got = u.measure
+    assert type(got) is Fraction
+    assert got == ref_measure(u)
 
 
 @given(st.lists(interval_strategy(), max_size=8))

@@ -126,6 +126,12 @@ def test_cover_without_size_bound_is_a_cover_violation():
         slope_bounds_check(identity_fn(), c, Fraction(0), Fraction(2), 8)
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_slope_bounds_reject_an_empty_grid(grid):
+    with pytest.raises(ValueError, match=r"requires grid >= 1"):
+        slope_bounds_check(square_fn(), StagedCover((), ()), Fraction(0), Fraction(1), grid)
+
+
 def test_truncation_linear_inside_cover():
     g = truncate(square_fn(), HALF_COVER)
     # chord from (0,0) to (1/2,1/4) has slope 1/2
