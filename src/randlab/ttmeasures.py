@@ -9,10 +9,11 @@ of dyadic prefixes along the quantile coupling.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, product, repeat
 from typing import Callable
 
 from .cauchy import ModulusFunction, ceil_log2
@@ -28,6 +29,9 @@ from .markov import MarkovFunction
 from .randomness import CheckRecord
 
 USE_BOUND_BUDGET = 24
+# inputs a tally enumerates per batch: the enumeration streams, and a batch
+# of 24-bit inputs stays near 0.25 MiB
+TALLY_RUN = 1024
 TRANSPORT_LENGTH_CAP = 64
 OMEGA_CE_DEFAULT_BUDGET = 16
 
@@ -36,17 +40,16 @@ OMEGA_CE_DEFAULT_BUDGET = 16
 class TTFunctional:
     """A total functional on Cantor space in Nerode form.
 
-    output_bit(bits, n) computes bit n of the output from input bits
-    0..use_bound(n)-1 only; use_bound must be nondecreasing.
+    output_bit(bits, n) returns bit n of the output as the int 0 or 1 (a
+    tally packs the bits of each output into bytes, where True would read
+    as 1), computed from input bits 0..use_bound(n)-1 only; use_bound must
+    be nondecreasing.
     """
 
     name: str
     use_bound: Callable[[int], int]
     output_bit: Callable[[tuple[int, ...], int], int]
     _tally: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def apply_prefix(self, bits: tuple[int, ...], length: int) -> tuple[int, ...]:
-        return tuple(self.output_bit(bits, n) for n in range(length))
 
 
 def identity_tt() -> TTFunctional:
@@ -77,10 +80,20 @@ def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
         raise BudgetExceeded(
             f"use bound {u} at length {length} exceeds {USE_BOUND_BUDGET}"
         )
-    counts: dict[str, int] = {}
-    for bits in itertools.product((0, 1), repeat=u):
-        out = "".join(str(b) for b in phi.apply_prefix(bits, length))
-        counts[out] = counts.get(out, 0) + 1
+    if length == 0:  # no columns to zip: the one empty input maps onto ""
+        counts = {"": 1}
+    else:
+        # one map over a run of inputs per output position; the zipped
+        # columns are the outputs, counted as bytes (about a third of a tuple's size)
+        rows: Counter = Counter()
+        inputs = product((0, 1), repeat=u)
+        while run := tuple(islice(inputs, TALLY_RUN)):
+            columns = (map(phi.output_bit, run, repeat(n)) for n in range(length))
+            rows.update(map(bytes, zip(*columns)))
+        counts = {}
+        while rows:  # convert as popped, so one key set is alive at a time
+            row, c = rows.popitem()
+            counts["".join(map(str, row))] = c
     phi._tally[length] = counts
     return counts
 
@@ -141,15 +154,20 @@ def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
 
 def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]:
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
-    plus total mass 1 at the root."""
+    plus total mass 1 at the root and one failed record for the first
+    negative mass in level order, if any."""
     masses = [mu("")]
     checks = [
         CheckRecord("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
     ]
+    negative = _first_negative(masses, 0)
     for k in range(depth):
         children = [mu(s) for s in bit_strings(k + 1)]
         for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
-            if lhs != m0 + m1:
+            # lhs = m0 + m1 over the product of the denominators, in ints
+            d0, d1 = m0.denominator, m1.denominator
+            rhs_n = m0.numerator * d1 + m1.numerator * d0
+            if lhs.numerator * d0 * d1 != rhs_n * lhs.denominator:
                 checks.append(
                     CheckRecord(
                         f"additivity[{s or 'ε'}]",
@@ -157,10 +175,24 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
                         f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
                     )
                 )
+        if negative is None:
+            negative = _first_negative(children, k + 1)
         masses = children
+    if negative is not None:
+        checks.append(negative)
     if all(c.passed for c in checks):
         checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
     return tuple(checks)
+
+
+def _first_negative(masses: list[Fraction], length: int) -> CheckRecord | None:
+    """The failed record for the first negative mass of one level, if any;
+    the level's strings are built only then."""
+    for i, m in enumerate(masses):
+        if m.numerator < 0:
+            s = bit_strings(length)[i] or "ε"
+            return CheckRecord(f"nonnegative[{s}]", False, f"mass({s}) = {format_rational(m)}")
+    return None
 
 
 def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
@@ -293,15 +325,22 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
 
+    # the hull's lower end over [0.prefix, 0.prefix + 2^-u), once per
+    # (u, prefix); u is in the key because bits may be shorter than u
+    hull_lo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+
     def output_bit(bits: tuple[int, ...], n: int) -> int:
         u = use_bound(n)
-        prefix = "".join(str(b) for b in bits[:u])
-        lo = dyadic_value(prefix)
-        hi = lo + Fraction(1, 2**u)
-        ylo = min(g(lo), g(hi))
-        for cp in g.critical_points:
-            if lo < cp < hi:
-                ylo = min(ylo, g(cp))
+        key = (u, bits[:u])
+        ylo = hull_lo.get(key)
+        if ylo is None:
+            lo = dyadic_value("".join(map(str, key[1])))
+            hi = lo + Fraction(1, 2**u)
+            ylo = min(g(lo), g(hi))
+            for cp in g.critical_points:
+                if lo < cp < hi:
+                    ylo = min(ylo, g(cp))
+            hull_lo[key] = ylo
         if ylo >= 1:
             return 1
         scaled = ylo * 2 ** (n + 1)

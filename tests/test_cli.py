@@ -77,6 +77,18 @@ def test_verify_broken_schnorr_exits_one(tmp_path, capsys):
     assert "1/8" in fails[0]["detail"] and "1/4" in fails[0]["detail"]
 
 
+def test_verify_negative_table_measure_exits_one(tmp_path, capsys):
+    # additive with total mass 1, but two cylinders carry negative mass
+    table = {"": "1", "0": "2", "1": "-1", "00": "1", "01": "1", "10": "-1/2", "11": "-1/2"}
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"type": "measure", "rule": "table", "table": table}))
+    code, out = run(capsys, "--format", "text", "verify", "--depth", "2", "--fixture", str(bad))
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL negative.json:nonnegative[1] mass(1) = -1/1"]
+    assert out.splitlines()[-1] == "1/2 checks passed"
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["verify"]) == 2  # missing --fixture
     assert main(["no-such-command"]) == 2

@@ -1,14 +1,19 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from randlab import ttmeasures
 from randlab.cauchy import ModulusFunction
 from randlab.errors import AtomSuspected, BudgetExceeded, ZeroMassCylinder
-from randlab.intervals import bit_strings, dyadic_value
-from randlab.markov import half_fn, identity_fn
+from randlab.intervals import bit_strings, dyadic_value, format_rational
+from randlab.markov import half_fn, identity_fn, square_fn
+from randlab.randomness import CheckRecord
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
@@ -16,6 +21,8 @@ from randlab.ttmeasures import (
     MonotoneCDF,
     TransportResult,
     TransportStatus,
+    TTFunctional,
+    _tally_for_length,
     bernoulli_measure,
     bit_flip_tt,
     cdf,
@@ -46,6 +53,88 @@ def brute_force_preimage(phi, sigma: str) -> Fraction:
         if out == sigma:
             hits += 1
     return Fraction(hits, 2**u)
+
+
+def ref_apply_prefix(phi, bits, length):
+    """The first `length` output bits, one output_bit call each."""
+    return tuple(phi.output_bit(bits, n) for n in range(length))
+
+
+def ref_tally_for_length(phi, length):
+    """Every input block of length use_bound(length-1), mapped bit by bit
+    and counted under its output string."""
+    u = phi.use_bound(length - 1) if length > 0 else 0
+    counts = {}
+    for bits in itertools.product((0, 1), repeat=u):
+        out = "".join(str(b) for b in ref_apply_prefix(phi, bits, length))
+        counts[out] = counts.get(out, 0) + 1
+    return counts
+
+
+def counting(phi, key):
+    """phi with a fresh tally, and a Counter of key(bits, n) over its
+    output_bit calls."""
+    calls = Counter()
+
+    def output_bit(bits, n):
+        calls[key(bits, n)] += 1
+        return phi.output_bit(bits, n)
+
+    return dataclasses.replace(phi, output_bit=output_bit, _tally={}), calls
+
+
+@st.composite
+def truth_tables(draw):
+    """A functional of nondecreasing use bounds up to 9 whose output bit n is
+    a random 0/1 int table on the first use_bound(n) input bits, and the
+    number of output bits it defines."""
+    length = draw(st.integers(0, 5))
+    uses = sorted(draw(st.lists(st.integers(0, 9), min_size=length, max_size=length)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tables = [[rng.randint(0, 1) for _ in range(2**u)] for u in uses]
+
+    def output_bit(bits, n):
+        return tables[n][int("".join(map(str, bits[: uses[n]])) or "0", 2)]
+
+    return TTFunctional("random", uses.__getitem__, output_bit), length
+
+
+@settings(max_examples=150, deadline=None)
+@given(truth_tables(), st.sampled_from([1, 3, 64, ttmeasures.TALLY_RUN]))
+def test_tally_matches_per_length_enumeration(drawn, run):
+    phi, length = drawn
+    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
+        for k in range(length + 1):
+            assert _tally_for_length(phi, k) == ref_tally_for_length(phi, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(truth_tables(), st.sampled_from([1, 3, ttmeasures.TALLY_RUN]))
+def test_tally_makes_the_per_length_output_bit_calls(drawn, run):
+    base, length = drawn
+    phi, calls = counting(base, lambda bits, n: (bits, n))
+    ref, ref_calls = counting(base, lambda bits, n: (bits, n))
+    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
+        for k in range(length + 1):
+            _tally_for_length(phi, k)
+            ref_tally_for_length(ref, k)
+    assert calls == ref_calls
+
+
+def test_pairwise_or_to_length_8_makes_the_pinned_output_bit_calls():
+    # the oracle reads every input block of 2L bits once per output bit n < L
+    phi, calls = counting(pairwise_or_tt(), lambda bits, n: n)
+    assert all(c.passed for c in validate_measure(materialize_measure(phi), 8))
+    assert calls == {n: sum(4**k for k in range(n + 1, 9)) for n in range(8)}
+    assert sum(calls.values()) == 669_924
+
+
+def test_pairwise_or_call_multiset_matches_oracle_across_runs():
+    phi, calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
+    ref, ref_calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
+    for k in range(8):  # 2^14 inputs at length 7: several runs
+        assert _tally_for_length(phi, k) == ref_tally_for_length(ref, k)
+    assert calls == ref_calls
 
 
 def test_pairwise_or_known_values():
@@ -198,7 +287,7 @@ def test_tt_from_ucf_identity_round_trip():
     for i in range(16):
         s = format(i, "04b")
         bits = tuple(int(b) for b in s + "0" * 8)
-        out = "".join(str(b) for b in phi.apply_prefix(bits, 4))
+        out = "".join(str(b) for b in ref_apply_prefix(phi, bits, 4))
         assert out == s
 
 
@@ -206,7 +295,7 @@ def test_tt_from_ucf_halving_map():
     # g(x) = x/2 maps [0.1...] to [0.01...]
     phi = tt_from_ucf(half_fn(), 8)
     bits = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    out = phi.apply_prefix(bits, 3)
+    out = ref_apply_prefix(phi, bits, 3)
     assert out == (0, 1, 0)
 
 
@@ -350,3 +439,105 @@ def test_transport_at_the_length_cap_matches_fraction_descent(length, bit):
     mu = uniform_measure()
     a = bit * length
     assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
+
+
+def ref_tt_from_ucf(g, depth):
+    """tt_from_ucf with the hull computed afresh on every output_bit call."""
+    use_bound = tt_from_ucf(g, depth).use_bound
+
+    def output_bit(bits, n):
+        u = use_bound(n)
+        prefix = "".join(str(b) for b in bits[:u])
+        lo = dyadic_value(prefix)
+        hi = lo + Fraction(1, 2**u)
+        ylo = min(g(lo), g(hi))
+        for cp in g.critical_points:
+            if lo < cp < hi:
+                ylo = min(ylo, g(cp))
+        if ylo >= 1:
+            return 1
+        scaled = ylo * 2 ** (n + 1)
+        return int(scaled) & 1
+
+    return TTFunctional(f"tt({g.name})", use_bound, output_bit)
+
+
+@pytest.mark.parametrize(
+    "g, length",
+    [(square_fn(), 7), (half_fn(), 8), (identity_fn(), 8)],
+    ids=["square", "half", "identity"],
+)
+def test_hull_cache_matches_per_call_hull(g, length):
+    phi, ref = tt_from_ucf(g, 8), ref_tt_from_ucf(g, 8)
+    # every tuple up to u(length-1) bits, so also tuples shorter than u(n):
+    # one tuple read at several n shares bits[:u] across different u
+    for m in range(phi.use_bound(length - 1) + 1):
+        for bits in itertools.product((0, 1), repeat=m):
+            for n in range(length):
+                assert phi.output_bit(bits, n) == ref.output_bit(bits, n), (bits, n)
+
+
+def ref_validate_measure(mu, depth):
+    """Each mass against the Fraction sum of its children, level by level."""
+    masses = [mu("")]
+    checks = [
+        CheckRecord("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
+    ]
+    for k in range(depth):
+        children = [mu(s) for s in bit_strings(k + 1)]
+        for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
+            if lhs != m0 + m1:
+                checks.append(
+                    CheckRecord(
+                        f"additivity[{s or 'ε'}]",
+                        False,
+                        f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
+                    )
+                )
+        masses = children
+    if all(c.passed for c in checks):
+        checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
+    return tuple(checks)
+
+
+@st.composite
+def mass_tables(draw):
+    """A table on {0,1}^{<=d}: each inner mass the sum of its children, as
+    ints, Fractions over one denominator or scaled to total mass 1, some
+    entries then turned into Fractions or moved (leaky), some maybe < 0."""
+    depth = draw(st.integers(0, 6))
+    low = draw(st.sampled_from([0, 0, -1]))
+    leaves = draw(st.lists(st.integers(low, 8), min_size=2**depth, max_size=2**depth))
+    table = dict(zip(bit_strings(depth), leaves))
+    for k in reversed(range(depth)):
+        for s in bit_strings(k):
+            table[s] = table[s + "0"] + table[s + "1"]
+    den = draw(st.sampled_from([None, 3, 12, "root"]))
+    if den is not None:
+        den = (table[""] or 1) if den == "root" else den
+        table = {s: Fraction(v, den) for s, v in table.items()}
+    cells = st.sampled_from(sorted(table))
+    for s in draw(st.lists(cells, max_size=3)):
+        table[s] = Fraction(table[s])
+    for s in draw(st.lists(cells, max_size=3)):
+        table[s] += draw(st.integers(-2, 2))
+    return depth, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(mass_tables(), st.data())
+def test_validate_measure_matches_fraction_sums(dt, data):
+    depth, table = dt
+    d = data.draw(st.integers(0, depth))
+    mu = table_measure("drawn", table)
+    want = ref_validate_measure(mu, d)
+    negative = [s for k in range(d + 1) for s in bit_strings(k) if table[s] < 0]
+    if negative:
+        # the first negative mass in level order fails one more record,
+        # and so the closing record of an otherwise passing run goes
+        s = negative[0]
+        name = s or "ε"
+        want = want[:-1] if all(c.passed for c in want) else want
+        detail = f"mass({name}) = {format_rational(table[s])}"
+        want += (CheckRecord(f"nonnegative[{name}]", False, detail),)
+    assert validate_measure(mu, d) == want
