@@ -18,6 +18,7 @@ from . import __version__, derivatives, markov, martingales, randomness, seriali
 from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
+    _sum_over_lcm,
     bit_strings,
     format_interval,
     format_rational,
@@ -58,18 +59,27 @@ def _verify_test_family(doc: dict[str, Any], tag: str, depth: int) -> list[dict]
     return records
 
 
+def _table_depth(doc: dict[str, Any], cap: int) -> int:
+    """cap, or for a decoded table fixture the smaller of cap and the depth
+    the table is given to: its longest bit-string key.  A level shorter than
+    that with a missing string is a hole, read as such."""
+    if doc["rule"] != "table":
+        return cap
+    return min(cap, max((len(s) for s in doc["table"] if not s.strip("01")), default=0))
+
+
 def _verify_measure(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     mu = serialize.measure_from_json(doc)
-    checks = ttmeasures.validate_measure(mu, min(depth, 6))
+    checks = ttmeasures.validate_measure(mu, _table_depth(doc, min(depth, 6)))
     return [_record(f"{tag}:{c.name}", c.passed, c.detail) for c in checks]
 
 
 def _verify_martingale(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     m = serialize.martingale_from_json(doc)
-    d = min(depth, 8)
+    d = _table_depth(doc, min(depth, 8))
     rep = martingales.check_fairness(m, d)
     records = [_record(f"{tag}:fairness_to_depth_{d}", rep.ok, rep.violation or "")]
-    level_sum = sum((m.value(s) for s in bit_strings(d)), Fraction(0))
+    level_sum = Fraction(*_sum_over_lcm([m.value(s) for s in bit_strings(d)]))
     expected = 2**d * m.initial_capital
     records.append(
         _record(

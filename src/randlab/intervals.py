@@ -174,9 +174,14 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
 
 def dyadic_value(sigma: str) -> Fraction:
     """0.sigma as an exact rational (empty string -> 0)."""
-    if sigma and set(sigma) - {"0", "1"}:
-        raise ParseError(f"bad bit string {sigma!r}")
+    _check_bits(sigma)
     return Fraction(int(sigma, 2) if sigma else 0, 2 ** len(sigma))
+
+
+def _check_bits(sigma: str) -> None:
+    """Raise ParseError unless every character of sigma is 0 or 1."""
+    if sigma.strip("01"):
+        raise ParseError(f"bad bit string {sigma!r}")
 
 
 def dyadic_cylinder(sigma: str) -> RationalInterval:
@@ -219,6 +224,14 @@ def _scaled_ends(
          p.hi.numerator * (den // p.hi.denominator))
         for p in parts
     ]
+
+
+def _sum_over_lcm(values: Sequence[Fraction]) -> tuple[int, int]:
+    """The sum of the rationals as (numerator, denominator) ints over the lcm
+    of their denominators; (0, 1) for none."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in pairs])
+    return sum([n * (den // d) for n, d in pairs]), den
 
 
 def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUnion:

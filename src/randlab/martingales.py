@@ -6,6 +6,7 @@ within a depth budget, satisfying 2M(σ) = M(σ0) + M(σ1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -26,7 +27,7 @@ class Martingale:
         if len(sigma) > self.depth_budget:
             raise BudgetExceeded(f"|sigma| > {self.depth_budget}")
         v = self.value_at(sigma)
-        if v < 0:
+        if v.numerator < 0:
             raise InvariantViolation(f"negative capital at {sigma!r}")
         return v
 
@@ -85,17 +86,20 @@ def check_fairness(m: Martingale, depth: int) -> FairnessReport:
     """2M(σ) = M(σ0) + M(σ1) exactly, for every σ with |σ| < depth."""
     if depth > FAIRNESS_DEPTH_BUDGET:
         raise BudgetExceeded(f"depth > {FAIRNESS_DEPTH_BUDGET}")
-    stack = [""]
+    stack = [""] if depth > 0 else []
     while stack:
         s = stack.pop()
-        if len(s) >= depth:
-            continue
         v, v0, v1 = m.value(s), m.value(s + "0"), m.value(s + "1")
-        if 2 * v != v0 + v1:
+        # 2·v = v0 + v1 over the product of the denominators, in ints
+        (n, d), (n0, d0), (n1, d1) = (
+            v.as_integer_ratio(), v0.as_integer_ratio(), v1.as_integer_ratio()
+        )
+        if 2 * n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
             return FairnessReport(
                 False, f"fairness fails at {s!r}: 2·{v} != {v0} + {v1}"
             )
-        stack.extend((s + "0", s + "1"))
+        if len(s) + 1 < depth:
+            stack.extend((s + "0", s + "1"))
     return FairnessReport(True)
 
 
@@ -125,23 +129,34 @@ def savings_transform(m: Martingale, depth: int) -> Martingale:
     M'(τ) >= M'(σ) - 2·M(ε) for all τ ⊒ σ within depth.
     """
     ref = m.initial_capital
+    rn, rd = ref.as_integer_ratio()
     table: dict[str, Fraction] = {"": ref}
-    # (base capital, working, bank) at each node of the current level
-    level = [(ref, ref, Fraction(0))]
+    # At each node of the current level: the base capital v, the number j of
+    # banking events on the path, and the bank bn/bd.  The working capital
+    # follows the bets, w = v/2^j, until it first reaches 0; zero working
+    # capital is absorbing (j is None), even where a later base capital is not 0.
+    level = [(ref, 0 if rn else None, 0, 1)]
     for k in range(1, depth + 1):
-        strings = bit_strings(k)
         nxt = []
-        for i, s in enumerate(strings):
-            base, w, b = level[i // 2]
+        for i, s in enumerate(bit_strings(k)):
+            base, j, bn, bd = level[i >> 1]
             # a zero capital places no bet: at the last level its children go unread
-            v = m.value(s) if base != 0 or k < depth else None
-            if base != 0:
-                w = w * (v / base)
-            if ref > 0 and w >= 2 * ref:
-                b += w / 2
-                w = w / 2
-            nxt.append((v, w, b))
-        table.update(zip(strings, (w + b for _, w, b in nxt)))
+            v = m.value(s) if base or k < depth else None
+            if j is not None and v:
+                vn, vd = v.as_integer_ratio()
+                wd = vd << j
+                if rn and vn * rd >= (rn * wd) << 1:
+                    # w >= 2·ref: half of w moves to the bank
+                    wd <<= 1
+                    j += 1
+                    bn, bd = bn * wd + vn * bd, bd * wd
+                    g = math.gcd(bn, bd)
+                    bn, bd = bn // g, bd // g
+                table[s] = Fraction(vn * bd + bn * wd, wd * bd)
+            else:
+                j = None
+                table[s] = Fraction(bn, bd)
+            nxt.append((v, j, bn, bd))
         level = nxt
     return Martingale(f"savings({m.name})", lambda s: table[s], depth_budget=depth)
 
@@ -155,20 +170,38 @@ def savings_violation_search(
     it; τ is the first violation in the depth-first preorder under σ that
     visits the 1-child before the 0-child.
     """
-    values = [[m.value(s) for s in bit_strings(k)] for k in range(depth + 1)]
+    # every capital as an int pair (n, d), d > 0; pairs compare by cross-multiplying
+    values = [
+        [v.as_integer_ratio() for v in map(m.value, bit_strings(k))]
+        for k in range(depth + 1)
+    ]
     lows = values[-1:]  # lows[k][i]: the least capital below node i of level k
     for level in reversed(values[:-1]):
-        lows.insert(0, [min(v, *lows[0][2 * i : 2 * i + 2]) for i, v in enumerate(level)])
+        below = lows[0]
+        lows.insert(0, [_min3(v, below[2 * i], below[2 * i + 1]) for i, v in enumerate(level)])
+    dn, dd = drop.as_integer_ratio()
     for k, level in enumerate(values):
-        for i, v in enumerate(level):
-            bar = v - drop
-            if lows[k][i] < bar:
+        for i, (vn, vd) in enumerate(level):
+            bn, bd = vn * dd - dn * vd, vd * dd  # bar = v - drop
+            ln, ld = lows[k][i]
+            if ln * bd < bn * ld:
                 sigma = tau = bit_strings(k)[i]
-                while values[len(tau)][i] >= bar:
-                    bit = int(lows[len(tau) + 1][2 * i + 1] < bar)
+                while True:
+                    tn, td = values[len(tau)][i]
+                    if tn * bd < bn * td:
+                        break
+                    ln, ld = lows[len(tau) + 1][2 * i + 1]
+                    bit = int(ln * bd < bn * ld)
                     i, tau = 2 * i + bit, tau + str(bit)
                 return sigma, tau
     return None
+
+
+def _min3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]:
+    """The least of three (numerator, positive denominator) pairs."""
+    if b[0] * a[1] < a[0] * b[1]:
+        a = b
+    return c if c[0] * a[1] < a[0] * c[1] else a
 
 
 def savings_growth_constants(
@@ -181,15 +214,27 @@ def savings_growth_constants(
     path.
     """
     c = base.initial_capital
-    # running maxima of both capitals along the path to each node of a level
-    peaks = [(c, transformed.initial_capital)]
+    t = transformed.initial_capital
+    # running maxima of both capitals along the path to each node of a level,
+    # as (numerator, denominator) int pairs
+    peaks = [c.as_integer_ratio() + t.as_integer_ratio()]
     for k in range(1, depth + 1):
-        peaks = [
-            (max(peaks[i // 2][0], base.value(s)), max(peaks[i // 2][1], transformed.value(s)))
-            for i, s in enumerate(bit_strings(k))
-        ]
-    worst = Fraction(0)
-    for mx_base, mx_tr in peaks:
-        log2_floor = max(0, mx_base.numerator.bit_length() - 1) if mx_base >= 1 else 0
-        worst = max(worst, c * log2_floor - mx_tr)
-    return c, worst
+        nxt = []
+        for i, s in enumerate(bit_strings(k)):
+            bn, bd, tn, td = peaks[i >> 1]
+            vn, vd = base.value(s).as_integer_ratio()
+            un, ud = transformed.value(s).as_integer_ratio()
+            if vn * bd > bn * vd:
+                bn, bd = vn, vd
+            if un * td > tn * ud:
+                tn, td = un, ud
+            nxt.append((bn, bd, tn, td))
+        peaks = nxt
+    cn, cd = c.as_integer_ratio()
+    wn, wd = 0, 1  # the worst c·log2 - max M' so far
+    for bn, bd, tn, td in peaks:
+        log2_floor = max(0, bn.bit_length() - 1) if bn >= bd else 0
+        n, d = cn * log2_floor * td - tn * cd, cd * td
+        if n * wd > wn * d:
+            wn, wd = n, d
+    return c, Fraction(wn, wd)

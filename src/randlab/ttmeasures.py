@@ -24,7 +24,13 @@ from .errors import (
     ParseError,
     ZeroMassCylinder,
 )
-from .intervals import bit_strings, dyadic_value, format_rational
+from .intervals import (
+    _check_bits,
+    _sum_over_lcm,
+    bit_strings,
+    dyadic_value,
+    format_rational,
+)
 from .markov import MarkovFunction
 from .randomness import CheckRecord
 
@@ -163,14 +169,17 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
     negative = _first_negative(masses, 0)
     for k in range(depth):
         children = [mu(s) for s in bit_strings(k + 1)]
-        for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
+        names = None  # the level's strings, built only to name a failed record
+        for i, (lhs, m0, m1) in enumerate(zip(masses, children[::2], children[1::2])):
             # lhs = m0 + m1 over the product of the denominators, in ints
-            d0, d1 = m0.denominator, m1.denominator
-            rhs_n = m0.numerator * d1 + m1.numerator * d0
-            if lhs.numerator * d0 * d1 != rhs_n * lhs.denominator:
+            (n, d), (n0, d0), (n1, d1) = (
+                lhs.as_integer_ratio(), m0.as_integer_ratio(), m1.as_integer_ratio()
+            )
+            if n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
+                names = names or bit_strings(k)
                 checks.append(
                     CheckRecord(
-                        f"additivity[{s or 'ε'}]",
+                        f"additivity[{names[i] or 'ε'}]",
                         False,
                         f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
                     )
@@ -206,12 +215,20 @@ def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
     if den & (den - 1):
         raise ValueError("argument must be dyadic")
     length = den.bit_length() - 1
-    bits = format(num, f"0{length}b") if length else ""
-    total = Fraction(0)
-    for i, b in enumerate(bits):
-        if b == "1":
-            total += mu(bits[:i] + "0")
-    return total
+    return Fraction(*_cdf_ints(mu, format(num, f"0{length}b") if length else ""))
+
+
+def _cdf_ints(mu: CylinderMeasure, sigma: str, right: bool = False) -> tuple[int, int]:
+    """g at the left end of the cylinder [σ), or at its right end, as a
+    (numerator, denominator) int pair: the masses μ(σ[:i] + "0") left of the
+    point, one per 1-bit at i, summed over one lcm.  σ must be a bit string.
+    The right end of [p01…1) is 0.p1, and 1 = μ(ε) for a σ without a 0."""
+    if right:
+        i = sigma.rfind("0")
+        if i < 0:
+            return mu("").as_integer_ratio()
+        sigma = sigma[:i] + "1"
+    return _sum_over_lcm([mu(sigma[:i] + "0") for i, b in enumerate(sigma) if b == "1"])
 
 
 class TransportStatus(enum.Enum):
@@ -238,36 +255,35 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
         raise BudgetExceeded(
             f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
         )
-    lo = cdf(mu, dyadic_value(a_prefix))
-    hi = cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
-    if lo == hi:
+    _check_bits(a_prefix)
+    # lo = lo_n/q and hi = hi_n/q in ints
+    (lo_n, lo_d), (hi_n, hi_d) = _cdf_ints(mu, a_prefix), _cdf_ints(mu, a_prefix, True)
+    q = math.lcm(lo_d, hi_d)
+    lo_n, hi_n = lo_n * (q // lo_d), hi_n * (q // hi_d)
+    if lo_n == hi_n:
         raise ZeroMassCylinder(f"cylinder {a_prefix!r} has image of length 0")
     if len(a_prefix) >= 8:
         half = a_prefix[: len(a_prefix) // 2]
-        h_lo = cdf(mu, dyadic_value(half))
-        h_hi = cdf(mu, dyadic_value(half) + Fraction(1, 2 ** len(half)))
-        if hi - lo > (h_hi - h_lo) / 2:
+        (h_lo, h_lo_d), (h_hi, h_hi_d) = _cdf_ints(mu, half), _cdf_ints(mu, half, True)
+        # hi - lo > (h_hi - h_lo)/2, cross-multiplied by the positive 2·q·h_lo_d·h_hi_d
+        if 2 * (hi_n - lo_n) * h_lo_d * h_hi_d > (h_hi * h_lo_d - h_lo * h_hi_d) * q:
             raise AtomSuspected(
                 f"image of {a_prefix!r} is not shrinking against its half-prefix"
             )
-    # descend in integers: lo = lo_n/q, hi = hi_n/q, the output cylinder is
-    # [j/2^k, (j+1)/2^k) and its midpoint (2j+1)/2^(k+1)
-    q = math.lcm(lo.denominator, hi.denominator)
-    lo_n, hi_n = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-    c = ""
-    j = 0
-    for k in range(TRANSPORT_LENGTH_CAP):
+    # descend: the output cylinder is [j/2^k, (j+1)/2^k), its midpoint (2j+1)/2^(k+1)
+    j = k = 0
+    while k < TRANSPORT_LENGTH_CAP:
         mid_q = (2 * j + 1) * q
         if hi_n << (k + 1) <= mid_q:
             j = 2 * j
-            c += "0"
         elif lo_n << (k + 1) >= mid_q:
             j = 2 * j + 1
-            c += "1"
         else:
             break
-    status = TransportStatus.OK if len(c) >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT
-    return TransportResult(c, status, lo, hi)
+        k += 1
+    c = format(j, f"0{k}b") if k else ""
+    status = TransportStatus.OK if k >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT
+    return TransportResult(c, status, Fraction(lo_n, q), Fraction(hi_n, q))
 
 
 @dataclass(frozen=True)
@@ -287,17 +303,18 @@ def transport_pushforward_check(
     (those whose output is still a proper prefix of τ)."""
     if depth < len(tau):
         raise ValueError("depth must be at least the target length")
-    total = Fraction(0)
-    residual = Fraction(0)
+    inside, boundary = [], []
     for a in bit_strings(depth):
         m = mu(a)
         if m == 0:
             continue
         c = transport(mu, a).c_prefix
         if c.startswith(tau):
-            total += m
+            inside.append(m)
         elif tau.startswith(c):
-            residual += m
+            boundary.append(m)
+    total = Fraction(*_sum_over_lcm(inside))
+    residual = Fraction(*_sum_over_lcm(boundary))
     target = Fraction(1, 2 ** len(tau))
     return PushforwardCheck(
         tau, total, target, residual, abs(total - target) <= residual

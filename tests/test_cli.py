@@ -77,11 +77,17 @@ def test_verify_broken_schnorr_exits_one(tmp_path, capsys):
     assert "1/8" in fails[0]["detail"] and "1/4" in fails[0]["detail"]
 
 
+# additive with total mass 1, but two cylinders carry negative mass
+NEGATIVE_TABLE_MEASURE = {
+    "type": "measure",
+    "rule": "table",
+    "table": {"": "1", "0": "2", "1": "-1", "00": "1", "01": "1", "10": "-1/2", "11": "-1/2"},
+}
+
+
 def test_verify_negative_table_measure_exits_one(tmp_path, capsys):
-    # additive with total mass 1, but two cylinders carry negative mass
-    table = {"": "1", "0": "2", "1": "-1", "00": "1", "01": "1", "10": "-1/2", "11": "-1/2"}
     bad = tmp_path / "negative.json"
-    bad.write_text(json.dumps({"type": "measure", "rule": "table", "table": table}))
+    bad.write_text(json.dumps(NEGATIVE_TABLE_MEASURE))
     code, out = run(capsys, "--format", "text", "verify", "--depth", "2", "--fixture", str(bad))
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -355,7 +361,7 @@ def with_path(name, path, value):
     return doc
 
 
-# a fair table that stops at depth 1: read deeper, it has a hole, not a budget
+# a fair table given to depth 1: verify reads it no deeper, whatever --depth
 SHALLOW_TABLE_MARTINGALE = {
     "type": "martingale", "rule": "table", "table": {"": "1", "0": "1", "1": "1"}
 }
@@ -377,7 +383,6 @@ def with_block(key, value):
         ({"type": "measure", "rule": "table", "table": {"": "1", "0": "1/2"}}, "'1'"),
         ({"type": "martingale", "rule": "table", "table": {"": "1", "0": "1"}},
          "'table' has no capital for '1'"),
-        (SHALLOW_TABLE_MARTINGALE, "'table' has no capital for '10'"),
         ([1, 2], "not a JSON object"),
         (with_path("measure_bernoulli_3_4.json", ["p"], 5), "malformed measure fixture"),
         (with_path("measure_bernoulli_3_4.json", ["p"], 5),
@@ -393,7 +398,7 @@ def with_block(key, value):
         (with_path("ml_geometric.json", ["type"], ["x"]), "unknown fixture type ['x']"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
-         "table-martingale-hole", "table-martingale-shallow", "top-level-list", "measure-p-int",
+         "table-martingale-hole", "top-level-list", "measure-p-int",
          "measure-p-int-named", "union-entry-int", "name-exact-int",
          "update-not-object", "updates-not-list", "update-m-not-int", "update-union-not-list",
          "block-m-not-int", "type-not-string"],
@@ -410,6 +415,25 @@ def test_shallow_table_martingale_passes_to_its_depth(tmp_path, capsys):
     code, out = run(capsys, "verify", "--fixture", str(path), "--depth", "1")
     assert code == 0
     assert all(r["status"] == "PASS" for r in json.loads(out)["records"])
+
+
+@pytest.mark.parametrize(
+    "doc, code, records",
+    [
+        (SHALLOW_TABLE_MARTINGALE, 0, {"fairness_to_depth_1": "PASS", "level_sum_depth_1": "PASS"}),
+        (NEGATIVE_TABLE_MEASURE, 1, {"total_mass": "PASS", "nonnegative[1]": "FAIL"}),
+    ],
+    ids=["martingale-depth-1", "negative-measure-depth-2"],
+)
+def test_table_fixture_verifies_to_its_own_depth(tmp_path, doc, code, records):
+    # at the default --depth 8, a table is read only as deep as its longest key
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    proc = run_labcli("verify", "--fixture", str(path))
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    got = {r["name"]: r["status"] for r in json.loads(proc.stdout)["records"]}
+    assert got == {f"table.json:{name}": status for name, status in records.items()}
 
 
 def test_tree_stage_count_over_budget_exits_two():

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from randlab.errors import InvariantViolation
 from randlab.intervals import bit_strings, dyadic_value, format_rational as q
 from randlab.martingales import (
+    FairnessReport,
     Martingale,
     capital_trace,
+    check_fairness,
     savings_growth_constants,
     savings_transform,
     savings_violation_search,
@@ -42,6 +44,21 @@ def ref_violation_search(m: Martingale, depth: int, drop: Fraction):
                 if len(tau) < depth:
                     stack.extend((tau + "0", tau + "1"))
     return None
+
+
+def ref_check_fairness(m: Martingale, depth: int) -> FairnessReport:
+    """The depth-first walk (1-child first) comparing 2·M(σ) with
+    M(σ0) + M(σ1) as Fractions; the depth budget is the caller's."""
+    stack = [""]
+    while stack:
+        s = stack.pop()
+        if len(s) >= depth:
+            continue
+        v, v0, v1 = m.value(s), m.value(s + "0"), m.value(s + "1")
+        if 2 * v != v0 + v1:
+            return FairnessReport(False, f"fairness fails at {s!r}: 2·{v} != {v0} + {v1}")
+        stack.extend((s + "0", s + "1"))
+    return FairnessReport(True)
 
 
 def ref_growth_constants(base: Martingale, transformed: Martingale, depth: int):
@@ -183,6 +200,48 @@ def test_savings_table_matches_at_every_node(dt, data):
     saved = savings_transform(m, d)
     expected = ref_savings_table(m, d)
     assert {s: saved.value(s) for s in _nodes(d)} == expected
+
+
+def recorded_outcome(f, m: Martingale, *args):
+    """f(m, *args), or the type and message of its error, and the strings
+    m's capital was asked for, in order."""
+    calls = []
+
+    def value_at(s):
+        calls.append(s)
+        return m.value_at(s)
+
+    try:
+        result = f(Martingale(m.name, value_at, m.depth_budget), *args)
+    except Exception as exc:
+        result = type(exc), str(exc)
+    return result, calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_table, st.data())
+def test_check_fairness_matches_fraction_dfs(dt, data):
+    # one bit past the table reads a hole; a negative entry is refused
+    depth, table = dt
+    d = data.draw(st.integers(-1, depth + 1))
+    if data.draw(st.booleans()):
+        s = data.draw(st.sampled_from(sorted(table)))
+        table = {**table, s: -1 - table[s]}
+    m = table_martingale(table)
+    got = recorded_outcome(check_fairness, m, d)
+    assert got == recorded_outcome(ref_check_fairness, m, d)
+
+
+def test_zero_working_capital_is_absorbing():
+    # below the bust at "0" the unfair table gives capital 3 again; the
+    # working capital stays 0, so the savings table reads the bank (0) there
+    table = {s: Fraction(3 if s.startswith("0") else 2) for s in _nodes(3)}
+    table.update({"": Fraction(1), "0": Fraction(0)})
+    m = table_martingale(table)
+    saved = savings_transform(m, 3)
+    expected = ref_savings_table(m, 3)
+    assert {s: saved.value(s) for s in _nodes(3)} == expected
+    assert [expected[s] for s in bit_strings(3)[:4]] == [0, 0, 0, 0]
 
 
 def test_negative_capital_raises_where_nested_dfs_returned():

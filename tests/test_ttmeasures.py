@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from randlab import ttmeasures
 from randlab.cauchy import ModulusFunction
-from randlab.errors import AtomSuspected, BudgetExceeded, ZeroMassCylinder
+from randlab.errors import AtomSuspected, BudgetExceeded, ParseError, ZeroMassCylinder
 from randlab.intervals import bit_strings, dyadic_value, format_rational
 from randlab.markov import half_fn, identity_fn, square_fn
 from randlab.randomness import CheckRecord
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
+    CylinderMeasure,
     LimitOracle,
+    PushforwardCheck,
     MonotoneCDF,
     TransportResult,
     TransportStatus,
@@ -348,20 +350,39 @@ def ref_bernoulli_mass(p: Fraction, sigma: str) -> Fraction:
     return out
 
 
+def ref_cdf(mu, d: Fraction) -> Fraction:
+    """g(d) as a running Fraction sum over the binary expansion of d."""
+    if d < 0 or d > 1:
+        raise ValueError("argument must lie in [0, 1]")
+    if d == 1:
+        return mu("")
+    num, den = d.numerator, d.denominator
+    if den & (den - 1):
+        raise ValueError("argument must be dyadic")
+    length = den.bit_length() - 1
+    bits = format(num, f"0{length}b") if length else ""
+    total = Fraction(0)
+    for i, b in enumerate(bits):
+        if b == "1":
+            total += mu(bits[:i] + "0")
+    return total
+
+
 def ref_transport(mu, a_prefix: str) -> TransportResult:
-    """The greedy descent over Fraction midpoints of the output cylinder."""
+    """The greedy descent over Fraction midpoints of the output cylinder,
+    with g from `ref_cdf` at dyadic Fractions."""
     if len(a_prefix) > TRANSPORT_LENGTH_CAP:
         raise BudgetExceeded(
             f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
         )
-    lo = cdf(mu, dyadic_value(a_prefix))
-    hi = cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
+    lo = ref_cdf(mu, dyadic_value(a_prefix))
+    hi = ref_cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
     if lo == hi:
         raise ZeroMassCylinder(f"cylinder {a_prefix!r} has image of length 0")
     if len(a_prefix) >= 8:
         half = a_prefix[: len(a_prefix) // 2]
-        h_lo = cdf(mu, dyadic_value(half))
-        h_hi = cdf(mu, dyadic_value(half) + Fraction(1, 2 ** len(half)))
+        h_lo = ref_cdf(mu, dyadic_value(half))
+        h_hi = ref_cdf(mu, dyadic_value(half) + Fraction(1, 2 ** len(half)))
         if hi - lo > (h_hi - h_lo) / 2:
             raise AtomSuspected(
                 f"image of {a_prefix!r} is not shrinking against its half-prefix"
@@ -382,12 +403,77 @@ def ref_transport(mu, a_prefix: str) -> TransportResult:
     return TransportResult(c, status, lo, hi)
 
 
+def ref_pushforward_check(mu, tau: str, depth: int) -> PushforwardCheck:
+    """Running Fraction sums of the inside and boundary masses, transported
+    by `ref_transport`."""
+    if depth < len(tau):
+        raise ValueError("depth must be at least the target length")
+    total = Fraction(0)
+    residual = Fraction(0)
+    for a in bit_strings(depth):
+        m = mu(a)
+        if m == 0:
+            continue
+        c = ref_transport(mu, a).c_prefix
+        if c.startswith(tau):
+            total += m
+        elif tau.startswith(c):
+            residual += m
+    target = Fraction(1, 2 ** len(tau))
+    return PushforwardCheck(tau, total, target, residual, abs(total - target) <= residual)
+
+
 def outcome(f, *args):
     """The result, or the type and message of the error raised."""
     try:
         return f(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def recorded_outcome(f, mu, *args):
+    """outcome(f, mu, *args) and the cylinders mu was asked for, in order."""
+    calls = []
+
+    def mass(sigma):
+        calls.append(sigma)
+        return mu.mass(sigma)
+
+    return outcome(f, CylinderMeasure(mu.name, mass), *args), calls
+
+
+@st.composite
+def table_measures(draw):
+    """A table measure on {0,1}^{<=d}, d <= 10, and a prefix-drawing
+    strategy: random entries, neither additive nor bounded by 1, some zero
+    or negative; or additive splits of mass 1 in quarters, or in 0 and 1
+    only, so that some cylinders are null and the heaviest path is an atom.
+    The prefixes are bit strings up to one bit past the table, where it has
+    holes, prefixes of its heaviest path, and strings not of bits."""
+    depth = draw(st.integers(0, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "quarters", "atoms"]))
+    if kind == "random":
+        table = {
+            s: Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 4, 6, 8)))
+            for k in range(depth + 1)
+            for s in bit_strings(k)
+        }
+    else:
+        splits = (0, 1, 2, 3, 4) if kind == "quarters" else (0, 4)
+        table = {"": Fraction(1)}
+        for s in (s for k in range(depth) for s in bit_strings(k)):
+            table[s + "0"] = table[s] * Fraction(rng.choice(splits), 4)
+            table[s + "1"] = table[s] - table[s + "0"]
+    heavy = ""
+    while len(heavy) < depth:
+        heavy += "0" if table[heavy + "0"] >= table[heavy + "1"] else "1"
+    prefixes = st.one_of(
+        st.text(alphabet="01", max_size=depth + 1),
+        st.integers(0, depth).map(lambda n: heavy[:n]),
+        st.text(alphabet="01x ", min_size=1, max_size=3),
+    )
+    return table_measure(kind, table), depth, prefixes
 
 
 @st.composite
@@ -418,19 +504,37 @@ def test_bernoulli_transport_matches_fraction_descent(p, a):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10), st.integers(0, 2**32), st.data())
-def test_table_transport_matches_fraction_descent(depth, seed, data):
-    # random entries, neither additive nor bounded by 1, some zero or negative;
-    # prefixes one bit past the table reach its holes
-    rng = random.Random(seed)
-    table = {
-        s: Fraction(rng.randint(-1, 8), rng.choice((1, 2, 3, 4, 6, 8)))
-        for k in range(depth + 1)
-        for s in bit_strings(k)
-    }
-    mu = table_measure("random", table)
-    a = data.draw(st.text(alphabet="01", max_size=depth + 1))
-    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
+@given(table_measures(), st.data())
+def test_table_transport_matches_fraction_descent(mdp, data):
+    mu, _, prefixes = mdp
+    a = data.draw(prefixes)
+    assert recorded_outcome(transport, mu, a) == recorded_outcome(ref_transport, mu, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_measures(), st.data())
+def test_table_cdf_matches_fraction_sum(mdp, data):
+    mu, depth, _ = mdp
+    n = data.draw(st.integers(0, depth + 1))
+    d = Fraction(data.draw(st.integers(-1, 2**n + 1)), 2**n)
+    assert recorded_outcome(cdf, mu, d) == recorded_outcome(ref_cdf, mu, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_measures(), st.data())
+def test_table_pushforward_matches_fraction_sums(mdp, data):
+    mu, depth, _ = mdp
+    d = data.draw(st.integers(0, min(depth, 6)))
+    tau = data.draw(st.text(alphabet="01", max_size=d))
+    got = recorded_outcome(transport_pushforward_check, mu, tau, d)
+    assert got == recorded_outcome(ref_pushforward_check, mu, tau, d)
+
+
+@pytest.mark.parametrize("a", ["2", "01x", " 1", "0 "])
+def test_transport_refuses_a_prefix_not_of_bits_before_any_mass(a):
+    got = recorded_outcome(transport, uniform_measure(), a)
+    assert got == recorded_outcome(ref_transport, uniform_measure(), a)
+    assert got == ((ParseError, f"bad bit string {a!r}"), [])
 
 
 @pytest.mark.parametrize("length", [TRANSPORT_LENGTH_CAP + d for d in (-1, 0, 1)])
