@@ -18,10 +18,10 @@ from . import __version__, derivatives, markov, martingales, randomness, seriali
 from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
-    _sum_over_lcm,
     bit_strings,
     format_interval,
     format_rational,
+    over_lcm,
     parse_rational,
 )
 
@@ -79,7 +79,8 @@ def _verify_martingale(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     d = _table_depth(doc, min(depth, 8))
     rep = martingales.check_fairness(m, d)
     records = [_record(f"{tag}:fairness_to_depth_{d}", rep.ok, rep.violation or "")]
-    level_sum = Fraction(*_sum_over_lcm([m.value(s) for s in bit_strings(d)]))
+    capitals, den = over_lcm(map(m.value, bit_strings(d)))
+    level_sum = Fraction(sum(capitals), den)
     expected = 2**d * m.initial_capital
     records.append(
         _record(

@@ -17,6 +17,7 @@ from typing import Optional
 
 from .cauchy import CauchyName
 from .errors import BudgetExceeded, DegeneratePair
+from .intervals import over_lcm
 from .markov import MarkovFunction
 
 BLOWUP_THRESHOLD = Fraction(2**16)
@@ -108,9 +109,7 @@ def pseudo_derivative(
     # once at each, and the values go over one denominator
     first = min(lo for _, lo, _ in spans)
     last = max(g + hi for g, _, hi in spans)
-    vals = [f(Fraction(k, size)) for k in range(first, last + 1)]
-    den = math.lcm(*{v.denominator for v in vals})
-    F = [v.numerator * (den // v.denominator) for v in vals]
+    F, den = over_lcm(f(Fraction(k, size)) for k in range(first, last + 1))
 
     # a slope is a pair (rise over den, gap in grid steps); gaps are >= 0, so
     # two slopes compare by cross-multiplying ints, and (-1, 0) and (1, 0)

@@ -129,8 +129,8 @@ class IntervalUnion:
 
     @property
     def measure(self) -> Fraction:
-        den, ends = _scaled_ends(self.parts)
-        return Fraction(sum(hi - lo for lo, hi in ends), den)
+        ends, den = over_lcm(q for p in self.parts for q in (p.lo, p.hi))
+        return Fraction(sum(ends[1::2]) - sum(ends[::2]), den)
 
     @property
     def is_empty(self) -> bool:
@@ -196,6 +196,21 @@ def bit_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)] if n else [""]
 
 
+def tree_strings(depth: int) -> list[str]:
+    """{0,1}^{<=depth} in heap order, bit_strings(0) + ... + bit_strings(depth):
+    node h is bin(h + 1)[3:], its children are nodes 2h + 1 and 2h + 2 and
+    its parent is node (h - 1) // 2; [] for a negative depth."""
+    return [bin(h)[3:] for h in range(1, 2 ** (depth + 1))] if depth >= 0 else []
+
+
+def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals as (ints, den): value i is ints[i]/den, where den is the
+    lcm of their denominators (1 for no values)."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in pairs})
+    return [n * (den // d) for n, d in pairs], den
+
+
 def coverage_at_least(
     unions: Sequence[IntervalUnion], threshold: int
 ) -> IntervalUnion:
@@ -213,27 +228,6 @@ def coverage_at_least(
     )
 
 
-def _scaled_ends(
-    parts: Sequence[RationalInterval],
-) -> tuple[int, list[tuple[int, int]]]:
-    """One common denominator of the parts' endpoints (1 for no parts) and
-    each part's (lo, hi) as integers over it."""
-    den = math.lcm(*(q.denominator for p in parts for q in (p.lo, p.hi)))
-    return den, [
-        (p.lo.numerator * (den // p.lo.denominator),
-         p.hi.numerator * (den // p.hi.denominator))
-        for p in parts
-    ]
-
-
-def _sum_over_lcm(values: Sequence[Fraction]) -> tuple[int, int]:
-    """The sum of the rationals as (numerator, denominator) ints over the lcm
-    of their denominators; (0, 1) for none."""
-    pairs = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*[d for _, d in pairs])
-    return sum([n * (den // d) for n, d in pairs]), den
-
-
 def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUnion:
     """The points lying in at least `threshold` of `parts`, as maximal runs.
 
@@ -248,7 +242,8 @@ def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUn
     # to an integer over one common denominator, so the sort and the
     # grouping compare ints, not Fractions
     events: list[tuple[int, Fraction, int, int]] = []
-    for p, (lo, hi) in zip(parts, _scaled_ends(parts)[1]):
+    ends = over_lcm(q for p in parts for q in (p.lo, p.hi))[0]
+    for p, lo, hi in zip(parts, ends[::2], ends[1::2]):
         if lo == hi:
             events.append((lo, p.lo, 1, 0))
         else:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
 from .errors import BudgetExceeded, CoverViolation, ExtensionUndefined
-from .intervals import RationalInterval
+from .intervals import RationalInterval, over_lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -107,9 +107,7 @@ class MarkovFunction:
         if native is not None:
             return native(depth)
         size = 2**depth
-        vals = [self.eval_at(Fraction(k, size)) for k in range(size)]
-        den = math.lcm(*{v.denominator for v in vals})
-        return [v.numerator * (den // v.denominator) for v in vals], den
+        return over_lcm(self.eval_at(Fraction(k, size)) for k in range(size))
 
     def range_on(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact (min, max) of the function over [lo, hi] ⊆ [0, 1]."""
@@ -122,7 +120,7 @@ class MarkovFunction:
 
 def _runs_den(runs) -> int:
     """The least common denominator of every run's a and b."""
-    return math.lcm(*(q.denominator for _, _, a, b in runs for q in (a, b)))
+    return over_lcm(q for _, _, a, b in runs for q in (a, b))[1]
 
 
 def _write_runs(ints: list[int], den: int, runs) -> list[int]:
@@ -425,15 +423,11 @@ def slope_bounds_check(
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
     t = truncate(f, c)
-    tv = [t(Fraction(k, grid)) for k in range(grid + 1)]
+    tv, den = over_lcm(t(Fraction(k, grid)) for k in range(grid + 1))
     # the pair x = i/grid < y = j/grid fails iff g_j >= g_i, where
     # g_k = t(k/grid) - z·k/grid, here scaled to an int by den·z.den·grid > 0
-    den = math.lcm(*{v.denominator for v in tv})
     zn, zd = z.numerator, z.denominator
-    g = [
-        v.numerator * (den // v.denominator) * zd * grid - zn * den * k
-        for k, v in enumerate(tv)
-    ]
+    g = [v * zd * grid - zn * den * k for k, v in enumerate(tv)]
     # the first failing pair in (i, j) order: the least i with a later
     # g_j >= g_i (read off the suffix maxima), then the first such j
     later = list(itertools.accumulate(reversed(g[1:]), max))[::-1]
@@ -442,9 +436,9 @@ def slope_bounds_check(
         return SlopeBoundsVerdict(True, True, True)
     j = next(j for j in range(i + 1, grid + 1) if g[j] >= g[i])
     x, y = Fraction(i, grid), Fraction(j, grid)
+    slope = Fraction(tv[j] - tv[i], den) / (y - x)
     return SlopeBoundsVerdict(
-        False, True, False,
-        f"upper clause fails at x={x}, y={y}: slope {(tv[j] - tv[i]) / (y - x)} >= {z}",
+        False, True, False, f"upper clause fails at x={x}, y={y}: slope {slope} >= {z}"
     )
 
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Optional
 
 from .errors import BudgetExceeded, InvariantViolation, ParseError
-from .intervals import bit_strings
+from .intervals import bit_strings, over_lcm, tree_strings
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -170,38 +171,23 @@ def savings_violation_search(
     it; τ is the first violation in the depth-first preorder under σ that
     visits the 1-child before the 0-child.
     """
-    # every capital as an int pair (n, d), d > 0; pairs compare by cross-multiplying
-    values = [
-        [v.as_integer_ratio() for v in map(m.value, bit_strings(k))]
-        for k in range(depth + 1)
-    ]
-    lows = values[-1:]  # lows[k][i]: the least capital below node i of level k
-    for level in reversed(values[:-1]):
-        below = lows[0]
-        lows.insert(0, [_min3(v, below[2 * i], below[2 * i + 1]) for i, v in enumerate(level)])
-    dn, dd = drop.as_integer_ratio()
-    for k, level in enumerate(values):
-        for i, (vn, vd) in enumerate(level):
-            bn, bd = vn * dd - dn * vd, vd * dd  # bar = v - drop
-            ln, ld = lows[k][i]
-            if ln * bd < bn * ld:
-                sigma = tau = bit_strings(k)[i]
-                while True:
-                    tn, td = values[len(tau)][i]
-                    if tn * bd < bn * td:
-                        break
-                    ln, ld = lows[len(tau) + 1][2 * i + 1]
-                    bit = int(ln * bd < bn * ld)
-                    i, tau = 2 * i + bit, tau + str(bit)
-                return sigma, tau
-    return None
-
-
-def _min3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> tuple[int, int]:
-    """The least of three (numerator, positive denominator) pairs."""
-    if b[0] * a[1] < a[0] * b[1]:
-        a = b
-    return c if c[0] * a[1] < a[0] * c[1] else a
+    nodes = tree_strings(depth)
+    v, den = over_lcm(map(m.value, nodes))
+    # low[h]: the least capital in the subtree of node h, from the leaves up
+    low = v.copy()
+    for k in reversed(range(depth)):
+        a, b = 2**k - 1, 2 ** (k + 1) - 1
+        low[a:b] = map(min, low[a:b], low[2 * a + 1 : 2 * b : 2], low[2 * a + 2 : 2 * b + 1 : 2])
+    # M(τ) < M(σ) - drop iff v[σ] - v[τ] > drop·den, an int difference, so
+    # iff it exceeds ⌊drop·den⌋
+    gap = drop.numerator * den // drop.denominator
+    h = next((h for h, fall in enumerate(map(sub, v, low)) if fall > gap), None)
+    if h is None:
+        return None
+    i = h
+    while v[h] - v[i] <= gap:
+        i = 2 * i + 2 if v[h] - low[2 * i + 2] > gap else 2 * i + 1
+    return nodes[h], nodes[i]
 
 
 def savings_growth_constants(
@@ -214,27 +200,28 @@ def savings_growth_constants(
     path.
     """
     c = base.initial_capital
-    t = transformed.initial_capital
-    # running maxima of both capitals along the path to each node of a level,
-    # as (numerator, denominator) int pairs
-    peaks = [c.as_integer_ratio() + t.as_integer_ratio()]
+    # both capitals at every node, in tree order, over one denominator
+    reads = [c, transformed.initial_capital]
+    for s in tree_strings(depth)[1:]:
+        reads += base.value(s), transformed.value(s)
+    ints, den = over_lcm(reads)
+    # the running maxima of each capital along the path to every node, from the root down
+    peaks = ints[::2], ints[1::2]
     for k in range(1, depth + 1):
-        nxt = []
-        for i, s in enumerate(bit_strings(k)):
-            bn, bd, tn, td = peaks[i >> 1]
-            vn, vd = base.value(s).as_integer_ratio()
-            un, ud = transformed.value(s).as_integer_ratio()
-            if vn * bd > bn * vd:
-                bn, bd = vn, vd
-            if un * td > tn * ud:
-                tn, td = un, ud
-            nxt.append((bn, bd, tn, td))
-        peaks = nxt
-    cn, cd = c.as_integer_ratio()
-    wn, wd = 0, 1  # the worst c·log2 - max M' so far
-    for bn, bd, tn, td in peaks:
-        log2_floor = max(0, bn.bit_length() - 1) if bn >= bd else 0
-        n, d = cn * log2_floor * td - tn * cd, cd * td
-        if n * wd > wn * d:
-            wn, wd = n, d
-    return c, Fraction(wn, wd)
+        a, b = 2**k - 1, 2 ** (k + 1) - 1
+        for p in peaks:
+            up = p[(a - 1) // 2 : a]
+            p[a:b:2] = map(max, p[a:b:2], up)
+            p[a + 1 : b : 2] = map(max, p[a + 1 : b : 2], up)
+    # the worst c·log2 - max M' over the leaves, with ⌊log2 max M⌋ read as
+    # the bit length of max M's reduced numerator, less 1 (right only for an
+    # integer max M; the frozen digests hold this reading)
+    leaf = len(peaks[0]) // 2
+    worst = max(
+        0,
+        *(
+            ints[0] * ((n // math.gcd(n, den)).bit_length() - 1 if n >= den else 0) - top
+            for n, top in zip(peaks[0][leaf:], peaks[1][leaf:])
+        ),
+    )
+    return c, Fraction(worst, den)

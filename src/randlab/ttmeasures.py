@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product, repeat
+from operator import add
 from typing import Callable
 
 from .cauchy import ModulusFunction, ceil_log2
@@ -26,10 +27,10 @@ from .errors import (
 )
 from .intervals import (
     _check_bits,
-    _sum_over_lcm,
     bit_strings,
     dyadic_value,
     format_rational,
+    over_lcm,
 )
 from .markov import MarkovFunction
 from .randomness import CheckRecord
@@ -162,46 +163,37 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
     plus total mass 1 at the root and one failed record for the first
     negative mass in level order, if any."""
-    masses = [mu("")]
-    checks = [
-        CheckRecord("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
-    ]
-    negative = _first_negative(masses, 0)
-    for k in range(depth):
-        children = [mu(s) for s in bit_strings(k + 1)]
-        names = None  # the level's strings, built only to name a failed record
-        for i, (lhs, m0, m1) in enumerate(zip(masses, children[::2], children[1::2])):
-            # lhs = m0 + m1 over the product of the denominators, in ints
-            (n, d), (n0, d0), (n1, d1) = (
-                lhs.as_integer_ratio(), m0.as_integer_ratio(), m1.as_integer_ratio()
-            )
-            if n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
-                names = names or bit_strings(k)
-                checks.append(
-                    CheckRecord(
-                        f"additivity[{names[i] or 'ε'}]",
-                        False,
-                        f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
+    root = mu("")
+    checks = [CheckRecord("total_mass", root == 1, f"mass(ε) = {format_rational(root)}")]
+    negative = None
+    # two levels at a time, each as ints over its own lcm
+    for k in range(depth + 1):
+        masses, den = over_lcm(map(mu, bit_strings(k)) if k else [root])
+        if k:
+            names = None  # the parents' strings, built only to name a failed record
+            sums = map(add, masses[::2], masses[1::2])
+            for i, (v, total) in enumerate(zip(parents, sums)):
+                if v * den != total * parent_den:
+                    names = names or bit_strings(k - 1)
+                    checks.append(
+                        CheckRecord(
+                            f"additivity[{names[i] or 'ε'}]",
+                            False,
+                            f"{format_rational(Fraction(v, parent_den))} != "
+                            f"{format_rational(Fraction(total, den))}",
+                        )
                     )
-                )
-        if negative is None:
-            negative = _first_negative(children, k + 1)
-        masses = children
+        if negative is None and min(masses) < 0:
+            i = next(i for i, m in enumerate(masses) if m < 0)
+            s = bit_strings(k)[i] or "ε"
+            mass = format_rational(Fraction(masses[i], den))
+            negative = CheckRecord(f"nonnegative[{s}]", False, f"mass({s}) = {mass}")
+        parents, parent_den = masses, den
     if negative is not None:
         checks.append(negative)
     if all(c.passed for c in checks):
         checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
     return tuple(checks)
-
-
-def _first_negative(masses: list[Fraction], length: int) -> CheckRecord | None:
-    """The failed record for the first negative mass of one level, if any;
-    the level's strings are built only then."""
-    for i, m in enumerate(masses):
-        if m.numerator < 0:
-            s = bit_strings(length)[i] or "ε"
-            return CheckRecord(f"nonnegative[{s}]", False, f"mass({s}) = {format_rational(m)}")
-    return None
 
 
 def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
@@ -228,7 +220,8 @@ def _cdf_ints(mu: CylinderMeasure, sigma: str, right: bool = False) -> tuple[int
         if i < 0:
             return mu("").as_integer_ratio()
         sigma = sigma[:i] + "1"
-    return _sum_over_lcm([mu(sigma[:i] + "0") for i, b in enumerate(sigma) if b == "1"])
+    ints, den = over_lcm(mu(sigma[:i] + "0") for i, b in enumerate(sigma) if b == "1")
+    return sum(ints), den
 
 
 class TransportStatus(enum.Enum):
@@ -313,8 +306,8 @@ def transport_pushforward_check(
             inside.append(m)
         elif tau.startswith(c):
             boundary.append(m)
-    total = Fraction(*_sum_over_lcm(inside))
-    residual = Fraction(*_sum_over_lcm(boundary))
+    (inside, den), (boundary, b_den) = over_lcm(inside), over_lcm(boundary)
+    total, residual = Fraction(sum(inside), den), Fraction(sum(boundary), b_den)
     target = Fraction(1, 2 ** len(tau))
     return PushforwardCheck(
         tau, total, target, residual, abs(total - target) <= residual
@@ -325,7 +318,8 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
     """Build a truth-table functional from a uniformly continuous function
     with declared modulus θ: use u(n) = the least k with θ(2^{-n-2}) >= 2^{-k},
     and emit bit n of the lower endpoint of the certified output hull
-    (rounding down at the boundary)."""
+    (rounding down at the boundary).  `depth` is not read: the use bound
+    comes from θ alone."""
     if g.modulus is None:
         raise InvariantViolation("a declared modulus is required")
     theta: ModulusFunction = g.modulus
@@ -352,12 +346,7 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
         ylo = hull_lo.get(key)
         if ylo is None:
             lo = dyadic_value("".join(map(str, key[1])))
-            hi = lo + Fraction(1, 2**u)
-            ylo = min(g(lo), g(hi))
-            for cp in g.critical_points:
-                if lo < cp < hi:
-                    ylo = min(ylo, g(cp))
-            hull_lo[key] = ylo
+            ylo = hull_lo[key] = g.range_on(lo, lo + Fraction(1, 2**u))[0]
         if ylo >= 1:
             return 1
         scaled = ylo * 2 ** (n + 1)

@@ -1,4 +1,5 @@
 import re
+import math
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -18,6 +19,7 @@ from randlab.intervals import (
     format_interval,
     format_rational,
     normalize_union,
+    over_lcm,
     parse_interval,
     parse_rational,
 )
@@ -162,6 +164,18 @@ def test_parse_rational_equals_reference(text):
 
 def test_parse_rational_reads_unicode_digits():
     assert parse_rational("\u0663/\u0664") == Fraction(3, 4)
+
+
+@given(st.lists(rationals, max_size=12))
+def test_over_lcm_puts_each_value_over_the_lcm(values):
+    ints, den = over_lcm(iter(values))
+    assert den == math.lcm(*(v.denominator for v in values))
+    assert [Fraction(n, den) for n in ints] == values
+    assert all(isinstance(n, int) for n in ints)
+
+
+def test_over_lcm_of_no_values():
+    assert over_lcm([]) == ([], 1)
 
 
 @given(interval_strategy())

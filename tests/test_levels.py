@@ -9,10 +9,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randlab.errors import InvariantViolation
-from randlab.intervals import bit_strings, dyadic_value, format_rational as q
+from randlab.intervals import bit_strings, dyadic_value, format_rational as q, tree_strings
 from randlab.martingales import (
     FairnessReport,
     Martingale,
@@ -144,6 +144,62 @@ def tables(draw, fair: bool):
 
 
 any_table = st.booleans().flatmap(tables)
+# a table and a depth d at most its own
+table_to_depth = any_table.flatmap(lambda dt: st.tuples(st.just(dt[1]), st.integers(0, dt[0])))
+
+# levels whose denominators share no factor: thirds above halves, then
+# thirds, sixths and quarters, so each level's lcm differs from the tree's
+_THIRDS_OVER_HALVES = {
+    "": Fraction(1),
+    "0": Fraction(1, 3),
+    "1": Fraction(2, 3),
+    "00": Fraction(1, 2),
+    "01": Fraction(0),
+    "10": Fraction(1, 2),
+    "11": Fraction(1, 2),
+    "000": Fraction(1, 3),
+    "001": Fraction(1, 6),
+    **{s: Fraction(1, 4) for s in bit_strings(3)[2:]},
+}
+# the same levels made additive: each level has its own lcm (3, 6, 12)
+_ADDITIVE_THIRDS = {
+    "": Fraction(1),
+    "0": Fraction(1, 3),
+    "1": Fraction(2, 3),
+    "00": Fraction(1, 6),
+    "01": Fraction(1, 6),
+    "10": Fraction(1, 2),
+    "11": Fraction(1, 6),
+    **{s + b: v * w for s, v in [("00", Fraction(1, 6)), ("01", Fraction(1, 6)),
+                                 ("10", Fraction(1, 2)), ("11", Fraction(1, 6))]
+       for b, w in [("0", Fraction(1, 4)), ("1", Fraction(3, 4))]},
+}
+# capitals that rise above the root's, in thirds, halves, then sixths and
+# quarters, so growth constants and drops are not read at the root
+_RISING_THIRDS = {
+    "": Fraction(3, 2),
+    "0": Fraction(7, 3),
+    "1": Fraction(8, 3),
+    "00": Fraction(9, 2),
+    "01": Fraction(1, 2),
+    "10": Fraction(11, 2),
+    "11": Fraction(3, 2),
+    **dict(zip(bit_strings(3), [Fraction(n, d) for n, d in [
+        (13, 3), (2, 3), (17, 6), (25, 6), (1, 4), (9, 4), (7, 4), (3, 4)]])),
+}
+
+
+def test_tree_strings_are_the_levels_in_heap_order():
+    assert tree_strings(-1) == []
+    for d in range(7):
+        nodes = tree_strings(d)
+        assert nodes == [s for k in range(d + 1) for s in bit_strings(k)]
+        index = {s: h for h, s in enumerate(nodes)}
+        for h, s in enumerate(nodes):
+            if len(s) < d:
+                assert (index[s + "0"], index[s + "1"]) == (2 * h + 1, 2 * h + 2)
+            if s:
+                assert index[s[:-1]] == (h - 1) // 2
 
 
 def test_bit_strings_are_the_cylinders_left_to_right():
@@ -156,10 +212,13 @@ def test_bit_strings_are_the_cylinders_left_to_right():
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_table, st.fractions(min_value=-1, max_value=4, max_denominator=4), st.data())
-def test_violation_search_matches_nested_dfs(dt, drop, data):
-    depth, table = dt
-    d = data.draw(st.integers(0, depth))
+@given(table_to_depth, st.fractions(min_value=-1, max_value=4, max_denominator=4))
+@example((_THIRDS_OVER_HALVES, 3), Fraction(1, 4))
+@example((_THIRDS_OVER_HALVES, 2), Fraction(-1, 3))
+@example((_ADDITIVE_THIRDS, 3), Fraction(1, 3))
+@example((_RISING_THIRDS, 3), Fraction(1, 4))
+def test_violation_search_matches_nested_dfs(td, drop):
+    table, d = td
     m = table_martingale(table)
     assert savings_violation_search(m, d, drop) == ref_violation_search(m, d, drop)
     saved = savings_transform(m, d)
@@ -167,10 +226,12 @@ def test_violation_search_matches_nested_dfs(dt, drop, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_table, st.data())
-def test_growth_constants_match_per_leaf_traces(dt, data):
-    depth, table = dt
-    d = data.draw(st.integers(0, depth))
+@given(table_to_depth)
+@example((_THIRDS_OVER_HALVES, 3))
+@example((_ADDITIVE_THIRDS, 3))
+@example((_RISING_THIRDS, 3))
+def test_growth_constants_match_per_leaf_traces(td):
+    table, d = td
     m = table_martingale(table)
     saved = savings_transform(m, d)
     assert savings_growth_constants(m, saved, d) == ref_growth_constants(m, saved, d)
@@ -178,10 +239,12 @@ def test_growth_constants_match_per_leaf_traces(dt, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(any_table, st.data())
-def test_validate_measure_matches_additivity_triples(dt, data):
-    depth, table = dt
-    d = data.draw(st.integers(0, depth))
+@given(table_to_depth)
+@example((_THIRDS_OVER_HALVES, 3))
+@example((_ADDITIVE_THIRDS, 3))
+@example(({**_ADDITIVE_THIRDS, "01": Fraction(1, 2), "10": Fraction(1, 6)}, 3))
+def test_validate_measure_matches_additivity_triples(td):
+    table, d = td
     root = table[""] or Fraction(1)
     for mu in (
         # a fair table scaled by 2^-|σ| is additive
