@@ -12,7 +12,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NoReturn, Optional
+from typing import Any, NoReturn, Optional
 
 from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .errors import BudgetExceeded, ParseError, RandlabError
@@ -95,16 +95,19 @@ def _verify_martingale(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
 def _verify_name(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
     z = serialize.name_from_json(doc)
     d = min(depth, 16)
-    ok, detail = True, ""
+    name = f"{tag}:cauchy_contract_to_{d}"
     for n in range(d + 1):
         for k in range(n, d + 1):
             gap = abs(z.at(k) - z.at(n))
             if gap > Fraction(1, 2**n):
-                ok, detail = False, f"|q_{k} - q_{n}| = {format_rational(gap)}"
-                break
-        if not ok:
-            break
-    return [_record(f"{tag}:cauchy_contract_to_{d}", ok, detail)]
+                return [_record(name, False, f"|q_{k} - q_{n}| = {format_rational(gap)}")]
+    # a name that gives its exact value must approximate it: |q_n - exact| <= 2^-n
+    if z.exact is not None:
+        for n in range(d + 1):
+            gap = abs(z.at(n) - z.exact)
+            if gap > Fraction(1, 2**n):
+                return [_record(name, False, f"|q_{n} - exact| = {format_rational(gap)}")]
+    return [_record(name, True)]
 
 
 _VERIFIERS = {
@@ -132,8 +135,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, {}
 
 
+def _one_fixture(args: argparse.Namespace) -> dict[str, Any]:
+    """The one `--fixture` of a command that reads a single test family."""
+    if len(args.fixture) > 1:
+        raise ParseError(f"--fixture: {args.command} reads one fixture, got {len(args.fixture)}")
+    return serialize.load_fixture(_resolve(args.fixture[0]))
+
+
 def cmd_evaluate(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    t = serialize.test_family_from_json(serialize.load_fixture(_resolve(args.fixture[0])))
+    t = serialize.test_family_from_json(_one_fixture(args))
     z = serialize.name_from_json(serialize.load_fixture(_resolve(args.name)))
     summary = randomness.evaluate(t, z, args.depth)
     records = [
@@ -157,10 +167,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
     mu = serialize.measure_from_json(serialize.load_fixture(_resolve(args.measure)))
-    try:
-        res = ttmeasures.transport(mu, args.prefix)
-    except BudgetExceeded as exc:
-        raise ParseError(f"--prefix: {exc}") from exc
+    res = ttmeasures.transport(mu, args.prefix)
     output = {
         "c_prefix": res.c_prefix,
         "status": res.status.value,
@@ -181,7 +188,7 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
 def _function(name: str) -> markov.MarkovFunction:
     try:
         return markov.function_by_name(name)
-    except (ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         raise ParseError(f"--function: {exc}") from exc
 
 
@@ -194,7 +201,7 @@ def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
         est = derivatives.pseudo_derivative(
             f, z, parse_rational(args.scale), args.precision
         )
-    except (ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         raise ParseError(f"derive: {exc}") from exc
     verdict = derivatives.classify_denjoy(est, parse_rational(args.tol))
     output = {
@@ -224,7 +231,7 @@ def cmd_tree(args: argparse.Namespace) -> tuple[list[dict], dict]:
 
 
 def cmd_convert(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    t = serialize.test_family_from_json(serialize.load_fixture(_resolve(args.fixture[0])))
+    t = serialize.test_family_from_json(_one_fixture(args))
     if t.kind is randomness.TestKind.SOLOVAY:
         out = randomness.convert_solovay_to_ml(t, args.depth)
     elif t.kind is randomness.TestKind.INTERVAL_SEQUENCE:
@@ -249,24 +256,15 @@ def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
 
-def _natural(limit: Optional[int] = None, name: str = "") -> Callable[[str], int]:
-    """argparse type: a non-negative integer, at most the budget `name`
-    (`limit`) if one is given."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = -1
-        if value < 0:
-            raise argparse.ArgumentTypeError(
-                f"expected a non-negative integer, got {text!r}"
-            )
-        if limit is not None and value > limit:
-            raise argparse.ArgumentTypeError(f"{value} exceeds {name} ({limit})")
-        return value
-
-    return parse
+def _natural(text: str) -> int:
+    """argparse type: a non-negative integer; any budget is the library's to check."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="validate fixture invariants exactly", parents=[common]
     )
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_natural(), default=8)
+    p.add_argument("--depth", type=_natural, default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("evaluate", help="membership of a point in a test", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
     p.add_argument("--name", required=True, help="cauchy_name fixture path")
-    p.add_argument("--depth", type=_natural(), default=8)
+    p.add_argument("--depth", type=_natural, default=8)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("transport", help="transport a dyadic prefix along a cdf", parents=[common])
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--precision",
-        type=_natural(derivatives.GRID_DENOMINATOR_BUDGET, "GRID_DENOMINATOR_BUDGET"),
+        type=_natural,
         default=14,
         help="p: slopes are taken over the grid k/2^p, "
         f"0..{derivatives.GRID_DENOMINATOR_BUDGET} (default %(default)s); see --scale",
@@ -335,25 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="oscillation tree of a function", parents=[common])
     p.add_argument("--function", required=True)
     p.add_argument("--precision", type=int, default=0)
-    p.add_argument(
-        "--depth",
-        type=_natural(markov.OSCILLATION_DEPTH_BUDGET, "OSCILLATION_DEPTH_BUDGET"),
-        default=8,
-    )
+    p.add_argument("--depth", type=_natural, default=8)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument(
-        "--depth",
-        type=_natural(randomness.COMPONENT_INDEX_BUDGET, "COMPONENT_INDEX_BUDGET"),
-        default=8,
-    )
+    p.add_argument("--depth", type=_natural, default=8)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
     p.add_argument("--fixture-dir", default=None)
-    p.add_argument("--depth", type=_natural(), default=8)
+    p.add_argument("--depth", type=_natural, default=8)
     # accepted for compatibility; fixtures are always verified in order
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_report)
@@ -393,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit:
         # only --help exits here: usage errors raise ParseError
         return 0
-    except ParseError as exc:
+    except (ParseError, BudgetExceeded) as exc:
         sys.stderr.write(f"labcli: {exc}\n")
         return 2
     except RandlabError as exc:

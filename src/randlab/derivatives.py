@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cauchy import CauchyName
-from .errors import BudgetExceeded, DegeneratePair
+from .errors import DegeneratePair, over_budget
 from .intervals import over_lcm
 from .markov import MarkovFunction
 
@@ -66,9 +66,11 @@ def pseudo_derivative(
     put over one denominator; slopes are compared as (rise, gap) pairs of
     ints, one gap at a time, and only the two extremes become Fractions.
     """
-    if grid_denominator > GRID_DENOMINATOR_BUDGET:
-        raise ValueError(f"grid_denominator > {GRID_DENOMINATOR_BUDGET}")
     d = grid_denominator
+    if d > GRID_DENOMINATOR_BUDGET:
+        raise over_budget(
+            f"grid_denominator {d}", "GRID_DENOMINATOR_BUDGET", GRID_DENOMINATOR_BUDGET
+        )
     if h < Fraction(1, 2 ** (d + 2)):
         raise ValueError(
             f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
@@ -84,9 +86,9 @@ def pseudo_derivative(
     # at most b_span partners per left point: bound the pairs before any f call
     pairs = max(0, a_last - a_first + 1) * b_span
     if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"up to {pairs} grid pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET "
-            f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
+        raise over_budget(
+            f"up to {pairs} grid pairs", "PSEUDO_DERIVATIVE_PAIR_BUDGET",
+            PSEUDO_DERIVATIVE_PAIR_BUDGET,
         )
     # per gap g (in grid steps): the left ends a_first <= ka <= a_last whose
     # partner ka + g lies right of the window (>= b_min) and on the grid.

@@ -13,6 +13,12 @@ class BudgetExceeded(RandlabError):
     """An enumeration/depth/precision budget was exceeded."""
 
 
+def over_budget(subject: str, name: str, limit: int) -> BudgetExceeded:
+    """BudgetExceeded("<subject> > NAME (limit)"), the subject naming the size
+    asked for.  The caller compares and raises, so hot checks stay inline."""
+    return BudgetExceeded(f"{subject} > {name} ({limit})")
+
+
 class CoverViolation(RandlabError):
     """A staged cover fails the non-overlap / size-bound protocol."""
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
-from .errors import BudgetExceeded, CoverViolation, ExtensionUndefined
+from .errors import CoverViolation, ExtensionUndefined, over_budget
 from .intervals import RationalInterval, over_lcm
 
 ZERO = Fraction(0)
@@ -37,6 +37,8 @@ CANONICAL_NONUC_STAGE_BUDGET = 64
 EXTENSION_PRECISION_BUDGET = 20
 EXTENSION_REFINEMENTS = 8
 SLOPE_GRID_PAIR_BUDGET = 2**12
+# largest m of a window 2^-m that a declared modulus may ask for
+MODULUS_PRECISION_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -259,9 +261,9 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     if stage_count < 1:
         raise ValueError("stage_count must be >= 1")
     if stage_count > CANONICAL_NONUC_STAGE_BUDGET:
-        raise BudgetExceeded(
-            f"stage_count {stage_count} > CANONICAL_NONUC_STAGE_BUDGET "
-            f"({CANONICAL_NONUC_STAGE_BUDGET})"
+        raise over_budget(
+            f"stage_count {stage_count}", "CANONICAL_NONUC_STAGE_BUDGET",
+            CANONICAL_NONUC_STAGE_BUDGET,
         )
     # per tent: the rise from lo, the fall from its peak at mid, and 0 from
     # hi up to the next tent; the function is continuous, so each piece may
@@ -352,9 +354,7 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     other `eval_at` is called once per grid point.
     """
     if depth > OSCILLATION_DEPTH_BUDGET:
-        raise BudgetExceeded(
-            f"depth {depth} > OSCILLATION_DEPTH_BUDGET ({OSCILLATION_DEPTH_BUDGET})"
-        )
+        raise over_budget(f"depth {depth}", "OSCILLATION_DEPTH_BUDGET", OSCILLATION_DEPTH_BUDGET)
     vals, den = f.grid(depth + 4)
     # extrema[k] = (minima, maxima) over the grid slices of the nodes at
     # level k; the deepest nodes' slices are the grid's runs of 16
@@ -413,8 +413,8 @@ def slope_bounds_check(
         raise ValueError("requires w < z")
     if grid < 1:
         raise ValueError("requires grid >= 1")
-    if grid * (grid + 1) // 2 > SLOPE_GRID_PAIR_BUDGET:
-        raise BudgetExceeded("too many grid pairs")
+    if (pairs := grid * (grid + 1) // 2) > SLOPE_GRID_PAIR_BUDGET:
+        raise over_budget(f"{pairs} grid pairs", "SLOPE_GRID_PAIR_BUDGET", SLOPE_GRID_PAIR_BUDGET)
     for iv in c.all_intervals():
         if not w * (iv.hi - iv.lo) < f(iv.hi) - f(iv.lo):
             return SlopeBoundsVerdict(
@@ -451,8 +451,8 @@ class ExtensionResult:
 def _modulus_precision(theta: ModulusFunction, eps: Fraction) -> int:
     """Least m >= 0 with 2^{-m+1} <= theta(eps)."""
     m = ceil_log2(2 / theta(eps))
-    if m > 4096:
-        raise BudgetExceeded("modulus too small to realize")
+    if m > MODULUS_PRECISION_BUDGET:
+        raise over_budget(f"precision {m}", "MODULUS_PRECISION_BUDGET", MODULUS_PRECISION_BUDGET)
     return m
 
 
@@ -465,7 +465,9 @@ def eval_extension(f: MarkovFunction, z: CauchyName, n: int) -> ExtensionResult:
     finite-scale evidence the extension is undefined here.
     """
     if n > EXTENSION_PRECISION_BUDGET:
-        raise BudgetExceeded(f"precision {n} > {EXTENSION_PRECISION_BUDGET}")
+        raise over_budget(
+            f"precision {n}", "EXTENSION_PRECISION_BUDGET", EXTENSION_PRECISION_BUDGET
+        )
     eps = Fraction(1, 2**n)
 
     def hull(m: int) -> tuple[Fraction, Fraction]:

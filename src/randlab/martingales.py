@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional
 
-from .errors import BudgetExceeded, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, over_budget
 from .intervals import bit_strings, over_lcm, tree_strings
 
 FAIRNESS_DEPTH_BUDGET = 16
@@ -26,7 +26,7 @@ class Martingale:
 
     def value(self, sigma: str) -> Fraction:
         if len(sigma) > self.depth_budget:
-            raise BudgetExceeded(f"|sigma| > {self.depth_budget}")
+            raise over_budget(f"|sigma| {len(sigma)}", "depth_budget", self.depth_budget)
         v = self.value_at(sigma)
         if v.numerator < 0:
             raise InvariantViolation(f"negative capital at {sigma!r}")
@@ -86,7 +86,7 @@ class FairnessReport:
 def check_fairness(m: Martingale, depth: int) -> FairnessReport:
     """2M(σ) = M(σ0) + M(σ1) exactly, for every σ with |σ| < depth."""
     if depth > FAIRNESS_DEPTH_BUDGET:
-        raise BudgetExceeded(f"depth > {FAIRNESS_DEPTH_BUDGET}")
+        raise over_budget(f"depth {depth}", "FAIRNESS_DEPTH_BUDGET", FAIRNESS_DEPTH_BUDGET)
     stack = [""] if depth > 0 else []
     while stack:
         s = stack.pop()

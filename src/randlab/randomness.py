@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolation,
     MeasureBoundViolation,
     NotPrefixFree,
+    over_budget,
 )
 from .intervals import (
     EMPTY_UNION,
@@ -120,21 +121,16 @@ def _live_blocks(
         yield key, [iv for k, iv in sorted(table.items()) if k not in excl]
 
 
-def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationReport:
-    """Exact per-kind invariant checks; PASS or the first violated bound.
-
-    `as_kind` revalidates under a (weaker) kind, e.g. any SCHNORR fixture is
-    a valid ML fixture.
-    """
-    kind = as_kind or t.kind
+def validate(t: TestFamily) -> ValidationReport:
+    """Exact per-kind invariant checks; PASS or the first violated bound."""
     records: list[CheckRecord] = []
 
-    if kind in GEOMETRIC_BOUND_KINDS:
+    if t.kind in GEOMETRIC_BOUND_KINDS:
         for m in t.indices():
             for v, u in enumerate(t.components[m]):
                 records.append(_bound_check(m, v, u))
 
-    if kind is TestKind.SCHNORR:
+    if t.kind is TestKind.SCHNORR:
         declared: dict[int, Fraction] = t.kind_data.get("declared_measures", {})
         for m in t.indices():
             actual = t.final(m).measure
@@ -148,7 +144,7 @@ def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationRep
                 )
             )
 
-    if kind is TestKind.SOLOVAY:
+    if t.kind is TestKind.SOLOVAY:
         bound: Fraction = t.kind_data["total_bound"]
         running = Fraction(0)
         for m in t.indices():
@@ -162,7 +158,7 @@ def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationRep
                 )
             )
 
-    if kind is TestKind.INTERVAL_SEQUENCE:
+    if t.kind is TestKind.INTERVAL_SEQUENCE:
         per_m: dict[int, list[RationalInterval]] = {}
         for (m, r), live in _live_blocks(t):
             u = normalize_union(live)
@@ -188,7 +184,7 @@ def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationRep
                 )
             )
 
-    if kind is TestKind.PI1:
+    if t.kind is TestKind.PI1:
         q: Sequence[Fraction] = t.kind_data["q"]
         C: Sequence[frozenset[int]] = t.kind_data["C"]
         for m, cm in enumerate(C):
@@ -208,7 +204,7 @@ def validate(t: TestFamily, as_kind: Optional[TestKind] = None) -> ValidationRep
                 )
             )
 
-    if kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
+    if t.kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
         budgets: dict[int, int] = t.kind_data.get("budgets", {})
         for m in t.indices():
             b = budgets.get(m)
@@ -298,6 +294,8 @@ def convert_solovay_to_ml(t: TestFamily, depth: int) -> TestFamily:
     checked exactly)."""
     if t.kind is not TestKind.SOLOVAY:
         raise ValueError("source must be a Solovay test")
+    if depth > COMPONENT_INDEX_BUDGET:
+        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     bound: Fraction = t.kind_data["total_bound"]
     if bound <= 0:
         raise InvariantViolation(
@@ -413,6 +411,8 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
     measure recorded as the declared (relativized) Schnorr measure."""
     if t.kind is not TestKind.INTERVAL_SEQUENCE:
         raise ValueError("source must be an interval-sequence test")
+    if depth > COMPONENT_INDEX_BUDGET:
+        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     rep = validate(t)
     if not rep.passed:
         raise InvariantViolation(rep.first_failure().detail)
@@ -438,42 +438,36 @@ def schnorr_to_interval_sequence(
     The oracle, queried at ("block", m, r) and stage s, returns the current
     guess for the r-th block group of G_m as a tuple of intervals.  Each mind
     change excises all previously emitted indices for (m, r) via E^m_r; the
-    final stage's groups must satisfy the per-block measure bound.  A query
-    that fails `oracle.validate_budget` up to stage `depth` raises
-    BudgetExceeded.
+    final stage's groups must satisfy the per-block measure bound.  Each
+    query's stages 0..depth are read once, by `oracle.guesses`; a query with
+    more mind changes than `oracle.budget` raises BudgetExceeded.
     """
     if t.kind is not TestKind.SCHNORR:
         raise ValueError("source must be a Schnorr test")
+    if depth > COMPONENT_INDEX_BUDGET:
+        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
     excluded: dict[tuple[int, int], set[int]] = {}
     for m in t.indices():
         if m > depth:
             continue
         for r in range(1, depth + 1):
-            key = (m, r)
             query = ("block", m, r)
-            if not oracle.validate_budget(query, depth):
+            guesses = oracle.guesses(query, depth)
+            if len(guesses) - 1 > oracle.budget:
                 raise BudgetExceeded(
                     f"oracle query {query} changes its guess "
-                    f"{oracle.changes(query, depth)} times up to stage {depth} "
+                    f"{len(guesses) - 1} times up to stage {depth} "
                     f"> its budget ({oracle.budget})"
                 )
             table: dict[int, RationalInterval] = {}
             excl: set[int] = set()
-            next_k = 0
-            prev = None
-            for stage in range(depth + 1):
-                guess = oracle.value(query, stage)
-                if guess == prev:
-                    continue
-                excl.update(table.keys())
-                for iv in guess:
-                    table[next_k] = iv
-                    next_k += 1
-                prev = guess
+            for guess in guesses:
+                excl.update(table)
+                table.update(enumerate(guess, len(table)))
             if table:
-                blocks[key] = table
-                excluded[key] = excl
+                blocks[m, r] = table
+                excluded[m, r] = excl
     out = TestFamily(
         TestKind.INTERVAL_SEQUENCE,
         kind_data={

@@ -20,10 +20,10 @@ from typing import Callable
 from .cauchy import ModulusFunction, ceil_log2
 from .errors import (
     AtomSuspected,
-    BudgetExceeded,
     InvariantViolation,
     ParseError,
     ZeroMassCylinder,
+    over_budget,
 )
 from .intervals import (
     _check_bits,
@@ -84,8 +84,8 @@ def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
         return cached
     u = phi.use_bound(length - 1) if length > 0 else 0
     if u > USE_BOUND_BUDGET:
-        raise BudgetExceeded(
-            f"use bound {u} at length {length} exceeds {USE_BOUND_BUDGET}"
+        raise over_budget(
+            f"use bound {u} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
         )
     if length == 0:  # no columns to zip: the one empty input maps onto ""
         counts = {"": 1}
@@ -245,8 +245,8 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
     """
     if len(a_prefix) > TRANSPORT_LENGTH_CAP:
         # the output stops at the cap, so it could never reach status OK
-        raise BudgetExceeded(
-            f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
+        raise over_budget(
+            f"prefix length {len(a_prefix)}", "TRANSPORT_LENGTH_CAP", TRANSPORT_LENGTH_CAP
         )
     _check_bits(a_prefix)
     # lo = lo_n/q and hi = hi_n/q in ints
@@ -330,8 +330,8 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
         if n not in use_cache:
             k = ceil_log2(1 / theta(Fraction(1, 2 ** (n + 2))))
             if k > USE_BOUND_BUDGET:
-                raise BudgetExceeded(
-                    f"modulus demands use beyond {USE_BOUND_BUDGET} at bit {n}"
+                raise over_budget(
+                    f"use bound {k} at bit {n}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
                 )
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
@@ -369,15 +369,17 @@ class LimitOracle:
     def final(self, query: object, horizon: int) -> object:
         return self.script(query, horizon)
 
-    def changes(self, query: object, horizon: int) -> int:
-        count = 0
-        prev = self.script(query, 0)
+    def guesses(self, query: object, horizon: int) -> list[object]:
+        """The guess at stage 0, then at each mind change up to `horizon`."""
+        out = [self.script(query, 0)]
         for s in range(1, horizon + 1):
             cur = self.script(query, s)
-            if cur != prev:
-                count += 1
-                prev = cur
-        return count
+            if cur != out[-1]:
+                out.append(cur)
+        return out
+
+    def changes(self, query: object, horizon: int) -> int:
+        return len(self.guesses(query, horizon)) - 1
 
     def validate_budget(self, query: object, horizon: int) -> bool:
         return self.changes(query, horizon) <= self.budget

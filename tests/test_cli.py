@@ -354,6 +354,45 @@ def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
     assert "total_bound" in assert_one_labcli_line(run_labcli("convert", "--fixture", str(bad)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--name", fixture("name_half_script.json")],
+        ["convert", "--depth", "4"],
+    ],
+    ids=["evaluate", "convert"],
+)
+@pytest.mark.parametrize("second", ["ml_geometric.json", "no-such-fixture.json"])
+def test_second_fixture_exits_two(argv, second):
+    # evaluate and convert read one test family: a second --fixture is refused,
+    # whether or not it exists
+    first = "solovay_geometric.json"
+    proc = run_labcli(*argv, "--fixture", fixture(first), "--fixture", fixture(second))
+    assert "--fixture" in assert_one_labcli_line(proc)
+
+
+def test_name_far_from_its_exact_value_fails_verify(tmp_path, capsys):
+    # q_2 = 1/2 is more than 2^-2 from the exact value 0
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps({"type": "cauchy_name", "values": ["1/2"], "exact": "0"}))
+    code, out = run(capsys, "verify", "--fixture", str(path), "--depth", "8")
+    assert code == 1
+    (record,) = json.loads(out)["records"]
+    assert record == {
+        "name": "name.json:cauchy_contract_to_8", "status": "FAIL", "detail": "|q_2 - exact| = 1/2"
+    }
+
+
+def test_name_within_its_exact_value_passes_verify(tmp_path, capsys):
+    doc = load("name_half_script.json")
+    doc["exact"] = "1/2"
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "verify", "--fixture", str(path))
+    assert code == 0
+    assert json.loads(out)["records"][0]["detail"] == ""
+
+
 def with_path(name, path, value):
     """The fixture `name` with the value at `path` (a key sequence) replaced."""
     doc = load(name)
@@ -456,6 +495,7 @@ DERIVE_AT_HALF = ["derive", "--function", "square", "--at", "1/2", "--precision"
 
 
 INDEX = "COMPONENT_INDEX_BUDGET"
+GRID = "GRID_DENOMINATOR_BUDGET"
 PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
 
 
@@ -473,6 +513,10 @@ PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
          None, [INDEX, "1025"]),
         (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "15000"],
          None, [INDEX, "15000"]),
+        (["convert", "--fixture", fixture("interval_sequence_basic.json"), "--depth", "1025"],
+         None, [INDEX, "1025"]),
+        (["derive", "--function", "square", "--at", "1/3", "--precision", "15"],
+         None, [GRID, "15"]),
         (DERIVE_AT_HALF + ["--scale", "255/16384"], None, [PAIRS, "65790"]),
         (["derive", "--function", "square", "--at", "1/3", "--scale", "1", "--precision", "14"],
          None, [PAIRS]),
@@ -483,7 +527,8 @@ PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
     ],
     ids=["component-1025", "component-minus-1025", "update-m-1025", "update-m-negative",
          "block-m-1025", "block-r-1025", "pi1-1025-c-sets", "convert-depth-1025",
-         "convert-depth-15000", "derive-pairs-65790", "derive-scale-1",
+         "convert-depth-15000", "convert-is-depth-1025", "derive-precision-15",
+         "derive-pairs-65790", "derive-scale-1",
          "transport-prefix-65", "tree-depth-17"],
 )
 def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):

@@ -603,7 +603,7 @@ def test_modulus_precision_equals_reference(delta):
     theta = ModulusFunction(lambda eps: delta)
     want = ref_modulus_precision(delta)
     if want is None:
-        with pytest.raises(BudgetExceeded, match="modulus too small to realize"):
+        with pytest.raises(BudgetExceeded, match="MODULUS_PRECISION_BUDGET"):
             _modulus_precision(theta, Fraction(1, 2))
     else:
         assert _modulus_precision(theta, Fraction(1, 2)) == want

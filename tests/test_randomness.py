@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -57,7 +58,7 @@ def test_every_schnorr_test_is_an_ml_test():
         {"declared_measures": {m: Fraction(1, 2**m) for m in range(9)}},
     )
     assert validate(t).passed
-    assert validate(t, as_kind=TestKind.ML).passed
+    assert validate(dataclasses.replace(t, kind=TestKind.ML)).passed
 
 
 def test_schnorr_declared_mismatch_fails():
@@ -306,6 +307,25 @@ def test_schnorr_to_interval_sequence_accepts_a_budget_equal_to_the_changes():
     assert validate(t).passed
     # three changes excise the first three emitted indices of every block
     assert all(excl == {0, 1, 2} for excl in t.kind_data["excluded"].values())
+
+
+def test_schnorr_to_interval_sequence_reads_each_stage_once():
+    sch = interval_sequence_to_schnorr(iseq_family(), 4)
+    calls = []
+
+    def script(query, stage):
+        calls.append((query, stage))
+        return three_mind_changes(query, stage)
+
+    t = schnorr_to_interval_sequence(sch, LimitOracle(script, budget=3), 3)
+    # 9 block queries (m, r in 1..3), stages 0..3 each, every call distinct
+    queries = [("block", m, r) for m in (1, 2, 3) for r in (1, 2, 3)]
+    assert sorted(calls) == sorted((q, s) for q in queries for s in range(4))
+    # the blocks are the guesses at stages 0..3, each change excising the last
+    assert t.kind_data["blocks"] == {
+        q[1:]: dict(enumerate(three_mind_changes(q, s)[0] for s in range(4))) for q in queries
+    }
+    assert t.kind_data["excluded"] == {q[1:]: {0, 1, 2} for q in queries}
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -313,6 +314,13 @@ def test_limit_oracle_change_counting():
     assert not tight.validate_budget("q", 10)
 
 
+def test_limit_oracle_guesses_are_the_first_guess_and_each_change():
+    o = LimitOracle(lambda query, stage: (stage + 1) // 2)
+    assert o.guesses("q", 4) == [0, 1, 2]
+    assert o.changes("q", 4) == 2
+    assert o.guesses("q", 0) == [0]
+
+
 def ref_use_bound(theta, n):
     """u(n) by counting k up to the least with 2^{-k} <= theta(2^{-n-2});
     None past USE_BOUND_BUDGET."""
@@ -336,7 +344,8 @@ def test_use_bound_equals_reference(c, n):
     phi = tt_from_ucf(dataclasses.replace(identity_fn(), modulus=theta), 8)
     want = ref_use_bound(theta, n)
     if want is None:
-        with pytest.raises(BudgetExceeded, match=f"beyond {USE_BOUND_BUDGET} at bit {n}"):
+        message = f"at bit {n} > USE_BOUND_BUDGET ({USE_BOUND_BUDGET})"
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
             phi.use_bound(n)
     else:
         assert phi.use_bound(n) == want
