@@ -275,7 +275,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: `parse_args` returns
+    a fresh namespace and leaves the parser as it was."""
     parser = _Parser(
         prog="labcli",
         description="exact-arithmetic lab for interval tests, transports, "
@@ -349,13 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_report)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process: `parse_args` returns
-    a fresh namespace and leaves the parser as it was."""
-    return build_parser()
 
 
 def render(command: str, records: list[dict], output: dict, fmt: str) -> str:

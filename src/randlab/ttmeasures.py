@@ -363,9 +363,6 @@ class LimitOracle:
     script: Callable[[object, int], object]
     budget: int = OMEGA_CE_DEFAULT_BUDGET
 
-    def value(self, query: object, stage: int) -> object:
-        return self.script(query, stage)
-
     def final(self, query: object, horizon: int) -> object:
         return self.script(query, horizon)
 

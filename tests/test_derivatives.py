@@ -1,14 +1,13 @@
 import dataclasses
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles as ref
+from oracles import outcome
 from randlab.cauchy import const_name
 from randlab.derivatives import (
-    BLOWUP_THRESHOLD,
-    PSEUDO_DERIVATIVE_PAIR_BUDGET,
     DenjoyVerdict,
     PseudoDerivativeEstimate,
     classify_denjoy,
@@ -132,68 +131,8 @@ def test_finite_opposite_sign_spread_is_neither():
     assert classify_denjoy(est, TOL) is DenjoyVerdict.NEITHER
 
 
-# --- slow reference: the Fraction pair loop the integer version replaced,
-# --- kept as its oracle
-
-
-def ref_pseudo_derivative(f, z, h, grid_denominator):
-    """Every straddling pair's slope as a Fraction, f cached per grid index."""
-    d = grid_denominator
-    if h < Fraction(1, 2 ** (d + 2)):
-        raise ValueError(
-            f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
-        )
-    step = Fraction(1, 2**d)
-    w = z.window(d)
-    lo_lim = max(Fraction(0), w.lo - h)
-    hi_lim = min(Fraction(1), w.hi)
-    best_hi = best_lo = None
-    a_first, a_last = math.ceil(lo_lim * 2**d), math.floor(hi_lim * 2**d)
-    b_min, b_span = math.ceil(w.lo * 2**d), math.floor(h * 2**d)
-    pairs = max(0, a_last - a_first + 1) * b_span
-    if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"up to {pairs} grid pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET "
-            f"({PSEUDO_DERIVATIVE_PAIR_BUDGET})"
-        )
-    fvals = {}
-
-    def fv(k):
-        if k not in fvals:
-            fvals[k] = f(Fraction(k, 2**d))
-        return fvals[k]
-
-    for ka in range(a_first, a_last + 1):
-        for kb in range(max(ka + 1, b_min), min(ka + b_span, 2**d) + 1):
-            s = (fv(kb) - fv(ka)) / ((kb - ka) * step)
-            if best_hi is None or s > best_hi:
-                best_hi = s
-            if best_lo is None or s < best_lo:
-                best_lo = s
-    if best_hi is None:
-        raise ValueError(
-            f"no pair of points of the grid k/2^{d} at most h = {h} apart "
-            "straddles the point"
-        )
-    up_inf = best_hi > BLOWUP_THRESHOLD
-    lo_inf = best_lo < -BLOWUP_THRESHOLD
-    return PseudoDerivativeEstimate(
-        upper=None if up_inf else best_hi,
-        lower=None if lo_inf else best_lo,
-        upper_infinite=up_inf,
-        lower_infinite=lo_inf,
-        scale=h,
-        grid_denominator=d,
-    )
-
-
-def outcome(fn, *args):
-    """The value, or the error's type and message."""
-    try:
-        return fn(*args)
-    except (ValueError, BudgetExceeded) as e:
-        return type(e), str(e)
-
+# the errors the properties compare; any other error fails the test
+ESTIMATE_ERRORS = (ValueError, BudgetExceeded)
 
 functions = (
     st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name)
@@ -225,7 +164,8 @@ STEEP = polygonal_fn([(0, 0), (Fraction(1, 2**10), 128), (Fraction(2, 2**10), 0)
 @given(functions, estimate_inputs())
 @example(STEEP, (const_name(Fraction(1, 2**10)), Fraction(1, 2**3), 10))
 def test_pseudo_derivative_equals_reference(f, inputs):
-    assert outcome(pseudo_derivative, f, *inputs) == outcome(ref_pseudo_derivative, f, *inputs)
+    got = outcome(pseudo_derivative, f, *inputs, catch=ESTIMATE_ERRORS)
+    assert got == outcome(ref.pseudo_derivative, f, *inputs, catch=ESTIMATE_ERRORS)
 
 
 @pytest.mark.parametrize(
@@ -241,9 +181,9 @@ def test_pseudo_derivative_equals_reference(f, inputs):
 )
 def test_pseudo_derivative_far_from_the_unit_interval(z, h, d, error):
     inputs = const_name(Fraction(z)), Fraction(h), d
-    got = outcome(pseudo_derivative, square_fn(), *inputs)
+    got = outcome(pseudo_derivative, square_fn(), *inputs, catch=ESTIMATE_ERRORS)
     assert got[0] is error
-    assert got == outcome(ref_pseudo_derivative, square_fn(), *inputs)
+    assert got == outcome(ref.pseudo_derivative, square_fn(), *inputs, catch=ESTIMATE_ERRORS)
 
 
 def counting(f):
@@ -261,7 +201,7 @@ def counting(f):
 def test_pseudo_derivative_reads_f_where_the_reference_does(f, inputs):
     g, calls = counting(f)
     ref_g, ref_calls = counting(f)
-    outcome(pseudo_derivative, g, *inputs)
-    outcome(ref_pseudo_derivative, ref_g, *inputs)
+    outcome(pseudo_derivative, g, *inputs, catch=ESTIMATE_ERRORS)
+    outcome(ref.pseudo_derivative, ref_g, *inputs, catch=ESTIMATE_ERRORS)
     assert sorted(calls) == sorted(ref_calls)
     assert len(set(calls)) == len(calls)

@@ -1,12 +1,13 @@
 import re
 import math
 from fractions import Fraction
-from typing import Sequence
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles as ref
+from oracles import outcome
 from randlab import randomness
 from randlab.errors import ParseError
 from randlab.intervals import (
@@ -37,37 +38,6 @@ def interval_strategy():
     )
 
 
-def _ref_mergeable(cur: RationalInterval, nxt: RationalInterval) -> bool:
-    # Assumes cur.lo <= nxt.lo.  Merge when they overlap, or touch with at
-    # least one side including the touch point.
-    if nxt.lo < cur.hi:
-        return True
-    if nxt.lo == cur.hi:
-        return not (cur.hi_open and nxt.lo_open)
-    return False
-
-
-def ref_normalize_union(intervals) -> IntervalUnion:
-    """The sort-and-merge that the endpoint sweep replaced: parts sorted by
-    their left end, each merged into the last output part it overlaps or
-    touches at an included point."""
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.lo_open, iv.hi, iv.hi_open))
-    out: list[RationalInterval] = []
-    for iv in ivs:
-        if out and _ref_mergeable(out[-1], iv):
-            cur = out[-1]
-            if iv.hi > cur.hi:
-                hi, hi_open = iv.hi, iv.hi_open
-            elif iv.hi == cur.hi:
-                hi, hi_open = cur.hi, cur.hi_open and iv.hi_open
-            else:
-                hi, hi_open = cur.hi, cur.hi_open
-            out[-1] = RationalInterval(cur.lo, hi, cur.lo_open, hi_open)
-        else:
-            out.append(iv)
-    return IntervalUnion(parts=tuple(out))
-
-
 @given(rationals)
 def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
@@ -93,30 +63,6 @@ def test_parse_rejects_a_non_string_by_value(bad):
     interval = f'bad interval {bad!r}: expected a "[lo,hi)" string'
     with pytest.raises(ParseError, match=re.escape(interval)):
         parse_interval(bad)
-
-
-def ref_parse_rational(text):
-    """The parse that reading two ints replaced: the pattern, then
-    `Fraction(str)`, which reads the text a second time."""
-    if not isinstance(text, str):
-        raise ParseError(f'bad rational {text!r}: expected a "p/q" string')
-    s = text.strip()
-    if not re.fullmatch(r"-?\d+(/\d+)?", s):
-        raise ParseError(f"bad rational {text!r}: expected p/q")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"bad rational {text!r}: zero denominator") from exc
-
-
-def outcome(fn, arg):
-    """The value fn returns, with its type, or the type and message of what
-    it raises."""
-    try:
-        value = fn(arg)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return type(value), value
 
 
 # ASCII and other Unicode decimal digits, with "_" (which Fraction(str)
@@ -159,7 +105,7 @@ parse_inputs = st.one_of(
 @example("1/")
 @example("\u200b1")
 def test_parse_rational_equals_reference(text):
-    assert outcome(parse_rational, text) == outcome(ref_parse_rational, text)
+    assert outcome(parse_rational, text) == outcome(ref.parse_rational, text)
 
 
 def test_parse_rational_reads_unicode_digits():
@@ -212,12 +158,6 @@ def test_normalize_union_is_canonical(ivs):
     assert normalize_union(parts) == u
 
 
-def ref_measure(u: IntervalUnion) -> Fraction:
-    """The measure that one common denominator replaced: the parts'
-    Fraction lengths, added one at a time."""
-    return sum((p.length for p in u.parts), Fraction(0))
-
-
 # pairwise coprime denominators of 9 to 27 digits, so a common
 # denominator of a few endpoints runs to hundreds of bits
 huge_rationals = st.builds(
@@ -245,7 +185,7 @@ def test_measure_equals_reference(ivs, canonical):
     u = normalize_union(ivs) if canonical else IntervalUnion(tuple(ivs))
     got = u.measure
     assert type(got) is Fraction
-    assert got == ref_measure(u)
+    assert got == ref.measure(u)
 
 
 @given(st.lists(interval_strategy(), max_size=8))
@@ -304,33 +244,6 @@ def test_coverage_threshold_beyond_count_is_empty():
     assert coverage_at_least([], 1).is_empty
 
 
-def ref_coverage_at_least(
-    unions: Sequence[IntervalUnion], threshold: int
-) -> IntervalUnion:
-    """The midpoint-sampling version the sweep replaced: every union is
-    tested at every breakpoint and at the midpoint of every segment between
-    consecutive breakpoints."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    pts: set[Fraction] = set()
-    for u in unions:
-        for p in u.parts:
-            pts.add(p.lo)
-            pts.add(p.hi)
-    if not pts:
-        return EMPTY_UNION
-    bps = sorted(pts)
-    pieces: list[RationalInterval] = []
-    for a, b in zip(bps, bps[1:]):
-        mid = (a + b) / 2
-        if sum(1 for u in unions if u.contains(mid)) >= threshold:
-            pieces.append(RationalInterval(a, b, lo_open=True, hi_open=True))
-    for p in bps:
-        if sum(1 for u in unions if u.contains(p)) >= threshold:
-            pieces.append(RationalInterval(p, p))
-    return ref_normalize_union(pieces)
-
-
 # endpoints on a grid of eighths, so parts of different unions share and
 # touch endpoints often; equal endpoints give degenerate closed points
 eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
@@ -340,7 +253,7 @@ grid_interval = st.tuples(eighths, eighths, st.booleans(), st.booleans()).map(
     else RationalInterval(t[0], t[1], False, False)
 )
 any_interval = st.one_of(grid_interval, interval_strategy())
-canonical_unions = st.lists(any_interval, max_size=5).map(ref_normalize_union)
+canonical_unions = st.lists(any_interval, max_size=5).map(ref.normalize_union)
 # raw parts: unsorted, overlapping or touching, as IntervalUnion(parts) allows
 raw_unions = st.lists(any_interval, max_size=5).map(
     lambda ivs: IntervalUnion(tuple(ivs))
@@ -354,12 +267,12 @@ def test_normalize_union_equals_reference(data):
     ivs = data.draw(st.lists(any_interval, max_size=8))
     if data.draw(st.booleans()):
         # canonical parts, which take the linear check's early return
-        ivs = list(ref_normalize_union(ivs).parts)
+        ivs = list(ref.normalize_union(ivs).parts)
     if data.draw(st.booleans()):
         ivs = data.draw(st.permutations(ivs))
     u = normalize_union(ivs)
     # RationalInterval equality compares both endpoints and both flags
-    assert u == ref_normalize_union(ivs)
+    assert u == ref.normalize_union(ivs)
     assert normalize_union(u.parts) == u
 
 
@@ -369,7 +282,7 @@ def test_coverage_sweep_equals_reference(data):
     unions = data.draw(union_lists)
     threshold = data.draw(st.integers(1, len(unions) + 1))
     # RationalInterval equality compares both endpoints and both flags
-    assert coverage_at_least(unions, threshold) == ref_coverage_at_least(
+    assert coverage_at_least(unions, threshold) == ref.coverage_at_least(
         unions, threshold
     )
 
@@ -419,7 +332,7 @@ def test_convert_solovay_matches_reference(comps, slack):
     bound = total + slack if total + slack > 0 else Fraction(1, 16)
     t = TestFamily(TestKind.SOLOVAY, unions, {"total_bound": bound})
     got = convert_solovay_to_ml(t, 6)
-    with mock.patch.object(randomness, "coverage_at_least", ref_coverage_at_least):
+    with mock.patch.object(randomness, "coverage_at_least", ref.coverage_at_least):
         want = convert_solovay_to_ml(t, 6)
     assert got.components == want.components
 

@@ -1,8 +1,8 @@
 """The level walks over {0,1}^{<=d} against brute-force references.
 
-Each reference is the straightforward node-by-node (or path-by-path) walk
-that the level versions replace; the property tests assert exact equality
-on random non-negative tables up to depth 6.
+Each reference, in oracles.py, is the straightforward node-by-node (or
+path-by-path) walk that the level versions replace; the property tests
+assert exact equality on random non-negative tables up to depth 6.
 """
 
 from fractions import Fraction
@@ -11,112 +11,20 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles as ref
+from oracles import recorded_outcome
 from randlab.errors import InvariantViolation
-from randlab.intervals import bit_strings, dyadic_value, format_rational as q, tree_strings
+from randlab.intervals import bit_strings, dyadic_value, tree_strings
 from randlab.martingales import (
-    FairnessReport,
-    Martingale,
-    capital_trace,
     check_fairness,
     savings_growth_constants,
     savings_transform,
     savings_violation_search,
     table_martingale,
 )
-from randlab.randomness import CheckRecord
 from randlab.ttmeasures import table_measure, validate_measure
 
 MAX_DEPTH = 6
-
-
-def ref_violation_search(m: Martingale, depth: int, drop: Fraction):
-    """One depth-first search (1-child first) below every σ, σ in
-    (length, lexicographic) order."""
-    for sigma_len in range(depth + 1):
-        for si in range(2**sigma_len):
-            sigma = format(si, f"0{sigma_len}b") if sigma_len else ""
-            vs = m.value(sigma)
-            stack = [sigma]
-            while stack:
-                tau = stack.pop()
-                if m.value(tau) < vs - drop:
-                    return sigma, tau
-                if len(tau) < depth:
-                    stack.extend((tau + "0", tau + "1"))
-    return None
-
-
-def ref_check_fairness(m: Martingale, depth: int) -> FairnessReport:
-    """The depth-first walk (1-child first) comparing 2·M(σ) with
-    M(σ0) + M(σ1) as Fractions; the depth budget is the caller's."""
-    stack = [""]
-    while stack:
-        s = stack.pop()
-        if len(s) >= depth:
-            continue
-        v, v0, v1 = m.value(s), m.value(s + "0"), m.value(s + "1")
-        if 2 * v != v0 + v1:
-            return FairnessReport(False, f"fairness fails at {s!r}: 2·{v} != {v0} + {v1}")
-        stack.extend((s + "0", s + "1"))
-    return FairnessReport(True)
-
-
-def ref_growth_constants(base: Martingale, transformed: Martingale, depth: int):
-    """The maxima of two capital traces per leaf."""
-    c = base.initial_capital
-    worst = Fraction(0)
-    for leaf in product("01", repeat=depth):
-        path = "".join(leaf)
-        mx_base = max(capital_trace(base, path).capitals)
-        mx_tr = max(capital_trace(transformed, path).capitals)
-        log2_floor = max(0, mx_base.numerator.bit_length() - 1) if mx_base >= 1 else 0
-        worst = max(worst, c * log2_floor - mx_tr)
-    return c, worst
-
-
-def ref_validate_measure(mu, depth: int):
-    """Three mass reads per node: μ(σ), μ(σ0), μ(σ1)."""
-    checks = [CheckRecord("total_mass", mu("") == 1, f"mass(ε) = {q(mu(''))}")]
-    frontier = [""]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            lhs, rhs = mu(s), mu(s + "0") + mu(s + "1")
-            if lhs != rhs:
-                checks.append(
-                    CheckRecord(f"additivity[{s or 'ε'}]", False, f"{q(lhs)} != {q(rhs)}")
-                )
-            nxt.extend((s + "0", s + "1"))
-        frontier = nxt
-    if all(c.passed for c in checks):
-        checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
-    return tuple(checks)
-
-
-def ref_savings_table(m: Martingale, depth: int) -> dict[str, Fraction]:
-    """(working, bank) kept per node in a dict, grown from a frontier."""
-    ref = m.initial_capital
-    state = {"": (ref, Fraction(0))}
-    table = {"": ref}
-    frontier = [""]
-    for _ in range(depth):
-        nxt = []
-        for s in frontier:
-            w, b = state[s]
-            base = m.value(s)
-            for bit in "01":
-                child = s + bit
-                ratio = m.value(child) / base if base != 0 else Fraction(1)
-                wc = w * ratio
-                if ref > 0 and wc >= 2 * ref:
-                    bc, wc = b + wc / 2, wc / 2
-                else:
-                    bc = b
-                state[child] = (wc, bc)
-                table[child] = wc + bc
-                nxt.append(child)
-        frontier = nxt
-    return table
 
 
 def _nodes(depth: int) -> list[str]:
@@ -220,9 +128,9 @@ def test_bit_strings_are_the_cylinders_left_to_right():
 def test_violation_search_matches_nested_dfs(td, drop):
     table, d = td
     m = table_martingale(table)
-    assert savings_violation_search(m, d, drop) == ref_violation_search(m, d, drop)
+    assert savings_violation_search(m, d, drop) == ref.savings_violation_search(m, d, drop)
     saved = savings_transform(m, d)
-    assert savings_violation_search(saved, d, drop) == ref_violation_search(saved, d, drop)
+    assert savings_violation_search(saved, d, drop) == ref.savings_violation_search(saved, d, drop)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,8 +142,8 @@ def test_growth_constants_match_per_leaf_traces(td):
     table, d = td
     m = table_martingale(table)
     saved = savings_transform(m, d)
-    assert savings_growth_constants(m, saved, d) == ref_growth_constants(m, saved, d)
-    assert savings_growth_constants(m, m, d) == ref_growth_constants(m, m, d)
+    assert savings_growth_constants(m, saved, d) == ref.savings_growth_constants(m, saved, d)
+    assert savings_growth_constants(m, m, d) == ref.savings_growth_constants(m, m, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,7 +159,7 @@ def test_validate_measure_matches_additivity_triples(td):
         table_measure("fair", {s: v / root / 2 ** len(s) for s, v in table.items()}),
         table_measure("raw", table),
     ):
-        assert validate_measure(mu, d) == ref_validate_measure(mu, d)
+        assert validate_measure(mu, d) == ref.validate_measure(mu, d)
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,24 +169,8 @@ def test_savings_table_matches_at_every_node(dt, data):
     d = data.draw(st.integers(0, depth))
     m = table_martingale(table)
     saved = savings_transform(m, d)
-    expected = ref_savings_table(m, d)
-    assert {s: saved.value(s) for s in _nodes(d)} == expected
-
-
-def recorded_outcome(f, m: Martingale, *args):
-    """f(m, *args), or the type and message of its error, and the strings
-    m's capital was asked for, in order."""
-    calls = []
-
-    def value_at(s):
-        calls.append(s)
-        return m.value_at(s)
-
-    try:
-        result = f(Martingale(m.name, value_at, m.depth_budget), *args)
-    except Exception as exc:
-        result = type(exc), str(exc)
-    return result, calls
+    expected = ref.savings_transform(m, d)
+    assert {s: saved.value(s) for s in _nodes(d)} == {s: expected.value(s) for s in _nodes(d)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,7 +184,7 @@ def test_check_fairness_matches_fraction_dfs(dt, data):
         table = {**table, s: -1 - table[s]}
     m = table_martingale(table)
     got = recorded_outcome(check_fairness, m, d)
-    assert got == recorded_outcome(ref_check_fairness, m, d)
+    assert got == recorded_outcome(ref.check_fairness, m, d)
 
 
 def test_zero_working_capital_is_absorbing():
@@ -302,16 +194,16 @@ def test_zero_working_capital_is_absorbing():
     table.update({"": Fraction(1), "0": Fraction(0)})
     m = table_martingale(table)
     saved = savings_transform(m, 3)
-    expected = ref_savings_table(m, 3)
-    assert {s: saved.value(s) for s in _nodes(3)} == expected
-    assert [expected[s] for s in bit_strings(3)[:4]] == [0, 0, 0, 0]
+    expected = ref.savings_transform(m, 3)
+    assert {s: saved.value(s) for s in _nodes(3)} == {s: expected.value(s) for s in _nodes(3)}
+    assert [expected.value(s) for s in bit_strings(3)[:4]] == [0, 0, 0, 0]
 
 
 def test_negative_capital_raises_where_nested_dfs_returned():
     # the nested search meets the violation at "1" before it reads the
     # negative capital at "0"; the one-pass search reads every capital first
     m = table_martingale({"": Fraction(4), "0": Fraction(-1), "1": Fraction(0)})
-    assert ref_violation_search(m, 1, Fraction(2)) == ("", "1")
+    assert ref.savings_violation_search(m, 1, Fraction(2)) == ("", "1")
     with pytest.raises(InvariantViolation):
         savings_violation_search(m, 1, Fraction(2))
     with pytest.raises(InvariantViolation):

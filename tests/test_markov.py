@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles as ref
 from randlab.cauchy import ModulusFunction, const_name
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
-from randlab.intervals import RationalInterval, bit_strings
+from randlab.intervals import RationalInterval
 from randlab.markov import (
     BUILTIN_FUNCTIONS,
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
-    SlopeBoundsVerdict,
     StagedCover,
     _modulus_precision,
     abs_offset_fn,
@@ -37,13 +37,9 @@ HALF_COVER = StagedCover(
 )
 
 
-def tent_interval(n: int) -> RationalInterval:
-    return RationalInterval(1 - Fraction(1, 2**n), 1 - Fraction(3, 2 ** (n + 2)))
-
-
 def nonuc_tents(k: int) -> list[tuple[RationalInterval, Fraction]]:
     """The (interval, peak) pairs of canonical_nonuc(k): peak n on I_n."""
-    return [(tent_interval(n), Fraction(n)) for n in range(k)]
+    return [(ref.tent_interval(n), Fraction(n)) for n in range(k)]
 
 
 @given(unit)
@@ -67,7 +63,7 @@ def test_nonuc_tent_geometry():
     # covers have length 2^{-n-2} and approach 1 without reaching it
     f = canonical_nonuc(12)
     for n in range(12):
-        iv = tent_interval(n)
+        iv = ref.tent_interval(n)
         assert iv.length == Fraction(1, 2 ** (n + 2))
         assert f(iv.lo) == 0 and f(iv.hi) == 0
         assert f((iv.lo + iv.hi) / 2) == n
@@ -77,7 +73,7 @@ def test_nonuc_tent_geometry():
 @given(st.integers(0, 11), unit)
 def test_nonuc_vanishes_outside_covers(n, t):
     f = canonical_nonuc(12)
-    covers = [tent_interval(k) for k in range(12)]
+    covers = [ref.tent_interval(k) for k in range(12)]
     x = t
     if not any(c.contains(x) for c in covers):
         assert f(x) == 0
@@ -230,81 +226,6 @@ def test_truncation_point_interval_sharing_a_left_end():
     assert truncate(square_fn(), c)(Fraction(3, 8)) == Fraction(5, 32)
 
 
-# --- slow references: the Fraction code the integer and per-interval
-# --- constant versions replaced, kept as oracles
-
-
-def ref_oscillation_tree(f, n, depth):
-    """Grid extrema folded as Fraction pairs, threshold as a Fraction."""
-    size = 2 ** (depth + 4)
-    denom = Fraction(1, size)
-    vals = [f(k * denom) for k in range(size)]
-    threshold = Fraction(1, 2**n) if n >= 0 else Fraction(2 ** (-n))
-    level = [(v, v) for v in vals]
-    extrema = [level]
-    while len(level) > 1:
-        level = [
-            (min(level[2 * i][0], level[2 * i + 1][0]),
-             max(level[2 * i][1], level[2 * i + 1][1]))
-            for i in range(len(level) // 2)
-        ]
-        extrema.append(level)
-    extrema.reverse()
-    return {
-        s
-        for k in range(depth + 1)
-        for s, (mn, mx) in zip(bit_strings(k), extrema[k])
-        if mx - mn > threshold
-    }
-
-
-def ref_tent_value(iv, peak, x):
-    mid = (iv.lo + iv.hi) / 2
-    if x <= mid:
-        if mid == iv.lo:
-            return peak
-        return peak * (x - iv.lo) / (mid - iv.lo)
-    return peak * (iv.hi - x) / (iv.hi - mid)
-
-
-def ref_nonuc_value(k, x):
-    for iv, peak in nonuc_tents(k):
-        if iv.contains(x):
-            return ref_tent_value(iv, peak, x)
-    return Fraction(0)
-
-
-def ref_truncation_value(f, ivs, x):
-    for iv in ivs:
-        if iv.lo < x < iv.hi:
-            ylo, yhi = f(iv.lo), f(iv.hi)
-            return ylo + (yhi - ylo) * (x - iv.lo) / (iv.hi - iv.lo)
-    return f(x)
-
-
-def ref_slope_bounds(f, w, z, grid):
-    """The upper clause read directly off f (a truncation, or f itself
-    under an empty cover): a Fraction loop over every grid pair."""
-    pts = [Fraction(k, grid) for k in range(grid + 1)]
-    tv = [f(p) for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not tv[j] - tv[i] < z * (pts[j] - pts[i]):
-                return SlopeBoundsVerdict(
-                    False, True, False,
-                    f"upper clause fails at x={pts[i]}, y={pts[j]}: "
-                    f"slope {(tv[j] - tv[i]) / (pts[j] - pts[i])} >= {z}",
-                )
-    return SlopeBoundsVerdict(True, True, True)
-
-
-def ref_polygonal_value(breakpoints, x):
-    for (x0, y0), (x1, y1) in zip(breakpoints, breakpoints[1:]):
-        if x0 <= x < x1:
-            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    return breakpoints[-1][1]
-
-
 @st.composite
 def covers(draw):
     """Non-overlapping closed intervals, point intervals and shared
@@ -336,7 +257,7 @@ def interval_marks(ivs):
 @example(12, (-80, 6))
 def test_tree_of_nonuc_equals_reference(k, size):
     f = canonical_nonuc(k)
-    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,7 +266,7 @@ def test_tree_of_nonuc_equals_reference(k, size):
 @example(canonical_nonuc(6), HALF_COVER, (-80, 6))
 def test_tree_of_truncation_equals_reference(base, cover, size):
     g = truncate(base, cover)
-    assert oscillation_tree(g, *size) == ref_oscillation_tree(g, *size)
+    assert oscillation_tree(g, *size) == ref.oscillation_tree(g, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +275,7 @@ def test_tree_of_truncation_equals_reference(base, cover, size):
 @example([(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(16)), (Fraction(1), Fraction(-16))], (-80, 6))
 def test_tree_of_polygonal_equals_reference(breakpoints, size):
     f = polygonal_fn(breakpoints)
-    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -365,7 +286,7 @@ def test_tree_of_polygonal_equals_reference(breakpoints, size):
 @example(const_fn(Fraction(-3, 7)), (-80, 6))
 @example(const_fn(Fraction(5)), (0, 6))
 def test_tree_of_builtin_equals_reference(f, size):
-    assert oscillation_tree(f, *size) == ref_oscillation_tree(f, *size)
+    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,7 +294,7 @@ def test_tree_of_builtin_equals_reference(f, size):
 def test_nonuc_value_equals_reference(k, xs):
     f = canonical_nonuc(k)
     for x in xs + interval_marks(iv for iv, _ in nonuc_tents(k)) + [Fraction(1)]:
-        assert f(x) == ref_nonuc_value(k, x)
+        assert f(x) == ref.nonuc_value(k, x)
 
 
 def test_slope_bounds_on_empty_cover_equals_reference():
@@ -390,7 +311,7 @@ def test_slope_bounds_on_empty_cover_equals_reference():
     for f in fs:
         for w, z, grid in sizes:
             v = slope_bounds_check(f, empty, Fraction(w), Fraction(z), grid)
-            assert v == ref_slope_bounds(f, Fraction(w), Fraction(z), grid)
+            assert v == ref.slope_bounds_check(f, empty, Fraction(w), Fraction(z), grid)
             verdicts.append(v.passed)
     assert verdicts.count(True) == 9 and verdicts.count(False) == 7
 
@@ -430,14 +351,15 @@ def test_slope_bounds_of_truncation_equal_reference(inputs):
     f, cover, w, z, grid = inputs
     v = slope_bounds_check(f, cover, w, z, grid)
     assert v.lower_clause_ok
-    assert v == ref_slope_bounds(truncate(f, cover), w, z, grid)
+    assert v == ref.slope_bounds_check(f, cover, w, z, grid)
 
 
 def test_slope_bounds_report_the_first_of_tied_pairs():
     # identity under z = 1: every g_k is 0, so (0, 1/8) is the first failure
-    v = slope_bounds_check(identity_fn(), StagedCover((), ()), Fraction(0), Fraction(1), 8)
+    empty = StagedCover((), ())
+    v = slope_bounds_check(identity_fn(), empty, Fraction(0), Fraction(1), 8)
     assert v.counterexample == "upper clause fails at x=0, y=1/8: slope 1 >= 1"
-    assert v == ref_slope_bounds(identity_fn(), Fraction(0), Fraction(1), 8)
+    assert v == ref.slope_bounds_check(identity_fn(), empty, Fraction(0), Fraction(1), 8)
 
 
 @settings(max_examples=100, deadline=None)
@@ -446,7 +368,7 @@ def test_truncation_value_equals_reference(base, cover, xs):
     g = truncate(base, cover)
     ivs = cover.all_intervals()
     for x in xs + interval_marks(ivs) + [Fraction(0), Fraction(1)]:
-        assert g(x) == ref_truncation_value(base, ivs, x)
+        assert g(x) == ref.truncation_value(base, ivs, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -456,17 +378,12 @@ def test_polygonal_value_equals_reference(breakpoints, xs):
     marks = [x for x, _ in breakpoints]
     marks += [(a + b) / 2 for a, b in zip(marks, marks[1:])]
     for x in xs + marks:
-        assert f(x) == ref_polygonal_value(breakpoints, x)
-
-
-def per_point_grid(f, depth):
-    """The oracle of `MarkovFunction.grid`: eval_at at every grid point."""
-    return [f.eval_at(Fraction(k, 2**depth)) for k in range(2**depth)]
+        assert f(x) == ref.polygonal_value(breakpoints, x)
 
 
 def assert_grid_is_per_point(f, depth):
     ints, den = f.grid(depth)
-    assert [Fraction(v, den) for v in ints] == per_point_grid(f, depth)
+    assert [Fraction(v, den) for v in ints] == ref.grid(f, depth)
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,7 +450,7 @@ def test_truncation_grid_over_replaced_base_reads_the_replacement():
     ints, den = t.grid(4)
     assert len(calls) == 2 + 2**4  # the chord's ends, then the base's grid
     vals = [Fraction(v, den) for v in ints]
-    assert vals == per_point_grid(t, 4)
+    assert vals == ref.grid(t, 4)
     # the chord from (0,0) to (1/2,1/8) inside the cover, x^3 outside it
     assert vals[4] == Fraction(1, 16) and vals[12] == Fraction(27, 64)
 
@@ -548,7 +465,7 @@ def test_integer_breakpoints_evaluate_exactly():
     f = polygonal_fn([(0, 0), (1, 1)])
     value = f(Fraction(1, 3))
     assert type(value) is Fraction and value == Fraction(1, 3)
-    assert oscillation_tree(f, 3, 4) == ref_oscillation_tree(f, 3, 4)
+    assert oscillation_tree(f, 3, 4) == ref.oscillation_tree(f, 3, 4)
 
 
 def test_tree_of_integer_grid_at_every_threshold():
@@ -557,38 +474,18 @@ def test_tree_of_integer_grid_at_every_threshold():
     f = polygonal_fn([(0, 0), (1, 2**10)])
     for n in range(-12, 3):
         for depth in range(3):
-            assert oscillation_tree(f, n, depth) == ref_oscillation_tree(f, n, depth)
-
-
-def ref_polygonal_critical_points(breakpoints):
-    return tuple(x for x, _ in breakpoints[1:-1])
-
-
-def ref_nonuc_critical_points(k):
-    marks = interval_marks(tent_interval(n) for n in range(k))
-    return tuple(p for p in marks if 0 < p < 1)
+            assert oscillation_tree(f, n, depth) == ref.oscillation_tree(f, n, depth)
 
 
 @settings(max_examples=100, deadline=None)
 @given(polygons())
 def test_polygonal_critical_points_equal_reference(breakpoints):
-    assert polygonal_fn(breakpoints).critical_points == ref_polygonal_critical_points(breakpoints)
+    assert polygonal_fn(breakpoints).critical_points == ref.polygonal_critical_points(breakpoints)
 
 
 def test_nonuc_critical_points_equal_reference():
     for k in range(1, CANONICAL_NONUC_STAGE_BUDGET + 1):
-        assert canonical_nonuc(k).critical_points == ref_nonuc_critical_points(k)
-
-
-def ref_modulus_precision(delta):
-    """The least m >= 0 with 2^{-m+1} <= delta, by counting up; None past
-    the 4096 budget."""
-    m = 0
-    while Fraction(2, 2**m) > delta:
-        m += 1
-        if m > 4096:
-            return None
-    return m
+        assert canonical_nonuc(k).critical_points == ref.nonuc_critical_points(k)
 
 
 positive = (
@@ -601,7 +498,7 @@ positive = (
 @given(positive)
 def test_modulus_precision_equals_reference(delta):
     theta = ModulusFunction(lambda eps: delta)
-    want = ref_modulus_precision(delta)
+    want = ref.modulus_precision(delta)
     if want is None:
         with pytest.raises(BudgetExceeded, match="MODULUS_PRECISION_BUDGET"):
             _modulus_precision(theta, Fraction(1, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as ref
 from randlab.errors import BudgetExceeded, InvariantViolation
 from randlab.martingales import (
     FAIRNESS_DEPTH_BUDGET,
@@ -49,18 +50,10 @@ def test_all_in_doubles_along_zeros():
     assert m.value("") == 1
 
 
-def ref_split_bet_value(p, s: str) -> Fraction:
-    """One Fraction product per bit: 2p on a "0", 2(1-p) on anything else."""
-    out = Fraction(1)
-    for bit in s:
-        out *= 2 * p if bit == "0" else 2 * (1 - p)
-    return out
-
-
 @given(prefixes)
 def test_split_bet_value_oracle(s):
     p = Fraction(3, 4)
-    assert split_bet(p).value(s) == ref_split_bet_value(p, s)
+    assert split_bet(p).value(s) == ref.split_bet_value(p, s)
 
 
 @st.composite
@@ -78,14 +71,14 @@ long_prefixes = st.text(alphabet="01", max_size=24) | st.text(alphabet="01x", ma
 @given(unit_rationals(), long_prefixes)
 def test_split_bet_closed_form_matches_products(p, s):
     # value_at: the capital itself, past the depth budget that value() enforces
-    got, want = split_bet(p).value_at(s), ref_split_bet_value(p, s)
+    got, want = split_bet(p).value_at(s), ref.split_bet_value(p, s)
     assert got == want and type(got) is type(want) is Fraction
 
 
 @given(prefixes)
 def test_split_bet_float_bias_gives_exact_capitals(s):
     got = split_bet(0.75).value(s)
-    assert got == ref_split_bet_value(Fraction(3, 4), s) and type(got) is Fraction
+    assert got == ref.split_bet_value(Fraction(3, 4), s) and type(got) is Fraction
 
 
 def test_negative_capital_rejected():

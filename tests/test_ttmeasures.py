@@ -9,20 +9,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as ref
+from oracles import outcome, recorded_outcome
 from randlab import ttmeasures
 from randlab.cauchy import ModulusFunction
 from randlab.errors import AtomSuspected, BudgetExceeded, ParseError, ZeroMassCylinder
-from randlab.intervals import bit_strings, dyadic_value, format_rational
+from randlab.intervals import bit_strings
 from randlab.markov import half_fn, identity_fn, square_fn
-from randlab.randomness import CheckRecord
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
-    CylinderMeasure,
     LimitOracle,
-    PushforwardCheck,
     MonotoneCDF,
-    TransportResult,
     TransportStatus,
     TTFunctional,
     _tally_for_length,
@@ -44,34 +42,6 @@ from randlab.ttmeasures import (
 FUNCTIONALS = [identity_tt(), pairwise_or_tt(), bit_flip_tt()]
 
 prefixes = st.text(alphabet="01", min_size=1, max_size=8)
-
-
-def brute_force_preimage(phi, sigma: str) -> Fraction:
-    # independent oracle: direct enumeration, no tally cache
-    u = phi.use_bound(len(sigma) - 1)
-    hits = 0
-    for block in range(2**u):
-        bits = tuple((block >> (u - 1 - i)) & 1 for i in range(u))
-        out = "".join(str(phi.output_bit(bits, n)) for n in range(len(sigma)))
-        if out == sigma:
-            hits += 1
-    return Fraction(hits, 2**u)
-
-
-def ref_apply_prefix(phi, bits, length):
-    """The first `length` output bits, one output_bit call each."""
-    return tuple(phi.output_bit(bits, n) for n in range(length))
-
-
-def ref_tally_for_length(phi, length):
-    """Every input block of length use_bound(length-1), mapped bit by bit
-    and counted under its output string."""
-    u = phi.use_bound(length - 1) if length > 0 else 0
-    counts = {}
-    for bits in itertools.product((0, 1), repeat=u):
-        out = "".join(str(b) for b in ref_apply_prefix(phi, bits, length))
-        counts[out] = counts.get(out, 0) + 1
-    return counts
 
 
 def counting(phi, key):
@@ -108,7 +78,7 @@ def test_tally_matches_per_length_enumeration(drawn, run):
     phi, length = drawn
     with mock.patch.object(ttmeasures, "TALLY_RUN", run):
         for k in range(length + 1):
-            assert _tally_for_length(phi, k) == ref_tally_for_length(phi, k)
+            assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,11 +86,11 @@ def test_tally_matches_per_length_enumeration(drawn, run):
 def test_tally_makes_the_per_length_output_bit_calls(drawn, run):
     base, length = drawn
     phi, calls = counting(base, lambda bits, n: (bits, n))
-    ref, ref_calls = counting(base, lambda bits, n: (bits, n))
+    slow, ref_calls = counting(base, lambda bits, n: (bits, n))
     with mock.patch.object(ttmeasures, "TALLY_RUN", run):
         for k in range(length + 1):
             _tally_for_length(phi, k)
-            ref_tally_for_length(ref, k)
+            ref._tally_for_length(slow, k)
     assert calls == ref_calls
 
 
@@ -134,9 +104,9 @@ def test_pairwise_or_to_length_8_makes_the_pinned_output_bit_calls():
 
 def test_pairwise_or_call_multiset_matches_oracle_across_runs():
     phi, calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
-    ref, ref_calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
+    slow, ref_calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
     for k in range(8):  # 2^14 inputs at length 7: several runs
-        assert _tally_for_length(phi, k) == ref_tally_for_length(ref, k)
+        assert _tally_for_length(phi, k) == ref._tally_for_length(slow, k)
     assert calls == ref_calls
 
 
@@ -144,15 +114,15 @@ def test_pairwise_or_known_values():
     phi = pairwise_or_tt()
     assert induced_measure_of_cylinder(phi, "1") == Fraction(3, 4)
     assert induced_measure_of_cylinder(phi, "11") == Fraction(9, 16)
-    assert brute_force_preimage(phi, "1") == Fraction(3, 4)
-    assert brute_force_preimage(phi, "11") == Fraction(9, 16)
+    assert ref.induced_measure_of_cylinder(phi, "1") == Fraction(3, 4)
+    assert ref.induced_measure_of_cylinder(phi, "11") == Fraction(9, 16)
 
 
 @pytest.mark.parametrize("phi", FUNCTIONALS, ids=lambda p: p.name)
 @given(sigma=prefixes)
 @settings(max_examples=30, deadline=None)
 def test_induced_measure_matches_brute_force(phi, sigma):
-    assert induced_measure_of_cylinder(phi, sigma) == brute_force_preimage(phi, sigma)
+    assert induced_measure_of_cylinder(phi, sigma) == ref.induced_measure_of_cylinder(phi, sigma)
 
 
 @pytest.mark.parametrize("phi", FUNCTIONALS, ids=lambda p: p.name)
@@ -290,7 +260,7 @@ def test_tt_from_ucf_identity_round_trip():
     for i in range(16):
         s = format(i, "04b")
         bits = tuple(int(b) for b in s + "0" * 8)
-        out = "".join(str(b) for b in ref_apply_prefix(phi, bits, 4))
+        out = "".join(str(b) for b in ref.apply_prefix(phi, bits, 4))
         assert out == s
 
 
@@ -298,7 +268,7 @@ def test_tt_from_ucf_halving_map():
     # g(x) = x/2 maps [0.1...] to [0.01...]
     phi = tt_from_ucf(half_fn(), 8)
     bits = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    out = ref_apply_prefix(phi, bits, 3)
+    out = ref.apply_prefix(phi, bits, 3)
     assert out == (0, 1, 0)
 
 
@@ -321,18 +291,6 @@ def test_limit_oracle_guesses_are_the_first_guess_and_each_change():
     assert o.guesses("q", 0) == [0]
 
 
-def ref_use_bound(theta, n):
-    """u(n) by counting k up to the least with 2^{-k} <= theta(2^{-n-2});
-    None past USE_BOUND_BUDGET."""
-    eps = theta(Fraction(1, 2 ** (n + 2)))
-    k = 0
-    while Fraction(1, 2**k) > eps:
-        k += 1
-        if k > USE_BOUND_BUDGET:
-            return None
-    return max(k, n + 1)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.builds(Fraction, st.integers(1, 2**40), st.integers(1, 2**40))
@@ -342,113 +300,13 @@ def ref_use_bound(theta, n):
 def test_use_bound_equals_reference(c, n):
     theta = ModulusFunction(lambda eps: c * eps)
     phi = tt_from_ucf(dataclasses.replace(identity_fn(), modulus=theta), 8)
-    want = ref_use_bound(theta, n)
+    want = ref.use_bound(theta, n)
     if want is None:
         message = f"at bit {n} > USE_BOUND_BUDGET ({USE_BOUND_BUDGET})"
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
             phi.use_bound(n)
     else:
         assert phi.use_bound(n) == want
-
-
-def ref_bernoulli_mass(p: Fraction, sigma: str) -> Fraction:
-    """One Fraction product per bit: p on a "1", 1-p on anything else."""
-    out = Fraction(1)
-    for b in sigma:
-        out *= p if b == "1" else 1 - p
-    return out
-
-
-def ref_cdf(mu, d: Fraction) -> Fraction:
-    """g(d) as a running Fraction sum over the binary expansion of d."""
-    if d < 0 or d > 1:
-        raise ValueError("argument must lie in [0, 1]")
-    if d == 1:
-        return mu("")
-    num, den = d.numerator, d.denominator
-    if den & (den - 1):
-        raise ValueError("argument must be dyadic")
-    length = den.bit_length() - 1
-    bits = format(num, f"0{length}b") if length else ""
-    total = Fraction(0)
-    for i, b in enumerate(bits):
-        if b == "1":
-            total += mu(bits[:i] + "0")
-    return total
-
-
-def ref_transport(mu, a_prefix: str) -> TransportResult:
-    """The greedy descent over Fraction midpoints of the output cylinder,
-    with g from `ref_cdf` at dyadic Fractions."""
-    if len(a_prefix) > TRANSPORT_LENGTH_CAP:
-        raise BudgetExceeded(
-            f"prefix length {len(a_prefix)} > TRANSPORT_LENGTH_CAP ({TRANSPORT_LENGTH_CAP})"
-        )
-    lo = ref_cdf(mu, dyadic_value(a_prefix))
-    hi = ref_cdf(mu, dyadic_value(a_prefix) + Fraction(1, 2 ** len(a_prefix)))
-    if lo == hi:
-        raise ZeroMassCylinder(f"cylinder {a_prefix!r} has image of length 0")
-    if len(a_prefix) >= 8:
-        half = a_prefix[: len(a_prefix) // 2]
-        h_lo = ref_cdf(mu, dyadic_value(half))
-        h_hi = ref_cdf(mu, dyadic_value(half) + Fraction(1, 2 ** len(half)))
-        if hi - lo > (h_hi - h_lo) / 2:
-            raise AtomSuspected(
-                f"image of {a_prefix!r} is not shrinking against its half-prefix"
-            )
-    c = ""
-    c_lo, c_hi = Fraction(0), Fraction(1)
-    while len(c) < TRANSPORT_LENGTH_CAP:
-        mid = (c_lo + c_hi) / 2
-        if hi <= mid:
-            c += "0"
-            c_hi = mid
-        elif lo >= mid:
-            c += "1"
-            c_lo = mid
-        else:
-            break
-    status = TransportStatus.OK if len(c) >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT
-    return TransportResult(c, status, lo, hi)
-
-
-def ref_pushforward_check(mu, tau: str, depth: int) -> PushforwardCheck:
-    """Running Fraction sums of the inside and boundary masses, transported
-    by `ref_transport`."""
-    if depth < len(tau):
-        raise ValueError("depth must be at least the target length")
-    total = Fraction(0)
-    residual = Fraction(0)
-    for a in bit_strings(depth):
-        m = mu(a)
-        if m == 0:
-            continue
-        c = ref_transport(mu, a).c_prefix
-        if c.startswith(tau):
-            total += m
-        elif tau.startswith(c):
-            residual += m
-    target = Fraction(1, 2 ** len(tau))
-    return PushforwardCheck(tau, total, target, residual, abs(total - target) <= residual)
-
-
-def outcome(f, *args):
-    """The result, or the type and message of the error raised."""
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def recorded_outcome(f, mu, *args):
-    """outcome(f, mu, *args) and the cylinders mu was asked for, in order."""
-    calls = []
-
-    def mass(sigma):
-        calls.append(sigma)
-        return mu.mass(sigma)
-
-    return outcome(f, CylinderMeasure(mu.name, mass), *args), calls
 
 
 @st.composite
@@ -495,21 +353,21 @@ def biases(draw):
 @settings(max_examples=400, deadline=None)
 @given(biases(), st.text(alphabet="01", max_size=24) | st.text(alphabet="01x", max_size=8))
 def test_bernoulli_closed_form_matches_products(p, sigma):
-    got, want = bernoulli_measure(p)(sigma), ref_bernoulli_mass(p, sigma)
+    got, want = bernoulli_measure(p)(sigma), ref.bernoulli_measure(p)(sigma)
     assert got == want and type(got) is type(want) is Fraction
 
 
 def test_bernoulli_float_bias_gives_exact_masses():
     mu = bernoulli_measure(0.75)
     assert mu.name == "bernoulli 3/4"
-    assert mu("1101") == ref_bernoulli_mass(Fraction(3, 4), "1101") == Fraction(27, 256)
+    assert mu("1101") == ref.bernoulli_measure(Fraction(3, 4))("1101") == Fraction(27, 256)
 
 
 @settings(max_examples=300, deadline=None)
 @given(biases(), st.text(alphabet="01", max_size=24))
 def test_bernoulli_transport_matches_fraction_descent(p, a):
     mu = bernoulli_measure(p)
-    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
+    assert outcome(transport, mu, a) == outcome(ref.transport, mu, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -517,7 +375,7 @@ def test_bernoulli_transport_matches_fraction_descent(p, a):
 def test_table_transport_matches_fraction_descent(mdp, data):
     mu, _, prefixes = mdp
     a = data.draw(prefixes)
-    assert recorded_outcome(transport, mu, a) == recorded_outcome(ref_transport, mu, a)
+    assert recorded_outcome(transport, mu, a) == recorded_outcome(ref.transport, mu, a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -526,7 +384,7 @@ def test_table_cdf_matches_fraction_sum(mdp, data):
     mu, depth, _ = mdp
     n = data.draw(st.integers(0, depth + 1))
     d = Fraction(data.draw(st.integers(-1, 2**n + 1)), 2**n)
-    assert recorded_outcome(cdf, mu, d) == recorded_outcome(ref_cdf, mu, d)
+    assert recorded_outcome(cdf, mu, d) == recorded_outcome(ref.cdf, mu, d)
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,13 +394,13 @@ def test_table_pushforward_matches_fraction_sums(mdp, data):
     d = data.draw(st.integers(0, min(depth, 6)))
     tau = data.draw(st.text(alphabet="01", max_size=d))
     got = recorded_outcome(transport_pushforward_check, mu, tau, d)
-    assert got == recorded_outcome(ref_pushforward_check, mu, tau, d)
+    assert got == recorded_outcome(ref.transport_pushforward_check, mu, tau, d)
 
 
 @pytest.mark.parametrize("a", ["2", "01x", " 1", "0 "])
 def test_transport_refuses_a_prefix_not_of_bits_before_any_mass(a):
     got = recorded_outcome(transport, uniform_measure(), a)
-    assert got == recorded_outcome(ref_transport, uniform_measure(), a)
+    assert got == recorded_outcome(ref.transport, uniform_measure(), a)
     assert got == ((ParseError, f"bad bit string {a!r}"), [])
 
 
@@ -551,28 +409,7 @@ def test_transport_refuses_a_prefix_not_of_bits_before_any_mass(a):
 def test_transport_at_the_length_cap_matches_fraction_descent(length, bit):
     mu = uniform_measure()
     a = bit * length
-    assert outcome(transport, mu, a) == outcome(ref_transport, mu, a)
-
-
-def ref_tt_from_ucf(g, depth):
-    """tt_from_ucf with the hull computed afresh on every output_bit call."""
-    use_bound = tt_from_ucf(g, depth).use_bound
-
-    def output_bit(bits, n):
-        u = use_bound(n)
-        prefix = "".join(str(b) for b in bits[:u])
-        lo = dyadic_value(prefix)
-        hi = lo + Fraction(1, 2**u)
-        ylo = min(g(lo), g(hi))
-        for cp in g.critical_points:
-            if lo < cp < hi:
-                ylo = min(ylo, g(cp))
-        if ylo >= 1:
-            return 1
-        scaled = ylo * 2 ** (n + 1)
-        return int(scaled) & 1
-
-    return TTFunctional(f"tt({g.name})", use_bound, output_bit)
+    assert outcome(transport, mu, a) == outcome(ref.transport, mu, a)
 
 
 @pytest.mark.parametrize(
@@ -581,36 +418,13 @@ def ref_tt_from_ucf(g, depth):
     ids=["square", "half", "identity"],
 )
 def test_hull_cache_matches_per_call_hull(g, length):
-    phi, ref = tt_from_ucf(g, 8), ref_tt_from_ucf(g, 8)
+    phi, slow = tt_from_ucf(g, 8), ref.tt_from_ucf(g, 8)
     # every tuple up to u(length-1) bits, so also tuples shorter than u(n):
     # one tuple read at several n shares bits[:u] across different u
     for m in range(phi.use_bound(length - 1) + 1):
         for bits in itertools.product((0, 1), repeat=m):
             for n in range(length):
-                assert phi.output_bit(bits, n) == ref.output_bit(bits, n), (bits, n)
-
-
-def ref_validate_measure(mu, depth):
-    """Each mass against the Fraction sum of its children, level by level."""
-    masses = [mu("")]
-    checks = [
-        CheckRecord("total_mass", masses[0] == 1, f"mass(ε) = {format_rational(masses[0])}")
-    ]
-    for k in range(depth):
-        children = [mu(s) for s in bit_strings(k + 1)]
-        for s, lhs, m0, m1 in zip(bit_strings(k), masses, children[::2], children[1::2]):
-            if lhs != m0 + m1:
-                checks.append(
-                    CheckRecord(
-                        f"additivity[{s or 'ε'}]",
-                        False,
-                        f"{format_rational(lhs)} != {format_rational(m0 + m1)}",
-                    )
-                )
-        masses = children
-    if all(c.passed for c in checks):
-        checks.append(CheckRecord(f"additivity_to_depth_{depth}", True))
-    return tuple(checks)
+                assert phi.output_bit(bits, n) == slow.output_bit(bits, n), (bits, n)
 
 
 @st.composite
@@ -643,14 +457,4 @@ def test_validate_measure_matches_fraction_sums(dt, data):
     depth, table = dt
     d = data.draw(st.integers(0, depth))
     mu = table_measure("drawn", table)
-    want = ref_validate_measure(mu, d)
-    negative = [s for k in range(d + 1) for s in bit_strings(k) if table[s] < 0]
-    if negative:
-        # the first negative mass in level order fails one more record,
-        # and so the closing record of an otherwise passing run goes
-        s = negative[0]
-        name = s or "ε"
-        want = want[:-1] if all(c.passed for c in want) else want
-        detail = f"mass({name}) = {format_rational(table[s])}"
-        want += (CheckRecord(f"nonnegative[{name}]", False, detail),)
-    assert validate_measure(mu, d) == want
+    assert validate_measure(mu, d) == ref.validate_measure(mu, d)
