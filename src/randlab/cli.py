@@ -12,9 +12,10 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from typing import Any, NoReturn, Optional
+from typing import Any, NoReturn, Optional, Sequence
 
 from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
+from .cauchy import const_name
 from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
@@ -24,6 +25,7 @@ from .intervals import (
     over_lcm,
     parse_rational,
 )
+from .randomness import CheckRecord
 
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
 
@@ -39,24 +41,16 @@ def _resolve(path: str) -> str:
     return path
 
 
-def _record(name: str, passed: bool, detail: str = "") -> dict[str, str]:
-    return {"name": name, "status": "PASS" if passed else "FAIL", "detail": detail}
-
-
-def _verify_test_family(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
+def _verify_test_family(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     t = serialize.test_family_from_json(doc)
     records = []
     for m, u in serialize.updates_from_json(doc):
         try:
             t = randomness.demuth_update(t, m, u)
-            records.append(_record(f"{tag}:update[m={m}]", True))
+            records.append(CheckRecord(f"update[m={m}]", True))
         except RandlabError as exc:
-            records.append(_record(f"{tag}:update[m={m}]", False, str(exc)))
-    rep = randomness.validate(t)
-    records.extend(
-        _record(f"{tag}:{r.name}", r.passed, r.detail) for r in rep.records
-    )
-    return records
+            records.append(CheckRecord(f"update[m={m}]", False, str(exc)))
+    return records + list(randomness.validate(t).records)
 
 
 def _table_depth(doc: dict[str, Any], cap: int) -> int:
@@ -68,46 +62,44 @@ def _table_depth(doc: dict[str, Any], cap: int) -> int:
     return min(cap, max((len(s) for s in doc["table"] if not s.strip("01")), default=0))
 
 
-def _verify_measure(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
+def _verify_measure(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     mu = serialize.measure_from_json(doc)
-    checks = ttmeasures.validate_measure(mu, _table_depth(doc, min(depth, 6)))
-    return [_record(f"{tag}:{c.name}", c.passed, c.detail) for c in checks]
+    return ttmeasures.validate_measure(mu, _table_depth(doc, min(depth, 6)))
 
 
-def _verify_martingale(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
+def _verify_martingale(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     m = serialize.martingale_from_json(doc)
     d = _table_depth(doc, min(depth, 8))
     rep = martingales.check_fairness(m, d)
-    records = [_record(f"{tag}:fairness_to_depth_{d}", rep.ok, rep.violation or "")]
     capitals, den = over_lcm(map(m.value, bit_strings(d)))
     level_sum = Fraction(sum(capitals), den)
     expected = 2**d * m.initial_capital
-    records.append(
-        _record(
-            f"{tag}:level_sum_depth_{d}",
+    return [
+        CheckRecord(f"fairness_to_depth_{d}", rep.ok, rep.violation or ""),
+        CheckRecord(
+            f"level_sum_depth_{d}",
             level_sum == expected,
             f"{format_rational(level_sum)} vs {format_rational(expected)}",
-        )
-    )
-    return records
+        ),
+    ]
 
 
-def _verify_name(doc: dict[str, Any], tag: str, depth: int) -> list[dict]:
+def _verify_name(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     z = serialize.name_from_json(doc)
     d = min(depth, 16)
-    name = f"{tag}:cauchy_contract_to_{d}"
+    name = f"cauchy_contract_to_{d}"
     for n in range(d + 1):
         for k in range(n, d + 1):
             gap = abs(z.at(k) - z.at(n))
             if gap > Fraction(1, 2**n):
-                return [_record(name, False, f"|q_{k} - q_{n}| = {format_rational(gap)}")]
+                return [CheckRecord(name, False, f"|q_{k} - q_{n}| = {format_rational(gap)}")]
     # a name that gives its exact value must approximate it: |q_n - exact| <= 2^-n
     if z.exact is not None:
         for n in range(d + 1):
             gap = abs(z.at(n) - z.exact)
             if gap > Fraction(1, 2**n):
-                return [_record(name, False, f"|q_{n} - exact| = {format_rational(gap)}")]
-    return [_record(name, True)]
+                return [CheckRecord(name, False, f"|q_{n} - exact| = {format_rational(gap)}")]
+    return [CheckRecord(name, True)]
 
 
 _VERIFIERS = {
@@ -118,21 +110,19 @@ _VERIFIERS = {
 }
 
 
-def verify_fixture(path: str, depth: int) -> list[dict]:
+def verify_fixture(path: str, depth: int) -> list[CheckRecord]:
+    """The fixture's checks, each named after the fixture's file."""
     doc = serialize.load_fixture(_resolve(path))
     kind = doc.get("type")
     verifier = _VERIFIERS.get(kind) if isinstance(kind, str) else None
     if verifier is None:
         raise ParseError(f"{path}: unknown fixture type {kind!r}")
     tag = os.path.basename(path)
-    return verifier(doc, tag, depth)
+    return [CheckRecord(f"{tag}:{r.name}", r.passed, r.detail) for r in verifier(doc, depth)]
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[list[dict], dict]:
-    records: list[dict] = []
-    for path in args.fixture:
-        records.extend(verify_fixture(path, args.depth))
-    return records, {}
+def cmd_verify(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
+    return [r for path in args.fixture for r in verify_fixture(path, args.depth)], {}
 
 
 def _one_fixture(args: argparse.Namespace) -> dict[str, Any]:
@@ -142,16 +132,16 @@ def _one_fixture(args: argparse.Namespace) -> dict[str, Any]:
     return serialize.load_fixture(_resolve(args.fixture[0]))
 
 
-def cmd_evaluate(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     t = serialize.test_family_from_json(_one_fixture(args))
     z = serialize.name_from_json(serialize.load_fixture(_resolve(args.name)))
     summary = randomness.evaluate(t, z, args.depth)
     records = [
-        _record(
+        CheckRecord(
             f"component[m={m}]",
             v.result is not randomness.VerdictResult.UNDECIDED_AT_DEPTH,
             v.result.value
-            + "".join(f" via {format_interval(iv)}" for _, iv in v.witnesses),
+            + ("" if v.witness is None else f" via {format_interval(v.witness)}"),
         )
         for m, v in sorted(summary.per_component.items())
     ]
@@ -165,7 +155,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[list[dict], dict]:
     return records, output
 
 
-def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_transport(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     mu = serialize.measure_from_json(serialize.load_fixture(_resolve(args.measure)))
     res = ttmeasures.transport(mu, args.prefix)
     output = {
@@ -175,14 +165,9 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[dict], dict]:
             RationalInterval(res.image_lo, res.image_hi, False, True)
         ),
     }
-    records = [
-        _record(
-            f"transport[{args.prefix}]",
-            res.status is ttmeasures.TransportStatus.OK,
-            f"-> {res.c_prefix!r}, image {output['image']}",
-        )
-    ]
-    return records, output
+    ok = res.status is ttmeasures.TransportStatus.OK
+    detail = f"-> {res.c_prefix!r}, image {output['image']}"
+    return [CheckRecord(f"transport[{args.prefix}]", ok, detail)], output
 
 
 def _function(name: str) -> markov.MarkovFunction:
@@ -192,10 +177,8 @@ def _function(name: str) -> markov.MarkovFunction:
         raise ParseError(f"--function: {exc}") from exc
 
 
-def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_derive(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     f = _function(args.function)
-    from .cauchy import const_name
-
     z = const_name(parse_rational(args.at))
     try:
         est = derivatives.pseudo_derivative(
@@ -212,25 +195,19 @@ def cmd_derive(args: argparse.Namespace) -> tuple[list[dict], dict]:
         "flags": [est.upper_infinite, est.lower_infinite],
         "verdict": verdict.value,
     }
-    records = [
-        _record(
-            f"derive[{args.function}@{args.at}]",
-            verdict is not derivatives.DenjoyVerdict.UNRESOLVED,
-            verdict.value,
-        )
-    ]
-    return records, output
+    resolved = verdict is not derivatives.DenjoyVerdict.UNRESOLVED
+    return [CheckRecord(f"derive[{args.function}@{args.at}]", resolved, verdict.value)], output
 
 
-def cmd_tree(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_tree(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     f = _function(args.function)
     tree = markov.oscillation_tree(f, args.precision, args.depth)
     closed = all(s[:-1] in tree or s == "" for s in tree)
-    records = [_record("downward_closed", closed, f"{len(tree)} strings")]
-    return records, {"strings": sorted(tree, key=lambda s: (len(s), s))}
+    record = CheckRecord("downward_closed", closed, f"{len(tree)} strings")
+    return [record], {"strings": sorted(tree, key=lambda s: (len(s), s))}
 
 
-def cmd_convert(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_convert(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     t = serialize.test_family_from_json(_one_fixture(args))
     if t.kind is randomness.TestKind.SOLOVAY:
         out = randomness.convert_solovay_to_ml(t, args.depth)
@@ -238,14 +215,12 @@ def cmd_convert(args: argparse.Namespace) -> tuple[list[dict], dict]:
         out = randomness.interval_sequence_to_schnorr(t, args.depth)
     else:
         raise ParseError(f"no conversion from kind {t.kind.value}")
-    rep = randomness.validate(out)
-    records = [
-        _record(f"converted:{r.name}", r.passed, r.detail) for r in rep.records
-    ]
+    checks = randomness.validate(out).records
+    records = [CheckRecord(f"converted:{r.name}", r.passed, r.detail) for r in checks]
     return records, {"result": serialize.test_family_to_json(out)}
 
 
-def cmd_report(args: argparse.Namespace) -> tuple[list[dict], dict]:
+def cmd_report(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     base = args.fixture_dir or os.environ.get(FIXTURE_DIR_ENV) or "fixtures"
     try:
         names = os.listdir(base)
@@ -354,21 +329,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def render(command: str, records: list[dict], output: dict, fmt: str) -> str:
-    records = sorted(records, key=lambda r: r["name"])
-    failed = sum(1 for r in records if r["status"] == "FAIL")
+def render(command: str, records: list[CheckRecord], output: dict, fmt: str) -> str:
+    """The report: the one place a check's `passed` becomes PASS or FAIL."""
+    rows = [
+        {"name": r.name, "status": "PASS" if r.passed else "FAIL", "detail": r.detail}
+        for r in sorted(records, key=lambda r: r.name)
+    ]
+    passed = sum(r.passed for r in records)
     doc = {
         "command": command,
         "version": __version__,
-        "records": records,
-        "summary": {"total": len(records), "passed": len(records) - failed, "failed": failed},
+        "records": rows,
+        "summary": {"total": len(rows), "passed": passed, "failed": len(rows) - passed},
     }
     if output:
         doc["output"] = output
     if fmt == "json":
         return serialize.canonical_json(doc)
-    lines = [f"{r['status']} {r['name']} {r['detail']}".rstrip() for r in records]
-    lines.append(f"{len(records) - failed}/{len(records)} checks passed")
+    lines = [f"{r['status']} {r['name']} {r['detail']}".rstrip() for r in rows]
+    lines.append(f"{passed}/{len(rows)} checks passed")
     return "\n".join(lines) + "\n"
 
 
@@ -397,7 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 0 if all(r["status"] == "PASS" for r in records) else 1
+    return 0 if all(r.passed for r in records) else 1
 
 
 if __name__ == "__main__":

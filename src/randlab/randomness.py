@@ -228,8 +228,11 @@ class VerdictResult(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
+    """`witness`: when CAPTURED, the first part of the union that holds the
+    point's window (an exact name's window is its point); else None."""
+
     result: VerdictResult
-    witnesses: tuple[tuple[int, RationalInterval], ...] = ()
+    witness: Optional[RationalInterval] = None
 
 
 @dataclass(frozen=True)
@@ -242,17 +245,14 @@ class EvaluationSummary:
     note: str = "finite-depth surrogate; no infinite-level verdict is asserted"
 
 
-def _membership(u: IntervalUnion, z: CauchyName, m: int) -> Verdict:
-    if z.exact is not None:
-        for part in u.parts:
-            if part.contains(z.exact):
-                return Verdict(VerdictResult.CAPTURED, ((m, part),))
-        return Verdict(VerdictResult.ESCAPED)
+def _membership(u: IntervalUnion, z: CauchyName) -> Verdict:
     for p in range(4, EVALUATE_MAX_PRECISION + 1):
-        w = z.window(p)
+        # an exact name's window is its point at every precision: the first
+        # pass finds the first part holding it, or finds no part does
+        w = z.window(p) if z.exact is None else RationalInterval(z.exact, z.exact)
         hit = u.witness_containing(w)
         if hit is not None:
-            return Verdict(VerdictResult.CAPTURED, ((m, hit),))
+            return Verdict(VerdictResult.CAPTURED, hit)
         if u.disjoint_from_interval(w):
             return Verdict(VerdictResult.ESCAPED)
     return Verdict(VerdictResult.UNDECIDED_AT_DEPTH)
@@ -262,7 +262,7 @@ def evaluate(t: TestFamily, z: CauchyName, depth: int) -> EvaluationSummary:
     """Per-component membership of z (final versions), plus the kind's
     finite-depth passing convention."""
     idx = [m for m in t.indices() if m <= depth]
-    per: dict[int, Verdict] = {m: _membership(t.final(m), z, m) for m in idx}
+    per: dict[int, Verdict] = {m: _membership(t.final(m), z) for m in idx}
     captured = tuple(m for m in idx if per[m].result is VerdictResult.CAPTURED)
     escaped = tuple(m for m in idx if per[m].result is VerdictResult.ESCAPED)
     undecided = tuple(

@@ -117,6 +117,17 @@ def _index(value: Any, what: str, low: int = 0) -> int:
     return m
 
 
+def _index_set(value: Any, what: str) -> frozenset[int]:
+    """`value`, a list of ints or decimal strings, as a set of ints: each
+    entry is read as `_index` reads one, with no range limit."""
+    if isinstance(value, list):
+        try:
+            return frozenset(int(str(v)) for v in value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} is a list of integers, got {value!r}")
+
+
 @_decoder("test_family")
 def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
     kind = TestKind(doc["kind"])
@@ -149,12 +160,14 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
             blocks[key] = {
                 int(k): parse_interval(iv) for k, iv in rec["table"].items()
             }
-            excluded[key] = frozenset(rec.get("excluded", []))
+            excluded[key] = _index_set(rec.get("excluded", []), "excluded")
         kd["blocks"] = blocks
         kd["excluded"] = excluded
     elif kind is TestKind.PI1:
         kd["q"] = [parse_rational(x) for x in payload["q"]]
-        kd["C"] = [frozenset(c) for c in payload["C"]]
+        if not isinstance(payload["C"], list):
+            raise ParseError(f"C is a list of PI1 C sets, got {payload['C']!r}")
+        kd["C"] = [_index_set(c, "a PI1 C set") for c in payload["C"]]
         _index(len(kd["C"]), "number of PI1 C sets")
     elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
         kd["budgets"] = {

@@ -1,11 +1,8 @@
 """Acceptance gate: one pass/fail line per criterion, exact arithmetic only."""
 
-import json
 import os
 import time
 from fractions import Fraction
-
-import pytest
 
 from randlab.cauchy import const_name, scripted_name
 from randlab.cli import main

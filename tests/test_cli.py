@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import operator
@@ -435,12 +436,21 @@ def with_block(key, value):
         (demuth_with_update({"m": 1, "union": 5}), "got 5"),
         (with_block("m", "x"), "'x'"),
         (with_path("ml_geometric.json", ["type"], ["x"]), "unknown fixture type ['x']"),
+        # index sets are lists of ints or decimal strings, read like an index
+        (with_block("excluded", "01"), "excluded is a list of integers, got '01'"),
+        (with_block("excluded", [True]), "got [True]"),
+        (with_block("excluded", [1.0]), "got [1.0]"),
+        (with_block("excluded", ["x"]), "got ['x']"),
+        (with_path("pi1_halfpoint.json", ["kind_data", "C"], "ab"), "got 'ab'"),
+        (with_path("pi1_halfpoint.json", ["kind_data", "C"], [[1.0]]),
+         "a PI1 C set is a list of integers, got [1.0]"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
          "table-martingale-hole", "top-level-list", "measure-p-int",
          "measure-p-int-named", "union-entry-int", "name-exact-int",
          "update-not-object", "updates-not-list", "update-m-not-int", "update-union-not-list",
-         "block-m-not-int", "type-not-string"],
+         "block-m-not-int", "type-not-string", "block-excluded-string", "block-excluded-bool",
+         "block-excluded-float", "block-excluded-word", "pi1-c-string", "pi1-c-set-float"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"
@@ -578,9 +588,31 @@ def readme_commands():
     ]
 
 
+# sha256 of the stdout of each README command: a change to the code behind
+# a command must leave its report byte for byte as it is
+README_STDOUT_SHA256 = {
+    "labcli verify --fixture fixtures/ml_geometric.json":
+        "78eb117836bea1cdcd93b3fcea7b86a0e38f25c42633055a204734bbef923db8",
+    "labcli evaluate --fixture fixtures/ml_geometric.json "
+    "--name fixtures/name_half_script.json --depth 6":
+        "6255d68da545c440e4bc859b81f8b1eae92236fe6d1a10905e25cb60d9a53255",
+    "labcli transport --measure fixtures/measure_bernoulli_3_4.json --prefix 111":
+        "dc34938225f88960464087548085f4ef2ea282e0d656df473003d88dfb46f572",
+    "labcli derive --function square --at 1/3 --scale 1/1024 --precision 14":
+        "15847cc57362674197ceed7070001f6c0882e43f493702173f41458b85a29606",
+    "labcli tree --function canonical_nonuc:20 --precision 0 --depth 8":
+        "7ff90157025dfd28e066309fe57632a54956d3ae112503646ac0fa113fe854a1",
+    "labcli convert --fixture fixtures/solovay_geometric.json --depth 6":
+        "46d42e8af741f8e08cf859572cd2079e3294f81df9c2fb71c105fee89af0a0cc",
+    "labcli report --fixture-dir fixtures":
+        "341f923467fd5426f7e829af11880a6eb362a2ffc5110e5bb22c338e6dab4be3",
+}
+
+
 def test_readme_examples():
     commands = readme_commands()
     assert commands, "no labcli commands found in README.md"
+    assert sorted(" ".join(argv) for argv in commands) == sorted(README_STDOUT_SHA256)
     for argv in commands:
         assert argv[0] == "labcli", argv
         proc = run_labcli(*argv[1:], timeout=300, cwd=ROOT)
@@ -589,6 +621,8 @@ def test_readme_examples():
         assert proc.returncode <= 1, (argv, proc.stderr)
         stray = [l for l in proc.stderr.splitlines() if not l.startswith("labcli: ")]
         assert not stray, (argv, proc.stderr)
+        digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+        assert digest == README_STDOUT_SHA256[" ".join(argv)], argv
 
 
 RATIONALS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))

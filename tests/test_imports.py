@@ -1,0 +1,62 @@
+"""Every imported name is read: a stdlib `ast` scan of the package and the tests.
+
+A name bound by `import` or `from ... import` must be read somewhere in its
+module, as a name or as the base of an attribute.  A name listed in the
+module's `__all__` counts as read; `from __future__` imports are skipped.
+"""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that `source` imports and never reads, in import order."""
+    tree = ast.parse(source)
+    imported: list[str] = []
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_unused_imports_flags_what_is_never_read():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "from fractions import Fraction as F\n"
+        "from typing import Any, Optional\n"
+        "__all__ = ['Any']\n"
+        "def f(x: Optional[int]) -> str:\n"
+        "    return os.path.join(str(x))\n"
+    )
+    assert unused_imports(source) == ["json", "F"]
+
+
+def test_no_unused_imports():
+    paths = sorted(
+        glob.glob(os.path.join(ROOT, "src", "randlab", "*.py"))
+        + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    )
+    assert paths
+    unused = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            names = unused_imports(fh.read())
+        if names:
+            unused[os.path.relpath(path, ROOT)] = names
+    assert unused == {}

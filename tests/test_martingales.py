@@ -7,7 +7,6 @@ import oracles as ref
 from randlab.errors import BudgetExceeded, InvariantViolation
 from randlab.martingales import (
     FAIRNESS_DEPTH_BUDGET,
-    Martingale,
     all_in_on_0,
     capital_trace,
     check_fairness,

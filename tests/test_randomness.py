@@ -16,6 +16,7 @@ from randlab.intervals import RationalInterval, normalize_union
 from randlab.randomness import (
     TestFamily,
     TestKind,
+    Verdict,
     VerdictResult,
     build_hop_sets,
     build_pi1_ml_test,
@@ -345,3 +346,30 @@ def test_validate_agrees_with_direct_measure_check(m, raw):
     )
     t = TestFamily(TestKind.ML, {m: [u]})
     assert validate(t).passed == (u.measure <= Fraction(1, 2**m))
+
+
+def _interval(a, b, lo_open, hi_open):
+    lo, hi = min(a, b), max(a, b)
+    return RationalInterval(lo, hi, lo_open and lo < hi, hi_open and lo < hi)
+
+
+eighths = st.integers(0, 8).map(lambda k: Fraction(k, 8))
+canonical_unions = st.lists(
+    st.builds(_interval, eighths, eighths, st.booleans(), st.booleans()), max_size=5
+).map(normalize_union)
+# on the parts' ends and between them, inside [0, 1] and past it
+points = st.one_of(
+    st.integers(-1, 17).map(lambda k: Fraction(k, 16)),
+    st.fractions(min_value=-1, max_value=2, max_denominator=64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), canonical_unions, points)
+def test_exact_name_is_captured_by_the_first_part_holding_it(m, u, q):
+    verdict = evaluate(TestFamily(TestKind.ML, {m: [u]}), const_name(q), m).per_component[m]
+    first = next((part for part in u.parts if part.contains(q)), None)
+    if first is None:
+        assert verdict == Verdict(VerdictResult.ESCAPED)
+    else:
+        assert verdict == Verdict(VerdictResult.CAPTURED, first)
