@@ -11,9 +11,13 @@ critical points every function here is monotone, so min/max are attained at
 the sampled candidates.
 
 Whole dyadic grids k/2^D come from `MarkovFunction.grid` as integers over one
-common denominator.  The lab's own evaluators carry a native grid (one integer
-arithmetic progression per linear piece, or a closed form); any other
-evaluator is called once per grid point.
+common denominator.  The lab's own evaluators carry a native grid: their
+monotone runs on the grid k/2^D (a + b·k per linear piece, k²/4^D for square),
+from which `_sample` writes the values at any sorted grid indices, the part
+of a range inside a linear run as one integer progression.  Any other
+evaluator is called once per grid point.  So an oscillation tree of a native
+evaluator reads its nodes' ends and the grid points beside each run start;
+only a tree of any other evaluator costs O(2^{depth+4}) whatever its size.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
@@ -100,15 +105,19 @@ class MarkovFunction:
 
         The native grid belongs to the evaluator: it is the `grid` attribute
         of `eval_at` when there is one, so `dataclasses.replace(f,
-        eval_at=g)` reads g's values.  Any other evaluator is called exactly
-        once per grid point.
+        eval_at=g)` reads g's values.  Called with a depth, the attribute
+        lists the function's runs on that grid, (k0, a, b, c) with k0
+        ascending from 0: the value at k/2^depth is a + b·k + c·k² from k0
+        up to the next run's k0, and monotone there.  Any other evaluator is
+        called exactly once per grid point.
         """
         if depth < 0:
             raise ValueError(f"grid depth {depth} < 0")
+        size = 2**depth
         native = getattr(self.eval_at, "grid", None)
         if native is not None:
-            return native(depth)
-        size = 2**depth
+            runs, den = _ints_over_den(native(depth))
+            return _sample(runs, size, range(size)), den
         return over_lcm(self.eval_at(Fraction(k, size)) for k in range(size))
 
     def range_on(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -120,21 +129,32 @@ class MarkovFunction:
         return min(vals), max(vals)
 
 
-def _runs_den(runs) -> int:
-    """The least common denominator of every run's a and b."""
-    return over_lcm(q for _, _, a, b in runs for q in (a, b))[1]
+def _ints_over_den(runs):
+    """The runs (k0, a, b, c) with their Fraction coefficients as ints over
+    one denominator, and that denominator."""
+    ints, den = over_lcm(q for run in runs for q in run[1:])
+    coefs = zip(*[iter(ints)] * 3)
+    return [(run[0], *abc) for run, abc in zip(runs, coefs)], den
 
 
-def _write_runs(ints: list[int], den: int, runs) -> list[int]:
-    """Write each run (k0, k1, a, b), the grid values a + b·k at k0 <= k < k1
-    (a and b Fractions), into ints[k0:k1] as one integer progression over
-    den, a multiple of `_runs_den(runs)`."""
-    for k0, k1, a, b in runs:
-        step = b.numerator * (den // b.denominator)
-        start = a.numerator * (den // a.denominator) + step * k0
-        count = k1 - k0
-        ints[k0:k1] = range(start, start + step * count, step) if step else [start] * count
-    return ints
+def _sample(runs, size: int, indices: Sequence[int]) -> list[int]:
+    """The values at `indices`, sorted grid indices below `size` (a range or
+    a list), of the runs (k0, a, b, c) in ints: the value at k is
+    a + b·k + c·k² from k0 up to the next run's k0 (the last run's to size).
+    The part of a range inside a run with c = 0 is written as one range."""
+    out: list[int] = []
+    i = 0
+    for (_, a, b, c), k1 in zip(runs, [run[0] for run in runs[1:]] + [size]):
+        j = bisect.bisect_left(indices, k1, i)
+        part = indices[i:j]
+        i = j
+        if c or not isinstance(part, range):
+            out += [a + (b + c * k) * k for k in part]
+        elif b:
+            out += range(a + b * part.start, a + b * part.stop, b * part.step)
+        else:
+            out += [a] * len(part)
+    return out
 
 
 def _linear_grid(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
@@ -142,16 +162,14 @@ def _linear_grid(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
     (x0, a, s) with x0 ascending from 0: the function is a + s·x from x0 up
     to the next piece's x0."""
 
-    def grid(depth: int) -> tuple[list[int], int]:
+    def grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
         size = 2**depth
         starts = [math.ceil(x0 * size) for x0, _, _ in pieces] + [size]
-        runs = [
-            (k0, k1, a, s / size)
+        return [
+            (k0, a, s / size, ZERO)
             for (_, a, s), k0, k1 in zip(pieces, starts, starts[1:])
             if k0 < k1
         ]
-        den = _runs_den(runs)
-        return _write_runs([0] * size, den, runs), den
 
     return grid
 
@@ -174,9 +192,8 @@ def _piecewise(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
     return _with_grid(ev, _linear_grid(pieces))
 
 
-def _square_grid(depth: int) -> tuple[list[int], int]:
-    size = 2**depth
-    return [k * k for k in range(size)], size * size
+def _square_grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+    return [(0, ZERO, ZERO, Fraction(1, 4**depth))]
 
 
 def identity_fn() -> MarkovFunction:
@@ -309,20 +326,25 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
                 return a + s * x
         return f(x)
 
-    def grid(depth: int) -> tuple[list[int], int]:
-        # f's grid, with each chord written over the grid points inside its
-        # interval's interior (a point interval has none)
+    def grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+        # f's runs (one per grid point for an evaluator without a native
+        # grid), with each chord's run written over the grid points inside
+        # its interval's interior (a point interval has none)
         size = 2**depth
-        runs = [
-            (max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size), a, s / size)
-            for lo, hi, a, s in chords
-        ]
-        runs = [run for run in runs if run[0] < run[1]]
-        ints, den = f.grid(depth)
-        full = math.lcm(den, _runs_den(runs))
-        if full != den:
-            ints = [v * (full // den) for v in ints]
-        return _write_runs(ints, full, runs), full
+        base = getattr(f.eval_at, "grid", None)
+        if base is not None:
+            runs = base(depth)
+        else:
+            runs = [(k, f.eval_at(Fraction(k, size)), ZERO, ZERO) for k in range(size)]
+        for lo, hi, a, s in chords:
+            k0, k1 = max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size)
+            if k0 < k1:
+                # the run holding k1 goes on from k1, past the chord
+                i = bisect.bisect_left(runs, k0, key=itemgetter(0))
+                j = bisect.bisect_right(runs, k1, key=itemgetter(0))
+                tail = [(k1, *runs[j - 1][1:])] if k1 < size else []
+                runs[i:j] = [(k0, a, s / size, ZERO), *tail]
+        return runs
 
     crit = set(f.critical_points)
     for iv in ivs:
@@ -335,6 +357,33 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     )
 
 
+def _node_extrema(f: MarkovFunction, depth: int) -> tuple[list[int], list[int], int]:
+    """(minima, maxima, den): min and max of f over the 16 grid points
+    k/2^{depth+4} of each node at level `depth`, as ints over den.
+
+    A native grid is monotone on each run, so a node's extrema lie at its
+    first and last points and on either side of each run start inside it.
+    Any other evaluator gives every grid point."""
+    native = getattr(f.eval_at, "grid", None)
+    if native is None:
+        vals, den = f.grid(depth + 4)
+        nodes = list(zip(*[iter(vals)] * 16))
+        return list(map(min, nodes)), list(map(max, nodes)), den
+    size = 2 ** (depth + 4)
+    runs, den = _ints_over_den(native(depth + 4))
+    ends = _sample(runs, size, range(0, size, 16)), _sample(runs, size, range(15, size, 16))
+    lo, hi = list(map(min, *ends)), list(map(max, *ends))
+    # a run start k inside a node (k not a multiple of 16) and the grid point
+    # before it; a start at a node's first point is read with the node ends
+    near = [j for k, *_ in runs if k % 16 for j in (k - 1, k)]
+    for k, v in zip(near, _sample(runs, size, near)):
+        if v < lo[k >> 4]:
+            lo[k >> 4] = v
+        elif v > hi[k >> 4]:
+            hi[k >> 4] = v
+    return lo, hi, den
+
+
 def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     """All strings sigma (|sigma| <= depth) whose dyadic interval [sigma)
     contains two dyadic rationals of denominator <= 2^{depth+4} with function
@@ -342,24 +391,25 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
 
     A witness pair exists iff max - min over the grid exceeds the threshold.
     The extrema are read once: min and max of each depth-level node's 16
-    grid points, folded pairwise up to the root, O(2^{depth+4}) whatever the
-    tree's size.  A parent's grid contains each child's, so the tree is
-    closed under prefixes, and it is read top-down: only the children of a
-    node in the tree are tested.
+    grid points, folded pairwise up to the root.  A parent's grid contains
+    each child's, so the tree is closed under prefixes, and it is read
+    top-down: only the children of a node in the tree are tested.
 
-    The grid is `f.grid(depth + 4)`, the points k/2^{depth+4} with k below
-    2^{depth+4} ([sigma) excludes its right end), as integers over one
-    common denominator: min and max compare ints and the threshold test
-    needs no Fraction.  The lab's own evaluators give that grid natively; any
-    other `eval_at` is called once per grid point.
+    The grid is the points k/2^{depth+4} with k below 2^{depth+4} ([sigma)
+    excludes its right end), as integers over one common denominator: min
+    and max compare ints and the threshold test needs no Fraction.  For the
+    lab's own evaluators the deepest level reads 2·2^depth values plus 2 per
+    run start of the native grid (see `_node_extrema`), never
+    `critical_points`.  Any other `eval_at` is called once per grid point,
+    O(2^{depth+4}) whatever the tree's size.
     """
     if depth > OSCILLATION_DEPTH_BUDGET:
         raise over_budget(f"depth {depth}", "OSCILLATION_DEPTH_BUDGET", OSCILLATION_DEPTH_BUDGET)
-    vals, den = f.grid(depth + 4)
+    if depth < 0:
+        raise ValueError(f"tree depth {depth} < 0")
     # extrema[k] = (minima, maxima) over the grid slices of the nodes at
-    # level k; the deepest nodes' slices are the grid's runs of 16
-    lo = list(map(min, zip(*[iter(vals)] * 16)))
-    hi = list(map(max, zip(*[iter(vals)] * 16)))
+    # level k
+    lo, hi, den = _node_extrema(f, depth)
     extrema = [(lo, hi)]
     while len(lo) > 1:
         lo = list(map(min, lo[::2], lo[1::2]))

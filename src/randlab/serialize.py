@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable
+import re
+from typing import Any, Callable, Optional
 
 from .cauchy import CauchyName, const_name, scripted_name
 from .errors import ParseError
@@ -106,9 +107,24 @@ def _decoder(kind: str) -> Callable[[Callable], Callable]:
     return wrap
 
 
+_INDEX_TEXT = re.compile(r"-?[0-9]+")
+
+
+def _as_index(value: Any) -> Optional[int]:
+    """`value` as an int when it is an int (not a bool) or a string of ASCII
+    digits with at most a leading minus, else None."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INDEX_TEXT.fullmatch(value):
+        return int(value)
+    return None
+
+
 def _index(value: Any, what: str, low: int = 0) -> int:
     """`value` (an int or a decimal string) as an index in low..budget."""
-    m = int(str(value))  # a float or a bool is malformed, not truncated
+    m = _as_index(value)
+    if m is None:
+        raise ParseError(f"{what} is an integer, got {value!r}")
     if not low <= m <= COMPONENT_INDEX_BUDGET:
         raise ParseError(
             f"{what} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
@@ -121,10 +137,9 @@ def _index_set(value: Any, what: str) -> frozenset[int]:
     """`value`, a list of ints or decimal strings, as a set of ints: each
     entry is read as `_index` reads one, with no range limit."""
     if isinstance(value, list):
-        try:
-            return frozenset(int(str(v)) for v in value)
-        except ValueError:
-            pass
+        entries = [_as_index(v) for v in value]
+        if None not in entries:
+            return frozenset(entries)
     raise ParseError(f"{what} is a list of integers, got {value!r}")
 
 

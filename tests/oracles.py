@@ -159,6 +159,23 @@ def grid(f, depth):
     return [f.eval_at(Fraction(k, 2**depth)) for k in range(2**depth)]
 
 
+def _sample(runs, size, indices):
+    """The full-grid writer that `markov._sample` replaced: each run written
+    over all of its grid indices, then the values at `indices` read off."""
+    ends = [run[0] for run in runs[1:]] + [size]
+    full = [0] * size
+    for (k0, a, b, c), k1 in zip(runs, ends):
+        full[k0:k1] = [a + b * k + c * k * k for k in range(k0, k1)]
+    return [full[k] for k in indices]
+
+
+def _node_extrema(f, depth):
+    """Min and max of each run of 16 values of the per-point grid, as
+    Fractions."""
+    nodes = zip(*[iter(grid(f, depth + 4))] * 16)
+    return [(min(node), max(node)) for node in nodes]
+
+
 def oscillation_tree(f, n, depth):
     """Grid extrema folded as Fraction pairs, threshold as a Fraction."""
     size = 2 ** (depth + 4)

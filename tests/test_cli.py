@@ -444,13 +444,21 @@ def with_block(key, value):
         (with_path("pi1_halfpoint.json", ["kind_data", "C"], "ab"), "got 'ab'"),
         (with_path("pi1_halfpoint.json", ["kind_data", "C"], [[1.0]]),
          "a PI1 C set is a list of integers, got [1.0]"),
+        # an index is ASCII digits, a minus sign only in front
+        (with_path("ml_geometric.json", ["components", "1_0"], [[]]),
+         "component index is an integer, got '1_0'"),
+        (with_block("m", " 3 "), "block m is an integer, got ' 3 '"),
+        (with_block("excluded", ["+2"]), "excluded is a list of integers, got ['+2']"),
+        (demuth_with_update({"m": "١٢", "union": []}), "update m is an integer, got '١٢'"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
          "table-martingale-hole", "top-level-list", "measure-p-int",
          "measure-p-int-named", "union-entry-int", "name-exact-int",
          "update-not-object", "updates-not-list", "update-m-not-int", "update-union-not-list",
          "block-m-not-int", "type-not-string", "block-excluded-string", "block-excluded-bool",
-         "block-excluded-float", "block-excluded-word", "pi1-c-string", "pi1-c-set-float"],
+         "block-excluded-float", "block-excluded-word", "pi1-c-string", "pi1-c-set-float",
+         "component-underscore", "block-m-spaces", "block-excluded-plus",
+         "update-m-arabic-indic"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"

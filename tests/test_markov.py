@@ -13,7 +13,10 @@ from randlab.markov import (
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
     StagedCover,
+    _ints_over_den,
     _modulus_precision,
+    _node_extrema,
+    _sample,
     abs_offset_fn,
     canonical_nonuc,
     check_H,
@@ -250,6 +253,14 @@ def interval_marks(ivs):
     return [p for iv in ivs for p in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi)]
 
 
+def assert_tree_is_reference(f, n, depth):
+    """The tree, and the node extrema it is folded from, equal the oracles'."""
+    assert oscillation_tree(f, n, depth) == ref.oscillation_tree(f, n, depth)
+    lo, hi, den = _node_extrema(f, depth)
+    extrema = [(Fraction(a, den), Fraction(b, den)) for a, b in zip(lo, hi)]
+    assert extrema == ref._node_extrema(f, depth)
+
+
 # n = ±80 clamps the threshold at both ends; a constant has spread 0
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), tree_sizes)
@@ -257,7 +268,7 @@ def interval_marks(ivs):
 @example(12, (-80, 6))
 def test_tree_of_nonuc_equals_reference(k, size):
     f = canonical_nonuc(k)
-    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
+    assert_tree_is_reference(f, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,7 +277,7 @@ def test_tree_of_nonuc_equals_reference(k, size):
 @example(canonical_nonuc(6), HALF_COVER, (-80, 6))
 def test_tree_of_truncation_equals_reference(base, cover, size):
     g = truncate(base, cover)
-    assert oscillation_tree(g, *size) == ref.oscillation_tree(g, *size)
+    assert_tree_is_reference(g, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,7 +286,7 @@ def test_tree_of_truncation_equals_reference(base, cover, size):
 @example([(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(16)), (Fraction(1), Fraction(-16))], (-80, 6))
 def test_tree_of_polygonal_equals_reference(breakpoints, size):
     f = polygonal_fn(breakpoints)
-    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
+    assert_tree_is_reference(f, *size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,7 +297,7 @@ def test_tree_of_polygonal_equals_reference(breakpoints, size):
 @example(const_fn(Fraction(-3, 7)), (-80, 6))
 @example(const_fn(Fraction(5)), (0, 6))
 def test_tree_of_builtin_equals_reference(f, size):
-    assert oscillation_tree(f, *size) == ref.oscillation_tree(f, *size)
+    assert_tree_is_reference(f, *size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -453,6 +464,90 @@ def test_truncation_grid_over_replaced_base_reads_the_replacement():
     assert vals == ref.grid(t, 4)
     # the chord from (0,0) to (1/2,1/8) inside the cover, x^3 outside it
     assert vals[4] == Fraction(1, 16) and vals[12] == Fraction(27, 64)
+
+
+@st.composite
+def grid_polygons(draw):
+    """A polygon and a tree size (n, depth) whose inner corners sit on the
+    tree's grid points k/2^(depth+4), one grid step either side of them or
+    just off them, several of them inside one 16-point node."""
+    n, depth = draw(tree_sizes)
+    size = 2 ** (depth + 4)
+    node = draw(st.integers(0, size // 16 - 1))
+    ks = draw(st.lists(st.integers(16 * node, 16 * node + 15) | st.integers(0, size), max_size=6))
+    shifts = st.sampled_from([0, 1, -1, Fraction(1, 3), Fraction(-1, 3)])
+    xs = sorted({x for k in ks if 0 < (x := (k + draw(shifts)) / size) < 1})
+    points = [Fraction(0)] + xs + [Fraction(1)]
+    return [(x, draw(rational)) for x in points], (n, depth)
+
+
+# n = ±80 clamps the threshold at both ends
+@settings(max_examples=100, deadline=None)
+@given(grid_polygons())
+# three corners inside the node [16/64, 32/64) of depth 2; a corner on that
+# node's first point and one a third of a grid step after it
+@example(([(0, 0), (Fraction(17, 64), 3), (Fraction(18, 64), -2), (Fraction(19, 64), 5), (1, 1)], (80, 2)))
+@example(([(0, 0), (Fraction(16, 64), 3), (Fraction(49, 192), -2), (1, 1)], (-80, 2)))
+def test_tree_of_grid_aligned_polygon_equals_reference(polygon):
+    breakpoints, size = polygon
+    assert_tree_is_reference(polygonal_fn(breakpoints), *size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases | polygons().map(polygonal_fn), covers(), covers(), tree_sizes)
+@example(square_fn(), HALF_COVER, HALF_COVER, (80, 6))
+@example(canonical_nonuc(6), HALF_COVER, HALF_COVER, (-80, 6))
+def test_tree_of_nested_truncation_equals_reference(base, c1, c2, size):
+    g = truncate(truncate(base, c1), c2)
+    assert_tree_is_reference(g, *size)
+
+
+native_fns = grid_bases | st.builds(truncate, grid_bases, covers())
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_fns, tree_sizes)
+def test_tree_reads_no_critical_points(f, size):
+    # the runs of a native grid say where f may turn, not critical_points
+    assert_tree_is_reference(dataclasses.replace(f, critical_points=()), *size)
+
+
+def test_tree_without_native_grid_calls_each_grid_point_once():
+    f = canonical_nonuc(20)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f.eval_at(x)
+
+    g = dataclasses.replace(f, eval_at=counted)
+    for n in (0, 80):
+        calls.clear()
+        assert oscillation_tree(g, n, 4) == ref.oscillation_tree(f, n, 4)
+        assert sorted(calls) == [Fraction(k, 2**8) for k in range(2**8)]
+
+
+@st.composite
+def grid_indices(draw):
+    """A grid depth and sorted indices on it: the node ends at offset 0 or 15
+    (step 16), any sorted list of grid indices, or none."""
+    depth = draw(grid_depths)
+    size = 2**depth
+    return depth, draw(
+        st.sampled_from([range(0, size, 16), range(15, size, 16), []])
+        | st.lists(st.integers(0, size - 1)).map(sorted)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(native_fns | st.builds(truncate, native_fns, covers()), grid_indices())
+def test_sample_equals_per_point(f, indexed):
+    depth, indices = indexed
+    runs, den = _ints_over_den(f.eval_at.grid(depth))
+    values = _sample(runs, 2**depth, indices)
+    assert values == ref._sample(runs, 2**depth, indices)
+    per_point = ref.grid(f, depth)
+    assert [Fraction(v, den) for v in values] == [per_point[k] for k in indices]
 
 
 def test_oscillation_tree_depth_budget():
