@@ -19,10 +19,8 @@ from .cauchy import const_name
 from .errors import BudgetExceeded, ParseError, RandlabError
 from .intervals import (
     RationalInterval,
-    bit_strings,
     format_interval,
     format_rational,
-    over_lcm,
     parse_rational,
 )
 from .randomness import CheckRecord
@@ -71,7 +69,7 @@ def _verify_martingale(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]
     m = serialize.martingale_from_json(doc)
     d = _table_depth(doc, min(depth, 8))
     rep = martingales.check_fairness(m, d)
-    capitals, den = over_lcm(map(m.value, bit_strings(d)))
+    capitals, den = m.level(d)
     level_sum = Fraction(sum(capitals), den)
     expected = 2**d * m.initial_capital
     return [

@@ -3,6 +3,11 @@
 Everything here is computed with `fractions.Fraction`; there is no rounding
 anywhere in this module.  Open/closed endpoint flags are carried explicitly:
 measure ignores endpoints, membership queries must not.
+
+The Cantor-space helpers list {0,1}^n and {0,1}^{<=d} in one order each
+(`bit_strings`, `tree_strings`) and write rationals as ints over one
+denominator (`over_lcm`); `_product_level` is the native level of a product
+form, read through `CylinderMeasure.level` and `Martingale.level`.
 """
 
 from __future__ import annotations
@@ -209,6 +214,33 @@ def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
     pairs = [v.as_integer_ratio() for v in values]
     den = math.lcm(*{d for _, d in pairs})
     return [n * (den // d) for n, d in pairs], den
+
+
+def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
+    """The native level of the product form σ ↦ root · f0^#0 · f1^#1 / q^|σ|
+    (see `CylinderMeasure.level`): level k as (ints, den) in bit_strings(k)
+    order, each child its parent's int times f0 or f1."""
+    n, d = root.as_integer_ratio()
+
+    def level(k: int) -> tuple[list[int], int]:
+        if f0 == f1:
+            return [n * f0**k] * 2**k, d * q**k
+        ints = [n]
+        for _ in range(k):
+            children = [0] * (2 * len(ints))
+            children[::2] = [x * f0 for x in ints]
+            children[1::2] = [x * f1 for x in ints]
+            ints = children
+        return ints, d * q**k
+
+    return level
+
+
+def _with_level(read, level):
+    """The cylinder function `read` carrying its native level (see
+    `CylinderMeasure.level`)."""
+    read.level = level
+    return read
 
 
 def coverage_at_least(

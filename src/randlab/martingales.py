@@ -2,6 +2,10 @@
 
 A martingale at desk scale is an exact rational table on all bit strings
 within a depth budget, satisfying 2M(σ) = M(σ0) + M(σ1).
+
+The savings transform, the violation search and the growth constants read
+whole levels of capitals through `Martingale.level`, as ints over one
+denominator; a savings result keeps its levels as int rows.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from operator import sub
 from typing import Callable, Optional
 
 from .errors import InvariantViolation, ParseError, over_budget
-from .intervals import bit_strings, over_lcm, tree_strings
+from .intervals import _product_level, _with_level, bit_strings, over_lcm
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -32,22 +36,46 @@ class Martingale:
             raise InvariantViolation(f"negative capital at {sigma!r}")
         return v
 
+    def level(self, k: int) -> tuple[list[int], int]:
+        """The capitals of bit_strings(k) as (ints, den), the capital of the
+        i-th being ints[i]/den, with the checks of `value`: k past the depth
+        budget and a negative capital, at the first in level order, raise as
+        there.
+
+        The native level is the `level` attribute of `value_at` when there
+        is one (see `CylinderMeasure.level`); any other callable is read
+        once per string, in order, through `value`.
+        """
+        if k > self.depth_budget:
+            raise over_budget(f"|sigma| {k}", "depth_budget", self.depth_budget)
+        native = getattr(self.value_at, "level", None)
+        if native is None:
+            return over_lcm(map(self.value, bit_strings(k)))
+        ints, den = native(k)
+        if min(ints) < 0:
+            s = bit_strings(k)[next(i for i, v in enumerate(ints) if v < 0)]
+            raise InvariantViolation(f"negative capital at {s!r}")
+        return ints, den
+
     @property
     def initial_capital(self) -> Fraction:
         return self.value("")
 
 
 def constant_martingale(capital: Fraction = Fraction(1)) -> Martingale:
-    return Martingale("constant", lambda s: capital)
+    return Martingale(
+        "constant", _with_level(lambda s: capital, _product_level(1, 1, 1, capital))
+    )
 
 
 def all_in_on_0() -> Martingale:
-    """Bets everything on the next bit being 0; busts on the first 1."""
+    """Bets everything on the next bit being 0; busts on the first 1:
+    the capital is 2^#0 · 0^#1."""
 
     def v(s: str) -> Fraction:
         return Fraction(2 ** len(s)) if "1" not in s else Fraction(0)
 
-    return Martingale("all_in_on_0", v)
+    return Martingale("all_in_on_0", _with_level(v, _product_level(2, 0, 1)))
 
 
 def split_bet(p: Fraction) -> Martingale:
@@ -65,7 +93,7 @@ def split_bet(p: Fraction) -> Martingale:
         zeros = s.count("0")
         return Fraction(win**zeros * lose ** (len(s) - zeros), b ** len(s))
 
-    return Martingale(f"split_bet({p})", v)
+    return Martingale(f"split_bet({p})", _with_level(v, _product_level(win, lose, b)))
 
 
 def table_martingale(table: dict[str, Fraction], name: str = "table") -> Martingale:
@@ -129,37 +157,72 @@ def savings_transform(m: Martingale, depth: int) -> Martingale:
     never shrinks.  The result is fair and satisfies
     M'(τ) >= M'(σ) - 2·M(ε) for all τ ⊒ σ within depth.
     """
-    ref = m.initial_capital
-    rn, rd = ref.as_integer_ratio()
-    table: dict[str, Fraction] = {"": ref}
-    # At each node of the current level: the base capital v, the number j of
-    # banking events on the path, and the bank bn/bd.  The working capital
-    # follows the bets, w = v/2^j, until it first reaches 0; zero working
-    # capital is absorbing (j is None), even where a later base capital is not 0.
-    level = [(ref, 0 if rn else None, 0, 1)]
+    base, base_den = m.level(0)
+    rn, rd = base[0], base_den  # the initial capital ref = rn/rd
+    rows = [(base, base_den)]  # the result's levels, as (ints, den)
+    # At each node of the current level: the number j of banking events on
+    # the path, and the bank as an int over bank_den.  The working capital
+    # follows the bets, w = v/2^j for the base capital v, until it first
+    # reaches 0; zero working capital is absorbing (j is None), even where a
+    # later base capital is not 0.
+    js, bank, bank_den = [0 if rn else None], [0], 1
     for k in range(1, depth + 1):
-        nxt = []
-        for i, s in enumerate(bit_strings(k)):
-            base, j, bn, bd = level[i >> 1]
-            # a zero capital places no bet: at the last level its children go unread
-            v = m.value(s) if base or k < depth else None
+        if k < depth or all(base) or hasattr(m.value_at, "level"):
+            base, base_den = m.level(k)
+        else:
+            # a zero capital places no bet: an opaque base's last-level
+            # children of one go unread
+            parents = base
+            base, base_den = over_lcm(
+                m.value(s) if parents[i >> 1] else 0 for i, s in enumerate(bit_strings(k))
+            )
+        # w = v/2^j is an int over w_den = base_den·2^k, as j <= k
+        w_den = base_den << k
+        den = math.lcm(bank_den, w_den)
+        to_den, w_to_den = den // bank_den, den // w_den
+        double = (rn * w_den) << 1  # w >= 2·ref iff w·rd >= double
+        nj, nbank, out = [None] * len(base), [0] * len(base), [0] * len(base)
+        for i, v in enumerate(base):
+            j, b = js[i >> 1], bank[i >> 1] * to_den
             if j is not None and v:
-                vn, vd = v.as_integer_ratio()
-                wd = vd << j
-                if rn and vn * rd >= (rn * wd) << 1:
-                    # w >= 2·ref: half of w moves to the bank
-                    wd <<= 1
+                w = v << (k - j)
+                if w * rd >= double:
+                    # half of w moves to the bank
                     j += 1
-                    bn, bd = bn * wd + vn * bd, bd * wd
-                    g = math.gcd(bn, bd)
-                    bn, bd = bn // g, bd // g
-                table[s] = Fraction(vn * bd + bn * wd, wd * bd)
+                    w >>= 1
+                    b += w * w_to_den
+                nj[i] = j
+                out[i] = w * w_to_den + b
             else:
-                j = None
-                table[s] = Fraction(bn, bd)
-            nxt.append((v, j, bn, bd))
-        level = nxt
-    return Martingale(f"savings({m.name})", lambda s: table[s], depth_budget=depth)
+                out[i] = b
+            nbank[i] = b
+        js, bank, bank_den = nj, nbank, den
+        rows.append((out, den))
+
+    def value_at(s: str) -> Fraction:
+        if len(s) > depth or s.strip("01"):
+            raise KeyError(s)
+        ints, den = rows[len(s)]
+        return Fraction(ints[int(s, 2) if s else 0], den)
+
+    def level(k: int) -> tuple[list[int], int]:
+        ints, den = rows[k]
+        return ints.copy(), den
+
+    return Martingale(f"savings({m.name})", _with_level(value_at, level), depth_budget=depth)
+
+
+def _levels_over_lcm(depth: int, *ms: Martingale) -> tuple[list[list[list[int]]], int]:
+    """Levels 0..depth of each martingale, read level by level (level k of
+    each in turn), as int rows over one denominator: rows[j][k] is level k
+    of ms[j]."""
+    levels = [m.level(k) for k in range(depth + 1) for m in ms]
+    den = math.lcm(*(d for _, d in levels))
+    rows = []
+    for ints, d in levels:
+        scale = den // d
+        rows.append([x * scale for x in ints])
+    return [rows[j :: len(ms)] for j in range(len(ms))], den
 
 
 def savings_violation_search(
@@ -171,23 +234,32 @@ def savings_violation_search(
     it; τ is the first violation in the depth-first preorder under σ that
     visits the 1-child before the 0-child.
     """
-    nodes = tree_strings(depth)
-    v, den = over_lcm(map(m.value, nodes))
-    # low[h]: the least capital in the subtree of node h, from the leaves up
-    low = v.copy()
-    for k in reversed(range(depth)):
-        a, b = 2**k - 1, 2 ** (k + 1) - 1
-        low[a:b] = map(min, low[a:b], low[2 * a + 1 : 2 * b : 2], low[2 * a + 2 : 2 * b + 1 : 2])
+    (rows,), den = _levels_over_lcm(depth, m)
+    # low[k][i]: the least capital in the subtree of node i of level k, from the leaves up
+    low = rows[-1:]
+    for row in reversed(rows[:-1]):
+        below = low[-1]
+        low.append(list(map(min, row, below[::2], below[1::2])))
+    low.reverse()
     # M(τ) < M(σ) - drop iff v[σ] - v[τ] > drop·den, an int difference, so
     # iff it exceeds ⌊drop·den⌋
     gap = drop.numerator * den // drop.denominator
-    h = next((h for h, fall in enumerate(map(sub, v, low)) if fall > gap), None)
-    if h is None:
+    for k, (row, lows) in enumerate(zip(rows, low)):
+        i = next((i for i, fall in enumerate(map(sub, row, lows)) if fall > gap), None)
+        if i is not None:
+            break
+    else:
         return None
-    i = h
-    while v[h] - v[i] <= gap:
-        i = 2 * i + 2 if v[h] - low[2 * i + 2] > gap else 2 * i + 1
-    return nodes[h], nodes[i]
+    top = row[i]
+    kt, it = k, i
+    while top - rows[kt][it] <= gap:
+        kt, it = kt + 1, 2 * it + 1 if top - low[kt + 1][2 * it + 1] > gap else 2 * it
+    return _node(k, i), _node(kt, it)
+
+
+def _node(k: int, i: int) -> str:
+    """The i-th string of bit_strings(k)."""
+    return format(i, f"0{k}b") if k else ""
 
 
 def savings_growth_constants(
@@ -200,28 +272,25 @@ def savings_growth_constants(
     path.
     """
     c = base.initial_capital
-    # both capitals at every node, in tree order, over one denominator
-    reads = [c, transformed.initial_capital]
-    for s in tree_strings(depth)[1:]:
-        reads += base.value(s), transformed.value(s)
-    ints, den = over_lcm(reads)
-    # the running maxima of each capital along the path to every node, from the root down
-    peaks = ints[::2], ints[1::2]
-    for k in range(1, depth + 1):
-        a, b = 2**k - 1, 2 ** (k + 1) - 1
-        for p in peaks:
-            up = p[(a - 1) // 2 : a]
-            p[a:b:2] = map(max, p[a:b:2], up)
-            p[a + 1 : b : 2] = map(max, p[a + 1 : b : 2], up)
+    # a negative depth reads the root alone, as depth 0 does
+    trees, den = _levels_over_lcm(max(depth, 0), base, transformed)
+    # the running maxima of each capital along the path to every leaf, from
+    # the root down
+    peaks = []
+    for rows in trees:
+        peak = rows[0]
+        for row in rows[1:]:
+            peak = list(map(max, row, (p for p in peak for _ in "01")))
+        peaks.append(peak)
     # the worst c·log2 - max M' over the leaves, with ⌊log2 max M⌋ read as
     # the bit length of max M's reduced numerator, less 1 (right only for an
     # integer max M; the frozen digests hold this reading)
-    leaf = len(peaks[0]) // 2
+    cn = c.numerator * (den // c.denominator)
     worst = max(
         0,
         *(
-            ints[0] * ((n // math.gcd(n, den)).bit_length() - 1 if n >= den else 0) - top
-            for n, top in zip(peaks[0][leaf:], peaks[1][leaf:])
+            cn * ((n // math.gcd(n, den)).bit_length() - 1 if n >= den else 0) - top
+            for n, top in zip(*peaks)
         ),
     )
     return c, Fraction(worst, den)

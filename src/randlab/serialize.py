@@ -120,11 +120,17 @@ def _as_index(value: Any) -> Optional[int]:
     return None
 
 
-def _index(value: Any, what: str, low: int = 0) -> int:
-    """`value` (an int or a decimal string) as an index in low..budget."""
+def _integer(value: Any, what: str) -> int:
+    """`value`, an int or a decimal string as `_as_index` reads one, as an int."""
     m = _as_index(value)
     if m is None:
         raise ParseError(f"{what} is an integer, got {value!r}")
+    return m
+
+
+def _index(value: Any, what: str, low: int = 0) -> int:
+    """`value` (an int or a decimal string) as an index in low..budget."""
+    m = _integer(value, what)
     if not low <= m <= COMPONENT_INDEX_BUDGET:
         raise ParseError(
             f"{what} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
@@ -156,7 +162,7 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
     kd: dict[str, Any] = {}
     if kind is TestKind.SCHNORR:
         kd["declared_measures"] = {
-            int(m): parse_rational(q)
+            _integer(m, "declared_measures key"): parse_rational(q)
             for m, q in payload.get("declared_measures", {}).items()
         }
         if payload.get("relativized"):
@@ -173,7 +179,8 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
         for rec in payload.get("blocks", []):
             key = (_index(rec["m"], "block m"), _index(rec["r"], "block r"))
             blocks[key] = {
-                int(k): parse_interval(iv) for k, iv in rec["table"].items()
+                _integer(k, "block table key"): parse_interval(iv)
+                for k, iv in rec["table"].items()
             }
             excluded[key] = _index_set(rec.get("excluded", []), "excluded")
         kd["blocks"] = blocks
@@ -186,7 +193,8 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
         _index(len(kd["C"]), "number of PI1 C sets")
     elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
         kd["budgets"] = {
-            int(m): int(str(b)) for m, b in payload.get("budgets", {}).items()
+            _integer(m, "budgets key"): _integer(b, "budgets value")
+            for m, b in payload.get("budgets", {}).items()
         }
     return TestFamily(kind, components, kd, doc.get("label", ""))
 

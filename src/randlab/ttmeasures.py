@@ -4,6 +4,11 @@ A total functional with a declared use bound induces a measure on Cantor
 space by exact preimage counting.  Its distribution function on [0,1] is
 computed through cylinder decompositions, and drives the greedy transport
 of dyadic prefixes along the quantile coupling.
+
+Whole levels {0,1}^k of masses come from `CylinderMeasure.level` as ints over
+one denominator: a product form builds each child from its parent, an induced
+measure reads its tally, and any other mass callable is read once per string.
+Measure validation and the distribution function's knots read only levels.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .errors import (
 )
 from .intervals import (
     _check_bits,
+    _product_level,
+    _with_level,
     bit_strings,
     dyadic_value,
     format_rational,
@@ -124,9 +131,27 @@ class CylinderMeasure:
     def __call__(self, sigma: str) -> Fraction:
         return self.mass(sigma)
 
+    def level(self, k: int, step: int = 1) -> tuple[list[int], int]:
+        """The masses of bit_strings(k)[::step] as (ints, den): the mass of
+        the i-th is ints[i]/den.  step = 2 reads the left children σ0 alone.
+
+        The native level belongs to the callable: it is the `level` attribute
+        of `mass` when there is one, so `dataclasses.replace(mu, mass=g)`
+        reads g's masses.  A product form builds each child from its parent
+        and an induced measure reads its tally.  Any other callable is called
+        once per string, in order.
+        """
+        native = getattr(self.mass, "level", None)
+        if native is None:
+            return over_lcm(map(self.mass, bit_strings(k)[::step]))
+        ints, den = native(k)
+        return ints[::step], den
+
 
 def uniform_measure() -> CylinderMeasure:
-    return CylinderMeasure("uniform", lambda s: Fraction(1, 2 ** len(s)))
+    return CylinderMeasure(
+        "uniform", _with_level(lambda s: Fraction(1, 2 ** len(s)), _product_level(1, 1, 2))
+    )
 
 
 def bernoulli_measure(p: Fraction) -> CylinderMeasure:
@@ -141,7 +166,9 @@ def bernoulli_measure(p: Fraction) -> CylinderMeasure:
         ones = sigma.count("1")
         return Fraction(a**ones * (b - a) ** (len(sigma) - ones), b ** len(sigma))
 
-    return CylinderMeasure(f"bernoulli {format_rational(p)}", mass)
+    return CylinderMeasure(
+        f"bernoulli {format_rational(p)}", _with_level(mass, _product_level(b - a, a, b))
+    )
 
 
 def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
@@ -154,8 +181,20 @@ def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
 
 
 def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
+    def level(k: int) -> tuple[list[int], int]:
+        # the tally's counts over 2^u, by the calls each mass would make
+        if k == 0:
+            return [1], 1
+        counts = _tally_for_length(phi, k)
+        ints = [0] * 2**k
+        for s, c in counts.items():
+            if not s.strip("01"):  # an output that is no bit string is no cylinder
+                ints[int(s, 2)] = c
+        return ints, 2 ** phi.use_bound(k - 1)
+
     return CylinderMeasure(
-        f"induced({phi.name})", lambda s: induced_measure_of_cylinder(phi, s)
+        f"induced({phi.name})",
+        _with_level(lambda s: induced_measure_of_cylinder(phi, s), level),
     )
 
 
@@ -163,12 +202,13 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
     plus total mass 1 at the root and one failed record for the first
     negative mass in level order, if any."""
-    root = mu("")
+    parents, parent_den = mu.level(0)
+    root = Fraction(parents[0], parent_den)
     checks = [CheckRecord("total_mass", root == 1, f"mass(ε) = {format_rational(root)}")]
     negative = None
-    # two levels at a time, each as ints over its own lcm
+    # two levels at a time, each as ints over its own denominator
     for k in range(depth + 1):
-        masses, den = over_lcm(map(mu, bit_strings(k)) if k else [root])
+        masses, den = mu.level(k) if k else (parents, parent_den)
         if k:
             names = None  # the parents' strings, built only to name a failed record
             sums = map(add, masses[::2], masses[1::2])
@@ -394,8 +434,24 @@ class MonotoneCDF:
         return cdf(self.mu, d)
 
     def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        pts = [Fraction(i, 2**self.depth) for i in range(2**self.depth + 1)]
-        return tuple((p, cdf(self.mu, p)) for p in pts)
+        """(i/2^depth, g(i/2^depth)) for 0 <= i <= 2^depth, g as `cdf` reads
+        it, from one top-down pass: g at the midpoint of [σ) is g at its left
+        end plus μ(σ0).  So only the left children and, for g(1), the root
+        are read."""
+        g, den = [0], 1  # g at i/2^k for 0 <= i < 2^k, as ints over den
+        for k in range(1, self.depth + 1):
+            left, left_den = self.mu.level(k, 2)
+            lcm = math.lcm(den, left_den)
+            a, b = lcm // den, lcm // left_den
+            halves = [0] * 2 * len(g)
+            halves[::2] = [x * a for x in g]
+            halves[1::2] = [x * a + y * b for x, y in zip(g, left)]
+            g, den = halves, lcm
+        (top,), top_den = self.mu.level(0)
+        size = 2**self.depth
+        return tuple((Fraction(i, size), Fraction(x, den)) for i, x in enumerate(g)) + (
+            (Fraction(1), Fraction(top, top_den)),
+        )
 
     def is_monotone(self) -> bool:
         ks = self.knots()

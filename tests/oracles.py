@@ -480,6 +480,19 @@ def cdf(mu, d: Fraction) -> Fraction:
     return total
 
 
+def knots(mu, depth: int):
+    """`MonotoneCDF.knots` as one `cdf` per point i/2^depth."""
+    pts = [Fraction(i, 2**depth) for i in range(2**depth + 1)]
+    return tuple((p, cdf(mu, p)) for p in pts)
+
+
+def level(obj, k: int) -> list[Fraction]:
+    """`CylinderMeasure.level` and `Martingale.level` as one read per string
+    of bit_strings(k), of a mass or, with its checks, a capital."""
+    read = obj.value if isinstance(obj, Martingale) else obj.mass
+    return [read(s) for s in bit_strings(k)]
+
+
 def transport(mu, a_prefix: str) -> TransportResult:
     """The greedy descent over Fraction midpoints of the output cylinder,
     with g from `cdf` at dyadic Fractions."""

@@ -466,6 +466,39 @@ def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
 
 
+def with_key(name, path, old, new):
+    """The fixture `name` with the key `old` of the object at `path` renamed."""
+    doc = load(name)
+    obj = functools.reduce(operator.getitem, path, doc)
+    obj[new] = obj.pop(old)
+    return doc
+
+
+# the integer fields read by key or value, each named in its exit-2 message
+INTEGER_FIELDS = {
+    "block table key": lambda text: with_key(
+        "interval_sequence_basic.json", ["kind_data", "blocks", 0, "table"], "1", text),
+    "declared_measures key": lambda text: with_key(
+        "schnorr_geometric.json", ["kind_data", "declared_measures"], "1", text),
+    "budgets key": lambda text: with_key(
+        "demuth_two_versions.json", ["kind_data", "budgets"], "1", text),
+    "budgets value": lambda text: with_path(
+        "demuth_two_versions.json", ["kind_data", "budgets", "1"], text),
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", " 3 ", "+2"])
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_field_is_ascii_digits(tmp_path, capsys, field, text):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(INTEGER_FIELDS[field](text)))
+    err = assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
+    assert f"{field} is an integer, got {text!r}" in err
+    # the same field as plain digits reads as before
+    path.write_text(json.dumps(INTEGER_FIELDS[field]("4")))
+    assert main(["verify", "--fixture", str(path)]) in (0, 1)
+
+
 def test_shallow_table_martingale_passes_to_its_depth(tmp_path, capsys):
     path = tmp_path / "shallow.json"
     path.write_text(json.dumps(SHALLOW_TABLE_MARTINGALE))

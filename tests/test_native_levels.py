@@ -1,0 +1,218 @@
+"""Native levels against the per-node reads they replace.
+
+A product form (uniform, Bernoulli, split_bet, constant, all_in_on_0), an
+induced measure and a savings result carry a native `level` on their mass
+or capital callable; `CylinderMeasure.level` and `Martingale.level` read it.
+Each property checks that a native level equals `ref.level`, one read per
+string, as rationals, and that the five level consumers give on these
+objects what their oracles give.  The properties of test_levels.py draw
+only tables, which take the per-node path.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles as ref
+from oracles import outcome
+from randlab.errors import BudgetExceeded, InvariantViolation, ParseError
+from randlab.intervals import _with_level, bit_strings, over_lcm
+from randlab.markov import half_fn, square_fn
+from randlab.martingales import (
+    Martingale,
+    all_in_on_0,
+    constant_martingale,
+    savings_growth_constants,
+    savings_transform,
+    savings_violation_search,
+    split_bet,
+    table_martingale,
+)
+from randlab.ttmeasures import (
+    MonotoneCDF,
+    bernoulli_measure,
+    identity_tt,
+    materialize_measure,
+    pairwise_or_tt,
+    table_measure,
+    tt_from_ucf,
+    uniform_measure,
+    validate_measure,
+)
+
+MAX_DEPTH = 7
+
+biases = st.fractions(0, 1, max_denominator=12).filter(lambda p: 0 < p < 1)
+stakes = st.fractions(0, 1, max_denominator=12)
+capitals = st.fractions(0, 4, max_denominator=6)
+FUNCTIONALS = {
+    "identity": identity_tt,
+    "pairwise_or": pairwise_or_tt,
+    "tt(square)": lambda: tt_from_ucf(square_fn(), 8),
+    "tt(half)": lambda: tt_from_ucf(half_fn(), 8),
+}
+
+product_measures = st.just(uniform_measure()) | biases.map(bernoulli_measure)
+induced_measures = st.sampled_from(sorted(FUNCTIONALS)).map(
+    lambda name: materialize_measure(FUNCTIONALS[name]())
+)
+product_martingales = (
+    stakes.map(split_bet) | capitals.map(constant_martingale) | st.just(all_in_on_0())
+)
+
+
+def rationals(level):
+    ints, den = level
+    return [Fraction(x, den) for x in ints]
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_measures | induced_measures, st.integers(0, MAX_DEPTH))
+def test_native_measure_level_is_the_per_node_reads(mu, k):
+    assert hasattr(mu.mass, "level")
+    masses = ref.level(mu, k)
+    assert rationals(mu.level(k)) == masses
+    assert rationals(mu.level(k, 2)) == masses[::2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_martingales, st.integers(0, MAX_DEPTH))
+@example(split_bet(Fraction(0)), 3)
+@example(split_bet(Fraction(1)), 3)
+@example(constant_martingale(Fraction(0)), 2)
+def test_native_martingale_level_is_the_per_node_reads(m, k):
+    assert hasattr(m.value_at, "level")
+    assert rationals(m.level(k)) == ref.level(m, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_martingales, st.integers(0, MAX_DEPTH), st.integers(0, MAX_DEPTH))
+@example(split_bet(Fraction(0)), 3, 3)
+@example(split_bet(Fraction(1)), 3, 3)
+def test_savings_level_is_the_per_node_reads(m, depth, k):
+    saved = savings_transform(m, depth)
+    k = min(k, depth)
+    assert rationals(saved.level(k)) == ref.level(saved, k)
+    # the level is a copy: a consumer may change it
+    saved.level(k)[0].append(1)
+    assert rationals(saved.level(k)) == ref.level(saved, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_measures | induced_measures, st.integers(0, MAX_DEPTH))
+def test_validate_measure_and_knots_match_their_oracles(mu, d):
+    assert validate_measure(mu, d) == ref.validate_measure(mu, d)
+    assert MonotoneCDF(mu, d).knots() == ref.knots(mu, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_martingales, st.integers(0, MAX_DEPTH),
+       st.fractions(-1, 4, max_denominator=4))
+@example(split_bet(Fraction(0)), 4, Fraction(2))
+@example(split_bet(Fraction(1)), 4, Fraction(1, 2))
+@example(all_in_on_0(), 5, Fraction(0))
+@example(constant_martingale(Fraction(0)), 3, Fraction(-1))
+def test_savings_consumers_match_their_oracles(m, d, drop):
+    saved, expected = savings_transform(m, d), ref.savings_transform(m, d)
+    nodes = [s for k in range(d + 1) for s in bit_strings(k)]
+    assert [saved.value(s) for s in nodes] == [expected.value(s) for s in nodes]
+    for mart in (m, saved):
+        assert savings_violation_search(mart, d, drop) == ref.savings_violation_search(mart, d, drop)
+    assert savings_growth_constants(m, saved, d) == ref.savings_growth_constants(m, saved, d)
+    assert savings_growth_constants(m, m, d) == ref.savings_growth_constants(m, m, d)
+
+
+def test_level_past_the_depth_budget_raises_as_value():
+    for m in (
+        split_bet(Fraction(3, 4)),
+        savings_transform(split_bet(Fraction(3, 4)), 3),
+        table_martingale({s: Fraction(1) for k in range(5) for s in bit_strings(k)}),
+    ):
+        m = dataclasses.replace(m, depth_budget=3)
+        got = outcome(m.level, 4, catch=BudgetExceeded)
+        assert got == outcome(m.value, "0000", catch=BudgetExceeded)
+        assert got[1] == "|sigma| 4 > depth_budget (3)"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_negative_capital_raises_at_the_first_in_level_order(k, data):
+    capitals_ = data.draw(st.lists(st.integers(-2, 3), min_size=2**k, max_size=2**k))
+    table = dict(zip(bit_strings(k), map(Fraction, capitals_)))
+    opaque = table_martingale(table)
+    # the same capitals as a native level
+    native = Martingale(
+        "native", _with_level(opaque.value_at, lambda j: over_lcm(map(opaque.value_at, bit_strings(j))))
+    )
+    got = outcome(native.level, k, catch=InvariantViolation)
+    assert got == outcome(opaque.level, k, catch=InvariantViolation)
+    first = next((s for s in bit_strings(k) if table[s] < 0), None)
+    if first is not None:
+        assert got == (InvariantViolation, f"negative capital at {first!r}")
+        assert got == outcome(ref.level, opaque, k, catch=InvariantViolation)
+
+
+def test_negative_constant_raises_at_the_root():
+    m = constant_martingale(Fraction(-1, 2))
+    assert outcome(m.level, 2, catch=InvariantViolation) == (
+        InvariantViolation, "negative capital at '00'"
+    )
+    assert outcome(m.level, 0, catch=InvariantViolation) == outcome(
+        m.value, "", catch=InvariantViolation
+    )
+
+
+def test_knots_read_only_left_children_and_the_root():
+    # no "1", "01" or "11": g at every i/4 reads "0", "00", "10" and ""
+    mu = table_measure("left", {"": Fraction(1), "0": Fraction(1, 2),
+                                "00": Fraction(1, 4), "10": Fraction(1, 4)})
+    assert MonotoneCDF(mu, 2).knots() == ref.knots(mu, 2)
+    assert [g for _, g in MonotoneCDF(mu, 2).knots()] == [0, Fraction(1, 4), Fraction(1, 2),
+                                                         Fraction(3, 4), 1]
+
+
+def hole(name, kind="measure"):
+    what = "no mass for cylinder" if kind == "measure" else "no capital for"
+    return ParseError, f"table {kind} 't' has {what} {name!r}"
+
+
+def test_which_hole_a_parse_error_names():
+    # several strings missing: each consumer names the first it reads
+    full = {s: Fraction(1, 2 ** len(s)) for k in range(3) for s in bit_strings(k)}
+    mu = table_measure("t", {s: v for s, v in full.items() if s not in ("0", "00")})
+    # knots read level by level; the per-point tabulation met "00" first
+    assert outcome(MonotoneCDF(mu, 2).knots, catch=ParseError) == hole("0")
+    assert outcome(ref.knots, mu, 2, catch=ParseError) == hole("00")
+    # validate_measure reads level by level, as it did
+    got = outcome(validate_measure, mu, 2, catch=ParseError)
+    assert got == outcome(ref.validate_measure, mu, 2, catch=ParseError) == hole("0")
+
+    caps = {s: Fraction(1) for k in range(3) for s in bit_strings(k)}
+    m = table_martingale({s: v for s, v in caps.items() if s not in ("01", "10")}, "t")
+    # the transform and the search read level by level, as they did
+    assert outcome(savings_transform, m, 2, catch=ParseError) == hole("01", "martingale")
+    assert outcome(savings_violation_search, m, 2, catch=ParseError) == hole("01", "martingale")
+    # growth constants read the base's level, then the transformed one's;
+    # the per-node reads alternated, so met the transformed one's hole first
+    base = table_martingale({s: v for s, v in caps.items() if s != "1"}, "t")
+    other = table_martingale({s: v for s, v in caps.items() if s != "0"}, "t")
+    assert outcome(savings_growth_constants, base, other, 1, catch=ParseError) == hole(
+        "1", "martingale"
+    )
+    assert outcome(ref.savings_growth_constants, base, other, 1, catch=ParseError) == hole(
+        "0", "martingale"
+    )
+
+
+def test_opaque_savings_skips_last_level_children_of_a_zero_capital():
+    # "1" is 0 and "10", "11" are missing: the last level reads only "00", "01"
+    table = {"": Fraction(1), "0": Fraction(2), "1": Fraction(0),
+             "00": Fraction(4), "01": Fraction(0)}
+    m = table_martingale(table)
+    saved, expected = savings_transform(m, 2), ref.savings_transform(m, 2)
+    nodes = [s for k in range(3) for s in bit_strings(k)]
+    assert [saved.value(s) for s in nodes] == [expected.value(s) for s in nodes]
+    with pytest.raises(ParseError):
+        savings_transform(m, 3)

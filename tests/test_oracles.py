@@ -59,7 +59,8 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 
 # the oracles that take their function's arguments and return what it
 # returns; `_tally_for_length` is kept in `phi._tally` below, as the lab keeps
-# its own, and `measure` replaces the property `IntervalUnion.measure`
+# its own, `measure` replaces the property `IntervalUnion.measure` and
+# `knots` the method `MonotoneCDF.knots`
 PATCHED = (
     "parse_rational", "normalize_union", "coverage_at_least",
     "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
@@ -128,6 +129,8 @@ def patch_oracles(monkeypatch) -> Counter:
             monkeypatch.setattr(m, name, counted(name, oracle))
     measure = property(counted("measure", ref.measure))
     monkeypatch.setattr(intervals.IntervalUnion, "measure", measure)
+    knots = counted("knots", ref.knots)
+    monkeypatch.setattr(ttmeasures.MonotoneCDF, "knots", lambda self: knots(self.mu, self.depth))
     return calls
 
 
@@ -154,6 +157,6 @@ def test_lab_on_the_oracles_gives_the_same_report_and_digests(monkeypatch, tmp_p
             key = canon.spec_key(spec)
             assert ok, key
             assert canon.digest(payload) == frozen[name][key], key
-    idle = [name for name in PATCHED + ("measure",) if not calls[name]]
+    idle = [name for name in PATCHED + ("measure", "knots") if not calls[name]]
     assert not idle, f"oracles never run: {idle}"
 
