@@ -17,7 +17,6 @@ from typing import Optional
 
 from .cauchy import CauchyName
 from .errors import DegeneratePair, over_budget
-from .intervals import over_lcm
 from .markov import MarkovFunction
 
 BLOWUP_THRESHOLD = Fraction(2**16)
@@ -62,9 +61,10 @@ def pseudo_derivative(
     The point is known only through its certified window at the grid's
     precision, so "a <= z <= b" means the pair straddles that window.
 
-    f is called once at each grid point some pair reads, and the values are
-    put over one denominator; slopes are compared as (rise, gap) pairs of
-    ints, one gap at a time, and only the two extremes become Fractions.
+    f is read through `MarkovFunction.grid` at each grid point some pair
+    reads, as ints over one denominator (from its native runs, or one call
+    per point); slopes are compared as (rise, gap) pairs of ints, one gap at
+    a time, and only the two extremes become Fractions.
     """
     d = grid_denominator
     if d > GRID_DENOMINATOR_BUDGET:
@@ -107,11 +107,10 @@ def pseudo_derivative(
             "straddles the point"
         )
     # a pair exists, so b_min <= a_last + 1: the pairs read every index from
-    # the least left end to the greatest right end, with no gap.  f is called
-    # once at each, and the values go over one denominator
+    # the least left end to the greatest right end, with no gap
     first = min(lo for _, lo, _ in spans)
     last = max(g + hi for g, _, hi in spans)
-    F, den = over_lcm(f(Fraction(k, size)) for k in range(first, last + 1))
+    F, den = f.grid(size, range(first, last + 1))
 
     # a slope is a pair (rise over den, gap in grid steps); gaps are >= 0, so
     # two slopes compare by cross-multiplying ints, and (-1, 0) and (1, 0)

@@ -17,13 +17,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import ParseError
 
 Rational = Fraction
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+_INDEX_TEXT = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,6 +42,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(p), int(q or 1))
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
+
+
+def _as_index(value: Any) -> Optional[int]:
+    """`value` as an int when it is an int (not a bool) or a string of ASCII
+    digits with at most a leading minus, else None."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INDEX_TEXT.fullmatch(value):
+        return int(value)
+    return None
 
 
 def format_rational(q: Fraction) -> str:

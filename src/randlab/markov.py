@@ -10,14 +10,16 @@ Exact range computation over a subinterval works off a finite list of
 critical points every function here is monotone, so min/max are attained at
 the sampled candidates.
 
-Whole dyadic grids k/2^D come from `MarkovFunction.grid` as integers over one
-common denominator.  The lab's own evaluators carry a native grid: their
-monotone runs on the grid k/2^D (a + b·k per linear piece, k²/4^D for square),
-from which `_sample` writes the values at any sorted grid indices, the part
-of a range inside a linear run as one integer progression.  Any other
-evaluator is called once per grid point.  So an oscillation tree of a native
-evaluator reads its nodes' ends and the grid points beside each run start;
-only a tree of any other evaluator costs O(2^{depth+4}) whatever its size.
+Every reader of f on a grid k/n (0 <= k <= n, the right end included) goes
+through `MarkovFunction.grid(n, ks)`, which gives the values at the indices
+`ks` as integers over one common denominator.  The lab's own evaluators, and
+a truncation of one, carry a native grid: their monotone runs on k/n
+(a + b·k per linear piece, k²/n² for square), from which `_sample` writes
+the values at any sorted grid indices, the part of a range inside a linear
+run as one integer progression.  Any other evaluator is called once per
+grid point read.  So an oscillation tree of a native evaluator reads its
+nodes' ends and the grid points beside each run start; only a tree of any
+other evaluator costs O(2^{depth+4}) whatever its size.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
 from .errors import CoverViolation, ExtensionUndefined, over_budget
-from .intervals import RationalInterval, over_lcm
+from .intervals import RationalInterval, _as_index, over_lcm, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -99,26 +101,28 @@ class MarkovFunction:
     def __call__(self, x: Fraction) -> Fraction:
         return self.eval_at(x)
 
-    def grid(self, depth: int) -> tuple[list[int], int]:
-        """The values at k/2^depth for 0 <= k < 2^depth, as (ints, den):
-        the value at k/2^depth is ints[k]/den.
+    def grid(self, n: int, ks: range) -> tuple[list[int], int]:
+        """The values at k/n for k in `ks`, an ascending range inside 0..n
+        (the right end n included), as (ints, den): the value at ks[i]/n is
+        ints[i]/den.  The one reader of f on a grid.
 
         The native grid belongs to the evaluator: it is the `grid` attribute
         of `eval_at` when there is one, so `dataclasses.replace(f,
-        eval_at=g)` reads g's values.  Called with a depth, the attribute
-        lists the function's runs on that grid, (k0, a, b, c) with k0
-        ascending from 0: the value at k/2^depth is a + b·k + c·k² from k0
-        up to the next run's k0, and monotone there.  Any other evaluator is
-        called exactly once per grid point.
+        eval_at=g)` reads g's values.  Called with the grid size n, the
+        attribute lists the function's runs on 0..n, (k0, a, b, c) with k0
+        ascending from 0: the value at k/n is a + b·k + c·k² from k0 up to
+        the next run's k0 (the last run's up to n), and monotone there.  Any
+        other evaluator is called exactly once per index, in order.
         """
-        if depth < 0:
-            raise ValueError(f"grid depth {depth} < 0")
-        size = 2**depth
+        if n < 1:
+            raise ValueError(f"grid size {n} < 1")
+        if ks and not 0 <= ks[0] <= ks[-1] <= n:
+            raise ValueError(f"grid indices {ks[0]}..{ks[-1]} outside 0..{n}")
         native = getattr(self.eval_at, "grid", None)
         if native is not None:
-            runs, den = _ints_over_den(native(depth))
-            return _sample(runs, size, range(size)), den
-        return over_lcm(self.eval_at(Fraction(k, size)) for k in range(size))
+            runs, den = _ints_over_den(native(n))
+            return _sample(runs, ks), den
+        return over_lcm(self.eval_at(Fraction(k, n)) for k in ks)
 
     def range_on(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact (min, max) of the function over [lo, hi] ⊆ [0, 1]."""
@@ -137,14 +141,14 @@ def _ints_over_den(runs):
     return [(run[0], *abc) for run, abc in zip(runs, coefs)], den
 
 
-def _sample(runs, size: int, indices: Sequence[int]) -> list[int]:
-    """The values at `indices`, sorted grid indices below `size` (a range or
-    a list), of the runs (k0, a, b, c) in ints: the value at k is
-    a + b·k + c·k² from k0 up to the next run's k0 (the last run's to size).
-    The part of a range inside a run with c = 0 is written as one range."""
+def _sample(runs, indices: Sequence[int]) -> list[int]:
+    """The values at `indices`, sorted grid indices (a range or a list), of
+    the runs (k0, a, b, c) in ints: the value at k is a + b·k + c·k² from k0
+    up to the next run's k0 (the last run's on).  The part of a range inside
+    a run with c = 0 is written as one range."""
     out: list[int] = []
     i = 0
-    for (_, a, b, c), k1 in zip(runs, [run[0] for run in runs[1:]] + [size]):
+    for (_, a, b, c), k1 in zip(runs, [run[0] for run in runs[1:]] + [math.inf]):
         j = bisect.bisect_left(indices, k1, i)
         part = indices[i:j]
         i = j
@@ -162,11 +166,12 @@ def _linear_grid(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
     (x0, a, s) with x0 ascending from 0: the function is a + s·x from x0 up
     to the next piece's x0."""
 
-    def grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-        size = 2**depth
-        starts = [math.ceil(x0 * size) for x0, _, _ in pieces] + [size]
+    def grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+        # the last piece owns x = 1, so its run is kept whenever it starts
+        # at or before k = n
+        starts = [math.ceil(x0 * n) for x0, _, _ in pieces] + [n + 1]
         return [
-            (k0, a, s / size, ZERO)
+            (k0, a, s / n, ZERO)
             for (_, a, s), k0, k1 in zip(pieces, starts, starts[1:])
             if k0 < k1
         ]
@@ -192,8 +197,8 @@ def _piecewise(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
     return _with_grid(ev, _linear_grid(pieces))
 
 
-def _square_grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    return [(0, ZERO, ZERO, Fraction(1, 4**depth))]
+def _square_grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+    return [(0, ZERO, ZERO, Fraction(1, n * n))]
 
 
 def identity_fn() -> MarkovFunction:
@@ -276,7 +281,7 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     gaps, where the true construction would enumerate further intervals).
     """
     if stage_count < 1:
-        raise ValueError("stage_count must be >= 1")
+        raise ValueError(f"stage_count {stage_count} < 1")
     if stage_count > CANONICAL_NONUC_STAGE_BUDGET:
         raise over_budget(
             f"stage_count {stage_count}", "CANONICAL_NONUC_STAGE_BUDGET",
@@ -326,33 +331,30 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
                 return a + s * x
         return f(x)
 
-    def grid(depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-        # f's runs (one per grid point for an evaluator without a native
-        # grid), with each chord's run written over the grid points inside
-        # its interval's interior (a point interval has none)
-        size = 2**depth
-        base = getattr(f.eval_at, "grid", None)
-        if base is not None:
-            runs = base(depth)
-        else:
-            runs = [(k, f.eval_at(Fraction(k, size)), ZERO, ZERO) for k in range(size)]
+    base = getattr(f.eval_at, "grid", None)
+
+    def grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
+        # f's runs, with each chord's run written over the grid points
+        # inside its interval's interior (a point interval has none)
+        runs = base(n)
         for lo, hi, a, s in chords:
-            k0, k1 = max(math.floor(lo * size) + 1, 0), min(math.ceil(hi * size), size)
+            k0, k1 = max(math.floor(lo * n) + 1, 0), min(math.ceil(hi * n), n + 1)
             if k0 < k1:
                 # the run holding k1 goes on from k1, past the chord
                 i = bisect.bisect_left(runs, k0, key=itemgetter(0))
                 j = bisect.bisect_right(runs, k1, key=itemgetter(0))
-                tail = [(k1, *runs[j - 1][1:])] if k1 < size else []
-                runs[i:j] = [(k0, a, s / size, ZERO), *tail]
+                tail = [(k1, *runs[j - 1][1:])] if k1 <= n else []
+                runs[i:j] = [(k0, a, s / n, ZERO), *tail]
         return runs
 
     crit = set(f.critical_points)
     for iv in ivs:
         crit.add(iv.lo)
         crit.add(iv.hi)
+    # the truncation has a native grid when its base has one
     return MarkovFunction(
         f"[{f.name},C]",
-        _with_grid(ev, grid),
+        ev if base is None else _with_grid(ev, grid),
         critical_points=tuple(sorted(p for p in crit if 0 < p < 1)),
     )
 
@@ -363,20 +365,20 @@ def _node_extrema(f: MarkovFunction, depth: int) -> tuple[list[int], list[int], 
 
     A native grid is monotone on each run, so a node's extrema lie at its
     first and last points and on either side of each run start inside it.
-    Any other evaluator gives every grid point."""
+    Any other evaluator is read at every grid point through `f.grid`."""
+    size = 2 ** (depth + 4)
     native = getattr(f.eval_at, "grid", None)
     if native is None:
-        vals, den = f.grid(depth + 4)
+        vals, den = f.grid(size, range(size))
         nodes = list(zip(*[iter(vals)] * 16))
         return list(map(min, nodes)), list(map(max, nodes)), den
-    size = 2 ** (depth + 4)
-    runs, den = _ints_over_den(native(depth + 4))
-    ends = _sample(runs, size, range(0, size, 16)), _sample(runs, size, range(15, size, 16))
+    runs, den = _ints_over_den(native(size))
+    ends = _sample(runs, range(0, size, 16)), _sample(runs, range(15, size, 16))
     lo, hi = list(map(min, *ends)), list(map(max, *ends))
     # a run start k inside a node (k not a multiple of 16) and the grid point
     # before it; a start at a node's first point is read with the node ends
     near = [j for k, *_ in runs if k % 16 for j in (k - 1, k)]
-    for k, v in zip(near, _sample(runs, size, near)):
+    for k, v in zip(near, _sample(runs, near)):
         if v < lo[k >> 4]:
             lo[k >> 4] = v
         elif v > hi[k >> 4]:
@@ -473,7 +475,7 @@ def slope_bounds_check(
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
     t = truncate(f, c)
-    tv, den = over_lcm(t(Fraction(k, grid)) for k in range(grid + 1))
+    tv, den = t.grid(grid, range(grid + 1))
     # the pair x = i/grid < y = j/grid fails iff g_j >= g_i, where
     # g_k = t(k/grid) - z·k/grid, here scaled to an int by den·z.den·grid > 0
     zn, zd = z.numerator, z.denominator
@@ -555,9 +557,10 @@ def function_by_name(name: str) -> MarkovFunction:
     if name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]()
     if name.startswith("canonical_nonuc:"):
-        return canonical_nonuc(int(name.split(":", 1)[1]))
+        stages = _as_index(text := name.split(":", 1)[1])
+        if stages is None:
+            raise ValueError(f"stage count {text!r} of {name!r} is not ASCII digits")
+        return canonical_nonuc(stages)
     if name.startswith("const:"):
-        from .intervals import parse_rational
-
         return const_fn(parse_rational(name.split(":", 1)[1]))
     raise ValueError(f"unknown function {name!r}")

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import functools
 import json
-import re
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .cauchy import CauchyName, const_name, scripted_name
 from .errors import ParseError
 from .intervals import (
     IntervalUnion,
     RationalInterval,
+    _as_index,
     format_interval,
     format_rational,
     normalize_union,
@@ -105,19 +105,6 @@ def _decoder(kind: str) -> Callable[[Callable], Callable]:
                 raise ParseError(f"malformed {kind} fixture: {detail}") from exc
         return decoded
     return wrap
-
-
-_INDEX_TEXT = re.compile(r"-?[0-9]+")
-
-
-def _as_index(value: Any) -> Optional[int]:
-    """`value` as an int when it is an int (not a bool) or a string of ASCII
-    digits with at most a leading minus, else None."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and _INDEX_TEXT.fullmatch(value):
-        return int(value)
-    return None
 
 
 def _integer(value: Any, what: str) -> int:

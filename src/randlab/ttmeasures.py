@@ -403,9 +403,6 @@ class LimitOracle:
     script: Callable[[object, int], object]
     budget: int = OMEGA_CE_DEFAULT_BUDGET
 
-    def final(self, query: object, horizon: int) -> object:
-        return self.script(query, horizon)
-
     def guesses(self, query: object, horizon: int) -> list[object]:
         """The guess at stage 0, then at each mind change up to `horizon`."""
         out = [self.script(query, 0)]

@@ -153,17 +153,18 @@ def modulus_precision(delta):
     return m
 
 
-def grid(f, depth):
-    """The oracle of `MarkovFunction.grid`: eval_at at every grid point,
-    as Fractions."""
-    return [f.eval_at(Fraction(k, 2**depth)) for k in range(2**depth)]
+def grid(f, n, ks):
+    """The oracle of `MarkovFunction.grid`: eval_at at each k/n for k in
+    `ks`, as Fractions."""
+    return [f.eval_at(Fraction(k, n)) for k in ks]
 
 
-def _sample(runs, size, indices):
+def _sample(runs, n, indices):
     """The full-grid writer that `markov._sample` replaced: each run written
-    over all of its grid indices, then the values at `indices` read off."""
-    ends = [run[0] for run in runs[1:]] + [size]
-    full = [0] * size
+    over all of its grid indices 0..n, then the values at `indices` read
+    off."""
+    ends = [run[0] for run in runs[1:]] + [n + 1]
+    full = [0] * (n + 1)
     for (k0, a, b, c), k1 in zip(runs, ends):
         full[k0:k1] = [a + b * k + c * k * k for k in range(k0, k1)]
     return [full[k] for k in indices]
@@ -172,7 +173,8 @@ def _sample(runs, size, indices):
 def _node_extrema(f, depth):
     """Min and max of each run of 16 values of the per-point grid, as
     Fractions."""
-    nodes = zip(*[iter(grid(f, depth + 4))] * 16)
+    size = 2 ** (depth + 4)
+    nodes = zip(*[iter(grid(f, size, range(size)))] * 16)
     return [(min(node), max(node)) for node in nodes]
 
 

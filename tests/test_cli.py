@@ -532,6 +532,16 @@ def test_tree_stage_count_over_budget_exits_two():
     assert "CANONICAL_NONUC_STAGE_BUDGET" in err and "100000" in err
 
 
+@pytest.mark.parametrize("count", ["1_0", " 3", "+3", "\u0663", "x", "-3", "0"])
+def test_tree_stage_count_not_ascii_digits_exits_two(capsys, count):
+    # Python's int reads "1_0" as 10 and " 3", "+3" and the Arabic-Indic
+    # digit three as 3; a stage count is ASCII digits only
+    argv = ["tree", "--function", f"canonical_nonuc:{count}", "--depth", "2"]
+    err = assert_labcli_usage_error(capsys, argv)
+    assert len(err.splitlines()) == 1 and count in err
+    assert "invalid literal" not in err
+
+
 def with_component(name, m):
     return with_path(name, ["components", m], [[]])
 

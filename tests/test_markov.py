@@ -245,7 +245,19 @@ builtin_fns = (
 )
 bases = builtin_fns | st.just(canonical_nonuc(6))
 tree_sizes = st.tuples(st.integers(-80, 80), st.integers(0, 6))
-grid_depths = st.integers(0, 10)
+grid_sizes = st.integers(1, 200) | st.sampled_from([2**d for d in range(11)])
+
+
+@st.composite
+def grid_reads(draw):
+    """A grid size n and an ascending range of indices inside 0..n: all of
+    0..n, or any start, stop and step, the stop often past n so that the
+    range reaches k = n."""
+    n = draw(grid_sizes)
+    start = draw(st.integers(0, n))
+    stop = draw(st.just(n + 1) | st.integers(start, n + 1))
+    ks = draw(st.just(range(n + 1)) | st.builds(range, st.just(start), st.just(stop), st.integers(1, 3)))
+    return n, ks
 
 
 def interval_marks(ivs):
@@ -392,27 +404,28 @@ def test_polygonal_value_equals_reference(breakpoints, xs):
         assert f(x) == ref.polygonal_value(breakpoints, x)
 
 
-def assert_grid_is_per_point(f, depth):
-    ints, den = f.grid(depth)
-    assert [Fraction(v, den) for v in ints] == ref.grid(f, depth)
+def assert_grid_is_per_point(f, read):
+    n, ks = read
+    ints, den = f.grid(n, ks)
+    assert [Fraction(v, den) for v in ints] == ref.grid(f, n, ks)
 
 
 @settings(max_examples=60, deadline=None)
-@given(polygons(), grid_depths)
-def test_polygonal_grid_equals_per_point(breakpoints, depth):
-    assert_grid_is_per_point(polygonal_fn(breakpoints), depth)
+@given(polygons(), grid_reads())
+def test_polygonal_grid_equals_per_point(breakpoints, read):
+    assert_grid_is_per_point(polygonal_fn(breakpoints), read)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, CANONICAL_NONUC_STAGE_BUDGET), grid_depths)
-def test_nonuc_grid_equals_per_point(k, depth):
-    assert_grid_is_per_point(canonical_nonuc(k), depth)
+@given(st.integers(1, CANONICAL_NONUC_STAGE_BUDGET), grid_reads())
+def test_nonuc_grid_equals_per_point(k, read):
+    assert_grid_is_per_point(canonical_nonuc(k), read)
 
 
 @settings(max_examples=60, deadline=None)
-@given(builtin_fns, grid_depths)
-def test_builtin_grid_equals_per_point(f, depth):
-    assert_grid_is_per_point(f, depth)
+@given(builtin_fns, grid_reads())
+def test_builtin_grid_equals_per_point(f, read):
+    assert_grid_is_per_point(f, read)
 
 
 grid_bases = (
@@ -422,10 +435,46 @@ grid_bases = (
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(grid_bases, covers(), grid_depths)
-def test_truncation_grid_equals_per_point(base, cover, depth):
-    assert_grid_is_per_point(truncate(base, cover), depth)
+def cover_of(*ends):
+    """One stage of the closed intervals [ends[0], ends[1]], ..."""
+    ivs = (RationalInterval(Fraction(a), Fraction(b)) for a, b in zip(ends[::2], ends[1::2]))
+    return StagedCover(stages=(tuple(ivs),), size_bound=(1,))
+
+
+# the polygon's last piece starts in ((n-1)/n, 1) for every n < 100; a
+# chord over [1/2, 1] ends at x = 1, and one over [1/2, 99/100] ends short of
+# it, so k = n lies past the chord for every n < 100
+LATE_CORNER = polygonal_fn([(0, 0), (Fraction(99, 100), 0), (1, 1)])
+EDGE_COVERS = [cover_of(0, Fraction(1, 3)), cover_of(Fraction(2, 3), 1), cover_of(0, 0, Fraction(1, 2), 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 90, 100, 101])
+@pytest.mark.parametrize(
+    "f",
+    [LATE_CORNER, truncate(LATE_CORNER, cover_of(Fraction(1, 2), 1)),
+     truncate(LATE_CORNER, cover_of(Fraction(1, 2), Fraction(99, 100)))],
+    ids=["polygon", "truncation-to-one", "truncation-short-of-one"],
+)
+def test_grid_reads_the_piece_that_owns_x_one(f, n):
+    assert_grid_is_per_point(f, (n, range(n + 1)))
+
+
+# a truncation of a truncation too, with intervals ending at 0 or 1
+@settings(max_examples=150, deadline=None)
+@given(grid_bases | st.just(LATE_CORNER),
+       st.lists(covers() | st.sampled_from(EDGE_COVERS), min_size=1, max_size=2), grid_reads())
+@example(LATE_CORNER, EDGE_COVERS[:2], (90, range(91)))
+@example(square_fn(), [EDGE_COVERS[2], EDGE_COVERS[1]], (64, range(60, 65)))
+def test_truncation_grid_equals_per_point(base, cover_list, read):
+    for cover in cover_list:
+        base = truncate(base, cover)
+    assert_grid_is_per_point(base, read)
+
+
+@pytest.mark.parametrize("n, ks", [(0, range(1)), (4, range(6)), (4, range(-1, 2))])
+def test_grid_rejects_indices_outside_the_grid(n, ks):
+    with pytest.raises(ValueError, match="grid"):
+        square_fn().grid(n, ks)
 
 
 def test_lab_evaluators_carry_a_native_grid():
@@ -449,8 +498,8 @@ def test_grid_of_replaced_evaluator_is_per_point():
     # the closed form of square belongs to its evaluator, not to the function
     calls = []
     f = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
-    ints, den = f.grid(6)
-    assert len(calls) == 2**6
+    ints, den = f.grid(64, range(64))
+    assert calls == [Fraction(k, 64) for k in range(64)]
     assert [Fraction(v, den) for v in ints] == [Fraction(k, 64) ** 3 for k in range(64)]
 
 
@@ -458,12 +507,26 @@ def test_truncation_grid_over_replaced_base_reads_the_replacement():
     calls = []
     base = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
     t = truncate(base, HALF_COVER)
-    ints, den = t.grid(4)
-    assert len(calls) == 2 + 2**4  # the chord's ends, then the base's grid
+    ints, den = t.grid(16, range(16))
+    # the chord's 2 ends, then the base at each grid point outside the
+    # chord's interior (0, 1/2): k = 0 and k = 8..15
+    assert len(calls) == 2 + 1 + 8
     vals = [Fraction(v, den) for v in ints]
-    assert vals == ref.grid(t, 4)
+    assert vals == ref.grid(t, 16, range(16))
     # the chord from (0,0) to (1/2,1/8) inside the cover, x^3 outside it
     assert vals[4] == Fraction(1, 16) and vals[12] == Fraction(27, 64)
+
+
+def test_slope_check_of_replaced_base_reads_it_per_point_outside_the_chords():
+    # a base without a native grid leaves the truncation without one: the
+    # lower clause reads f(b) then f(a), the chord its ends, and the upper
+    # clause the base at each grid point outside the chord's interior
+    calls = []
+    base = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
+    v = slope_bounds_check(base, HALF_COVER, Fraction(-1), Fraction(8), 8)
+    assert v.passed
+    outside = [Fraction(k, 8) for k in [0, 4, 5, 6, 7, 8]]
+    assert calls == [Fraction(1, 2), 0, 0, Fraction(1, 2)] + outside
 
 
 @st.composite
@@ -529,24 +592,23 @@ def test_tree_without_native_grid_calls_each_grid_point_once():
 
 @st.composite
 def grid_indices(draw):
-    """A grid depth and sorted indices on it: the node ends at offset 0 or 15
-    (step 16), any sorted list of grid indices, or none."""
-    depth = draw(grid_depths)
-    size = 2**depth
-    return depth, draw(
-        st.sampled_from([range(0, size, 16), range(15, size, 16), []])
-        | st.lists(st.integers(0, size - 1)).map(sorted)
+    """A grid size and sorted indices in 0..n: the node ends at offset 0 or
+    15 (step 16), any sorted list of grid indices, or none."""
+    n = draw(grid_sizes)
+    return n, draw(
+        st.sampled_from([range(0, n, 16), range(15, n + 1, 16), []])
+        | st.lists(st.integers(0, n)).map(sorted)
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(native_fns | st.builds(truncate, native_fns, covers()), grid_indices())
 def test_sample_equals_per_point(f, indexed):
-    depth, indices = indexed
-    runs, den = _ints_over_den(f.eval_at.grid(depth))
-    values = _sample(runs, 2**depth, indices)
-    assert values == ref._sample(runs, 2**depth, indices)
-    per_point = ref.grid(f, depth)
+    n, indices = indexed
+    runs, den = _ints_over_den(f.eval_at.grid(n))
+    values = _sample(runs, indices)
+    assert values == ref._sample(runs, n, indices)
+    per_point = ref.grid(f, n, range(n + 1))
     assert [Fraction(v, den) for v in values] == [per_point[k] for k in indices]
 
 

@@ -279,7 +279,7 @@ def test_limit_oracle_change_counting():
     o = LimitOracle(script, budget=3)
     assert o.changes("q", 10) == 3
     assert o.validate_budget("q", 10)
-    assert o.final("q", 10) == 3
+    assert o.guesses("q", 10)[-1] == 3
     tight = LimitOracle(script, budget=2)
     assert not tight.validate_budget("q", 10)
 
