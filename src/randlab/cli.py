@@ -53,11 +53,11 @@ def _verify_test_family(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord
 
 def _table_depth(doc: dict[str, Any], cap: int) -> int:
     """cap, or for a decoded table fixture the smaller of cap and the depth
-    the table is given to: its longest bit-string key.  A level shorter than
-    that with a missing string is a hole, read as such."""
+    the table is given to: its longest key, a bit string.  A level shorter
+    than that with a missing string is a hole, read as such."""
     if doc["rule"] != "table":
         return cap
-    return min(cap, max((len(s) for s in doc["table"] if not s.strip("01")), default=0))
+    return min(cap, max(map(len, doc["table"]), default=0))
 
 
 def _verify_measure(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:

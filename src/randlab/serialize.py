@@ -1,14 +1,17 @@
 """JSON fixture schemas and deterministic report encoding.
 
 Every rational is serialized as "p/q" and every interval as a bracketed
-string, so round-trips are exact and reports are reproducible bytes.
+string, so round-trips are exact and reports are reproducible bytes.  The
+fixture schemas are one table, `FIELDS`: each field's key, its default or
+REQUIRED, and the one reader that reads it and names it in its error.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable
+from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .cauchy import CauchyName, const_name, scripted_name
 from .errors import ParseError
@@ -36,12 +39,6 @@ SCHEMA_VERSION = "0.1.0"
 
 def _union_to_json(u: IntervalUnion) -> list[str]:
     return [format_interval(p) for p in u.parts]
-
-
-def _union_from_json(parts: list[str]) -> IntervalUnion:
-    if not isinstance(parts, list):
-        raise TypeError(f"a union is a list of interval strings, got {parts!r}")
-    return normalize_union(parse_interval(p) for p in parts)
 
 
 def test_family_to_json(t: TestFamily) -> dict[str, Any]:
@@ -89,9 +86,9 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
 
 def _decoder(kind: str) -> Callable[[Callable], Callable]:
     """The one boundary for malformed fixtures: the wrapped decoder gets a
-    JSON object of type `kind`, and a ParseError, KeyError, TypeError,
-    ValueError or AttributeError it raises becomes a ParseError naming the
-    fixture type."""
+    JSON object of type `kind`, and a ParseError it raises (a field reader's,
+    naming the field) becomes one naming the fixture type.  KeyError,
+    TypeError, ValueError and AttributeError are caught too, as a last net."""
 
     def wrap(decode: Callable[[dict[str, Any]], Any]) -> Callable[[Any], Any]:
         @functools.wraps(decode)
@@ -107,135 +104,265 @@ def _decoder(kind: str) -> Callable[[Callable], Callable]:
     return wrap
 
 
-def _integer(value: Any, what: str) -> int:
+# Field readers: each takes a JSON value and the name of its field, and
+# returns the value read or raises a ParseError naming the field.
+
+def _is(cls: type, what: str) -> Callable[[Any, str], Any]:
+    def read(value: Any, name: str) -> Any:
+        if not isinstance(value, cls):
+            raise ParseError(f"{name} is {what}, got {value!r}")
+        return value
+    return read
+
+
+_string, _bool = _is(str, "a string"), _is(bool, "true or false")
+_list, _object = _is(list, "a list"), _is(dict, "an object")
+
+
+def _bits(value: Any, name: str) -> str:
+    if not isinstance(value, str) or value.strip("01"):
+        raise ParseError(f"{name} is a bit string, got {value!r}")
+    return value
+
+
+def _kind(value: Any, name: str) -> TestKind:
+    try:
+        return TestKind(_string(value, name))
+    except ValueError:
+        raise ParseError(f"unknown {name} {value!r}") from None
+
+
+def _integer(value: Any, name: str) -> int:
     """`value`, an int or a decimal string as `_as_index` reads one, as an int."""
     m = _as_index(value)
     if m is None:
-        raise ParseError(f"{what} is an integer, got {value!r}")
+        raise ParseError(f"{name} is an integer, got {value!r}")
     return m
 
 
-def _index(value: Any, what: str, low: int = 0) -> int:
+def _index(value: Any, name: str, low: int = 0) -> int:
     """`value` (an int or a decimal string) as an index in low..budget."""
-    m = _integer(value, what)
+    m = _integer(value, name)
     if not low <= m <= COMPONENT_INDEX_BUDGET:
         raise ParseError(
-            f"{what} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
+            f"{name} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
             f"({COMPONENT_INDEX_BUDGET})"
         )
     return m
 
 
-def _index_set(value: Any, what: str) -> frozenset[int]:
+def _index_set(value: Any, name: str) -> frozenset[int]:
     """`value`, a list of ints or decimal strings, as a set of ints: each
-    entry is read as `_index` reads one, with no range limit."""
+    entry is read as `_integer` reads one."""
     if isinstance(value, list):
         entries = [_as_index(v) for v in value]
         if None not in entries:
             return frozenset(entries)
-    raise ParseError(f"{what} is a list of integers, got {value!r}")
+    raise ParseError(f"{name} is a list of integers, got {value!r}")
+
+
+def _rational(value: Any, name: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+
+
+def _positive_rational(value: Any, name: str) -> Fraction:
+    q = _rational(value, name)
+    if q <= 0:
+        raise ParseError(f"{name} {value!r} is not positive")
+    return q
+
+
+def _interval(value: Any, name: str) -> RationalInterval:
+    try:
+        return parse_interval(value)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+
+
+def _union(value: Any, name: str) -> IntervalUnion:
+    """A list of interval strings, as their canonical union."""
+    if not isinstance(value, list):
+        raise ParseError(f"{name} is a list of interval strings, got {value!r}")
+    return normalize_union([_interval(p, name) for p in value])
+
+
+class ObjectOf(NamedTuple):
+    """Reads a JSON object, each key by `read_key` and value by `read_value`."""
+
+    key_name: str
+    read_key: Callable[[Any, str], Any]
+    value_name: str
+    read_value: Callable[[Any, str], Any]
+
+    def __call__(self, value: Any, name: str) -> dict[Any, Any]:
+        key_name, read_key, value_name, read_value = self
+        return {read_key(k, key_name): read_value(v, value_name)
+                for k, v in _object(value, name).items()}
+
+
+class ListOf(NamedTuple):
+    """Reads a JSON list, each item by `read_item`."""
+
+    item_name: str
+    read_item: Callable[[Any, str], Any]
+
+    def __call__(self, value: Any, name: str) -> list[Any]:
+        item_name, read_item = self
+        return [read_item(v, item_name) for v in _list(value, name)]
+
+
+class Record(NamedTuple):
+    """Reads a nested JSON object by its own fields."""
+
+    fields: tuple[Field, ...]
+
+    def __call__(self, value: Any, name: str) -> dict[str, Any]:
+        return _read_fields(self.fields, _object(value, name))
+
+
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    """A fixture field: its key, its reader, the JSON value an absent key
+    reads as (REQUIRED: none; None: read as None), and the name its errors
+    give it when that is not the key."""
+
+    key: str
+    read: Callable[[Any, str], Any]
+    default: Any = REQUIRED
+    name: str = ""
+
+
+def _read_fields(fields: tuple[Field, ...], doc: dict[str, Any]) -> dict[str, Any]:
+    """The declared fields of the JSON object `doc`, by key."""
+    out = {}
+    for key, read, default, name in fields:
+        if key in doc:
+            out[key] = read(doc[key], name or key)
+        elif default is REQUIRED:
+            raise ParseError(f"{name or key}: no key {key!r}")
+        else:
+            out[key] = None if default is None else read(default, name or key)
+    return out
+
+
+_TABLE = (Field("table", ObjectOf("table key", _bits, "table value", _rational)),
+          Field("name", _string, "table"))
+_BUDGETS = (Field("budgets", ObjectOf("budgets key", _integer, "budgets value", _integer), {}),)
+
+# Every fixture field, by record: a fixture type, the `updates` of a
+# test_family, the `kind_data` of a test kind (a kind with no entry has no
+# fields) and the fields of a measure or martingale rule.  The decoders read
+# fixtures only through this table; keys it does not declare are ignored.
+FIELDS: dict[str, tuple[Field, ...]] = {
+    "test_family": (
+        Field("kind", _kind),
+        Field("label", _string, ""),
+        Field("components", ObjectOf(
+            "component index", functools.partial(_index, low=-COMPONENT_INDEX_BUDGET),
+            "component", ListOf("component version", _union)), {}),
+        Field("kind_data", _object, {}),
+    ),
+    "updates": (Field("updates", ListOf("update", Record((
+        Field("m", _index, name="update m"),
+        Field("union", _union, name="update union"),
+    ))), []),),
+    "kind_data:SCHNORR": (
+        Field("declared_measures", ObjectOf(
+            "declared_measures key", _integer, "declared_measures value", _rational), {}),
+        Field("relativized", _bool, False),
+    ),
+    "kind_data:SOLOVAY": (Field("total_bound", _positive_rational),),
+    "kind_data:INTERVAL_SEQUENCE": (Field("blocks", ListOf("block", Record((
+        Field("m", _index, name="block m"),
+        Field("r", _index, name="block r"),
+        Field("table", ObjectOf("block table key", _integer, "block table value", _interval),
+              name="block table"),
+        Field("excluded", _index_set, []),
+    ))), []),),
+    "kind_data:PI1": (Field("q", ListOf("q entry", _rational)),
+                      Field("C", ListOf("a PI1 C set", _index_set))),
+    "kind_data:DEMUTH": _BUDGETS,
+    "kind_data:WEAK_DEMUTH": _BUDGETS,
+    "measure": (Field("rule", _string),),
+    "measure:uniform": (),
+    "measure:bernoulli": (Field("p", _rational),),
+    "measure:table": _TABLE,
+    "martingale": (Field("rule", _string),),
+    "martingale:constant": (Field("value", _rational),),
+    "martingale:all_in_on_0": (),
+    "martingale:split_bet": (Field("p", _rational),),
+    "martingale:table": _TABLE,
+    "cauchy_name": (Field("values", ListOf("values entry", _rational), None),
+                    Field("exact", _rational, None),
+                    Field("provenance", _string, "fixture")),
+}
+
+
+def _rule_fields(doc: dict[str, Any], kind: str) -> tuple[str, dict[str, Any]]:
+    """The rule of a measure or martingale document, and its rule's fields."""
+    rule = _read_fields(FIELDS[kind], doc)["rule"]
+    if f"{kind}:{rule}" not in FIELDS:
+        raise ParseError(f"unknown {kind} rule {rule!r}")
+    return rule, _read_fields(FIELDS[f"{kind}:{rule}"], doc)
 
 
 @_decoder("test_family")
 def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
-    kind = TestKind(doc["kind"])
-    components = {
-        _index(m, "component index", -COMPONENT_INDEX_BUDGET): [
-            _union_from_json(v) for v in versions
-        ]
-        for m, versions in doc.get("components", {}).items()
-    }
-    payload = doc.get("kind_data", {})
-    kd: dict[str, Any] = {}
-    if kind is TestKind.SCHNORR:
-        kd["declared_measures"] = {
-            _integer(m, "declared_measures key"): parse_rational(q)
-            for m, q in payload.get("declared_measures", {}).items()
-        }
-        if payload.get("relativized"):
-            kd["relativized"] = True
-    elif kind is TestKind.SOLOVAY:
-        kd["total_bound"] = parse_rational(payload["total_bound"])
-        if kd["total_bound"] <= 0:
-            raise ParseError(
-                f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
-            )
+    f = _read_fields(FIELDS["test_family"], doc)
+    kind = f["kind"]
+    kd = _read_fields(FIELDS.get(f"kind_data:{kind.value}", ()), f["kind_data"])
+    if kind is TestKind.SCHNORR and not kd["relativized"]:
+        del kd["relativized"]
     elif kind is TestKind.INTERVAL_SEQUENCE:
-        blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
-        excluded: dict[tuple[int, int], frozenset[int]] = {}
-        for rec in payload.get("blocks", []):
-            key = (_index(rec["m"], "block m"), _index(rec["r"], "block r"))
-            blocks[key] = {
-                _integer(k, "block table key"): parse_interval(iv)
-                for k, iv in rec["table"].items()
-            }
-            excluded[key] = _index_set(rec.get("excluded", []), "excluded")
-        kd["blocks"] = blocks
-        kd["excluded"] = excluded
+        blocks = kd["blocks"]
+        kd["blocks"] = {(b["m"], b["r"]): b["table"] for b in blocks}
+        kd["excluded"] = {(b["m"], b["r"]): b["excluded"] for b in blocks}
     elif kind is TestKind.PI1:
-        kd["q"] = [parse_rational(x) for x in payload["q"]]
-        if not isinstance(payload["C"], list):
-            raise ParseError(f"C is a list of PI1 C sets, got {payload['C']!r}")
-        kd["C"] = [_index_set(c, "a PI1 C set") for c in payload["C"]]
         _index(len(kd["C"]), "number of PI1 C sets")
-    elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
-        kd["budgets"] = {
-            _integer(m, "budgets key"): _integer(b, "budgets value")
-            for m, b in payload.get("budgets", {}).items()
-        }
-    return TestFamily(kind, components, kd, doc.get("label", ""))
+    return TestFamily(kind, f["components"], kd, f["label"])
 
 
 @_decoder("test_family")
 def updates_from_json(doc: dict[str, Any]) -> list[tuple[int, IntervalUnion]]:
     """The `updates` of a test_family document as (component, union) pairs."""
-    events = doc.get("updates", [])
-    if not isinstance(events, list):
-        raise ParseError(f"updates is a list of objects, got {events!r}")
-    for event in events:
-        if not isinstance(event, dict):
-            raise ParseError(f"an update is an object with m and union, got {event!r}")
-    return [
-        (_index(event["m"], "update m"), _union_from_json(event["union"]))
-        for event in events
-    ]
+    return [(u["m"], u["union"]) for u in _read_fields(FIELDS["updates"], doc)["updates"]]
 
 
 @_decoder("measure")
 def measure_from_json(doc: dict[str, Any]) -> CylinderMeasure:
-    rule = doc["rule"]
+    rule, f = _rule_fields(doc, "measure")
     if rule == "uniform":
         return uniform_measure()
     if rule == "bernoulli":
-        return bernoulli_measure(parse_rational(doc["p"]))
-    if rule == "table":
-        table = {s: parse_rational(q) for s, q in doc["table"].items()}
-        return table_measure(doc.get("name", "table"), table)
-    raise ParseError(f"unknown measure rule {rule!r}")
+        return bernoulli_measure(f["p"])
+    return table_measure(f["name"], f["table"])
 
 
 @_decoder("martingale")
 def martingale_from_json(doc: dict[str, Any]) -> Martingale:
-    rule = doc["rule"]
+    rule, f = _rule_fields(doc, "martingale")
     if rule == "constant":
-        return constant_martingale(parse_rational(doc["value"]))
+        return constant_martingale(f["value"])
     if rule == "all_in_on_0":
         return all_in_on_0()
     if rule == "split_bet":
-        return split_bet(parse_rational(doc["p"]))
-    if rule == "table":
-        table = {s: parse_rational(q) for s, q in doc["table"].items()}
-        return table_martingale(table, doc.get("name", "table"))
-    raise ParseError(f"unknown martingale rule {rule!r}")
+        return split_bet(f["p"])
+    return table_martingale(f["table"], f["name"])
 
 
 @_decoder("cauchy_name")
 def name_from_json(doc: dict[str, Any]) -> CauchyName:
-    if "exact" in doc and "values" not in doc:
-        return const_name(parse_rational(doc["exact"]))
-    values = [parse_rational(q) for q in doc["values"]]
-    exact = parse_rational(doc["exact"]) if doc.get("exact") else None
-    return scripted_name(values, doc.get("provenance", "fixture"), exact)
+    f = _read_fields(FIELDS["cauchy_name"], doc)
+    if f["values"] is not None:
+        return scripted_name(f["values"], f["provenance"], f["exact"])
+    if f["exact"] is None:
+        raise ParseError("values: no key 'values'")
+    return const_name(f["exact"])
 
 
 def load_fixture(path: str) -> dict[str, Any]:

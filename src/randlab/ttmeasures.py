@@ -430,11 +430,11 @@ class MonotoneCDF:
     def __call__(self, d: Fraction) -> Fraction:
         return cdf(self.mu, d)
 
-    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(i/2^depth, g(i/2^depth)) for 0 <= i <= 2^depth, g as `cdf` reads
-        it, from one top-down pass: g at the midpoint of [σ) is g at its left
-        end plus μ(σ0).  So only the left children and, for g(1), the root
-        are read."""
+    def _knot_ints(self) -> tuple[list[int], int, int, int]:
+        """g at i/2^depth for 0 <= i < 2^depth as ints over one denominator,
+        and g(1) = μ(root) as an int over its own, from one top-down pass:
+        g at the midpoint of [σ) is g at its left end plus μ(σ0).  So only
+        the left children and, for g(1), the root are read."""
         g, den = [0], 1  # g at i/2^k for 0 <= i < 2^k, as ints over den
         for k in range(1, self.depth + 1):
             left, left_den = self.mu.level(k, 2)
@@ -445,11 +445,18 @@ class MonotoneCDF:
             halves[1::2] = [x * a + y * b for x, y in zip(g, left)]
             g, den = halves, lcm
         (top,), top_den = self.mu.level(0)
+        return g, den, top, top_den
+
+    def knots(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(i/2^depth, g(i/2^depth)) for 0 <= i <= 2^depth, g as `cdf` reads it."""
+        g, den, top, top_den = self._knot_ints()
         size = 2**self.depth
         return tuple((Fraction(i, size), Fraction(x, den)) for i, x in enumerate(g)) + (
             (Fraction(1), Fraction(top, top_den)),
         )
 
     def is_monotone(self) -> bool:
-        ks = self.knots()
-        return all(a[1] <= b[1] for a, b in zip(ks, ks[1:]))
+        """Whether the knots' values never decrease: the ints over their one
+        denominator, then g(1) against the last one by cross-multiplying."""
+        g, den, top, top_den = self._knot_ints()
+        return all(a <= b for a, b in zip(g, g[1:])) and g[-1] * top_den <= top * den

@@ -11,7 +11,8 @@ catalogue on them.  Budgets are the caller's to check, except where a
 property compares the error: ``pseudo_derivative`` and ``transport``.
 
 The helpers in ``VALUE_HELPERS`` give one value of a lab object (a capital,
-a function value, a use bound) rather than replace a module's function.
+a function value, a use bound, a union field of a fixture) rather than
+replace a module's function.
 ``outcome`` and ``recorded_outcome`` are what the properties compare.
 """
 
@@ -24,6 +25,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from randlab.cauchy import const_name, scripted_name
 from randlab.derivatives import (
     BLOWUP_THRESHOLD,
     PSEUDO_DERIVATIVE_PAIR_BUDGET,
@@ -34,13 +36,24 @@ from randlab.intervals import (
     EMPTY_UNION,
     IntervalUnion,
     RationalInterval,
+    _as_index,
     bit_strings,
     dyadic_value,
     format_rational,
+    parse_interval,
 )
 from randlab.markov import SlopeBoundsVerdict, truncate
-from randlab.martingales import FairnessReport, Martingale, capital_trace
-from randlab.randomness import CheckRecord
+from randlab.martingales import (
+    FairnessReport,
+    Martingale,
+    all_in_on_0,
+    capital_trace,
+    constant_martingale,
+    split_bet,
+    table_martingale,
+)
+from randlab.randomness import COMPONENT_INDEX_BUDGET, CheckRecord, TestFamily, TestKind
+from randlab.serialize import _decoder
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
@@ -49,6 +62,8 @@ from randlab.ttmeasures import (
     TransportResult,
     TransportStatus,
     TTFunctional,
+    table_measure,
+    uniform_measure,
 )
 from randlab.ttmeasures import tt_from_ucf as lab_tt_from_ucf
 
@@ -64,6 +79,7 @@ VALUE_HELPERS = (
     "tent_value",
     "truncation_value",
     "use_bound",
+    "_union_from_json",
 )
 HARNESS = ("outcome", "recorded_outcome")
 
@@ -488,6 +504,13 @@ def knots(mu, depth: int):
     return tuple((p, cdf(mu, p)) for p in pts)
 
 
+def is_monotone(g) -> bool:
+    """`MonotoneCDF.is_monotone` as a comparison of neighbouring Fraction
+    knots."""
+    ks = g.knots()
+    return all(a[1] <= b[1] for a, b in zip(ks, ks[1:]))
+
+
 def level(obj, k: int) -> list[Fraction]:
     """`CylinderMeasure.level` and `Martingale.level` as one read per string
     of bit_strings(k), of a mass or, with its checks, a capital."""
@@ -634,3 +657,138 @@ def savings_growth_constants(base: Martingale, transformed: Martingale, depth: i
         log2_floor = max(0, mx_base.numerator.bit_length() - 1) if mx_base >= 1 else 0
         worst = max(worst, c * log2_floor - mx_tr)
     return c, worst
+
+
+# --- fixture decoders: each field read by hand, as before the field table
+
+
+def _integer(value, what):
+    m = _as_index(value)
+    if m is None:
+        raise ParseError(f"{what} is an integer, got {value!r}")
+    return m
+
+
+def _index(value, what, low=0):
+    m = _integer(value, what)
+    if not low <= m <= COMPONENT_INDEX_BUDGET:
+        raise ParseError(
+            f"{what} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
+            f"({COMPONENT_INDEX_BUDGET})"
+        )
+    return m
+
+
+def _index_set(value, what):
+    if isinstance(value, list):
+        entries = [_as_index(v) for v in value]
+        if None not in entries:
+            return frozenset(entries)
+    raise ParseError(f"{what} is a list of integers, got {value!r}")
+
+
+def _union_from_json(parts):
+    if not isinstance(parts, list):
+        raise TypeError(f"a union is a list of interval strings, got {parts!r}")
+    return normalize_union(parse_interval(p) for p in parts)
+
+
+@_decoder("test_family")
+def test_family_from_json(doc):
+    kind = TestKind(doc["kind"])
+    components = {
+        _index(m, "component index", -COMPONENT_INDEX_BUDGET): [
+            _union_from_json(v) for v in versions
+        ]
+        for m, versions in doc.get("components", {}).items()
+    }
+    payload = doc.get("kind_data", {})
+    kd = {}
+    if kind is TestKind.SCHNORR:
+        kd["declared_measures"] = {
+            _integer(m, "declared_measures key"): parse_rational(q)
+            for m, q in payload.get("declared_measures", {}).items()
+        }
+        if payload.get("relativized"):
+            kd["relativized"] = True
+    elif kind is TestKind.SOLOVAY:
+        kd["total_bound"] = parse_rational(payload["total_bound"])
+        if kd["total_bound"] <= 0:
+            raise ParseError(
+                f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
+            )
+    elif kind is TestKind.INTERVAL_SEQUENCE:
+        blocks = {}
+        excluded = {}
+        for rec in payload.get("blocks", []):
+            key = (_index(rec["m"], "block m"), _index(rec["r"], "block r"))
+            blocks[key] = {
+                _integer(k, "block table key"): parse_interval(iv)
+                for k, iv in rec["table"].items()
+            }
+            excluded[key] = _index_set(rec.get("excluded", []), "excluded")
+        kd["blocks"] = blocks
+        kd["excluded"] = excluded
+    elif kind is TestKind.PI1:
+        kd["q"] = [parse_rational(x) for x in payload["q"]]
+        if not isinstance(payload["C"], list):
+            raise ParseError(f"C is a list of PI1 C sets, got {payload['C']!r}")
+        kd["C"] = [_index_set(c, "a PI1 C set") for c in payload["C"]]
+        _index(len(kd["C"]), "number of PI1 C sets")
+    elif kind in (TestKind.DEMUTH, TestKind.WEAK_DEMUTH):
+        kd["budgets"] = {
+            _integer(m, "budgets key"): _integer(b, "budgets value")
+            for m, b in payload.get("budgets", {}).items()
+        }
+    return TestFamily(kind, components, kd, doc.get("label", ""))
+
+
+@_decoder("test_family")
+def updates_from_json(doc):
+    events = doc.get("updates", [])
+    if not isinstance(events, list):
+        raise ParseError(f"updates is a list of objects, got {events!r}")
+    for event in events:
+        if not isinstance(event, dict):
+            raise ParseError(f"an update is an object with m and union, got {event!r}")
+    return [
+        (_index(event["m"], "update m"), _union_from_json(event["union"]))
+        for event in events
+    ]
+
+
+@_decoder("measure")
+def measure_from_json(doc):
+    rule = doc["rule"]
+    if rule == "uniform":
+        return uniform_measure()
+    if rule == "bernoulli":
+        return bernoulli_measure(parse_rational(doc["p"]))
+    if rule == "table":
+        table = {s: parse_rational(q) for s, q in doc["table"].items()}
+        return table_measure(doc.get("name", "table"), table)
+    raise ParseError(f"unknown measure rule {rule!r}")
+
+
+@_decoder("martingale")
+def martingale_from_json(doc):
+    rule = doc["rule"]
+    if rule == "constant":
+        return constant_martingale(parse_rational(doc["value"]))
+    if rule == "all_in_on_0":
+        return all_in_on_0()
+    if rule == "split_bet":
+        return split_bet(parse_rational(doc["p"]))
+    if rule == "table":
+        table = {s: parse_rational(q) for s, q in doc["table"].items()}
+        return table_martingale(table, doc.get("name", "table"))
+    raise ParseError(f"unknown martingale rule {rule!r}")
+
+
+@_decoder("cauchy_name")
+def name_from_json(doc):
+    if "exact" in doc and "values" not in doc:
+        return const_name(parse_rational(doc["exact"]))
+    values = [parse_rational(q) for q in doc["values"]]
+    exact = parse_rational(doc["exact"]) if doc.get("exact") else None
+    return scripted_name(values, doc.get("provenance", "fixture"), exact)

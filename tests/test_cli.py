@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import functools
 import hashlib
 import io
 import json
 import operator
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from randlab import serialize
 from randlab.cli import main
+from randlab.errors import ParseError
+from randlab.serialize import FIELDS, ListOf, ObjectOf, Record
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -466,25 +471,111 @@ def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
 
 
-def with_key(name, path, old, new):
-    """The fixture `name` with the key `old` of the object at `path` renamed."""
-    doc = load(name)
-    obj = functools.reduce(operator.getitem, path, doc)
-    obj[new] = obj.pop(old)
-    return doc
-
-
-# the integer fields read by key or value, each named in its exit-2 message
-INTEGER_FIELDS = {
-    "block table key": lambda text: with_key(
-        "interval_sequence_basic.json", ["kind_data", "blocks", 0, "table"], "1", text),
-    "declared_measures key": lambda text: with_key(
-        "schnorr_geometric.json", ["kind_data", "declared_measures"], "1", text),
-    "budgets key": lambda text: with_key(
-        "demuth_two_versions.json", ["kind_data", "budgets"], "1", text),
-    "budgets value": lambda text: with_path(
-        "demuth_two_versions.json", ["kind_data", "budgets", "1"], text),
+# a document holding each record of the field table, and the path to the
+# object that holds the record's fields; every object and list on the way
+# to a declared field has an entry
+TABLE_MEASURE = {"type": "measure", "rule": "table", "table": {"": "1", "0": "1/2", "1": "1/2"}}
+RECORD_DOCS = {
+    "test_family": ("ml_geometric.json", ()),
+    "updates": (demuth_with_update({"m": 1, "union": ["(0/1,1/2)"]}), ()),
+    "kind_data:SCHNORR": ("schnorr_geometric.json", ("kind_data",)),
+    "kind_data:SOLOVAY": ("solovay_geometric.json", ("kind_data",)),
+    "kind_data:INTERVAL_SEQUENCE": ("interval_sequence_basic.json", ("kind_data",)),
+    "kind_data:PI1": ("pi1_halfpoint.json", ("kind_data",)),
+    "kind_data:DEMUTH": ("demuth_two_versions.json", ("kind_data",)),
+    "kind_data:WEAK_DEMUTH": ("weak_demuth_single.json", ("kind_data",)),
+    "measure": ("measure_uniform.json", ()),
+    "measure:uniform": ("measure_uniform.json", ()),
+    "measure:bernoulli": ("measure_bernoulli_3_4.json", ()),
+    "measure:table": (TABLE_MEASURE, ()),
+    "martingale": ("martingale_all_in.json", ()),
+    "martingale:constant": ("martingale_constant.json", ()),
+    "martingale:all_in_on_0": ("martingale_all_in.json", ()),
+    "martingale:split_bet": ("martingale_split_3_4.json", ()),
+    "martingale:table": (SHALLOW_TABLE_MARTINGALE, ()),
+    "cauchy_name": ("name_half_script.json", ()),
 }
+
+# the wrong JSON values tried at a field, by its reader: an int where a
+# string belongs, "x" and "1_0" where an integer belongs, a list where an
+# object belongs, an object where a list belongs, "false" where a bool belongs
+WRONG = {
+    serialize._string: [5], serialize._kind: [5], serialize._bits: [5, "x"],
+    serialize._rational: [5], serialize._positive_rational: [5], serialize._interval: [5],
+    serialize._integer: ["x", "1_0"], serialize._index: ["x", "1_0"],
+    serialize._bool: ["false"], serialize._object: [[]],
+    serialize._union: [{}, [5]], serialize._index_set: [{}, ["x"], ["1_0"]],
+    ObjectOf: [[]], Record: [[]], ListOf: [{}],
+}
+
+
+def _reader_slots(read, name, doc, path):
+    """(name, reader, wrong values, put) for the field that `read` reads at
+    `path` of `doc` and for each field it holds, `put(value)` giving a copy
+    of `doc` with `value` there; the put of an object key renames the first
+    key, and its wrong values are strings, as JSON keys are."""
+
+    def put(value):
+        out = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, path[:-1], out)[path[-1]] = value
+        return out
+
+    reader = type(read) if isinstance(read, tuple) else getattr(read, "func", read)
+    yield name, reader, WRONG[reader], put
+    value = functools.reduce(operator.getitem, path, doc) if isinstance(read, tuple) else None
+    if isinstance(read, ObjectOf):
+        first = next(iter(value))
+
+        def rename(key):
+            out = copy.deepcopy(doc)
+            obj = functools.reduce(operator.getitem, path, out)
+            obj[key] = obj.pop(first)
+            return out
+
+        reader = getattr(read.read_key, "func", read.read_key)
+        yield read.key_name, reader, [w for w in WRONG[reader] if isinstance(w, str)], rename
+        yield from _reader_slots(read.read_value, read.value_name, doc, path + (first,))
+    elif isinstance(read, ListOf):
+        yield from _reader_slots(read.read_item, read.item_name, doc, path + (0,))
+    elif isinstance(read, Record):
+        for f in read.fields:
+            yield from _reader_slots(f.read, f.name or f.key, doc, path + (f.key,))
+
+
+def table_slots():
+    """(record, name, reader, wrong values, put) for every field of the
+    field table, nested block and update fields and object keys included."""
+    assert sorted(RECORD_DOCS) == sorted(FIELDS)
+    for record, fields in FIELDS.items():
+        source, base = RECORD_DOCS[record]
+        doc = load(source) if isinstance(source, str) else source
+        for f in fields:
+            for slot in _reader_slots(f.read, f.name or f.key, doc, base + (f.key,)):
+                yield (record, *slot)
+
+
+TABLE_SLOTS = list(table_slots())
+WRONG_TYPE_CASES = [
+    pytest.param(put(wrong), name, id=f"{record}:{name}={json.dumps(wrong)}")
+    for record, name, _, wrongs, put in TABLE_SLOTS
+    for wrong in wrongs
+]
+
+
+@pytest.mark.parametrize("doc, name", WRONG_TYPE_CASES)
+def test_wrong_json_type_names_its_field(tmp_path, capsys, doc, name):
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(doc))
+    err = assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
+    assert re.search(f"fixture: {re.escape(name)}[ :]", err), err
+
+
+# the integer fields of the table, read by key or value, each named in its
+# exit-2 message: where `budgets key` sits in two records, the first holds
+INTEGER_FIELDS = {}
+for slot in TABLE_SLOTS:
+    if slot[2] in (serialize._integer, serialize._index):
+        INTEGER_FIELDS.setdefault(slot[1], slot[4])
 
 
 @pytest.mark.parametrize("text", ["1_0", " 3 ", "+2"])
@@ -497,6 +588,17 @@ def test_integer_field_is_ascii_digits(tmp_path, capsys, field, text):
     # the same field as plain digits reads as before
     path.write_text(json.dumps(INTEGER_FIELDS[field]("4")))
     assert main(["verify", "--fixture", str(path)]) in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "name", [f for f in sorted(os.listdir(FIXTURES)) if load(f)["type"] == "test_family"]
+)
+def test_test_family_round_trip(name):
+    doc = load(name)
+    family = serialize.test_family_from_json(doc)
+    encoded = serialize.test_family_to_json(family)
+    assert encoded == {key: value for key, value in doc.items() if key != "updates"}
+    assert serialize.test_family_from_json(encoded) == family
 
 
 def test_shallow_table_martingale_passes_to_its_depth(tmp_path, capsys):
@@ -717,6 +819,9 @@ def mutate(doc, data):
 
 
 FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".json"))
+DECODERS = (serialize.test_family_from_json, serialize.updates_from_json,
+            serialize.measure_from_json, serialize.martingale_from_json,
+            serialize.name_from_json)
 
 
 @settings(max_examples=200, deadline=5000, derandomize=True,
@@ -738,6 +843,16 @@ def test_mutated_fixtures_keep_the_exit_contract(name, data):
             assert code in (0, 1, 2)
             assert all(line.startswith("labcli: ") for line in err.getvalue().splitlines())
             assert code != 2 or out.getvalue() == ""
+    # a decoder fails on a malformed field through its reader, not through
+    # Python's own TypeError, AttributeError or KeyError
+    for decode in DECODERS:
+        try:
+            decode(doc)
+        except ParseError as exc:
+            cause = exc.__cause__
+            while cause is not None:
+                assert not isinstance(cause, (TypeError, AttributeError, KeyError)), repr(cause)
+                cause = cause.__cause__
 
 
 @pytest.mark.parametrize(

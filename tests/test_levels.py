@@ -22,7 +22,7 @@ from randlab.martingales import (
     savings_violation_search,
     table_martingale,
 )
-from randlab.ttmeasures import table_measure, validate_measure
+from randlab.ttmeasures import MonotoneCDF, table_measure, validate_measure
 
 MAX_DEPTH = 6
 
@@ -160,6 +160,18 @@ def test_validate_measure_matches_additivity_triples(td):
         table_measure("raw", table),
     ):
         assert validate_measure(mu, d) == ref.validate_measure(mu, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_to_depth, st.integers(0, 8).map(lambda n: Fraction(n, 6)))
+@example(({"": Fraction(1), "0": Fraction(2), "1": Fraction(0)}, 1), Fraction(0))
+@example(({"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(1, 2), "00": Fraction(-1),
+           "01": Fraction(0), "10": Fraction(0), "11": Fraction(0)}, 2), Fraction(0))
+def test_is_monotone_matches_fraction_knots(td, shift):
+    # shifted down, masses go negative, so a knot can fall below the last
+    table, d = td
+    g = MonotoneCDF(table_measure("shifted", {s: v - shift for s, v in table.items()}), d)
+    assert g.is_monotone() == ref.is_monotone(g)
 
 
 @settings(max_examples=150, deadline=None)

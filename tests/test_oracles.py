@@ -22,9 +22,12 @@ modules, and each oracle must run at least once.
 from __future__ import annotations
 
 import ast
+import copy
+import functools
 import glob
 import inspect
 import json
+import operator
 import os
 import sys
 import types
@@ -42,12 +45,14 @@ from randlab import (
     serialize,
     ttmeasures,
 )
+from randlab.errors import ParseError
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS)
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
 import canon  # noqa: E402  (perfbench/ is on sys.path from here on)
+import fixtures as bundles  # noqa: E402
 import workloads  # noqa: E402
 
 LAB = types.SimpleNamespace(
@@ -59,15 +64,18 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 
 # the oracles that take their function's arguments and return what it
 # returns; `_tally_for_length` is kept in `phi._tally` below, as the lab keeps
-# its own, `measure` replaces the property `IntervalUnion.measure` and
-# `knots` the method `MonotoneCDF.knots`
+# its own, `measure` replaces the property `IntervalUnion.measure`, and
+# `knots` and `is_monotone` the methods of `MonotoneCDF`
 PATCHED = (
     "parse_rational", "normalize_union", "coverage_at_least",
     "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
     "check_fairness", "savings_transform", "savings_violation_search",
     "savings_growth_constants", "bernoulli_measure", "validate_measure", "cdf",
     "transport", "transport_pushforward_check", "tt_from_ucf", "_tally_for_length",
+    "test_family_from_json", "updates_from_json", "measure_from_json",
+    "martingale_from_json", "name_from_json",
 )
+METHODS = ("measure", "knots", "is_monotone")
 
 
 def test_oracles_have_one_home():
@@ -131,6 +139,7 @@ def patch_oracles(monkeypatch) -> Counter:
     monkeypatch.setattr(intervals.IntervalUnion, "measure", measure)
     knots = counted("knots", ref.knots)
     monkeypatch.setattr(ttmeasures.MonotoneCDF, "knots", lambda self: knots(self.mu, self.depth))
+    monkeypatch.setattr(ttmeasures.MonotoneCDF, "is_monotone", counted("is_monotone", ref.is_monotone))
     return calls
 
 
@@ -157,6 +166,68 @@ def test_lab_on_the_oracles_gives_the_same_report_and_digests(monkeypatch, tmp_p
             key = canon.spec_key(spec)
             assert ok, key
             assert canon.digest(payload) == frozen[name][key], key
-    idle = [name for name in PATCHED + ("measure", "knots") if not calls[name]]
+    idle = [name for name in PATCHED + METHODS if not calls[name]]
     assert not idle, f"oracles never run: {idle}"
 
+
+def _decoded(decoders, doc):
+    """What the decoders make of a fixture document, as comparable values:
+    a test family and its updates, a measure's or martingale's name and
+    masses or capitals to depth 6, or a name's approximations, exact value
+    and provenance."""
+    kind = doc["type"]
+    if kind == "test_family":
+        return decoders.test_family_from_json(doc), decoders.updates_from_json(doc)
+    if kind in ("measure", "martingale"):
+        obj = (decoders.measure_from_json if kind == "measure" else decoders.martingale_from_json)(doc)
+        read = obj.mass if kind == "measure" else obj.value
+        return obj.name, [ref.outcome(read, s) for k in range(7) for s in intervals.bit_strings(k)]
+    z = decoders.name_from_json(doc)
+    return [z.at(n) for n in range(len(doc.get("values", ())) + 2)], z.exact, z.provenance
+
+
+def _without_each_key(doc, path=()):
+    """Copies of `doc`, each with one key of one of its objects deleted."""
+    obj = functools.reduce(operator.getitem, path, doc)
+    if isinstance(obj, dict):
+        for key in obj:
+            out = copy.deepcopy(doc)
+            del functools.reduce(operator.getitem, path, out)[key]
+            yield out
+    for key in (obj if isinstance(obj, dict) else range(len(obj)) if isinstance(obj, list) else ()):
+        yield from _without_each_key(doc, path + (key,))
+
+
+def _decoded_or_refused(decoders, doc):
+    try:
+        return _decoded(decoders, doc)
+    except ParseError:
+        return ParseError
+
+
+def test_decoders_match_their_oracles():
+    # every shipped fixture and every document of the benchmark's bundles
+    shipped = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            shipped.append(json.load(fh))
+    docs = list(shipped)
+    for b in range(bundles.BUNDLE_COUNT):
+        docs.extend(bundles.bundle_docs(b).values())
+    assert len(docs) == 14 + 9 * 32
+    for doc in docs:
+        assert _decoded(serialize, doc) == _decoded(ref, doc), doc.get("label", doc["type"])
+    # absent keys read as the same defaults, or are refused by both, on the
+    # shipped fixtures and on the fields they leave out
+    table = {"": "1/1", "0": "1/2", "1": "1/2"}
+    shipped += [
+        {**shipped_doc, "kind_data": {**shipped_doc["kind_data"], "relativized": True}}
+        for shipped_doc in shipped if shipped_doc.get("kind") == "SCHNORR"
+    ] + [
+        {"type": "measure", "rule": "table", "table": table, "name": "t"},
+        {"type": "martingale", "rule": "table", "table": table, "name": "t"},
+        {"type": "cauchy_name", "values": ["1/2"], "exact": "1/2", "provenance": "p"},
+    ]
+    for doc in shipped:
+        for variant in (v for v in _without_each_key(doc) if "type" in v):
+            assert _decoded_or_refused(serialize, variant) == _decoded_or_refused(ref, variant)
