@@ -212,6 +212,11 @@ def bit_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)] if n else [""]
 
 
+def bit_string(k: int, i: int) -> str:
+    """The i-th string of bit_strings(k)."""
+    return format(i, f"0{k}b") if k else ""
+
+
 def tree_strings(depth: int) -> list[str]:
     """{0,1}^{<=depth} in heap order, bit_strings(0) + ... + bit_strings(depth):
     node h is bin(h + 1)[3:], its children are nodes 2h + 1 and 2h + 2 and

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
 from .errors import CoverViolation, ExtensionUndefined, over_budget
-from .intervals import RationalInterval, _as_index, over_lcm, parse_rational
+from .intervals import RationalInterval, _as_index, bit_string, over_lcm, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -433,7 +433,7 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     level = [0]
     for k, (mins, maxs) in enumerate(extrema):
         level = [i for i in level if (maxs[i] - mins[i]) * scale > bound]
-        tree.update(format(i, f"0{k}b") if k else "" for i in level)
+        tree.update(bit_string(k, i) for i in level)
         level = [c for i in level for c in (2 * i, 2 * i + 1)]
     return tree
 

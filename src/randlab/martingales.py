@@ -17,7 +17,7 @@ from operator import sub
 from typing import Callable, Optional
 
 from .errors import InvariantViolation, ParseError, over_budget
-from .intervals import _product_level, _with_level, bit_strings, over_lcm
+from .intervals import _product_level, _with_level, bit_string, bit_strings, over_lcm
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -254,12 +254,7 @@ def savings_violation_search(
     kt, it = k, i
     while top - rows[kt][it] <= gap:
         kt, it = kt + 1, 2 * it + 1 if top - low[kt + 1][2 * it + 1] > gap else 2 * it
-    return _node(k, i), _node(kt, it)
-
-
-def _node(k: int, i: int) -> str:
-    """The i-th string of bit_strings(k)."""
-    return format(i, f"0{k}b") if k else ""
+    return bit_string(k, i), bit_string(kt, it)
 
 
 def savings_growth_constants(

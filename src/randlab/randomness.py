@@ -64,10 +64,13 @@ class TestFamily:
     """A tagged finite-stage randomness test.
 
     components maps index m to the version history of the m-th open set
-    (a single-element list except for DEMUTH/WEAK_DEMUTH).  kind_data holds
-    the kind-specific payload: declared measures (SCHNORR), total bound
-    (SOLOVAY), the (Q, E) tables (INTERVAL_SEQUENCE), (q, C) data (PI1),
-    change budgets (DEMUTH/WEAK_DEMUTH).
+    (a single-element list except for DEMUTH/WEAK_DEMUTH).  kind_data is the
+    record that `serialize.FIELDS["kind_data:<KIND>"]` reads: declared
+    measures and `relativized` (SCHNORR), total bound (SOLOVAY), (q, C)
+    data (PI1), change budgets (DEMUTH/WEAK_DEMUTH), and for
+    INTERVAL_SEQUENCE `blocks`, a list of records {m, r, table, excluded}:
+    the table Q^m_r maps k to the interval Q^m_r(k), and excluded is the set
+    E^m_r of the indices k it excises.
     """
 
     kind: TestKind
@@ -109,16 +112,12 @@ def _bound_check(m: int, version: int, u: IntervalUnion) -> CheckRecord:
     )
 
 
-def _live_blocks(
-    t: TestFamily,
-) -> Iterator[tuple[tuple[int, int], list[RationalInterval]]]:
+def _live_blocks(t: TestFamily) -> Iterator[tuple[int, int, list[RationalInterval]]]:
     """Each block (m, r) of an interval-sequence test, in (m, r) order, with
     its parts Q^m_r(k) in k order, less the indices excised by E^m_r."""
-    blocks: dict[tuple[int, int], dict[int, RationalInterval]] = t.kind_data["blocks"]
-    excluded: dict[tuple[int, int], frozenset[int]] = t.kind_data["excluded"]
-    for key, table in sorted(blocks.items()):
-        excl = excluded.get(key, frozenset())
-        yield key, [iv for k, iv in sorted(table.items()) if k not in excl]
+    for b in sorted(t.kind_data["blocks"], key=lambda b: (b["m"], b["r"])):
+        excl = b["excluded"]
+        yield b["m"], b["r"], [iv for k, iv in sorted(b["table"].items()) if k not in excl]
 
 
 def validate(t: TestFamily) -> ValidationReport:
@@ -160,7 +159,7 @@ def validate(t: TestFamily) -> ValidationReport:
 
     if t.kind is TestKind.INTERVAL_SEQUENCE:
         per_m: dict[int, list[RationalInterval]] = {}
-        for (m, r), live in _live_blocks(t):
+        for m, r, live in _live_blocks(t):
             u = normalize_union(live)
             bound = Fraction(1, 2 ** (m + r))
             records.append(
@@ -218,6 +217,15 @@ def validate(t: TestFamily) -> ValidationReport:
             )
 
     return ValidationReport(all(r.passed for r in records), tuple(records))
+
+
+def _checked(t: TestFamily) -> TestFamily:
+    """`t`, or InvariantViolation with the detail of the first check of
+    `validate(t)` that fails."""
+    failed = validate(t).first_failure()
+    if failed is not None:
+        raise InvariantViolation(failed.detail)
+    return t
 
 
 class VerdictResult(enum.Enum):
@@ -303,15 +311,8 @@ def convert_solovay_to_ml(t: TestFamily, depth: int) -> TestFamily:
         )
     ceil_c = math.ceil(bound)
     unions = [t.final(m) for m in t.indices()]
-    comps: dict[int, list[IntervalUnion]] = {}
-    for k in range(depth + 1):
-        u = coverage_at_least(unions, ceil_c * 2**k)
-        if u.measure > Fraction(1, 2**k):
-            raise InvariantViolation(
-                f"converted component {k} has measure {u.measure} > 2^-{k}"
-            )
-        comps[k] = [u]
-    return TestFamily(TestKind.ML, comps, label=f"solovay_to_ml({t.label})")
+    comps = {k: [coverage_at_least(unions, ceil_c * 2**k)] for k in range(depth + 1)}
+    return _checked(TestFamily(TestKind.ML, comps, label=f"solovay_to_ml({t.label})"))
 
 
 def build_pi1_ml_test(
@@ -324,10 +325,7 @@ def build_pi1_ml_test(
     C_{m+1}}; indices start at 1 (the n = 0 term would break the exact
     2^{-m} bound).  Measure is checked exactly for every m.
     """
-    pi1 = TestFamily(TestKind.PI1, kind_data={"q": list(q), "C": list(C)})
-    rep = validate(pi1)
-    if not rep.passed:
-        raise InvariantViolation(f"PI1 bound fails: {rep.first_failure().detail}")
+    _checked(TestFamily(TestKind.PI1, kind_data={"q": list(q), "C": list(C)}))
     comps: dict[int, list[IntervalUnion]] = {}
     n_max = min(depth, len(q) - 1)
     for m in range(len(C) - 1):
@@ -341,13 +339,8 @@ def build_pi1_ml_test(
             ivs.append(
                 RationalInterval(q[n] - radius, q[n] + radius, True, True)
             )
-        u = normalize_union(ivs)
-        if u.measure > Fraction(1, 2**m):
-            raise InvariantViolation(
-                f"B_{m} has measure {u.measure} > 2^-{m}"
-            )
-        comps[m] = [u]
-    return TestFamily(TestKind.ML, comps, label="pi1_to_ml")
+        comps[m] = [normalize_union(ivs)]
+    return _checked(TestFamily(TestKind.ML, comps, label="pi1_to_ml"))
 
 
 def _contiguous(sigma: str, tau: str) -> bool:
@@ -413,11 +406,8 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
         raise ValueError("source must be an interval-sequence test")
     if depth > COMPONENT_INDEX_BUDGET:
         raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
-    rep = validate(t)
-    if not rep.passed:
-        raise InvariantViolation(rep.first_failure().detail)
     per_m: dict[int, list[RationalInterval]] = {}
-    for (m, r), live in _live_blocks(t):
+    for m, r, live in _live_blocks(_checked(t)):
         if r <= depth:
             per_m.setdefault(m, []).extend(live)
     comps = {m: [normalize_union(ivs)] for m, ivs in per_m.items()}
@@ -446,8 +436,7 @@ def schnorr_to_interval_sequence(
         raise ValueError("source must be a Schnorr test")
     if depth > COMPONENT_INDEX_BUDGET:
         raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
-    blocks: dict[tuple[int, int], dict[int, RationalInterval]] = {}
-    excluded: dict[tuple[int, int], set[int]] = {}
+    blocks: list[dict] = []
     for m in t.indices():
         if m > depth:
             continue
@@ -466,17 +455,8 @@ def schnorr_to_interval_sequence(
                 excl.update(table)
                 table.update(enumerate(guess, len(table)))
             if table:
-                blocks[m, r] = table
-                excluded[m, r] = excl
-    out = TestFamily(
-        TestKind.INTERVAL_SEQUENCE,
-        kind_data={
-            "blocks": blocks,
-            "excluded": {k: frozenset(v) for k, v in excluded.items()},
-        },
+                blocks.append({"m": m, "r": r, "table": table, "excluded": frozenset(excl)})
+    return _checked(TestFamily(
+        TestKind.INTERVAL_SEQUENCE, kind_data={"blocks": blocks},
         label=f"schnorr_to_is({t.label})",
-    )
-    rep = validate(out)
-    if not rep.passed:
-        raise InvariantViolation(rep.first_failure().detail)
-    return out
+    ))

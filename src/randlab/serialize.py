@@ -65,13 +65,9 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
         payload["total_bound"] = format_rational(kd["total_bound"])
     elif t.kind is TestKind.INTERVAL_SEQUENCE:
         payload["blocks"] = [
-            {
-                "m": m,
-                "r": r,
-                "table": {str(k): format_interval(iv) for k, iv in sorted(tab.items())},
-                "excluded": sorted(kd.get("excluded", {}).get((m, r), ())),
-            }
-            for (m, r), tab in sorted(kd["blocks"].items())
+            {**b, "table": {str(k): format_interval(iv) for k, iv in b["table"].items()},
+             "excluded": sorted(b["excluded"])}
+            for b in kd["blocks"]
         ]
     elif t.kind is TestKind.PI1:
         payload["q"] = [format_rational(x) for x in kd["q"]]
@@ -199,19 +195,35 @@ class ObjectOf(NamedTuple):
 
     def __call__(self, value: Any, name: str) -> dict[Any, Any]:
         key_name, read_key, value_name, read_value = self
-        return {read_key(k, key_name): read_value(v, value_name)
-                for k, v in _object(value, name).items()}
+        out, keys = {}, {}
+        for k, v in _object(value, name).items():
+            key = read_key(k, key_name)
+            if key in keys:
+                raise ParseError(
+                    f"{name}: keys {keys[key]!r} and {k!r} read as the same {key_name} {key}")
+            keys[key], out[key] = k, read_value(v, value_name)
+        return out
 
 
 class ListOf(NamedTuple):
-    """Reads a JSON list, each item by `read_item`."""
+    """Reads a JSON list, each item by `read_item`.  Two record items that
+    agree on every field named in `unique` are refused."""
 
     item_name: str
     read_item: Callable[[Any, str], Any]
+    unique: tuple[str, ...] = ()
 
     def __call__(self, value: Any, name: str) -> list[Any]:
-        item_name, read_item = self
-        return [read_item(v, item_name) for v in _list(value, name)]
+        item_name, read_item, unique = self
+        items = [read_item(v, item_name) for v in _list(value, name)]
+        seen = set()
+        for item in items if unique else ():
+            key = tuple(item[f] for f in unique)
+            if key in seen:
+                raise ParseError(f"{name}: two {item_name}s have ({', '.join(unique)}) = "
+                                 f"({', '.join(map(str, key))})")
+            seen.add(key)
+        return items
 
 
 class Record(NamedTuple):
@@ -283,7 +295,7 @@ FIELDS: dict[str, tuple[Field, ...]] = {
         Field("table", ObjectOf("block table key", _integer, "block table value", _interval),
               name="block table"),
         Field("excluded", _index_set, []),
-    ))), []),),
+    )), unique=("m", "r")), []),),
     "kind_data:PI1": (Field("q", ListOf("q entry", _rational)),
                       Field("C", ListOf("a PI1 C set", _index_set))),
     "kind_data:DEMUTH": _BUDGETS,
@@ -316,13 +328,7 @@ def test_family_from_json(doc: dict[str, Any]) -> TestFamily:
     f = _read_fields(FIELDS["test_family"], doc)
     kind = f["kind"]
     kd = _read_fields(FIELDS.get(f"kind_data:{kind.value}", ()), f["kind_data"])
-    if kind is TestKind.SCHNORR and not kd["relativized"]:
-        del kd["relativized"]
-    elif kind is TestKind.INTERVAL_SEQUENCE:
-        blocks = kd["blocks"]
-        kd["blocks"] = {(b["m"], b["r"]): b["table"] for b in blocks}
-        kd["excluded"] = {(b["m"], b["r"]): b["excluded"] for b in blocks}
-    elif kind is TestKind.PI1:
+    if kind is TestKind.PI1:
         _index(len(kd["C"]), "number of PI1 C sets")
     return TestFamily(kind, f["components"], kd, f["label"])
 
@@ -365,10 +371,19 @@ def name_from_json(doc: dict[str, Any]) -> CauchyName:
     return const_name(f["exact"])
 
 
+def _object_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a key written twice in it is refused."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {twice!r} is written twice in one object")
+    return doc
+
+
 def load_fixture(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object_pairs)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read fixture {path!r}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -34,6 +34,7 @@ from .intervals import (
     _check_bits,
     _product_level,
     _with_level,
+    bit_string,
     bit_strings,
     dyadic_value,
     format_rational,
@@ -247,7 +248,7 @@ def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
     if den & (den - 1):
         raise ValueError("argument must be dyadic")
     length = den.bit_length() - 1
-    return Fraction(*_cdf_ints(mu, format(num, f"0{length}b") if length else ""))
+    return Fraction(*_cdf_ints(mu, bit_string(length, num)))
 
 
 def _cdf_ints(mu: CylinderMeasure, sigma: str, right: bool = False) -> tuple[int, int]:
@@ -314,9 +315,8 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
         else:
             break
         k += 1
-    c = format(j, f"0{k}b") if k else ""
     status = TransportStatus.OK if k >= len(a_prefix) else TransportStatus.NEED_MORE_INPUT
-    return TransportResult(c, status, Fraction(lo_n, q), Fraction(hi_n, q))
+    return TransportResult(bit_string(k, j), status, Fraction(lo_n, q), Fraction(hi_n, q))
 
 
 @dataclass(frozen=True)

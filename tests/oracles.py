@@ -709,8 +709,7 @@ def test_family_from_json(doc):
             _integer(m, "declared_measures key"): parse_rational(q)
             for m, q in payload.get("declared_measures", {}).items()
         }
-        if payload.get("relativized"):
-            kd["relativized"] = True
+        kd["relativized"] = bool(payload.get("relativized"))
     elif kind is TestKind.SOLOVAY:
         kd["total_bound"] = parse_rational(payload["total_bound"])
         if kd["total_bound"] <= 0:
@@ -718,17 +717,18 @@ def test_family_from_json(doc):
                 f"SOLOVAY total_bound {payload['total_bound']!r} is not positive"
             )
     elif kind is TestKind.INTERVAL_SEQUENCE:
-        blocks = {}
-        excluded = {}
-        for rec in payload.get("blocks", []):
-            key = (_index(rec["m"], "block m"), _index(rec["r"], "block r"))
-            blocks[key] = {
-                _integer(k, "block table key"): parse_interval(iv)
-                for k, iv in rec["table"].items()
+        kd["blocks"] = [
+            {
+                "m": _index(rec["m"], "block m"),
+                "r": _index(rec["r"], "block r"),
+                "table": {
+                    _integer(k, "block table key"): parse_interval(iv)
+                    for k, iv in rec["table"].items()
+                },
+                "excluded": _index_set(rec.get("excluded", []), "excluded"),
             }
-            excluded[key] = _index_set(rec.get("excluded", []), "excluded")
-        kd["blocks"] = blocks
-        kd["excluded"] = excluded
+            for rec in payload.get("blocks", [])
+        ]
     elif kind is TestKind.PI1:
         kd["q"] = [parse_rational(x) for x in payload["q"]]
         if not isinstance(payload["C"], list):

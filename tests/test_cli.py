@@ -24,6 +24,8 @@ from randlab.serialize import FIELDS, ListOf, ObjectOf, Record
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 FIXTURES = os.path.join(ROOT, "fixtures")
 SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import fixtures as bundles  # noqa: E402  (the benchmark's fixture bundles)
 
 
 def fixture(name: str) -> str:
@@ -471,6 +473,56 @@ def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
 
 
+def with_first(name, path, key, value):
+    """The fixture `name` with `key: value` put first in the object at `path`."""
+    return with_path(name, path, {key: value, **functools.reduce(operator.getitem, path, load(name))})
+
+
+def with_wide_block(m):
+    """interval_sequence_basic.json with a block (m, 1) holding all of
+    [0, 1] before its other blocks."""
+    block = {"m": m, "r": 1, "table": {"0": "(0/1,1/1)"}, "excluded": []}
+    blocks = load("interval_sequence_basic.json")["kind_data"]["blocks"]
+    return with_path("interval_sequence_basic.json", ["kind_data", "blocks"], [block, *blocks])
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (json.dumps(with_first("ml_geometric.json", ["components"], "01", [["[0/1,1/1]"]])),
+         "components: keys '01' and '1' read as the same component index 1"),
+        (json.dumps(with_first("schnorr_geometric.json", ["kind_data", "declared_measures"],
+                               "01", "1/1")),
+         "declared_measures: keys '01' and '1' read as the same declared_measures key 1"),
+        (json.dumps(with_first("demuth_two_versions.json", ["kind_data", "budgets"], "01", 9)),
+         "budgets: keys '01' and '1' read as the same budgets key 1"),
+        (json.dumps(with_first("interval_sequence_basic.json",
+                               ["kind_data", "blocks", 0, "table"], "00", "(0/1,1/1)")),
+         "block table: keys '00' and '0' read as the same block table key 0"),
+        (json.dumps(with_wide_block(1)), "blocks: two blocks have (m, r) = (1, 1)"),
+        (json.dumps(with_wide_block("01")), "blocks: two blocks have (m, r) = (1, 1)"),
+        ('{"type": "measure", "rule": "bernoulli", "p": "1/2", "p": "3/4"}',
+         "key 'p' is written twice in one object"),
+        (json.dumps(load("ml_geometric.json")).replace('"components": {', '"components": {"1": [], '),
+         "key '1' is written twice in one object"),
+    ],
+    ids=["component-index", "declared-measures-key", "budgets-key", "block-table-key",
+         "block-m-r", "block-m-01", "json-key", "json-component-key"],
+)
+def test_duplicate_index_exits_two(tmp_path, capsys, text, named):
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert named in assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
+
+
+def test_update_m_may_repeat(tmp_path, capsys):
+    # updates are versions: two of one component are read in turn
+    update = {"m": 1, "union": ["(0/1,1/4)"]}
+    path = tmp_path / "updates.json"
+    path.write_text(json.dumps(with_path("demuth_two_versions.json", ["updates"], [update, update])))
+    assert main(["verify", "--fixture", str(path)]) == 0
+
+
 # a document holding each record of the field table, and the path to the
 # object that holds the record's fields; every object and list on the way
 # to a declared field has an entry
@@ -585,20 +637,33 @@ def test_integer_field_is_ascii_digits(tmp_path, capsys, field, text):
     path.write_text(json.dumps(INTEGER_FIELDS[field](text)))
     err = assert_labcli_usage_error(capsys, ["verify", "--fixture", str(path)])
     assert f"{field} is an integer, got {text!r}" in err
-    # the same field as plain digits reads as before
-    path.write_text(json.dumps(INTEGER_FIELDS[field]("4")))
+    # the same field as plain digits reads as before; blocks of
+    # interval_sequence_basic.json have m and r in 1..4, so at 5 the changed
+    # block repeats no other
+    path.write_text(json.dumps(INTEGER_FIELDS[field]("5")))
     assert main(["verify", "--fixture", str(path)]) in (0, 1)
 
 
+def family_docs(source):
+    """The test_family documents of `source`: a file in fixtures/, or the
+    number of a benchmark bundle."""
+    if isinstance(source, int):
+        return [doc for doc in bundles.bundle_docs(source).values() if doc["type"] == "test_family"]
+    return [load(source)]
+
+
 @pytest.mark.parametrize(
-    "name", [f for f in sorted(os.listdir(FIXTURES)) if load(f)["type"] == "test_family"]
+    "source",
+    [f for f in sorted(os.listdir(FIXTURES)) if load(f)["type"] == "test_family"]
+    + list(range(bundles.BUNDLE_COUNT)),
+    ids=lambda source: f"bundle-{source}" if isinstance(source, int) else source,
 )
-def test_test_family_round_trip(name):
-    doc = load(name)
-    family = serialize.test_family_from_json(doc)
-    encoded = serialize.test_family_to_json(family)
-    assert encoded == {key: value for key, value in doc.items() if key != "updates"}
-    assert serialize.test_family_from_json(encoded) == family
+def test_test_family_round_trip(source):
+    for doc in family_docs(source):
+        family = serialize.test_family_from_json(doc)
+        encoded = serialize.test_family_to_json(family)
+        assert encoded == {key: value for key, value in doc.items() if key != "updates"}
+        assert serialize.test_family_from_json(encoded) == family
 
 
 def test_shallow_table_martingale_passes_to_its_depth(tmp_path, capsys):

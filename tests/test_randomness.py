@@ -27,7 +27,7 @@ from randlab.randomness import (
     schnorr_to_interval_sequence,
     validate,
 )
-from randlab import serialize
+from randlab import randomness, serialize
 from randlab.ttmeasures import LimitOracle
 
 
@@ -226,18 +226,16 @@ def test_demuth_update_at_negative_index_bounds_by_two():
 
 
 def iseq_family() -> TestFamily:
-    blocks, excl = {}, {}
+    blocks = []
     for m in range(1, 4):
         for r in range(1, 4):
             w = Fraction(1, 2 ** (m + r + 1))
-            blocks[(m, r)] = {
+            table = {
                 0: RationalInterval(Fraction(0), w, True, True),
                 1: RationalInterval(Fraction(1, 2), Fraction(1, 2) + w, True, True),
             }
-            excl[(m, r)] = frozenset({1})
-    return TestFamily(
-        TestKind.INTERVAL_SEQUENCE, {}, {"blocks": blocks, "excluded": excl}
-    )
+            blocks.append({"m": m, "r": r, "table": table, "excluded": frozenset({1})})
+    return TestFamily(TestKind.INTERVAL_SEQUENCE, {}, {"blocks": blocks})
 
 
 def test_interval_sequence_bounds():
@@ -250,9 +248,15 @@ def test_excised_blocks_do_not_count():
     t2 = TestFamily(
         TestKind.INTERVAL_SEQUENCE,
         {},
-        {"blocks": t.kind_data["blocks"], "excluded": {}},
+        {"blocks": [{**b, "excluded": frozenset()} for b in t.kind_data["blocks"]]},
     )
     assert validate(t2).passed
+
+
+def test_blocks_are_checked_in_m_r_order():
+    t = iseq_family()
+    reversed_blocks = TestFamily(t.kind, {}, {"blocks": t.kind_data["blocks"][::-1]})
+    assert validate(reversed_blocks) == validate(t)
 
 
 def test_interval_sequence_to_schnorr_round():
@@ -277,7 +281,7 @@ def test_schnorr_to_interval_sequence_with_mind_changes():
     assert t.kind is TestKind.INTERVAL_SEQUENCE
     assert validate(t).passed
     # each mind change excised the previously emitted block index
-    assert all(excl for excl in t.kind_data["excluded"].values())
+    assert all(b["excluded"] for b in t.kind_data["blocks"])
 
 
 def three_mind_changes(query, stage):
@@ -307,7 +311,7 @@ def test_schnorr_to_interval_sequence_accepts_a_budget_equal_to_the_changes():
     t = schnorr_to_interval_sequence(sch, oracle, 3)
     assert validate(t).passed
     # three changes excise the first three emitted indices of every block
-    assert all(excl == {0, 1, 2} for excl in t.kind_data["excluded"].values())
+    assert all(b["excluded"] == {0, 1, 2} for b in t.kind_data["blocks"])
 
 
 def test_schnorr_to_interval_sequence_reads_each_stage_once():
@@ -323,10 +327,64 @@ def test_schnorr_to_interval_sequence_reads_each_stage_once():
     queries = [("block", m, r) for m in (1, 2, 3) for r in (1, 2, 3)]
     assert sorted(calls) == sorted((q, s) for q in queries for s in range(4))
     # the blocks are the guesses at stages 0..3, each change excising the last
-    assert t.kind_data["blocks"] == {
-        q[1:]: dict(enumerate(three_mind_changes(q, s)[0] for s in range(4))) for q in queries
-    }
-    assert t.kind_data["excluded"] == {q[1:]: {0, 1, 2} for q in queries}
+    assert t.kind_data["blocks"] == [
+        {"m": q[1], "r": q[2], "table": dict(enumerate(three_mind_changes(q, s)[0] for s in range(4))),
+         "excluded": {0, 1, 2}}
+        for q in queries
+    ]
+
+
+# every conversion checks the test it builds (and an interval-sequence or
+# PI1 input) through `randomness._checked`; these bounds hold on valid
+# input, so each check is forced by a builder whose unions are all of [0, 1]
+FULL = normalize_union([RationalInterval(Fraction(0), Fraction(1))])
+
+
+def test_convert_solovay_to_ml_checks_what_it_builds(monkeypatch):
+    monkeypatch.setattr(randomness, "coverage_at_least", lambda unions, n: FULL)
+    t = TestFamily(TestKind.SOLOVAY, {1: [geometric(1)]}, {"total_bound": Fraction(1)})
+    with pytest.raises(InvariantViolation) as info:
+        convert_solovay_to_ml(t, 3)
+    # component 0 holds; component 1 is the first record that fails
+    assert str(info.value) == "measure 1/1 vs bound 1/2"
+
+
+def test_build_pi1_ml_test_checks_what_it_builds(monkeypatch):
+    # every q_n is in every C set, so the input's residual unions are empty
+    # and hold; every B_m, a union of intervals, is [0, 1]
+    monkeypatch.setattr(randomness, "normalize_union", lambda ivs: FULL if ivs else normalize_union(ivs))
+    q = [Fraction(k, 4) for k in range(4)]
+    with pytest.raises(InvariantViolation) as info:
+        build_pi1_ml_test(q, [frozenset({1, 2})] * 3, 3)
+    assert str(info.value) == "measure 1/1 vs bound 1/2"
+
+
+def test_build_pi1_ml_test_checks_its_input_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(randomness, "normalize_union", lambda ivs: calls.append(ivs) or normalize_union(ivs))
+    q = [Fraction(0), Fraction(0), Fraction(1), Fraction(0)]
+    with pytest.raises(InvariantViolation) as info:
+        build_pi1_ml_test(q, [frozenset()] * 3, 3)
+    assert str(info.value) == "residual measure 1/1 vs < 1/1"
+    # one union per C set, all of them the input's residuals: no B_m was built
+    assert len(calls) == 3 and all(not iv.lo_open for ivs in calls for iv in ivs)
+
+
+def test_interval_sequence_to_schnorr_checks_its_input():
+    block = {"m": 1, "r": 1, "table": {0: FULL.parts[0]}, "excluded": frozenset()}
+    t = TestFamily(TestKind.INTERVAL_SEQUENCE, {}, {"blocks": [block]})
+    with pytest.raises(InvariantViolation) as info:
+        interval_sequence_to_schnorr(t, 4)
+    assert str(info.value) == "measure 1/1 vs 1/4"
+
+
+def test_schnorr_to_interval_sequence_checks_what_it_builds(monkeypatch):
+    sch = interval_sequence_to_schnorr(iseq_family(), 4)
+    monkeypatch.setattr(randomness, "normalize_union", lambda ivs: FULL)
+    with pytest.raises(InvariantViolation) as info:
+        schnorr_to_interval_sequence(sch, LimitOracle(three_mind_changes, budget=3), 3)
+    # block (1, 1), the first in (m, r) order, is bounded by 2^-2
+    assert str(info.value) == "measure 1/1 vs 1/4"
 
 
 @settings(max_examples=40, deadline=None)
