@@ -1,8 +1,14 @@
 """Exact rational intervals, finite unions, and Lebesgue measure.
 
-Everything here is computed with `fractions.Fraction`; there is no rounding
-anywhere in this module.  Open/closed endpoint flags are carried explicitly:
-measure ignores endpoints, membership queries must not.
+Endpoints are `fractions.Fraction`s; there is no rounding anywhere in this
+module.  Open/closed endpoint flags are carried explicitly: measure ignores
+endpoints, membership queries must not.  The hot order checks compare ints,
+not Fractions: an interval's lo <= hi and `normalize_union`'s canonical check
+cross-multiply numerators and denominators, and `parse_interval` builds both
+endpoints from the integers that one pattern matched.  A canonical union is
+sorted and disjoint, so its membership queries (`contains`,
+`witness_containing`, `disjoint_from_interval`) bisect its parts by their
+left ends in place of scanning them.
 
 The Cantor-space helpers list {0,1}^n and {0,1}^{<=d} in one order each
 (`bit_strings`, `tree_strings`) and write rationals as ints over one
@@ -14,16 +20,23 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Any, Iterable, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, NoReturn, Optional, Sequence
 
 from .errors import ParseError
 
 Rational = Fraction
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
+# a whole "[p/q,r/s)" string: the brackets and the four integers (q and s
+# may be absent); \s and \d match what str.strip and int read
+_INTERVAL = re.compile(
+    rf"\s*([\[(])\s*{_RATIONAL.pattern}\s*,\s*{_RATIONAL.pattern}\s*([\])])\s*"
+)
+_LO = attrgetter("lo")
 _INDEX_TEXT = re.compile(r"-?[0-9]+")
 
 
@@ -73,9 +86,10 @@ class RationalInterval:
     hi_open: bool = False
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        d = _cross(self.lo, self.hi)
+        if d > 0:
             raise ValueError(f"lo > hi: {self.lo} > {self.hi}")
-        if self.lo == self.hi and (self.lo_open or self.hi_open):
+        if d == 0 and (self.lo_open or self.hi_open):
             raise ValueError("degenerate interval must be closed on both ends")
 
     @property
@@ -115,22 +129,39 @@ class RationalInterval:
         return f"{lb}{format_rational(self.lo)},{format_rational(self.hi)}{rb}"
 
 
+def _cross(x: Fraction, y: Fraction) -> int:
+    """An int with the sign of x - y, by cross-multiplication."""
+    return x.numerator * y.denominator - y.numerator * x.denominator
+
+
 def parse_interval(text: str) -> RationalInterval:
-    """Parse "[lo,hi)" style interval strings; brackets encode openness."""
+    """Parse "[lo,hi)" style interval strings; brackets encode openness.
+
+    One pattern reads the whole string, and each endpoint is built from the
+    integers it matched."""
+    m = _INTERVAL.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        _refuse_interval(text)
+    lb, p, q, r, s, rb = m.groups()
+    q, s = int(q or 1), int(s or 1)
+    if not (q and s):
+        _refuse_interval(text)
+    return RationalInterval(Fraction(int(p), q), Fraction(int(r), s), lb == "(", rb == ")")
+
+
+def _refuse_interval(text: Any) -> NoReturn:
+    """Raise the ParseError that says what is wrong with a value that
+    `parse_interval` refuses: not a string, no brackets or not one comma
+    between them, or the first endpoint that `parse_rational` refuses."""
     if not isinstance(text, str):
         raise ParseError(f'bad interval {text!r}: expected a "[lo,hi)" string')
     s = text.strip()
-    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
-        raise ParseError(f"bad interval {text!r}")
     body = s[1:-1].split(",")
-    if len(body) != 2:
+    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]" or len(body) != 2:
         raise ParseError(f"bad interval {text!r}")
-    return RationalInterval(
-        lo=parse_rational(body[0]),
-        hi=parse_rational(body[1]),
-        lo_open=s[0] == "(",
-        hi_open=s[-1] == ")",
-    )
+    for part in body:
+        parse_rational(part)  # raises for the first endpoint it refuses
+    raise ParseError(f"bad interval {text!r}")
 
 
 def format_interval(iv: RationalInterval) -> str:
@@ -152,18 +183,31 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.parts
 
+    # The parts' left ends strictly increase, and a part ends before the
+    # next one starts or at an end both leave open.  So the last part that
+    # starts at or left of a point is the only part that can hold it, and
+    # the parts that meet an interval are that part for its left end and
+    # those after it that start at or left of its right end.
+
+    def _last_starting_by(self, x: Fraction) -> int:
+        """The index of the last part whose lo is <= x; -1 for none."""
+        return bisect_right(self.parts, x, key=_LO) - 1
+
     def contains(self, q: Fraction) -> bool:
-        return any(p.contains(q) for p in self.parts)
+        i = self._last_starting_by(q)
+        return i >= 0 and self.parts[i].contains(q)
 
     def witness_containing(self, iv: RationalInterval) -> RationalInterval | None:
         """The part (if any) containing every point of `iv`."""
-        for p in self.parts:
-            if p.contains_interval(iv):
-                return p
+        i = self._last_starting_by(iv.lo)
+        if i >= 0 and self.parts[i].contains_interval(iv):
+            return self.parts[i]
         return None
 
     def disjoint_from_interval(self, iv: RationalInterval) -> bool:
-        return all(p.disjoint_from(iv) for p in self.parts)
+        first = max(self._last_starting_by(iv.lo), 0)
+        end = self._last_starting_by(iv.hi) + 1
+        return all(p.disjoint_from(iv) for p in self.parts[first:end])
 
     def __str__(self) -> str:
         return " ∪ ".join(str(p) for p in self.parts) if self.parts else "∅"
@@ -180,12 +224,11 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
     come back unchanged after one linear check.
     """
     parts = tuple(intervals)
-    if all(
-        a.hi < b.lo or (a.hi == b.lo and a.hi_open and b.lo_open)
-        for a, b in zip(parts, parts[1:])
-    ):
-        return IntervalUnion(parts)
-    return _components(parts, 1)
+    for a, b in zip(parts, parts[1:]):
+        d = _cross(a.hi, b.lo)
+        if d > 0 or d == 0 and not (a.hi_open and b.lo_open):
+            return _components(parts, 1)
+    return IntervalUnion(parts)
 
 
 def dyadic_value(sigma: str) -> Fraction:

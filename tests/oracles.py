@@ -25,6 +25,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from randlab import intervals
 from randlab.cauchy import const_name, scripted_name
 from randlab.derivatives import (
     BLOWUP_THRESHOLD,
@@ -40,7 +41,6 @@ from randlab.intervals import (
     bit_strings,
     dyadic_value,
     format_rational,
-    parse_interval,
 )
 from randlab.markov import SlopeBoundsVerdict, truncate
 from randlab.martingales import (
@@ -311,6 +311,47 @@ def parse_rational(text):
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
 
 
+def parse_interval(text):
+    """The parse that one pattern replaced: strip, check the brackets, split
+    the body at its commas and read each endpoint with the lab's
+    `parse_rational` (looked up when called, so a lab run on the oracles
+    reads it through its own oracle)."""
+    if not isinstance(text, str):
+        raise ParseError(f'bad interval {text!r}: expected a "[lo,hi)" string')
+    s = text.strip()
+    if len(s) < 2 or s[0] not in "[(" or s[-1] not in ")]":
+        raise ParseError(f"bad interval {text!r}")
+    body = s[1:-1].split(",")
+    if len(body) != 2:
+        raise ParseError(f"bad interval {text!r}")
+    return RationalInterval(
+        lo=intervals.parse_rational(body[0]),
+        hi=intervals.parse_rational(body[1]),
+        lo_open=s[0] == "(",
+        hi_open=s[-1] == ")",
+    )
+
+
+def contains(u: IntervalUnion, q: Fraction) -> bool:
+    """`IntervalUnion.contains` before bisection: every part is asked."""
+    return any(p.contains(q) for p in u.parts)
+
+
+def witness_containing(u: IntervalUnion, iv: RationalInterval):
+    """`IntervalUnion.witness_containing` before bisection: the first part,
+    in order, that contains every point of `iv`."""
+    for p in u.parts:
+        if p.contains_interval(iv):
+            return p
+    return None
+
+
+def disjoint_from_interval(u: IntervalUnion, iv: RationalInterval) -> bool:
+    """`IntervalUnion.disjoint_from_interval` before bisection: every part
+    is asked."""
+    return all(p.disjoint_from(iv) for p in u.parts)
+
+
 def normalize_union(intervals) -> IntervalUnion:
     """The sort-and-merge that the endpoint sweep replaced: parts sorted by
     their left end, each merged into the last output part it overlaps or
@@ -346,8 +387,8 @@ def measure(u: IntervalUnion) -> Fraction:
 
 def coverage_at_least(unions: Sequence[IntervalUnion], threshold: int) -> IntervalUnion:
     """The midpoint-sampling version the sweep replaced: every union is
-    tested at every breakpoint and at the midpoint of every segment between
-    consecutive breakpoints."""
+    tested, part by part, at every breakpoint and at the midpoint of every
+    segment between consecutive breakpoints."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     pts: set[Fraction] = set()
@@ -361,10 +402,10 @@ def coverage_at_least(unions: Sequence[IntervalUnion], threshold: int) -> Interv
     pieces: list[RationalInterval] = []
     for a, b in zip(bps, bps[1:]):
         mid = (a + b) / 2
-        if sum(1 for u in unions if u.contains(mid)) >= threshold:
+        if sum(1 for u in unions if contains(u, mid)) >= threshold:
             pieces.append(RationalInterval(a, b, lo_open=True, hi_open=True))
     for p in bps:
-        if sum(1 for u in unions if u.contains(p)) >= threshold:
+        if sum(1 for u in unions if contains(u, p)) >= threshold:
             pieces.append(RationalInterval(p, p))
     return normalize_union(pieces)
 

@@ -112,6 +112,67 @@ def test_parse_rational_reads_unicode_digits():
     assert parse_rational("\u0663/\u0664") == Fraction(3, 4)
 
 
+# str.strip whitespace only
+blanks = st.text(
+    alphabet=st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"), max_size=2
+)
+digits = st.text(
+    alphabet=st.one_of(st.sampled_from("0123456789"), st.characters(categories=["Nd"])),
+    min_size=1,
+    max_size=3,
+)
+# what the pattern reads: blanks, an optional minus, digits and an optional
+# "/q" (q may be all zeros), blanks
+endpoint_texts = st.builds(
+    lambda *pieces: "".join(pieces),
+    blanks,
+    st.sampled_from(["", "-"]),
+    digits,
+    st.one_of(st.just(""), digits.map("/".__add__)),
+    blanks,
+)
+
+
+def joined(*pieces):
+    return st.builds(lambda *texts: "".join(texts), *pieces)
+
+
+# "[p/q,r/s)" strings, and ones with each piece read or refused by the pattern
+well_formed = joined(
+    blanks, st.sampled_from("[("), endpoint_texts, st.just(","), endpoint_texts,
+    st.sampled_from("])"), blanks,
+)
+malformed = joined(
+    spaces,
+    st.one_of(st.sampled_from("[("), st.sampled_from(["", "]", "{", "[("])),
+    st.one_of(endpoint_texts, rational_texts),
+    st.one_of(st.just(","), st.sampled_from(["", ",,", ", ,", ";"])),
+    st.one_of(endpoint_texts, rational_texts),
+    st.one_of(st.sampled_from("])"), st.sampled_from(["", "[", "}", ")]"])),
+    spaces,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(well_formed, malformed, parse_inputs))
+@example(" ( \u0660/1 , 1/2 ) ")
+@example("\t[ -1 ,\t2 ]\n")
+@example("[0\u3000,1/2]")
+@example("[3,2]")
+@example("(1/2,1/2]")
+@example("[1/2,1/2]")
+@example("[1/0,1)")
+@example("[0,1/0)")
+@example("[0/1,1/2,3/4,1/1)")
+@example("[0/1,1/2")
+@example("0/1,1/2)")
+@example("[]")
+@example("[")
+def test_parse_interval_equals_reference(text):
+    # an equal interval, or an error of the same type with the same message
+    assert outcome(parse_interval, text) == outcome(ref.parse_interval, text)
+
+
 @given(st.lists(rationals, max_size=12))
 def test_over_lcm_puts_each_value_over_the_lcm(values):
     ints, den = over_lcm(iter(values))
@@ -179,6 +240,24 @@ measure_intervals = st.builds(
 )
 
 
+order_ends = st.one_of(rationals, huge_rationals, st.integers(-2, 2))
+
+
+@given(order_ends, order_ends, st.booleans(), st.booleans())
+@example(Fraction(3), Fraction(2), False, False)
+@example(Fraction(1, 2), Fraction(1, 2), True, False)
+@example(Fraction(1, 2), Fraction(1, 2), False, True)
+def test_interval_order_check_compares_as_fractions(lo, hi, lo_open, hi_open):
+    # the cross-multiplied check refuses what Fraction comparison refuses
+    got = outcome(RationalInterval, lo, hi, lo_open, hi_open)
+    if lo > hi:
+        assert got == (ValueError, f"lo > hi: {lo} > {hi}")
+    elif lo == hi and (lo_open or hi_open):
+        assert got == (ValueError, "degenerate interval must be closed on both ends")
+    else:
+        assert got[0] is RationalInterval
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(measure_intervals, max_size=8), st.booleans())
 def test_measure_equals_reference(ivs, canonical):
@@ -209,11 +288,11 @@ def test_touching_open_intervals_do_not_merge():
 
 
 def test_touching_with_closed_side_merges():
-    a = RationalInterval(Fraction(0), Fraction(1, 2), False, False)
-    b = RationalInterval(Fraction(1, 2), Fraction(1), True, False)
-    u = normalize_union([a, b])
-    assert len(u.parts) == 1
-    assert u.measure == 1
+    for a_hi_open, b_lo_open in [(False, True), (True, False), (False, False)]:
+        a = RationalInterval(Fraction(0), Fraction(1, 2), False, a_hi_open)
+        b = RationalInterval(Fraction(1, 2), Fraction(1), b_lo_open, False)
+        u = normalize_union([a, b])
+        assert u.parts == (RationalInterval(Fraction(0), Fraction(1)),)
 
 
 @given(st.text(alphabet="01", max_size=12))
@@ -274,6 +353,25 @@ def test_normalize_union_equals_reference(data):
     # RationalInterval equality compares both endpoints and both flags
     assert u == ref.normalize_union(ivs)
     assert normalize_union(u.parts) == u
+
+
+# points and window ends on the grid of the parts' ends, between them and
+# outside [0, 1]
+sixteenths = st.integers(-1, 17).map(lambda k: Fraction(k, 16))
+query_points = st.one_of(eighths, sixteenths, rationals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_bisected_membership_equals_reference(data):
+    u = data.draw(st.lists(any_interval, max_size=8).map(ref.normalize_union))
+    ends = [x for p in u.parts for x in (p.lo, p.hi)]
+    point = st.one_of(query_points, st.sampled_from(ends)) if ends else query_points
+    window = data.draw(st.builds(_interval, point, point, st.booleans(), st.booleans()))
+    q = data.draw(point)
+    assert u.witness_containing(window) == ref.witness_containing(u, window)
+    assert u.disjoint_from_interval(window) == ref.disjoint_from_interval(u, window)
+    assert u.contains(q) == ref.contains(u, q)
 
 
 @settings(max_examples=250, deadline=None)

@@ -64,8 +64,9 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 
 # the oracles that take their function's arguments and return what it
 # returns; `_tally_for_length` is kept in `phi._tally` below, as the lab keeps
-# its own, `measure` replaces the property `IntervalUnion.measure`, and
-# `knots` and `is_monotone` the methods of `MonotoneCDF`
+# its own, `measure` replaces the property `IntervalUnion.measure`,
+# `witness_containing` and `disjoint_from_interval` the methods of
+# `IntervalUnion`, and `knots` and `is_monotone` the methods of `MonotoneCDF`
 PATCHED = (
     "parse_rational", "normalize_union", "coverage_at_least",
     "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
@@ -75,7 +76,8 @@ PATCHED = (
     "test_family_from_json", "updates_from_json", "measure_from_json",
     "martingale_from_json", "name_from_json",
 )
-METHODS = ("measure", "knots", "is_monotone")
+UNION_METHODS = ("witness_containing", "disjoint_from_interval")
+METHODS = ("measure", *UNION_METHODS, "knots", "is_monotone")
 
 
 def test_oracles_have_one_home():
@@ -137,6 +139,8 @@ def patch_oracles(monkeypatch) -> Counter:
             monkeypatch.setattr(m, name, counted(name, oracle))
     measure = property(counted("measure", ref.measure))
     monkeypatch.setattr(intervals.IntervalUnion, "measure", measure)
+    for name in UNION_METHODS:
+        monkeypatch.setattr(intervals.IntervalUnion, name, counted(name, getattr(ref, name)))
     knots = counted("knots", ref.knots)
     monkeypatch.setattr(ttmeasures.MonotoneCDF, "knots", lambda self: knots(self.mu, self.depth))
     monkeypatch.setattr(ttmeasures.MonotoneCDF, "is_monotone", counted("is_monotone", ref.is_monotone))

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -27,8 +29,10 @@ from randlab.randomness import (
     schnorr_to_interval_sequence,
     validate,
 )
-from randlab import randomness, serialize
+from randlab import cli, randomness, serialize
 from randlab.ttmeasures import LimitOracle
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 def geometric(m: int):
@@ -71,6 +75,23 @@ def test_schnorr_declared_mismatch_fails():
     rep = validate(t)
     assert not rep.passed
     assert "1/4" in rep.first_failure().detail
+
+
+def test_schnorr_declared_index_without_component_is_checked(tmp_path, capsys):
+    # index 9 has no component, so its actual measure is 0
+    with open(os.path.join(FIXTURES, "schnorr_geometric.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["kind_data"]["declared_measures"]["9"] = "1/2"
+    path = tmp_path / "schnorr_extra.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--fixture", str(path)]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    failed = [r for r in records if r["status"] == "FAIL"]
+    assert failed == [{"name": "schnorr_extra.json:declared[m=9]", "status": "FAIL",
+                       "detail": "declared 1/2 vs actual 0/1"}]
+    # declared indices are checked in sorted order with the components'
+    declared = [r["name"] for r in records if ":declared[" in r["name"]]
+    assert declared == [f"schnorr_extra.json:declared[m={m}]" for m in range(10)]
 
 
 def test_solovay_running_sum_bound():
