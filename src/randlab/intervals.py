@@ -13,7 +13,8 @@ left ends in place of scanning them.
 The Cantor-space helpers list {0,1}^n and {0,1}^{<=d} in one order each
 (`bit_strings`, `tree_strings`) and write rationals as ints over one
 denominator (`over_lcm`); `_product_level` is the native level of a product
-form, read through `CylinderMeasure.level` and `Martingale.level`.
+form, read through `CylinderMeasure.level` and `Martingale.level`, and
+`_unbalanced` compares two such levels for additivity or fairness.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from itertools import compress, count, repeat
+from operator import add, attrgetter, itemgetter, mul, ne
 from typing import Any, Iterable, NoReturn, Optional, Sequence
 
 from .errors import ParseError
@@ -293,6 +295,19 @@ def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
         return ints, d * q**k
 
     return level
+
+
+def _unbalanced(
+    parents: list[int], parent_den: int, children: list[int], den: int, factor: int = 1
+) -> list[int]:
+    """The indices i, in order, of the nodes of one level at which
+    factor·parents[i]/parent_den differs from the sum of its two children,
+    children[2i]/den + children[2i + 1]/den: for levels k and k + 1 as
+    `level` gives them, the nodes where additivity (factor 1) or fairness
+    (factor 2) fails, each compared in ints by cross-multiplying."""
+    sums = map(add, children[::2], children[1::2])
+    lhs = map(mul, parents, repeat(factor * den))
+    return list(compress(count(), map(ne, lhs, map(mul, sums, repeat(parent_den)))))
 
 
 def _with_level(read, level):

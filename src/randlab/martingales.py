@@ -6,6 +6,13 @@ within a depth budget, satisfying 2M(σ) = M(σ0) + M(σ1).
 The savings transform, the violation search and the growth constants read
 whole levels of capitals through `Martingale.level`, as ints over one
 denominator; a savings result keeps its levels as int rows.
+
+`check_fairness` reads whole levels too where `value_at` carries a native
+`level` (`split_bet`, `constant_martingale`, `all_in_on_0` and savings
+results), comparing each level with the next in ints.  Any other callable is
+walked depth first, 1-child first, three capital reads per node, stopping at
+the first failure.  Both report the first failure in that walk's preorder;
+they differ only on a negative capital (see `check_fairness`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from operator import sub
 from typing import Callable, Optional
 
 from .errors import InvariantViolation, ParseError, over_budget
-from .intervals import _product_level, _with_level, bit_string, bit_strings, over_lcm
+from .intervals import (
+    _product_level,
+    _unbalanced,
+    _with_level,
+    bit_string,
+    bit_strings,
+    over_lcm,
+)
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -112,10 +126,25 @@ class FairnessReport:
 
 
 def check_fairness(m: Martingale, depth: int) -> FairnessReport:
-    """2M(σ) = M(σ0) + M(σ1) exactly, for every σ with |σ| < depth."""
+    """2M(σ) = M(σ0) + M(σ1) exactly, for every σ with |σ| < depth; the
+    report names the first σ that fails in the depth-first preorder that
+    visits the 1-child before the 0-child.
+
+    A martingale whose `value_at` has a native `level` is checked level by
+    level (`_fairness_by_levels`); any other is walked depth first, three
+    capital reads per node, stopping at the first failure.  On malformed
+    input the two can differ: the level pass reads every capital to the
+    depth, so a negative capital raises `InvariantViolation` (at the first
+    in level order) where the walk may have returned a failure that it met
+    before reading it.
+    """
     if depth > FAIRNESS_DEPTH_BUDGET:
         raise over_budget(f"depth {depth}", "FAIRNESS_DEPTH_BUDGET", FAIRNESS_DEPTH_BUDGET)
-    stack = [""] if depth > 0 else []
+    if depth <= 0:
+        return FairnessReport(True)
+    if hasattr(m.value_at, "level"):
+        return _fairness_by_levels(m, depth)
+    stack = [""]
     while stack:
         s = stack.pop()
         v, v0, v1 = m.value(s), m.value(s + "0"), m.value(s + "1")
@@ -124,12 +153,43 @@ def check_fairness(m: Martingale, depth: int) -> FairnessReport:
             v.as_integer_ratio(), v0.as_integer_ratio(), v1.as_integer_ratio()
         )
         if 2 * n * d0 * d1 != (n0 * d1 + n1 * d0) * d:
-            return FairnessReport(
-                False, f"fairness fails at {s!r}: 2·{v} != {v0} + {v1}"
-            )
+            return _unfair(s, v, v0, v1)
         if len(s) + 1 < depth:
             stack.extend((s + "0", s + "1"))
     return FairnessReport(True)
+
+
+def _unfair(s: str, v: Fraction, v0: Fraction, v1: Fraction) -> FairnessReport:
+    return FairnessReport(False, f"fairness fails at {s!r}: 2·{v} != {v0} + {v1}")
+
+
+_ONE_FIRST = str.maketrans("01", "10")
+
+
+def _fairness_by_levels(m: Martingale, depth: int) -> FairnessReport:
+    """`check_fairness` for depth >= 1 from levels 0..depth of m, two at a
+    time.  The walk's first failure is the failing σ least by the key
+    σ.translate(01→10): on one level the last failing node, across levels
+    the least of those.  Past m's depth budget the walk reads the child of
+    "1"·budget after checking only that node's ancestors, so it raises
+    there unless one of them fails."""
+    reach = min(depth, m.depth_budget)
+    parents, parent_den = m.level(0)
+    first = None  # (key, report) of the first failure so far
+    for k in range(1, reach + 1):
+        ints, den = m.level(k)
+        bad = _unbalanced(parents, parent_den, ints, den, 2)
+        if bad:
+            i = bad[-1]
+            s = bit_string(k - 1, i)
+            key = s.translate(_ONE_FIRST)
+            if first is None or key < first[0]:
+                v0, v1 = Fraction(ints[2 * i], den), Fraction(ints[2 * i + 1], den)
+                first = key, _unfair(s, Fraction(parents[i], parent_den), v0, v1)
+        parents, parent_den = ints, den
+    if reach < depth and (first is None or "1" in first[0]):
+        m.value("1" * reach + "0")  # past the depth budget: raises
+    return FairnessReport(True) if first is None else first[1]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product, repeat
-from operator import add
 from typing import Callable
 
 from .cauchy import ModulusFunction, ceil_log2
@@ -33,6 +32,7 @@ from .errors import (
 from .intervals import (
     _check_bits,
     _product_level,
+    _unbalanced,
     _with_level,
     bit_string,
     bit_strings,
@@ -210,20 +210,16 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
     # two levels at a time, each as ints over its own denominator
     for k in range(depth + 1):
         masses, den = mu.level(k) if k else (parents, parent_den)
-        if k:
-            names = None  # the parents' strings, built only to name a failed record
-            sums = map(add, masses[::2], masses[1::2])
-            for i, (v, total) in enumerate(zip(parents, sums)):
-                if v * den != total * parent_den:
-                    names = names or bit_strings(k - 1)
-                    checks.append(
-                        CheckRecord(
-                            f"additivity[{names[i] or 'ε'}]",
-                            False,
-                            f"{format_rational(Fraction(v, parent_den))} != "
-                            f"{format_rational(Fraction(total, den))}",
-                        )
-                    )
+        for i in _unbalanced(parents, parent_den, masses, den) if k else ():
+            total = masses[2 * i] + masses[2 * i + 1]
+            checks.append(
+                CheckRecord(
+                    f"additivity[{bit_string(k - 1, i) or 'ε'}]",
+                    False,
+                    f"{format_rational(Fraction(parents[i], parent_den))} != "
+                    f"{format_rational(Fraction(total, den))}",
+                )
+            )
         if negative is None and min(masses) < 0:
             i = next(i for i, m in enumerate(masses) if m < 0)
             s = bit_strings(k)[i] or "ε"

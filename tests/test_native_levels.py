@@ -4,7 +4,7 @@ A product form (uniform, Bernoulli, split_bet, constant, all_in_on_0), an
 induced measure and a savings result carry a native `level` on their mass
 or capital callable; `CylinderMeasure.level` and `Martingale.level` read it.
 Each property checks that a native level equals `ref.level`, one read per
-string, as rationals, and that the five level consumers give on these
+string, as rationals, and that the six level consumers give on these
 objects what their oracles give.  The properties of test_levels.py draw
 only tables, which take the per-node path.
 """
@@ -16,13 +16,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
-from oracles import outcome
+from oracles import outcome, recorded_outcome
 from randlab.errors import BudgetExceeded, InvariantViolation, ParseError
 from randlab.intervals import _with_level, bit_strings, over_lcm
 from randlab.markov import half_fn, square_fn
 from randlab.martingales import (
+    FairnessReport,
     Martingale,
     all_in_on_0,
+    check_fairness,
     constant_martingale,
     savings_growth_constants,
     savings_transform,
@@ -61,6 +63,13 @@ induced_measures = st.sampled_from(sorted(FUNCTIONALS)).map(
 product_martingales = (
     stakes.map(split_bet) | capitals.map(constant_martingale) | st.just(all_in_on_0())
 )
+
+
+def with_native_level(m, depth_budget=None):
+    """m, its capitals also given as a native level read per string."""
+    level = lambda k: over_lcm(map(m.value_at, bit_strings(k)))  # noqa: E731
+    budget = m.depth_budget if depth_budget is None else depth_budget
+    return Martingale("native", _with_level(m.value_at, level), budget)
 
 
 def rationals(level):
@@ -142,10 +151,7 @@ def test_negative_capital_raises_at_the_first_in_level_order(k, data):
     capitals_ = data.draw(st.lists(st.integers(-2, 3), min_size=2**k, max_size=2**k))
     table = dict(zip(bit_strings(k), map(Fraction, capitals_)))
     opaque = table_martingale(table)
-    # the same capitals as a native level
-    native = Martingale(
-        "native", _with_level(opaque.value_at, lambda j: over_lcm(map(opaque.value_at, bit_strings(j))))
-    )
+    native = with_native_level(opaque)
     got = outcome(native.level, k, catch=InvariantViolation)
     assert got == outcome(opaque.level, k, catch=InvariantViolation)
     first = next((s for s in bit_strings(k) if table[s] < 0), None)
@@ -216,3 +222,128 @@ def test_opaque_savings_skips_last_level_children_of_a_zero_capital():
     assert [saved.value(s) for s in nodes] == [expected.value(s) for s in nodes]
     with pytest.raises(ParseError):
         savings_transform(m, 3)
+
+
+# --- fairness: the level pass against the depth-first walk
+
+FAIRNESS_BUILTINS = [
+    split_bet(Fraction(3, 4)),
+    split_bet(Fraction(0)),
+    split_bet(Fraction(1)),
+    all_in_on_0(),
+    constant_martingale(),
+    constant_martingale(Fraction(0)),
+]
+FAIRNESS_SAVINGS = [savings_transform(m, d) for m in FAIRNESS_BUILTINS[::3] for d in (0, 5, 10)]
+
+
+def tree(depth):
+    """{0,1}^{<depth} in level order."""
+    return [s for k in range(depth) for s in bit_strings(k)]
+
+
+def preorder(depth):
+    """{0,1}^{<depth} in the depth-first preorder that visits "1" first."""
+    return sorted(tree(depth), key=lambda s: s.translate(str.maketrans("01", "10")))
+
+
+@st.composite
+def planted_tables(draw):
+    """A fair table on {0,1}^{<=depth} with capitals raised at a few drawn
+    strings of either subtree; whether it is given to its own depth as a
+    native level's budget (else to 16); and a depth to check it to, at most
+    one past the budget."""
+    depth = draw(st.integers(1, 6))
+    table = {"": draw(capitals)}
+    for s in tree(depth + 1)[1:]:
+        if s.endswith("0"):
+            table[s] = 2 * table[s[:-1]] * draw(st.fractions(0, 1, max_denominator=4))
+        else:
+            table[s] = 2 * table[s[:-1]] - table[s[:-1] + "0"]
+    for s in draw(st.lists(st.sampled_from(sorted(table)), max_size=4)):
+        table[s] += draw(st.fractions(0, 2, max_denominator=3).filter(bool))
+    at_budget = draw(st.booleans())
+    return depth, table, at_budget, draw(st.integers(-1, depth + at_budget))
+
+
+# failures at "0" and "10": the walk meets the deeper one under "1" first
+UNDER_0_AND_10 = {s: Fraction(0) for s in bit_strings(3)}
+UNDER_0_AND_10.update({"": Fraction(1), "0": Fraction(1), "1": Fraction(1), "00": Fraction(4),
+                       "01": Fraction(0), "10": Fraction(1), "11": Fraction(1),
+                       "110": Fraction(2)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_tables())
+@example((3, UNDER_0_AND_10, False, 3))
+@example((3, UNDER_0_AND_10, True, 4))
+def test_fairness_level_pass_matches_the_dfs(case):
+    depth, table, at_budget, d = case
+    opaque = table_martingale(table)
+    # given to its depth, a table reads past it as a budget error, on both
+    # paths; given to 16, the depth asked stays within the table
+    native = with_native_level(opaque, depth if at_budget else None)
+    got = outcome(check_fairness, native, d, catch=BudgetExceeded)
+    assert got == outcome(ref.check_fairness, native, d, catch=BudgetExceeded)
+    if not at_budget:
+        assert got == outcome(check_fairness, opaque, d)
+    # a savings result of the table carries a native level, and its depth
+    # as its budget, fair or not
+    saved = savings_transform(opaque, depth)
+    assert outcome(check_fairness, saved, d + 1, catch=BudgetExceeded) == outcome(
+        ref.check_fairness, saved, d + 1, catch=BudgetExceeded
+    )
+
+
+def test_fairness_names_the_first_failure_in_one_first_preorder():
+    native = with_native_level(table_martingale(UNDER_0_AND_10))
+    assert check_fairness(native, 3).violation == "fairness fails at '10': 2·1 != 0 + 0"
+    assert check_fairness(native, 2).violation == "fairness fails at '0': 2·1 != 4 + 0"
+
+
+@pytest.mark.parametrize("m", FAIRNESS_BUILTINS + FAIRNESS_SAVINGS, ids=lambda m: m.name)
+def test_fairness_level_pass_matches_the_dfs_on_builtins(m):
+    for d in range(-1, 14):
+        got = outcome(check_fairness, m, d, catch=BudgetExceeded)
+        assert got == outcome(ref.check_fairness, m, d, catch=BudgetExceeded)
+
+
+def test_fairness_past_a_savings_budget_raises_as_the_dfs():
+    saved = savings_transform(split_bet(Fraction(3, 4)), 10)
+    got = outcome(check_fairness, saved, 12, catch=BudgetExceeded)
+    assert got == outcome(ref.check_fairness, saved, 12, catch=BudgetExceeded)
+    assert got == (BudgetExceeded, "|sigma| 11 > depth_budget (10)")
+
+
+@pytest.mark.parametrize("d", [1, 4, 12])
+def test_fairness_path_without_a_native_level_is_the_dfs(d):
+    # recorded_outcome wraps value_at, which hides the native level
+    (_, rep), calls = recorded_outcome(check_fairness, split_bet(Fraction(3, 4)), d)
+    assert rep.ok
+    assert calls == [t for s in preorder(d) for t in (s, s + "0", s + "1")]
+    assert len(calls) == 3 * (2**d - 1)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4, 12])
+def test_fairness_path_with_a_native_level_reads_levels_only(d):
+    m, reads = split_bet(Fraction(3, 4)), []
+
+    def value_at(s):
+        raise AssertionError(f"per-node read of {s!r}")
+
+    value_at.level = lambda k: reads.append(k) or m.value_at.level(k)
+    assert check_fairness(dataclasses.replace(m, value_at=value_at), d).ok
+    assert reads == list(range(d + 1 if d else 0))
+
+
+def test_fairness_level_pass_raises_at_a_negative_capital_the_dfs_skips():
+    # the walk fails at "1" before it reads "00"; the level pass reads level
+    # 2 whole and refuses the negative capital there
+    table = {"": Fraction(1), "0": Fraction(1), "1": Fraction(1), "00": Fraction(-1),
+             "01": Fraction(3), "10": Fraction(0), "11": Fraction(0)}
+    opaque = table_martingale(table)
+    expected = FairnessReport(False, "fairness fails at '1': 2·1 != 0 + 0")
+    assert check_fairness(opaque, 2) == ref.check_fairness(opaque, 2) == expected
+    assert outcome(check_fairness, with_native_level(opaque), 2, catch=InvariantViolation) == (
+        InvariantViolation, "negative capital at '00'"
+    )
