@@ -1,14 +1,14 @@
 """Exact rational intervals, finite unions, and Lebesgue measure.
 
-Endpoints are `fractions.Fraction`s; there is no rounding anywhere in this
-module.  Open/closed endpoint flags are carried explicitly: measure ignores
-endpoints, membership queries must not.  The hot order checks compare ints,
-not Fractions: an interval's lo <= hi and `normalize_union`'s canonical check
-cross-multiply numerators and denominators, and `parse_interval` builds both
-endpoints from the integers that one pattern matched.  A canonical union is
-sorted and disjoint, so its membership queries (`contains`,
-`witness_containing`, `disjoint_from_interval`) bisect its parts by their
-left ends in place of scanning them.
+There is no rounding anywhere in this module.  Open/closed endpoint flags
+are carried explicitly: measure ignores endpoints, membership queries must
+not.  A `RationalInterval` has `Fraction` endpoints; an `IntervalUnion`
+holds its ends as ints over their least common denominator.  One pattern
+reads "[p/q,r/s)" into ints for `parse_interval` and for the union decoder
+`parse_union`.  The canonical check, `measure`, the coverage sweep and the
+string forms read those ints, and membership bisects them and
+cross-multiplies them with the query; Fractions are built only where a
+value leaves a union: `parts`, a witness, a measure.
 
 The Cantor-space helpers list {0,1}^n and {0,1}^{<=d} in one order each
 (`bit_strings`, `tree_strings`) and write rationals as ints over one
@@ -24,8 +24,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, attrgetter, itemgetter, mul, ne
+from itertools import compress, count, groupby, repeat
+from operator import add, itemgetter, mul, ne
 from typing import Any, Iterable, NoReturn, Optional, Sequence
 
 from .errors import ParseError
@@ -38,7 +38,6 @@ _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 _INTERVAL = re.compile(
     rf"\s*([\[(])\s*{_RATIONAL.pattern}\s*,\s*{_RATIONAL.pattern}\s*([\])])\s*"
 )
-_LO = attrgetter("lo")
 _INDEX_TEXT = re.compile(r"-?[0-9]+")
 
 
@@ -88,7 +87,7 @@ class RationalInterval:
     hi_open: bool = False
 
     def __post_init__(self) -> None:
-        d = _cross(self.lo, self.hi)
+        d = self.lo.numerator * self.hi.denominator - self.hi.numerator * self.lo.denominator
         if d > 0:
             raise ValueError(f"lo > hi: {self.lo} > {self.hi}")
         if d == 0 and (self.lo_open or self.hi_open):
@@ -105,50 +104,33 @@ class RationalInterval:
             return not self.hi_open
         return self.lo < q < self.hi
 
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        """Whether every point of `other` lies in `self`."""
-        lo_ok = self.lo < other.lo or (
-            self.lo == other.lo and (not self.lo_open or other.lo_open)
-        )
-        hi_ok = other.hi < self.hi or (
-            other.hi == self.hi and (not self.hi_open or other.hi_open)
-        )
-        return lo_ok and hi_ok
-
-    def disjoint_from(self, other: "RationalInterval") -> bool:
-        """Whether the two intervals share no point."""
-        if self.hi < other.lo or other.hi < self.lo:
-            return True
-        if self.hi == other.lo:
-            return self.hi_open or other.lo_open
-        if other.hi == self.lo:
-            return other.hi_open or self.lo_open
-        return False
-
     def __str__(self) -> str:
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"
         return f"{lb}{format_rational(self.lo)},{format_rational(self.hi)}{rb}"
 
 
-def _cross(x: Fraction, y: Fraction) -> int:
-    """An int with the sign of x - y, by cross-multiplication."""
-    return x.numerator * y.denominator - y.numerator * x.denominator
-
-
 def parse_interval(text: str) -> RationalInterval:
     """Parse "[lo,hi)" style interval strings; brackets encode openness.
 
-    One pattern reads the whole string, and each endpoint is built from the
-    integers it matched."""
+    `_interval_ints` reads the whole string, and each endpoint is built from
+    the integers it read."""
+    v = _interval_ints(text)
+    if v is None:
+        _refuse_interval(text)
+    lo_open, p, q, r, s, hi_open = v
+    return RationalInterval(Fraction(p, q), Fraction(r, s), lo_open, hi_open)
+
+
+def _interval_ints(text: Any) -> Optional[tuple[bool, int, int, int, int, bool]]:
+    """A "[p/q,r/s)" string as (lo_open, p, q, r, s, hi_open), read by one
+    pattern (q, s > 0; an absent one reads as 1); None for any other value."""
     m = _INTERVAL.fullmatch(text) if isinstance(text, str) else None
     if m is None:
-        _refuse_interval(text)
+        return None
     lb, p, q, r, s, rb = m.groups()
     q, s = int(q or 1), int(s or 1)
-    if not (q and s):
-        _refuse_interval(text)
-    return RationalInterval(Fraction(int(p), q), Fraction(int(r), s), lb == "(", rb == ")")
+    return (lb == "(", int(p), q, int(r), s, rb == ")") if q and s else None
 
 
 def _refuse_interval(text: Any) -> NoReturn:
@@ -170,52 +152,123 @@ def format_interval(iv: RationalInterval) -> str:
     return str(iv)
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A canonical finite union: parts sorted, pairwise disjoint, non-touching."""
+def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The rationals as (ints, den): value i is ints[i]/den, where den is the
+    lcm of their denominators (1 for no values)."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in pairs})
+    return [n * (den // d) for n, d in pairs], den
 
-    parts: tuple[RationalInterval, ...]
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
+class IntervalUnion:
+    """A finite union of intervals, held as ints over one denominator.
+
+    `ends` lists lo₀, hi₀, lo₁, hi₁, … as ints over `den`, the least common
+    denominator of the endpoints, and `opens` the open flag of each end, so
+    equal parts give equal fields.  `IntervalUnion(parts)` keeps the
+    `RationalInterval`s as given; `normalize_union` and `parse_union` give the
+    canonical union: parts sorted, pairwise disjoint, non-touching.  `parts`
+    builds the `RationalInterval`s on demand.
+    """
+
+    ends: tuple[int, ...]
+    den: int
+    opens: tuple[bool, ...]
+
+    def __init__(self, parts: Iterable[RationalInterval] = ()) -> None:
+        parts = tuple(parts)
+        ends, den = over_lcm(q for p in parts for q in (p.lo, p.hi))
+        _fill(self, ends, den, [f for p in parts for f in (p.lo_open, p.hi_open)])
+
+    @property
+    def parts(self) -> tuple[RationalInterval, ...]:
+        return tuple(map(self._part, range(0, len(self.ends), 2)))
+
+    def _part(self, j: int) -> RationalInterval:
+        """The part whose lo is ends[j]."""
+        e, o = self.ends, self.opens
+        return RationalInterval(Fraction(e[j], self.den), Fraction(e[j + 1], self.den), o[j], o[j + 1])
 
     @property
     def measure(self) -> Fraction:
-        ends, den = over_lcm(q for p in self.parts for q in (p.lo, p.hi))
-        return Fraction(sum(ends[1::2]) - sum(ends[::2]), den)
+        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.den)
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.ends
 
-    # The parts' left ends strictly increase, and a part ends before the
-    # next one starts or at an end both leave open.  So the last part that
-    # starts at or left of a point is the only part that can hold it, and
-    # the parts that meet an interval are that part for its left end and
-    # those after it that start at or left of its right end.
+    # In a canonical union the ends never decrease, and a part ends before
+    # the next one starts or at an end both leave open.  So the last part
+    # that starts at or left of a point is the only part that can hold it,
+    # and the parts that meet an interval are that part for its left end and
+    # those after it that start at or left of its right end.  An end e is
+    # compared with a point n/d as e·d with n·den.
 
-    def _last_starting_by(self, x: Fraction) -> int:
-        """The index of the last part whose lo is <= x; -1 for none."""
-        return bisect_right(self.parts, x, key=_LO) - 1
+    def _scaled(self, q: Fraction) -> tuple[int, int]:
+        """(n·den, d) for q = n/d."""
+        n, d = q.as_integer_ratio()
+        return n * self.den, d
+
+    def _start_by(self, x: int, d: int) -> int:
+        """The index in `ends` of the lo of the last part that starts at or
+        left of x/(d·den), -2 for none."""
+        return (bisect_right(self.ends, x, key=d.__mul__) - 1) // 2 * 2
 
     def contains(self, q: Fraction) -> bool:
-        i = self._last_starting_by(q)
-        return i >= 0 and self.parts[i].contains(q)
+        return self.witness_containing(RationalInterval(q, q)) is not None
 
     def witness_containing(self, iv: RationalInterval) -> RationalInterval | None:
         """The part (if any) containing every point of `iv`."""
-        i = self._last_starting_by(iv.lo)
-        if i >= 0 and self.parts[i].contains_interval(iv):
-            return self.parts[i]
-        return None
+        (a, b), (c, d) = self._scaled(iv.lo), self._scaled(iv.hi)
+        j, e, o = self._start_by(a, b), self.ends, self.opens
+        if j < 0:
+            return None
+        lo, hi = e[j] * b - a, e[j + 1] * d - c
+        lo_ok = lo < 0 or not o[j] or iv.lo_open
+        hi_ok = hi > 0 or hi == 0 and (not o[j + 1] or iv.hi_open)
+        return self._part(j) if lo_ok and hi_ok else None
 
     def disjoint_from_interval(self, iv: RationalInterval) -> bool:
-        first = max(self._last_starting_by(iv.lo), 0)
-        end = self._last_starting_by(iv.hi) + 1
-        return all(p.disjoint_from(iv) for p in self.parts[first:end])
+        (a, b), (c, d) = self._scaled(iv.lo), self._scaled(iv.hi)
+        e, o = self.ends, self.opens
+        for j in range(max(self._start_by(a, b), 0), self._start_by(c, d) + 2, 2):
+            # part j meets iv where its hi reaches iv.lo and iv.hi reaches its lo
+            hi, lo = e[j + 1] * b - a, c - e[j] * d
+            if (hi > 0 or hi == 0 and not (o[j + 1] or iv.lo_open)) and (
+                lo > 0 or lo == 0 and not (iv.hi_open or o[j])
+            ):
+                return False
+        return True
+
+    def strings(self) -> list[str]:
+        """Each part as its "[p/q,r/s)" string, endpoints in lowest terms."""
+        e, o, den = self.ends, self.opens, self.den
+        return [f'{"[("[o[j]]}{_ratio(e[j], den)},{_ratio(e[j + 1], den)}{"])"[o[j + 1]]}'
+                for j in range(0, len(e), 2)]
 
     def __str__(self) -> str:
-        return " ∪ ".join(str(p) for p in self.parts) if self.parts else "∅"
+        return " ∪ ".join(self.strings()) if self.ends else "∅"
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(parts={self.parts!r})"
 
 
-EMPTY_UNION = IntervalUnion(parts=())
+def _fill(u: IntervalUnion, ends: Sequence[int], den: int, opens: Sequence[bool]) -> IntervalUnion:
+    """`u` with this int form, whose `den` is the least common denominator."""
+    object.__setattr__(u, "ends", tuple(ends))
+    object.__setattr__(u, "den", den)
+    object.__setattr__(u, "opens", tuple(opens))
+    return u
+
+
+def _ratio(n: int, den: int) -> str:
+    """n/den as "p/q" in lowest terms."""
+    g = math.gcd(n, den)
+    return f"{n // g}/{den // g}"
+
+
+EMPTY_UNION = IntervalUnion(())
 
 
 def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
@@ -225,12 +278,46 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
     their set union is itself an interval.  Parts that are already canonical
     come back unchanged after one linear check.
     """
-    parts = tuple(intervals)
-    for a, b in zip(parts, parts[1:]):
-        d = _cross(a.hi, b.lo)
-        if d > 0 or d == 0 and not (a.hi_open and b.lo_open):
-            return _components(parts, 1)
-    return IntervalUnion(parts)
+    u = IntervalUnion(intervals)
+    return _canonical(u.ends, u.den, u.opens)
+
+
+def parse_union(texts: Iterable[Any]) -> IntervalUnion:
+    """normalize_union(parse_interval(t) for t in texts), read as ints.
+
+    Each string is read by `_interval_ints` and its lo <= hi checked by
+    cross-multiplying; a string refused by either goes to `parse_interval`,
+    which raises its error.  The ends are scaled to the lcm of the
+    denominators as written and reduced by one gcd; no Fraction is built."""
+    nums, dens, opens = [], [], []
+    for text in texts:
+        v = _interval_ints(text)
+        if v is None or _misordered(*v):
+            parse_interval(text)  # raises the error for this string
+        lo_open, p, q, r, s, hi_open = v
+        nums += p, r
+        dens += q, s
+        opens += lo_open, hi_open
+    den = math.lcm(*set(dens))
+    ends = [n * (den // d) for n, d in zip(nums, dens)]
+    g = math.gcd(den, *ends)
+    return _canonical([e // g for e in ends], den // g, opens)
+
+
+def _misordered(lo_open: bool, p: int, q: int, r: int, s: int, hi_open: bool) -> bool:
+    """Whether p/q > r/s, or p/q == r/s with an open end (q, s > 0)."""
+    d = p * s - r * q
+    return d > 0 or d == 0 and (lo_open or hi_open)
+
+
+def _canonical(ends: Sequence[int], den: int, opens: Sequence[bool]) -> IntervalUnion:
+    """The canonical union of the parts with this int form: the parts as
+    they are when each ends before the next starts (or both leave the end
+    they share open), else their maximal runs."""
+    for i in range(1, len(ends) - 1, 2):
+        if ends[i] > ends[i + 1] or ends[i] == ends[i + 1] and not (opens[i] and opens[i + 1]):
+            return _components(ends, den, opens, 1)
+    return _fill(object.__new__(IntervalUnion), ends, den, opens)
 
 
 def dyadic_value(sigma: str) -> Fraction:
@@ -267,14 +354,6 @@ def tree_strings(depth: int) -> list[str]:
     node h is bin(h + 1)[3:], its children are nodes 2h + 1 and 2h + 2 and
     its parent is node (h - 1) // 2; [] for a negative depth."""
     return [bin(h)[3:] for h in range(1, 2 ** (depth + 1))] if depth >= 0 else []
-
-
-def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """The rationals as (ints, den): value i is ints[i]/den, where den is the
-    lcm of their denominators (1 for no values)."""
-    pairs = [v.as_integer_ratio() for v in values]
-    den = math.lcm(*{d for _, d in pairs})
-    return [n * (den // d) for n, d in pairs], den
 
 
 def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
@@ -329,13 +408,15 @@ def coverage_at_least(
         raise ValueError("threshold must be positive")
     if threshold > len(unions):
         return EMPTY_UNION
-    return _components(
-        [p for u in unions for p in normalize_union(u.parts).parts], threshold
-    )
+    canonical = [_canonical(u.ends, u.den, u.opens) for u in unions]
+    den = math.lcm(*(u.den for u in canonical))
+    ends = [e * (den // u.den) for u in canonical for e in u.ends]
+    return _components(ends, den, [f for u in canonical for f in u.opens], threshold)
 
 
-def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUnion:
-    """The points lying in at least `threshold` of `parts`, as maximal runs.
+def _components(ends: Sequence[int], den: int, opens: Sequence[bool], threshold: int) -> IntervalUnion:
+    """The points lying in at least `threshold` of the parts with this int
+    form, as maximal runs.
 
     Coverage is constant on each open segment between consecutive endpoints
     and changes only by the parts that start or end at an endpoint; the
@@ -343,37 +424,31 @@ def _components(parts: Sequence[RationalInterval], threshold: int) -> IntervalUn
     A run opens where the count reaches the threshold and closes where it
     drops, so the runs come out sorted, disjoint and non-touching.
     """
-    # (scaled x, x, change of the count at x, change of the count right of
-    # x), both changes measured from the count just left of x; x is scaled
-    # to an integer over one common denominator, so the sort and the
-    # grouping compare ints, not Fractions
-    events: list[tuple[int, Fraction, int, int]] = []
-    ends = over_lcm(q for p in parts for q in (p.lo, p.hi))[0]
-    for p, lo, hi in zip(parts, ends[::2], ends[1::2]):
+    # (end, change of the count at the end, change of the count right of
+    # it), both changes measured from the count just left of the end
+    events: list[tuple[int, int, int]] = []
+    for lo, hi, lo_open, hi_open in zip(ends[::2], ends[1::2], opens[::2], opens[1::2]):
         if lo == hi:
-            events.append((lo, p.lo, 1, 0))
+            events.append((lo, 1, 0))
         else:
-            events.append((lo, p.lo, 0 if p.lo_open else 1, 1))
-            events.append((hi, p.hi, -1 if p.hi_open else 0, -1))
-    events.sort(key=itemgetter(0))
-    runs: list[RationalInterval] = []
-    run: tuple[Fraction, bool] | None = None  # (lo, lo_open) of the open run
+            events.append((lo, 0 if lo_open else 1, 1))
+            events.append((hi, -1 if hi_open else 0, -1))
+    events.sort()
+    runs: list[int] = []  # the runs' ends, and their open flags
+    flags: list[bool] = []
     seg = 0
-    i, n = 0, len(events)
-    while i < n:
-        key, x = events[i][:2]
+    for x, group in groupby(events, itemgetter(0)):
+        left = seg >= threshold
         at = seg
-        while i < n and events[i][0] == key:
-            at += events[i][2]
-            seg += events[i][3]
-            i += 1
-        if at >= threshold:
-            run = run or (x, False)
-            if seg < threshold:
-                runs.append(RationalInterval(run[0], x, run[1], False))
-                run = None
-        else:
-            if run:
-                runs.append(RationalInterval(run[0], x, run[1], True))
-            run = (x, True) if seg >= threshold else None
-    return IntervalUnion(tuple(runs))
+        for _, at_x, right_of_x in group:
+            at += at_x
+            seg += right_of_x
+        # a run ends or starts at x where x's cover differs from the cover
+        # just left of x, and again where it differs from the cover right of
+        # x; x is in the run exactly when x is covered
+        covered = at >= threshold
+        edges = (left != covered) + ((seg >= threshold) != covered)
+        runs += [x] * edges
+        flags += [not covered] * edges
+    g = math.gcd(den, *runs)
+    return _fill(object.__new__(IntervalUnion), [x // g for x in runs], den // g, flags)

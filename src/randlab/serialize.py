@@ -21,9 +21,9 @@ from .intervals import (
     _as_index,
     format_interval,
     format_rational,
-    normalize_union,
     parse_interval,
     parse_rational,
+    parse_union,
 )
 from .martingales import Martingale, all_in_on_0, constant_martingale, split_bet, table_martingale
 from .randomness import COMPONENT_INDEX_BUDGET, TestFamily, TestKind
@@ -38,7 +38,7 @@ SCHEMA_VERSION = "0.1.0"
 
 
 def _union_to_json(u: IntervalUnion) -> list[str]:
-    return [format_interval(p) for p in u.parts]
+    return u.strings()
 
 
 def test_family_to_json(t: TestFamily) -> dict[str, Any]:
@@ -182,7 +182,10 @@ def _union(value: Any, name: str) -> IntervalUnion:
     """A list of interval strings, as their canonical union."""
     if not isinstance(value, list):
         raise ParseError(f"{name} is a list of interval strings, got {value!r}")
-    return normalize_union([_interval(p, name) for p in value])
+    try:
+        return parse_union(value)
+    except (ParseError, ValueError) as exc:
+        raise ParseError(f"{name}: {exc}") from exc
 
 
 class ObjectOf(NamedTuple):

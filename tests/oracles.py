@@ -338,18 +338,42 @@ def contains(u: IntervalUnion, q: Fraction) -> bool:
 
 
 def witness_containing(u: IntervalUnion, iv: RationalInterval):
-    """`IntervalUnion.witness_containing` before bisection: the first part,
-    in order, that contains every point of `iv`."""
+    """`IntervalUnion.witness_containing` before the int form: the first
+    part, in order, that contains every point of `iv`, by Fraction
+    comparisons."""
     for p in u.parts:
-        if p.contains_interval(iv):
+        lo_ok = p.lo < iv.lo or (p.lo == iv.lo and (not p.lo_open or iv.lo_open))
+        hi_ok = iv.hi < p.hi or (iv.hi == p.hi and (not p.hi_open or iv.hi_open))
+        if lo_ok and hi_ok:
             return p
     return None
 
 
 def disjoint_from_interval(u: IntervalUnion, iv: RationalInterval) -> bool:
-    """`IntervalUnion.disjoint_from_interval` before bisection: every part
-    is asked."""
-    return all(p.disjoint_from(iv) for p in u.parts)
+    """`IntervalUnion.disjoint_from_interval` before the int form: every
+    part is asked, by Fraction comparisons."""
+
+    def disjoint(p):
+        if p.hi < iv.lo or iv.hi < p.lo:
+            return True
+        if p.hi == iv.lo:
+            return p.hi_open or iv.lo_open
+        if iv.hi == p.lo:
+            return iv.hi_open or p.lo_open
+        return False
+
+    return all(map(disjoint, u.parts))
+
+
+def parse_union(texts) -> IntervalUnion:
+    """The union decode that reading ints over one denominator replaced:
+    each string parsed to Fractions, then the sort-and-merge."""
+    return normalize_union(parse_interval(t) for t in texts)
+
+
+def _union_to_json(u: IntervalUnion) -> list[str]:
+    """`serialize._union_to_json` before the int form: each part's string."""
+    return [str(p) for p in u.parts]
 
 
 def normalize_union(intervals) -> IntervalUnion:
@@ -729,9 +753,11 @@ def _index_set(value, what):
 
 
 def _union_from_json(parts):
+    """The union decode, read through the lab's `parse_union` looked up when
+    called, so a lab run on the oracles reads it through its own oracle."""
     if not isinstance(parts, list):
         raise TypeError(f"a union is a list of interval strings, got {parts!r}")
-    return normalize_union(parse_interval(p) for p in parts)
+    return intervals.parse_union(parts)
 
 
 @_decoder("test_family")

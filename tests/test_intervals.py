@@ -23,6 +23,7 @@ from randlab.intervals import (
     over_lcm,
     parse_interval,
     parse_rational,
+    parse_union,
 )
 from randlab.randomness import TestFamily, TestKind, convert_solovay_to_ml
 
@@ -214,7 +215,7 @@ def test_normalize_union_is_canonical(ivs):
     parts = u.parts
     for a, b in zip(parts, parts[1:]):
         assert a.hi <= b.lo
-        assert a.disjoint_from(b)
+        assert ref.disjoint_from_interval(IntervalUnion((a,)), b)
     # idempotent
     assert normalize_union(parts) == u
 
@@ -415,6 +416,115 @@ def test_coverage_rejects_non_positive_threshold():
     for threshold in (0, -1):
         with pytest.raises(ValueError):
             coverage_at_least([], threshold)
+
+
+# --- unions decoded as ints over one denominator
+
+# endpoints over dyadic and non-dyadic denominators, negative ones included
+union_ends = st.builds(
+    Fraction, st.integers(-4, 16), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12, 97])
+)
+scripts = st.sampled_from(["0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९"])
+
+
+@st.composite
+def interval_spellings(draw):
+    """One interval as two strings that parse_interval accepts: its ends in
+    lowest terms, and each end as (n·k)/(d·k) in one script of digits, with
+    blanks around it.  A point is closed."""
+    lo, hi = sorted((draw(union_ends), draw(union_ends)))
+    lo_open, hi_open = (False, False) if lo == hi else (draw(st.booleans()), draw(st.booleans()))
+    digits = str.maketrans("0123456789", draw(scripts))
+
+    def spelled(q):
+        k = draw(st.integers(1, 4))
+        return draw(blanks) + f"{q.numerator * k}/{q.denominator * k}".translate(digits) + draw(blanks)
+
+    lb, rb = "[("[lo_open], "])"[hi_open]
+    return str(RationalInterval(lo, hi, lo_open, hi_open)), f"{lb}{spelled(lo)},{spelled(hi)}{rb}"
+
+
+interval_texts = interval_spellings().map(lambda pair: pair[1])
+
+
+# strings that parse_interval refuses, by pattern, by a zero denominator or by
+# the order of their ends, and values that are not strings
+bad_texts = st.one_of(
+    malformed,
+    st.sampled_from(["[3/4,2/4]", "(1/2,2/4]", "[1/2,2/4)", "[1/0,1)", "[0,1/0)", "[1/2 1/2]"]),
+    st.integers(),
+    st.none(),
+)
+
+
+@st.composite
+def union_text_lists(draw):
+    """Up to 8 interval strings, in any order, touching, overlapping or
+    repeated, and sometimes one bad string at a random index."""
+    texts = draw(st.lists(interval_texts, max_size=8))
+    if draw(st.booleans()):
+        texts.insert(draw(st.integers(0, len(texts))), draw(bad_texts))
+    return texts
+
+
+@settings(max_examples=500, deadline=None)
+@given(union_text_lists())
+@example(["[2/4,6/8]", "(0/3,1/3)", "[1/3,1/2)"])
+@example(["(1/3,1/2)", "[1/2,1/2]", "(-1/7,0/9)", "[3/2,1/2]"])
+@example(["[0,1/2]", "[1/2,2/4)", "[0/1,1/2]"])
+@example([" ( ٠/٣ , ١/٣ ) ", "[1/0,1)"])
+def test_parse_union_equals_reference(texts):
+    # an equal union with equal parts and measure, or an error of the same
+    # type with the same message
+    got, want = outcome(parse_union, texts), outcome(ref.parse_union, texts)
+    assert got == want
+    if got[0] is IntervalUnion:
+        u, v = got[1], want[1]
+        assert u.parts == v.parts
+        assert u.measure == ref.measure(v)
+        assert u.den == math.lcm(*(x.denominator for p in v.parts for x in (p.lo, p.hi)))
+
+
+@given(st.lists(interval_spellings(), max_size=6))
+@example([("[1/2,3/4]", "[2/4,6/8]")])
+def test_unreduced_spellings_decode_to_equal_unions(pairs):
+    u = parse_union([lowest for lowest, _ in pairs])
+    v = parse_union([spelled for _, spelled in pairs])
+    assert u == v and hash(u) == hash(v)
+    assert u.strings() == v.strings() == [str(p) for p in u.parts]
+
+
+def test_empty_union_fields_and_repr():
+    assert EMPTY_UNION == IntervalUnion(()) == parse_union([])
+    assert (EMPTY_UNION.ends, EMPTY_UNION.den, EMPTY_UNION.opens) == ((), 1, ())
+    assert repr(EMPTY_UNION) == "IntervalUnion(parts=())"
+    u = parse_union(["(0/3,1/3)", "[1/2,3/4]"])
+    assert repr(u) == f"IntervalUnion(parts={u.parts!r})"
+    assert repr(u).count("RationalInterval(") == 2
+
+
+@given(st.lists(any_interval, max_size=6))
+def test_raw_union_keeps_its_parts(ivs):
+    # IntervalUnion(parts) keeps unsorted, overlapping parts as given
+    assert IntervalUnion(ivs).parts == tuple(ivs)
+
+
+# window ends over denominators prime to the unions' (which divide
+# 2^2·3^2·7·97), on the unions' grid and on the unions' own ends
+window_ends = st.builds(Fraction, st.integers(-30, 200), st.sampled_from([5, 11, 13, 55, 143]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_membership_with_unrelated_denominators_equals_reference(data):
+    u = parse_union(data.draw(st.lists(interval_texts, max_size=8)))
+    ends = [x for p in u.parts for x in (p.lo, p.hi)]
+    point = st.one_of(window_ends, union_ends, st.sampled_from(ends)) if ends else window_ends
+    window = data.draw(st.builds(_interval, point, point, st.booleans(), st.booleans()))
+    q = data.draw(point)
+    assert u.witness_containing(window) == ref.witness_containing(u, window)
+    assert u.disjoint_from_interval(window) == ref.disjoint_from_interval(u, window)
+    assert u.contains(q) == ref.contains(u, q)
 
 
 solovay_components = st.dictionaries(
