@@ -7,7 +7,9 @@ of dyadic prefixes along the quantile coupling.
 
 Whole levels {0,1}^k of masses come from `CylinderMeasure.level` as ints over
 one denominator: a product form builds each child from its parent, an induced
-measure reads its tally, and any other mass callable is read once per string.
+measure returns its tally, and any other mass callable is read once per
+string.  A tally is ints from enumeration on: for output length k, the count
+of each output indexed by the output read as a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 """
 
@@ -55,10 +57,12 @@ OMEGA_CE_DEFAULT_BUDGET = 16
 class TTFunctional:
     """A total functional on Cantor space in Nerode form.
 
-    output_bit(bits, n) returns bit n of the output as the int 0 or 1 (a
-    tally packs the bits of each output into bytes, where True would read
-    as 1), computed from input bits 0..use_bound(n)-1 only; use_bound must
-    be nondecreasing.
+    output_bit(bits, n) returns bit n of the output as the int 0 or 1 (True
+    reads as 1; a tally refuses any other value with InvariantViolation),
+    computed from input bits 0..use_bound(n)-1 only; use_bound must be
+    nondecreasing.  `_tally` keeps the tally of each output length k
+    enumerated so far: (counts, 2^use_bound(k-1)), with counts[i] the number
+    of input blocks whose output is bit_string(k, i).
     """
 
     name: str
@@ -83,10 +87,31 @@ def pairwise_or_tt() -> TTFunctional:
     )
 
 
-def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
+# a tally row holds an output's bits as the bytes 0 and 1; _DIGITS reads them
+# as the digits "0" and "1"
+_BIT_BYTES = b"\x00\x01"
+_DIGITS = bytes.maketrans(_BIT_BYTES, b"01")
+
+
+def _non_bit(phi: TTFunctional, n: int, value: object) -> InvariantViolation:
+    return InvariantViolation(f"{phi.name}: output bit {n} is {value!r}, not the int 0 or 1")
+
+
+def _first_non_bit(phi: TTFunctional, run: tuple, length: int) -> None:
+    """Raise for the first output bit of the run, in enumeration order, that
+    is not the int 0 or 1 (True reads as 1), by reading the run again."""
+    for bits in run:
+        for n in range(length):
+            value = phi.output_bit(bits, n)
+            if not isinstance(value, int) or value not in (0, 1):
+                raise _non_bit(phi, n, value)
+
+
+def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     """Count, for every output string of the given length, how many input
-    blocks of length use_bound(length-1) map onto it.  One enumeration
-    serves all cylinders of that length."""
+    blocks of length u = use_bound(length-1) map onto it, as (counts, 2^u):
+    counts[i] is the count of the output bit_string(length, i).  One
+    enumeration serves all cylinders of that length."""
     cached = phi._tally.get(length)
     if cached is not None:
         return cached
@@ -96,7 +121,7 @@ def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
             f"use bound {u} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
         )
     if length == 0:  # no columns to zip: the one empty input maps onto ""
-        counts = {"": 1}
+        counts = [1]
     else:
         # one map over a run of inputs per output position; the zipped
         # columns are the outputs, counted as bytes (about a third of a tuple's size)
@@ -104,22 +129,31 @@ def _tally_for_length(phi: TTFunctional, length: int) -> dict[str, int]:
         inputs = product((0, 1), repeat=u)
         while run := tuple(islice(inputs, TALLY_RUN)):
             columns = (map(phi.output_bit, run, repeat(n)) for n in range(length))
-            rows.update(map(bytes, zip(*columns)))
-        counts = {}
-        while rows:  # convert as popped, so one key set is alive at a time
+            try:
+                rows.update(map(bytes, zip(*columns)))
+            except (TypeError, ValueError):  # a bit that is no byte: name it
+                _first_non_bit(phi, run, length)
+                raise
+        counts = [0] * 2**length
+        while rows:  # each distinct output is read as its index once
             row, c = rows.popitem()
-            counts["".join(map(str, row))] = c
-    phi._tally[length] = counts
-    return counts
+            if row.translate(None, _BIT_BYTES):
+                n = next(n for n, b in enumerate(row) if b > 1)
+                raise _non_bit(phi, n, row[n])
+            counts[int(row.translate(_DIGITS), 2)] = c
+    tally = phi._tally[length] = counts, 2**u
+    return tally
 
 
 def induced_measure_of_cylinder(phi: TTFunctional, sigma: str) -> Fraction:
-    """λ_Φ([σ)) = λ(Φ⁻¹[σ)), exactly, via the per-length tally."""
+    """λ_Φ([σ)) = λ(Φ⁻¹[σ)), exactly, via the per-length tally; 0 for a σ
+    that is not a bit string."""
     if sigma == "":
         return Fraction(1)
-    counts = _tally_for_length(phi, len(sigma))
-    u = phi.use_bound(len(sigma) - 1)
-    return Fraction(counts.get(sigma, 0), 2**u)
+    counts, den = _tally_for_length(phi, len(sigma))
+    if sigma.strip("01"):  # int(σ, 2) also reads "0_1", " 1" and "+1"
+        return Fraction(0)
+    return Fraction(counts[int(sigma, 2)], den)
 
 
 @dataclass(frozen=True)
@@ -182,20 +216,13 @@ def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
 
 
 def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
-    def level(k: int) -> tuple[list[int], int]:
-        # the tally's counts over 2^u, by the calls each mass would make
-        if k == 0:
-            return [1], 1
-        counts = _tally_for_length(phi, k)
-        ints = [0] * 2**k
-        for s, c in counts.items():
-            if not s.strip("01"):  # an output that is no bit string is no cylinder
-                ints[int(s, 2)] = c
-        return ints, 2 ** phi.use_bound(k - 1)
-
+    # the native level is the tally itself, ints over 2^u from the calls each
+    # mass would make; it is the cached list, so it is read and never mutated
     return CylinderMeasure(
         f"induced({phi.name})",
-        _with_level(lambda s: induced_measure_of_cylinder(phi, s), level),
+        _with_level(
+            lambda s: induced_measure_of_cylinder(phi, s), lambda k: _tally_for_length(phi, k)
+        ),
     )
 
 
@@ -372,21 +399,24 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
 
-    # the hull's lower end over [0.prefix, 0.prefix + 2^-u), once per
-    # (u, prefix); u is in the key because bits may be shorter than u
-    hull_lo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    # the hull's lower end over [0.prefix, 0.prefix + 2^-u) as an int pair,
+    # once per (u, prefix); u is in the key because bits may be shorter than u
+    hull_lo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
     def output_bit(bits: tuple[int, ...], n: int) -> int:
         u = use_bound(n)
         key = (u, bits[:u])
-        ylo = hull_lo.get(key)
-        if ylo is None:
+        end = hull_lo.get(key)
+        if end is None:
             lo = dyadic_value("".join(map(str, key[1])))
-            ylo = hull_lo[key] = g.range_on(lo, lo + Fraction(1, 2**u))[0]
-        if ylo >= 1:
+            ylo = g.range_on(lo, lo + Fraction(1, 2**u))[0]
+            end = hull_lo[key] = ylo.numerator, ylo.denominator
+        num, den = end
+        if num >= den:  # an end >= 1 reads 1
             return 1
-        scaled = ylo * 2 ** (n + 1)
-        return int(scaled) & 1
+        # bit n of the end truncated toward zero, as int() truncates a Fraction:
+        # the truncation of -x has the parity of that of x
+        return ((abs(num) << (n + 1)) // den) & 1
 
     return TTFunctional(f"tt({g.name})", use_bound, output_bit)
 

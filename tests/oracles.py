@@ -32,7 +32,13 @@ from randlab.derivatives import (
     PSEUDO_DERIVATIVE_PAIR_BUDGET,
     PseudoDerivativeEstimate,
 )
-from randlab.errors import AtomSuspected, BudgetExceeded, ParseError, ZeroMassCylinder
+from randlab.errors import (
+    AtomSuspected,
+    BudgetExceeded,
+    InvariantViolation,
+    ParseError,
+    ZeroMassCylinder,
+)
 from randlab.intervals import (
     EMPTY_UNION,
     IntervalUnion,
@@ -443,14 +449,21 @@ def apply_prefix(phi, bits, length):
 
 
 def _tally_for_length(phi, length):
-    """Every input block of length use_bound(length-1), mapped bit by bit
-    and counted under its output string."""
+    """Every input block of length u = use_bound(length-1), mapped bit by bit
+    and counted at its output read as a binary int, as (counts, 2^u); the
+    first output bit, in that order, that is not the int 0 or 1 is refused."""
     u = phi.use_bound(length - 1) if length > 0 else 0
-    counts = {}
+    counts = [0] * 2**length
     for bits in itertools.product((0, 1), repeat=u):
-        out = "".join(str(b) for b in apply_prefix(phi, bits, length))
-        counts[out] = counts.get(out, 0) + 1
-    return counts
+        index = 0
+        for n, b in enumerate(apply_prefix(phi, bits, length)):
+            if not isinstance(b, int) or b not in (0, 1):
+                raise InvariantViolation(
+                    f"{phi.name}: output bit {n} is {b!r}, not the int 0 or 1"
+                )
+            index = 2 * index + b
+        counts[index] += 1
+    return counts, 2**u
 
 
 def induced_measure_of_cylinder(phi, sigma: str) -> Fraction:

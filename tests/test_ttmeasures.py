@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -13,9 +15,23 @@ import oracles as ref
 from oracles import outcome, recorded_outcome
 from randlab import ttmeasures
 from randlab.cauchy import ModulusFunction
-from randlab.errors import AtomSuspected, BudgetExceeded, ParseError, ZeroMassCylinder
-from randlab.intervals import bit_strings
-from randlab.markov import half_fn, identity_fn, square_fn
+from randlab.errors import (
+    AtomSuspected,
+    BudgetExceeded,
+    InvariantViolation,
+    ParseError,
+    ZeroMassCylinder,
+)
+from randlab.intervals import bit_string, bit_strings
+from randlab.markov import (
+    abs_offset_fn,
+    complement_fn,
+    const_fn,
+    half_fn,
+    identity_fn,
+    polygonal_fn,
+    square_fn,
+)
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
     USE_BOUND_BUDGET,
@@ -92,6 +108,88 @@ def test_tally_makes_the_per_length_output_bit_calls(drawn, run):
             _tally_for_length(phi, k)
             ref._tally_for_length(slow, k)
     assert calls == ref_calls
+
+
+def string_keyed_tally(phi, length):
+    """The tally as the lab kept it before it held ints: the same run-wise
+    enumeration, each distinct output row joined into its string key."""
+    u = phi.use_bound(length - 1) if length > 0 else 0
+    if length == 0:
+        return {"": 1}
+    rows = Counter()
+    inputs = itertools.product((0, 1), repeat=u)
+    while run := tuple(itertools.islice(inputs, ttmeasures.TALLY_RUN)):
+        columns = (map(phi.output_bit, run, itertools.repeat(n)) for n in range(length))
+        rows.update(map(bytes, zip(*columns)))
+    return {"".join(map(str, row)): c for row, c in rows.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(truth_tables(), st.sampled_from([1, 3, ttmeasures.TALLY_RUN]))
+def test_int_tally_reads_back_as_the_string_keyed_tally(drawn, run):
+    phi, length = drawn
+    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
+        for k in range(length + 1):
+            counts, den = _tally_for_length(phi, k)
+            assert den == 2 ** (phi.use_bound(k - 1) if k else 0)
+            assert len(counts) == 2**k
+            read = {bit_string(k, i): c for i, c in enumerate(counts) if c}
+            assert read == string_keyed_tally(phi, k)
+
+
+def faulty_tt(value):
+    """Output bit 1 is `value` on the inputs whose bit 2 is set; every other
+    output bit copies its input bit."""
+    return TTFunctional(
+        "faulty", lambda n: n + 2, lambda bits, n: value if n == 1 and bits[2] else bits[n]
+    )
+
+
+# 48 and 95 are the bytes "0" and "_", which int(..., 2) could misread
+@pytest.mark.parametrize("value", [2, 48, 95, 256, -1, 1.0], ids=repr)
+def test_an_output_bit_that_is_no_bit_is_refused(value):
+    message = f"faulty: output bit 1 is {value!r}, not the int 0 or 1"
+    for tally in (_tally_for_length, ref._tally_for_length):
+        assert outcome(tally, faulty_tt(value), 3) == (InvariantViolation, message)
+    # the cold run of a measure validation and a cylinder mass meet it too
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        validate_measure(materialize_measure(faulty_tt(value)), 3)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        induced_measure_of_cylinder(faulty_tt(value), "000")
+    # below the length where bit 1 is read, the functional is fine
+    assert _tally_for_length(faulty_tt(value), 1) == ([2, 2], 4)
+
+
+def test_a_true_output_bit_reads_as_1():
+    phi = TTFunctional("true", lambda n: n + 1, lambda bits, n: bits[n] == 1)
+    assert _tally_for_length(phi, 3) == ref._tally_for_length(phi, 3) == ([1] * 8, 8)
+    assert induced_measure_of_cylinder(phi, "101") == Fraction(1, 8)
+
+
+# strings int(σ, 2) reads although they are no bit strings, and "-1", which
+# would index from the end
+@pytest.mark.parametrize("sigma", ["0_1", " 1", "0b1", "+1", "2", "-1", "1 "])
+@pytest.mark.parametrize("phi", FUNCTIONALS, ids=lambda p: p.name)
+def test_a_cylinder_that_is_no_bit_string_has_mass_0(phi, sigma):
+    got = induced_measure_of_cylinder(phi, sigma)
+    assert got == ref.induced_measure_of_cylinder(phi, sigma) == 0
+    assert type(got) is Fraction
+
+
+def test_identity_tally_to_length_14_holds_under_1_mib():
+    # warm the module, so that only the tally of the functional below is held
+    validate_measure(materialize_measure(identity_tt()), 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        phi = identity_tt()
+        validate_measure(materialize_measure(phi), 14)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(phi._tally) == list(range(15))
+    assert held < 2**20, f"{held / 2**20:.2f} MiB held"
 
 
 def test_pairwise_or_to_length_8_makes_the_pinned_output_bit_calls():
@@ -414,8 +512,26 @@ def test_transport_at_the_length_cap_matches_fraction_descent(length, bit):
 
 @pytest.mark.parametrize(
     "g, length",
-    [(square_fn(), 7), (half_fn(), 8), (identity_fn(), 8)],
-    ids=["square", "half", "identity"],
+    [
+        (square_fn(), 7),
+        (half_fn(), 8),
+        (identity_fn(), 8),
+        (complement_fn(), 7),
+        (abs_offset_fn(), 7),
+        (const_fn(Fraction(-1, 3)), 7),
+        (const_fn(Fraction(1)), 7),
+        # a hull that goes below 0 and above 1
+        (
+            dataclasses.replace(
+                polygonal_fn([(0, Fraction(-3, 4)), (Fraction(1, 2), Fraction(5, 4)),
+                              (1, Fraction(-1, 3))]),
+                modulus=ModulusFunction(lambda e: e / 4),
+            ),
+            6,
+        ),
+    ],
+    ids=["square", "half", "identity", "complement", "abs_offset", "const(-1/3)",
+         "const(1)", "polygonal"],
 )
 def test_hull_cache_matches_per_call_hull(g, length):
     phi, slow = tt_from_ucf(g, 8), ref.tt_from_ucf(g, 8)
