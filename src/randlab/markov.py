@@ -12,14 +12,15 @@ the sampled candidates.
 
 Every reader of f on a grid k/n (0 <= k <= n, the right end included) goes
 through `MarkovFunction.grid(n, ks)`, which gives the values at the indices
-`ks` as integers over one common denominator.  The lab's own evaluators, and
-a truncation of one, carry a native grid: their monotone runs on k/n
-(a + b·k per linear piece, k²/n² for square), from which `_sample` writes
-the values at any sorted grid indices, the part of a range inside a linear
-run as one integer progression.  Any other evaluator is called once per
-grid point read.  So an oscillation tree of a native evaluator reads its
-nodes' ends and the grid points beside each run start; only a tree of any
-other evaluator costs O(2^{depth+4}) whatever its size.
+`ks` as integers over one common denominator.  Every function the lab builds
+has one native form, a piece list on its evaluator: a + b·x + c·x² on each
+piece, monotone there (see `MarkovFunction.grid`).  `_runs` turns it into
+int runs a + b·k + c·k² on k/n, from which `_sample` writes the values at
+any sorted grid indices, the part of a range inside a linear run as one
+integer progression.  Any other evaluator is called once per grid point
+read.  So an oscillation tree of a function with pieces reads its nodes'
+ends and the grid points beside each run start; only a tree of any other
+evaluator costs O(2^{depth+4}) whatever its size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
@@ -64,12 +64,17 @@ class StagedCover:
 
 
 def check_H(c: StagedCover) -> Optional[str]:
-    """The first violation of non-overlap or of the staged size-bound
-    protocol, or None when the cover satisfies H(C)."""
+    """The first violation of the cover's intervals lying in [0, 1], of
+    non-overlap or of the staged size-bound protocol, or None when the cover
+    satisfies H(C)."""
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
     for a, b in zip(ivs, ivs[1:]):
         if b.lo < a.hi:
             return f"overlap between {a} and {b}"
+    # with no overlap, the first interval starts lowest and the last ends highest
+    for iv in ivs[:1] + ivs[-1:]:
+        if iv.lo < 0 or iv.hi > 1:
+            return f"interval {iv} lies outside [0, 1]"
     if c.stages and not c.size_bound:
         return f"no size bound for a cover of {len(c.stages)} stages"
     for k in range(len(c.stages)):
@@ -82,6 +87,12 @@ def check_H(c: StagedCover) -> Optional[str]:
                         f"has length {iv.length} >= 2^-{k}"
                     )
     return None
+
+
+def _require_H(c: StagedCover) -> None:
+    violation = check_H(c)
+    if violation is not None:
+        raise CoverViolation(violation)
 
 
 @dataclass(frozen=True)
@@ -106,21 +117,21 @@ class MarkovFunction:
         (the right end n included), as (ints, den): the value at ks[i]/n is
         ints[i]/den.  The one reader of f on a grid.
 
-        The native grid belongs to the evaluator: it is the `grid` attribute
-        of `eval_at` when there is one, so `dataclasses.replace(f,
-        eval_at=g)` reads g's values.  Called with the grid size n, the
-        attribute lists the function's runs on 0..n, (k0, a, b, c) with k0
-        ascending from 0: the value at k/n is a + b·k + c·k² from k0 up to
-        the next run's k0 (the last run's up to n), and monotone there.  Any
-        other evaluator is called exactly once per index, in order.
+        The native form belongs to the evaluator: it is the `pieces`
+        attribute of `eval_at` when there is one, so `dataclasses.replace(f,
+        eval_at=g)` reads g's values.  It lists pieces (x0, a, b, c) with x0
+        ascending from 0: the value at x is a + b·x + c·x² from x0 up to the
+        next piece's x0 (the last piece's through 1), and monotone there.
+        `_runs` turns them into runs on k/n.  Any other evaluator is called
+        exactly once per index, in order.
         """
         if n < 1:
             raise ValueError(f"grid size {n} < 1")
         if ks and not 0 <= ks[0] <= ks[-1] <= n:
             raise ValueError(f"grid indices {ks[0]}..{ks[-1]} outside 0..{n}")
-        native = getattr(self.eval_at, "grid", None)
-        if native is not None:
-            runs, den = _ints_over_den(native(n))
+        pieces = getattr(self.eval_at, "pieces", None)
+        if pieces is not None:
+            runs, den = _runs(pieces, n)
             return _sample(runs, ks), den
         return over_lcm(self.eval_at(Fraction(k, n)) for k in ks)
 
@@ -128,17 +139,31 @@ class MarkovFunction:
         """Exact (min, max) of the function over [lo, hi] ⊆ [0, 1]."""
         if lo > hi:
             raise ValueError("empty range query")
+        # lo < 0 or hi > 1, read off the numerators
+        if lo.numerator < 0 or hi.numerator > hi.denominator:
+            raise ValueError(f"range query [{lo}, {hi}] outside [0, 1]")
         candidates = [lo, hi] + [p for p in self.critical_points if lo < p < hi]
         vals = [self.eval_at(x) for x in candidates]
         return min(vals), max(vals)
 
 
-def _ints_over_den(runs):
-    """The runs (k0, a, b, c) with their Fraction coefficients as ints over
-    one denominator, and that denominator."""
-    ints, den = over_lcm(q for run in runs for q in run[1:])
+def _runs(pieces, n: int) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The runs on the grid k/n of the function that `pieces` lists (see
+    MarkovFunction.grid), as ints over one denominator: (runs, den), where
+    the value at k/n is (a + b·k + c·k²)/den from the run (k0, a, b, c) up to
+    the next run's k0 (the last run's up to n)."""
+    # the last piece owns x = 1, so its run is kept whenever it starts at or
+    # before k = n
+    starts = [-(-x0.numerator * n // x0.denominator) for x0, *_ in pieces] + [n + 1]
+    nn = n * n
+    kept = [
+        (k0, a, b / n if b else b, c / nn if c else c)
+        for (_, a, b, c), k0, k1 in zip(pieces, starts, starts[1:])
+        if k0 < k1
+    ]
+    ints, den = over_lcm(q for run in kept for q in run[1:])
     coefs = zip(*[iter(ints)] * 3)
-    return [(run[0], *abc) for run, abc in zip(runs, coefs)], den
+    return [(run[0], *abc) for run, abc in zip(kept, coefs)], den
 
 
 def _sample(runs, indices: Sequence[int]) -> list[int]:
@@ -161,96 +186,65 @@ def _sample(runs, indices: Sequence[int]) -> list[int]:
     return out
 
 
-def _linear_grid(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
-    """The native grid of a piecewise-linear function.  `pieces` lists
-    (x0, a, s) with x0 ascending from 0: the function is a + s·x from x0 up
-    to the next piece's x0."""
+def _by_piece(pieces):
+    """The evaluator of the function that `pieces` lists: at x, the last
+    piece that starts at or before x."""
+    x0s = [x0 for x0, *_ in pieces]
+    abc = [(a, b, c or None) for _, a, b, c in pieces]
 
-    def grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-        # the last piece owns x = 1, so its run is kept whenever it starts
-        # at or before k = n
-        starts = [math.ceil(x0 * n) for x0, _, _ in pieces] + [n + 1]
-        return [
-            (k0, a, s / n, ZERO)
-            for (_, a, s), k0, k1 in zip(pieces, starts, starts[1:])
-            if k0 < k1
-        ]
+    def ev(x: Fraction) -> Fraction:
+        a, b, c = abc[bisect.bisect_right(x0s, x) - 1]
+        return a + b * x if c is None else a + (b + c * x) * x
 
-    return grid
-
-
-def _with_grid(ev, grid):
-    """The evaluator `ev` carrying its native grid (see MarkovFunction.grid)."""
-    ev.grid = grid
     return ev
 
 
-def _piecewise(pieces: Sequence[tuple[Fraction, Fraction, Fraction]]):
-    """The evaluator of the piecewise-linear function that `pieces` lists as
-    in `_linear_grid`, carrying that native grid."""
-    x0s = [x0 for x0, _, _ in pieces]
-
-    def ev(x: Fraction) -> Fraction:
-        _, a, s = pieces[bisect.bisect_right(x0s, x) - 1]
-        return a + s * x
-
-    return _with_grid(ev, _linear_grid(pieces))
+def _from_pieces(name, pieces, modulus=None, closed_form=None) -> MarkovFunction:
+    """The function that `pieces` lists, its piece starts inside (0, 1) its
+    critical points.  The evaluator, which carries the pieces, is evaluation
+    by piece, or `closed_form`, equal to it on [0, 1], where one is given."""
+    pieces = tuple(pieces)
+    ev = closed_form or _by_piece(pieces)
+    ev.pieces = pieces
+    return MarkovFunction(name, ev, tuple(x0 for x0, *_ in pieces if 0 < x0 < 1), modulus)
 
 
-def _square_grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-    return [(0, ZERO, ZERO, Fraction(1, n * n))]
+# each built-in keeps its closed form beside its pieces: `range_on` and
+# `tt_from_ucf` read it per point
 
 
 def identity_fn() -> MarkovFunction:
-    return MarkovFunction(
-        "identity",
-        _with_grid(lambda x: x, _linear_grid([(ZERO, ZERO, ONE)])),
-        modulus=ModulusFunction(lambda eps: eps),
-    )
+    pieces = [(ZERO, ZERO, ONE, ZERO)]
+    return _from_pieces("identity", pieces, ModulusFunction(lambda eps: eps), lambda x: x)
 
 
 def square_fn() -> MarkovFunction:
     # |x^2 - y^2| <= 2|x - y| on [0,1]
-    return MarkovFunction(
-        "square",
-        _with_grid(lambda x: x * x, _square_grid),
-        modulus=ModulusFunction(lambda eps: eps / 2),
-    )
+    pieces = [(ZERO, ZERO, ZERO, ONE)]
+    return _from_pieces("square", pieces, ModulusFunction(lambda eps: eps / 2), lambda x: x * x)
 
 
 def const_fn(q: Fraction) -> MarkovFunction:
-    return MarkovFunction(
-        f"const({q})",
-        _with_grid(lambda x: q, _linear_grid([(ZERO, q, ZERO)])),
-        modulus=ModulusFunction(lambda eps: ONE),
-    )
+    pieces = [(ZERO, q, ZERO, ZERO)]
+    return _from_pieces(f"const({q})", pieces, ModulusFunction(lambda eps: ONE), lambda x: q)
 
 
 def abs_offset_fn() -> MarkovFunction:
     """|x - 1/2|: the canonical corner example."""
     h = Fraction(1, 2)
-    return MarkovFunction(
-        "abs_offset",
-        _with_grid(lambda x: abs(x - h), _linear_grid([(ZERO, h, -ONE), (h, -h, ONE)])),
-        critical_points=(h,),
-        modulus=ModulusFunction(lambda eps: eps),
-    )
+    pieces = [(ZERO, h, -ONE, ZERO), (h, -h, ONE, ZERO)]
+    modulus = ModulusFunction(lambda eps: eps)
+    return _from_pieces("abs_offset", pieces, modulus, lambda x: abs(x - h))
 
 
 def half_fn() -> MarkovFunction:
-    return MarkovFunction(
-        "half",
-        _with_grid(lambda x: x / 2, _linear_grid([(ZERO, ZERO, Fraction(1, 2))])),
-        modulus=ModulusFunction(lambda eps: 2 * eps),
-    )
+    pieces = [(ZERO, ZERO, Fraction(1, 2), ZERO)]
+    return _from_pieces("half", pieces, ModulusFunction(lambda eps: 2 * eps), lambda x: x / 2)
 
 
 def complement_fn() -> MarkovFunction:
-    return MarkovFunction(
-        "complement",
-        _with_grid(lambda x: 1 - x, _linear_grid([(ZERO, ONE, -ONE)])),
-        modulus=ModulusFunction(lambda eps: eps),
-    )
+    pieces = [(ZERO, ONE, -ONE, ZERO)]
+    return _from_pieces("complement", pieces, ModulusFunction(lambda eps: eps), lambda x: 1 - x)
 
 
 def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunction:
@@ -264,12 +258,8 @@ def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunc
     pieces = []
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         s = (y1 - y0) / (x1 - x0)
-        pieces.append((x0, y0 - s * x0, s))
-    return MarkovFunction(
-        "polygonal",
-        _piecewise(pieces),
-        critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
-    )
+        pieces.append((x0, y0 - s * x0, s, ZERO))
+    return _from_pieces("polygonal", pieces)
 
 
 def canonical_nonuc(stage_count: int) -> MarkovFunction:
@@ -290,31 +280,52 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     # per tent: the rise from lo, the fall from its peak at mid, and 0 from
     # hi up to the next tent; the function is continuous, so each piece may
     # own its left end
-    pieces: list[tuple[Fraction, Fraction, Fraction]] = []
+    pieces = []
     for n in range(stage_count):
         lo = 1 - Fraction(1, 2**n)
         hi = 1 - Fraction(3, 2 ** (n + 2))
         mid = (lo + hi) / 2
         peak = Fraction(n)
         up, down = peak / (mid - lo), peak / (hi - mid)
-        pieces += [(lo, -up * lo, up), (mid, down * hi, -down), (hi, ZERO, ZERO)]
-    return MarkovFunction(
-        f"canonical_nonuc({stage_count})",
-        _piecewise(pieces),
-        critical_points=tuple(x0 for x0, _, _ in pieces if 0 < x0 < 1),
-    )
+        pieces += [(lo, -up * lo, up, ZERO), (mid, down * hi, -down, ZERO), (hi, ZERO, ZERO, ZERO)]
+    return _from_pieces(f"canonical_nonuc({stage_count})", pieces)
+
+
+def _splice(pieces, chords):
+    """The pieces of [f, C] from f's `pieces` and the chords (lo, hi, a, s),
+    sorted, of the cover's intervals with an interior, in one merge: f's
+    pieces up to lo, the chord a + s·x from lo, and from hi on the piece of
+    f that holds hi.  The chord owns lo, where it equals f."""
+    out = []
+    i, m = 0, len(pieces)
+    for lo, hi, a, s in chords:
+        while i < m and pieces[i][0] < lo:
+            out.append(pieces[i])
+            i += 1
+        if out and out[-1][0] == lo:
+            out.pop()  # the previous chord ends where this one starts
+        out.append((lo, a, s, ZERO))
+        while i < m and pieces[i][0] <= hi:
+            i += 1
+        out.append((hi, *pieces[i - 1][1:]))
+    out += pieces[i:]
+    return out
 
 
 def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     """[f, C]: equal to f outside (and at the endpoints of) every interval of
-    the cover, linear across each interval's interior."""
-    violation = check_H(c)
-    if violation is not None:
-        raise CoverViolation(violation)
+    the cover, linear across each interval's interior.  A base with pieces
+    gives a truncation with pieces (see `_splice`); any other is read per
+    point outside the chords."""
+    _require_H(c)
+    return _truncate(f, c)
+
+
+def _truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
+    """`truncate` over a cover already checked against H(C)."""
     # a point interval sorts before an interval starting at the same point,
     # so the search below finds the one with an interior
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
-    los = [iv.lo for iv in ivs]
     # per interval: lo, hi and the chord a + s·x (a point interval has no
     # interior, so its chord is never read)
     chords: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
@@ -322,6 +333,11 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
         ylo, yhi = f(iv.lo), f(iv.hi)
         s = (yhi - ylo) / iv.length if iv.length else ZERO
         chords.append((iv.lo, iv.hi, ylo - s * iv.lo, s))
+    name = f"[{f.name},C]"
+    pieces = getattr(f.eval_at, "pieces", None)
+    if pieces is not None:
+        return _from_pieces(name, _splice(pieces, [ch for ch in chords if ch[0] < ch[1]]))
+    los = [iv.lo for iv in ivs]
 
     def ev(x: Fraction) -> Fraction:
         i = bisect.bisect_right(los, x) - 1
@@ -331,48 +347,27 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
                 return a + s * x
         return f(x)
 
-    base = getattr(f.eval_at, "grid", None)
-
-    def grid(n: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-        # f's runs, with each chord's run written over the grid points
-        # inside its interval's interior (a point interval has none)
-        runs = base(n)
-        for lo, hi, a, s in chords:
-            k0, k1 = max(math.floor(lo * n) + 1, 0), min(math.ceil(hi * n), n + 1)
-            if k0 < k1:
-                # the run holding k1 goes on from k1, past the chord
-                i = bisect.bisect_left(runs, k0, key=itemgetter(0))
-                j = bisect.bisect_right(runs, k1, key=itemgetter(0))
-                tail = [(k1, *runs[j - 1][1:])] if k1 <= n else []
-                runs[i:j] = [(k0, a, s / n, ZERO), *tail]
-        return runs
-
     crit = set(f.critical_points)
     for iv in ivs:
         crit.add(iv.lo)
         crit.add(iv.hi)
-    # the truncation has a native grid when its base has one
-    return MarkovFunction(
-        f"[{f.name},C]",
-        ev if base is None else _with_grid(ev, grid),
-        critical_points=tuple(sorted(p for p in crit if 0 < p < 1)),
-    )
+    return MarkovFunction(name, ev, critical_points=tuple(sorted(p for p in crit if 0 < p < 1)))
 
 
 def _node_extrema(f: MarkovFunction, depth: int) -> tuple[list[int], list[int], int]:
     """(minima, maxima, den): min and max of f over the 16 grid points
     k/2^{depth+4} of each node at level `depth`, as ints over den.
 
-    A native grid is monotone on each run, so a node's extrema lie at its
-    first and last points and on either side of each run start inside it.
-    Any other evaluator is read at every grid point through `f.grid`."""
+    The runs of an evaluator's pieces are monotone, so a node's extrema lie
+    at its first and last points and on either side of each run start inside
+    it.  Any other evaluator is read at every grid point through `f.grid`."""
     size = 2 ** (depth + 4)
-    native = getattr(f.eval_at, "grid", None)
-    if native is None:
+    pieces = getattr(f.eval_at, "pieces", None)
+    if pieces is None:
         vals, den = f.grid(size, range(size))
         nodes = list(zip(*[iter(vals)] * 16))
         return list(map(min, nodes)), list(map(max, nodes)), den
-    runs, den = _ints_over_den(native(size))
+    runs, den = _runs(pieces, size)
     ends = _sample(runs, range(0, size, 16)), _sample(runs, range(15, size, 16))
     lo, hi = list(map(min, *ends)), list(map(max, *ends))
     # a run start k inside a node (k not a multiple of 16) and the grid point
@@ -399,11 +394,11 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
 
     The grid is the points k/2^{depth+4} with k below 2^{depth+4} ([sigma)
     excludes its right end), as integers over one common denominator: min
-    and max compare ints and the threshold test needs no Fraction.  For the
-    lab's own evaluators the deepest level reads 2·2^depth values plus 2 per
-    run start of the native grid (see `_node_extrema`), never
-    `critical_points`.  Any other `eval_at` is called once per grid point,
-    O(2^{depth+4}) whatever the tree's size.
+    and max compare ints and the threshold test needs no Fraction.  For an
+    evaluator with pieces the deepest level reads 2·2^depth values plus 2 per
+    run start on the grid (see `_node_extrema`), never `critical_points`.
+    Any other `eval_at` is called once per grid point, O(2^{depth+4})
+    whatever the tree's size.
     """
     if depth > OSCILLATION_DEPTH_BUDGET:
         raise over_budget(f"depth {depth}", "OSCILLATION_DEPTH_BUDGET", OSCILLATION_DEPTH_BUDGET)
@@ -459,7 +454,8 @@ def slope_bounds_check(
     Upper clause: [f,C](y) - [f,C](x) < z(y-x) on all ordered grid pairs
     x < y, where the grid has `grid` subdivisions of [0,1]; the first failing
     pair in (x, y) order is the counterexample.  The clause is one pass over
-    integer values, O(grid), not a loop over the pairs.
+    integer values, O(grid), not a loop over the pairs.  The cover is
+    checked against H(C) before either clause reads f.
     """
     if w >= z:
         raise ValueError("requires w < z")
@@ -467,6 +463,7 @@ def slope_bounds_check(
         raise ValueError("requires grid >= 1")
     if (pairs := grid * (grid + 1) // 2) > SLOPE_GRID_PAIR_BUDGET:
         raise over_budget(f"{pairs} grid pairs", "SLOPE_GRID_PAIR_BUDGET", SLOPE_GRID_PAIR_BUDGET)
+    _require_H(c)
     for iv in c.all_intervals():
         if not w * (iv.hi - iv.lo) < f(iv.hi) - f(iv.lo):
             return SlopeBoundsVerdict(
@@ -474,7 +471,7 @@ def slope_bounds_check(
                 f"lower clause fails on {iv}: w·(b-a) = {w * iv.length}, "
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
-    t = truncate(f, c)
+    t = _truncate(f, c)
     tv, den = t.grid(grid, range(grid + 1))
     # the pair x = i/grid < y = j/grid fails iff g_j >= g_i, where
     # g_k = t(k/grid) - z·k/grid, here scaled to an int by den·z.den·grid > 0

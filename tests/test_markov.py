@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
 from randlab.cauchy import ModulusFunction, const_name
+from randlab.derivatives import DenjoyVerdict, classify_denjoy, pseudo_derivative
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
 from randlab.intervals import RationalInterval
 from randlab.markov import (
@@ -13,9 +14,11 @@ from randlab.markov import (
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
     StagedCover,
-    _ints_over_den,
     _modulus_precision,
+    _by_piece,
+    _from_pieces,
     _node_extrema,
+    _runs,
     _sample,
     abs_offset_fn,
     canonical_nonuc,
@@ -243,7 +246,22 @@ def covers(draw):
 builtin_fns = (
     st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name) | rational.map(const_fn)
 )
-bases = builtin_fns | st.just(canonical_nonuc(6))
+
+
+def quadratic(name, *pieces):
+    return _from_pieces(name, [tuple(map(Fraction, piece)) for piece in pieces])
+
+
+# pieces with a, b and c all nonzero, which no built-in has: (x - 1/2)^2 and
+# 1 + x - x^2 split at their vertices, and the decreasing (x - 2)^2
+H = Fraction(1, 2)
+VERTEX_SQUARE = quadratic("(x-1/2)^2", (0, H * H, -1, 1), (H, H * H, -1, 1))
+QUADRATICS = [
+    VERTEX_SQUARE,
+    quadratic("1+x-x^2", (0, 1, 1, -1), (H, 1, 1, -1)),
+    quadratic("(x-2)^2", (0, 4, -4, 1)),
+]
+bases = builtin_fns | st.just(canonical_nonuc(6)) | st.sampled_from(QUADRATICS)
 tree_sizes = st.tuples(st.integers(-80, 80), st.integers(0, 6))
 grid_sizes = st.integers(1, 200) | st.sampled_from([2**d for d in range(11)])
 
@@ -395,6 +413,21 @@ def test_truncation_value_equals_reference(base, cover, xs):
 
 
 @settings(max_examples=100, deadline=None)
+@given(bases, covers(), unit, unit)
+def test_truncation_range_equals_range_at_every_mark(base, cover, x, y):
+    # the truncation's critical points, strictly ascending inside (0, 1),
+    # give the range read at f's critical points and every interval end
+    g = truncate(base, cover)
+    crit = list(g.critical_points)
+    assert crit == sorted(set(crit)) and all(0 < p < 1 for p in crit)
+    ivs = cover.all_intervals()
+    marks = {*base.critical_points, *(p for iv in ivs for p in (iv.lo, iv.hi))}
+    lo, hi = min(x, y), max(x, y)
+    vals = [g(p) for p in [lo, hi, *marks] if lo <= p <= hi]
+    assert g.range_on(lo, hi) == (min(vals), max(vals))
+
+
+@settings(max_examples=100, deadline=None)
 @given(polygons(), st.lists(unit, max_size=20))
 def test_polygonal_value_equals_reference(breakpoints, xs):
     f = polygonal_fn(breakpoints)
@@ -430,6 +463,7 @@ def test_builtin_grid_equals_per_point(f, read):
 
 grid_bases = (
     builtin_fns
+    | st.sampled_from(QUADRATICS)
     | st.integers(1, CANONICAL_NONUC_STAGE_BUDGET).map(canonical_nonuc)
     | polygons().map(polygonal_fn)
 )
@@ -483,8 +517,35 @@ def test_lab_evaluators_carry_a_native_grid():
         canonical_nonuc(3),
         polygonal_fn([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]),
         truncate(square_fn(), HALF_COVER),
+        truncate(truncate(canonical_nonuc(3), HALF_COVER), cover_of(Fraction(3, 4), 1)),
+        *QUADRATICS,
     ]
-    assert all(callable(getattr(f.eval_at, "grid", None)) for f in fs)
+    assert all(isinstance(getattr(f.eval_at, "pieces", None), tuple) for f in fs)
+
+
+@given(unit)
+@example(Fraction(0))
+@example(H)
+@example(Fraction(1))
+def test_quadratic_pieces_evaluate_their_polynomials(x):
+    assert [f(x) for f in QUADRATICS] == [(x - H) ** 2, 1 + x - x * x, (x - 2) ** 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(builtin_fns, unit)
+@example(abs_offset_fn(), Fraction(1, 2))
+@example(square_fn(), Fraction(1))
+def test_closed_form_equals_evaluation_by_piece(f, x):
+    assert f(x) == _by_piece(f.eval_at.pieces)(x)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: (x - 1/2)^2 has derivative 0 at 1/2, yet its verdict is NEITHER",
+)
+def test_vertex_square_is_no_corner_at_its_vertex():
+    est = pseudo_derivative(VERTEX_SQUARE, const_name(H), Fraction(1, 16), 10)
+    assert classify_denjoy(est, Fraction(1, 16)) != DenjoyVerdict.NEITHER
 
 
 def cube_counting(calls):
@@ -529,6 +590,34 @@ def test_slope_check_of_replaced_base_reads_it_per_point_outside_the_chords():
     assert calls == [Fraction(1, 2), 0, 0, Fraction(1, 2)] + outside
 
 
+TENT = polygonal_fn([(0, 0), (Fraction(1, 2), 1), (1, 0)])
+
+
+# lo < 0 < hi, hi > 1, hi <= 0 and lo >= 1
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(Fraction(-1, 4), Fraction(1, 4)), (Fraction(3, 4), Fraction(5, 4)),
+     (Fraction(-1, 2), Fraction(0)), (Fraction(1), Fraction(3, 2))],
+)
+def test_cover_outside_the_unit_interval_is_a_cover_violation(lo, hi):
+    # read by piece, x < 0 would fall in the last piece: the truncation of
+    # TENT over [-1/4, 1/4] would read 3/2 at 0, where TENT is 0
+    c = cover_of(lo, hi)
+    assert check_H(c) == f"interval {RationalInterval(lo, hi)} lies outside [0, 1]"
+    with pytest.raises(CoverViolation, match="outside"):
+        truncate(TENT, c)
+    # the cover is checked before the lower clause reads f
+    calls = []
+    base = dataclasses.replace(TENT, eval_at=cube_counting(calls))
+    with pytest.raises(CoverViolation, match="outside"):
+        slope_bounds_check(base, c, Fraction(-1), Fraction(8), 8)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        TENT.range_on(lo, hi)
+    # the ends of [0, 1] lie inside it
+    assert TENT.range_on(Fraction(1), Fraction(1)) == TENT.range_on(Fraction(0), Fraction(0))
+
+
 @st.composite
 def grid_polygons(draw):
     """A polygon and a tree size (n, depth) whose inner corners sit on the
@@ -570,6 +659,8 @@ native_fns = grid_bases | st.builds(truncate, grid_bases, covers())
 
 @settings(max_examples=60, deadline=None)
 @given(native_fns, tree_sizes)
+@example(VERTEX_SQUARE, (80, 6))
+@example(VERTEX_SQUARE, (-80, 6))
 def test_tree_reads_no_critical_points(f, size):
     # the runs of a native grid say where f may turn, not critical_points
     assert_tree_is_reference(dataclasses.replace(f, critical_points=()), *size)
@@ -605,7 +696,7 @@ def grid_indices(draw):
 @given(native_fns | st.builds(truncate, native_fns, covers()), grid_indices())
 def test_sample_equals_per_point(f, indexed):
     n, indices = indexed
-    runs, den = _ints_over_den(f.eval_at.grid(n))
+    runs, den = _runs(f.eval_at.pieces, n)
     values = _sample(runs, indices)
     assert values == ref._sample(runs, n, indices)
     per_point = ref.grid(f, n, range(n + 1))
