@@ -11,12 +11,20 @@ measure returns its tally, and any other mass callable is read once per
 string.  A tally is ints from enumeration on: for output length k, the count
 of each output indexed by the output read as a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
+
+The functionals this module builds are tallied by one walk over the trie of
+input prefixes, which reads output bit n once per prefix of length u(n) and
+fills the tally of every length it passes.  Any other output_bit callable,
+such as one put in by `dataclasses.replace`, is read on every input block
+of each length for each of its output bits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,8 +54,8 @@ from .markov import MarkovFunction
 from .randomness import CheckRecord
 
 USE_BOUND_BUDGET = 24
-# inputs a tally enumerates per batch: the enumeration streams, and a batch
-# of 24-bit inputs stays near 0.25 MiB
+# inputs a per-length tally enumerates per batch: the enumeration streams,
+# and a batch of 24-bit inputs stays near 0.25 MiB
 TALLY_RUN = 1024
 TRANSPORT_LENGTH_CAP = 64
 OMEGA_CE_DEFAULT_BUDGET = 16
@@ -59,10 +67,17 @@ class TTFunctional:
 
     output_bit(bits, n) returns bit n of the output as the int 0 or 1 (True
     reads as 1; a tally refuses any other value with InvariantViolation),
-    computed from input bits 0..use_bound(n)-1 only; use_bound must be
-    nondecreasing.  `_tally` keeps the tally of each output length k
-    enumerated so far: (counts, 2^use_bound(k-1)), with counts[i] the number
-    of input blocks whose output is bit_string(k, i).
+    computed from input bits 0..use_bound(n)-1 only.  use_bound must be
+    nondecreasing and start at 0 or more: a tally checks it up to the length
+    asked and raises InvariantViolation at the first decrease.  `_tally`
+    keeps the tally of each output length k enumerated so far:
+    (counts, 2^use_bound(k-1)), with counts[i] the number of input blocks
+    whose output is bit_string(k, i).
+
+    An output_bit that carries the prefix-walk mark (`_with_prefix_walk`;
+    identity_tt, bit_flip_tt, pairwise_or_tt and tt_from_ucf set it) is
+    tallied by one prefix walk and is given tuples of exactly use_bound(n)
+    bits; any other is read per length on tuples of use_bound(length-1) bits.
     """
 
     name: str
@@ -72,18 +87,22 @@ class TTFunctional:
 
 
 def identity_tt() -> TTFunctional:
-    return TTFunctional("identity", lambda n: n + 1, lambda bits, n: bits[n])
+    return TTFunctional("identity", lambda n: n + 1, _with_prefix_walk(lambda bits, n: bits[n]))
 
 
 def bit_flip_tt() -> TTFunctional:
-    return TTFunctional("bit_flip", lambda n: n + 1, lambda bits, n: 1 - bits[n])
+    return TTFunctional(
+        "bit_flip", lambda n: n + 1, _with_prefix_walk(lambda bits, n: 1 - bits[n])
+    )
 
 
 def pairwise_or_tt() -> TTFunctional:
     """Output bit n is the OR of input bits 2n and 2n+1; pushes the uniform
     measure to Bernoulli(3/4)."""
     return TTFunctional(
-        "pairwise_or", lambda n: 2 * n + 2, lambda bits, n: bits[2 * n] | bits[2 * n + 1]
+        "pairwise_or",
+        lambda n: 2 * n + 2,
+        _with_prefix_walk(lambda bits, n: bits[2 * n] | bits[2 * n + 1]),
     )
 
 
@@ -97,21 +116,46 @@ def _non_bit(phi: TTFunctional, n: int, value: object) -> InvariantViolation:
     return InvariantViolation(f"{phi.name}: output bit {n} is {value!r}, not the int 0 or 1")
 
 
-def _first_non_bit(phi: TTFunctional, run: tuple, length: int) -> None:
-    """Raise for the first output bit of the run, in enumeration order, that
-    is not the int 0 or 1 (True reads as 1), by reading the run again."""
+def _first_non_bit(phi: TTFunctional, run, positions: range) -> None:
+    """Raise for the first output bit at the positions, over the run in
+    enumeration order, that is not the int 0 or 1 (True reads as 1), by
+    reading the run again."""
     for bits in run:
-        for n in range(length):
+        for n in positions:
             value = phi.output_bit(bits, n)
             if not isinstance(value, int) or value not in (0, 1):
                 raise _non_bit(phi, n, value)
+
+
+def _use_bounds(phi: TTFunctional, length: int) -> list[int]:
+    """u(0), ..., u(length-1), refused with InvariantViolation at the first n
+    where u(n) < u(n-1), or u(0) < 0."""
+    uses = [phi.use_bound(n) for n in range(length)]
+    for n, (before, u) in enumerate(zip([0] + uses, uses)):
+        if u < before:
+            below = f"u({n - 1}) = {before}" if n else "0"
+            raise InvariantViolation(f"{phi.name}: use bound u({n}) = {u} is below {below}")
+    return uses
+
+
+def _with_prefix_walk(output_bit):
+    """output_bit marked as reading bit n from input bits 0..use_bound(n)-1
+    alone, so that a tally may walk input prefixes (see `_tally_for_length`)."""
+    output_bit.prefix_walk = True
+    return output_bit
 
 
 def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     """Count, for every output string of the given length, how many input
     blocks of length u = use_bound(length-1) map onto it, as (counts, 2^u):
     counts[i] is the count of the output bit_string(length, i).  One
-    enumeration serves all cylinders of that length."""
+    enumeration serves all cylinders of that length.
+
+    A use bound that decreases is refused with InvariantViolation before any
+    output bit is read.  Where output_bit carries the prefix-walk mark (the
+    functionals this module builds), `_walk_prefixes` tallies this length and
+    every shorter one in one walk; any other callable is read on every input
+    block for each of its output bits, in enumeration order."""
     cached = phi._tally.get(length)
     if cached is not None:
         return cached
@@ -120,6 +164,9 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
         raise over_budget(
             f"use bound {u} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
         )
+    uses = _use_bounds(phi, length)
+    if getattr(phi.output_bit, "prefix_walk", False):
+        return _walk_prefixes(phi, uses)
     if length == 0:  # no columns to zip: the one empty input maps onto ""
         counts = [1]
     else:
@@ -132,7 +179,7 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
             try:
                 rows.update(map(bytes, zip(*columns)))
             except (TypeError, ValueError):  # a bit that is no byte: name it
-                _first_non_bit(phi, run, length)
+                _first_non_bit(phi, run, range(length))
                 raise
         counts = [0] * 2**length
         while rows:  # each distinct output is read as its index once
@@ -143,6 +190,69 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
             counts[int(row.translate(_DIGITS), 2)] = c
     tally = phi._tally[length] = counts, 2**u
     return tally
+
+
+def _walk_prefixes(phi: TTFunctional, uses: list[int]) -> tuple[list[int], int]:
+    """The tally of every output length up to len(uses), from one walk over
+    the trie of input prefixes: each prefix of length u(n) is read once, as a
+    tuple of just those bits, for bit n of its output, and gets the output
+    index 2·(its parent's index) + bit n.  So bit n is read 2^u(n) times.  A
+    non-bit is named at the least n, then at the first prefix in enumeration
+    order.
+
+    The walk stops at the length asked and keeps its frontier, the index of
+    every prefix of length u(len(uses)-1), beside the tally entry it wrote
+    last, so that a longer length extends it.  The frontier is valid while
+    that entry is still the one in `_tally`, so a new or cleared tally walks
+    from the root.  The frontier holds 2 bytes per prefix (8 past output
+    length 16), and a level in progress about 4 more: 0.5 MiB held and a
+    1.5 MiB peak at u = 18 (pairwise_or to length 9), 32 MiB held and about
+    96 MiB at the peak at USE_BOUND_BUDGET, where a per-length enumeration
+    streams its inputs in TALLY_RUN batches of about 0.25 MiB."""
+    length = len(uses)
+    walk = vars(phi).get("_prefix_walk")
+    if walk is None or walk[0] > length or phi._tally.get(walk[0]) is not walk[1]:
+        walk = 0, phi._tally.setdefault(0, ([1], 1)), array("H", [0])
+    start, tally, indices = walk
+    for n in range(start, length):
+        inputs = product((0, 1), repeat=uses[n])
+        try:  # product reuses its tuple once output_bit lets go of it
+            bits = bytes(map(phi.output_bit, inputs, repeat(n)))
+        except (TypeError, ValueError):  # a bit that is no byte: name it
+            _first_non_bit(phi, product((0, 1), repeat=uses[n]), range(n, n + 1))
+            raise
+        if bits.translate(None, _BIT_BYTES):
+            raise _non_bit(phi, n, next(b for b in bits if b > 1))
+        # an index of more than 16 output bits takes 8 bytes
+        parents = array("Q", indices) if n == 16 else indices
+        # prefix p·fanout + j extends parent p: fill the children's indices
+        # by j, or by p where there are fewer parents than children of each
+        fanout = len(bits) // len(parents)
+        indices = array(parents.typecode, bytes(parents.itemsize * len(bits)))
+        if fanout <= len(parents):
+            for j in range(fanout):
+                indices[j::fanout] = _appended(parents, bits[j::fanout])
+        else:
+            for p, i in enumerate(parents):
+                block = slice(p * fanout, (p + 1) * fanout)
+                indices[block] = _appended(array(parents.typecode, [i]) * fanout, bits[block])
+        counts = [0] * 2 ** (n + 1)
+        for i, c in Counter(indices).items():
+            counts[i] = c
+        tally = phi._tally[n + 1] = counts, len(bits)
+    vars(phi)["_prefix_walk"] = length, tally, indices
+    return tally
+
+
+def _appended(indices: array, bits: bytes) -> array:
+    """2·i + b for each index i and the bit b beside it, every lane at once:
+    the indices read as one int, shifted, or-ed with the bits spread over
+    the same lanes (an index below half its lane's range has room)."""
+    width, order = indices.itemsize, sys.byteorder
+    lanes = bytearray(width * len(bits))
+    lanes[0 if order == "little" else width - 1 :: width] = bits
+    spread = int.from_bytes(indices, order) << 1 | int.from_bytes(lanes, order)
+    return array(indices.typecode, spread.to_bytes(len(lanes), order))
 
 
 def induced_measure_of_cylinder(phi: TTFunctional, sigma: str) -> Fraction:
@@ -418,7 +528,7 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
         # the truncation of -x has the parity of that of x
         return ((abs(num) << (n + 1)) // den) & 1
 
-    return TTFunctional(f"tt({g.name})", use_bound, output_bit)
+    return TTFunctional(f"tt({g.name})", use_bound, _with_prefix_walk(output_bit))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from randlab.ttmeasures import (
     TransportStatus,
     TTFunctional,
     _tally_for_length,
+    _with_prefix_walk,
     bernoulli_measure,
     bit_flip_tt,
     cdf,
@@ -72,20 +73,39 @@ def counting(phi, key):
     return dataclasses.replace(phi, output_bit=output_bit, _tally={}), calls
 
 
-@st.composite
-def truth_tables(draw):
-    """A functional of nondecreasing use bounds up to 9 whose output bit n is
-    a random 0/1 int table on the first use_bound(n) input bits, and the
-    number of output bits it defines."""
-    length = draw(st.integers(0, 5))
-    uses = sorted(draw(st.lists(st.integers(0, 9), min_size=length, max_size=length)))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+def table_tt(uses, seed):
+    """The functional whose output bit n is a random 0/1 int table on the
+    first uses[n] input bits, defined for len(uses) output bits."""
+    rng = random.Random(seed)
     tables = [[rng.randint(0, 1) for _ in range(2**u)] for u in uses]
 
     def output_bit(bits, n):
         return tables[n][int("".join(map(str, bits[: uses[n]])) or "0", 2)]
 
-    return TTFunctional("random", uses.__getitem__, output_bit), length
+    return TTFunctional("random", uses.__getitem__, output_bit)
+
+
+@st.composite
+def truth_tables(draw):
+    """A functional of nondecreasing use bounds up to 9 (table_tt), and the
+    number of output bits it defines."""
+    length = draw(st.integers(0, 5))
+    uses = sorted(draw(st.lists(st.integers(0, 9), min_size=length, max_size=length)))
+    return table_tt(uses, draw(st.integers(0, 2**32))), length
+
+
+def opaque(phi):
+    """phi with a fresh tally and an output_bit without the prefix-walk mark."""
+    output_bit = phi.output_bit
+    return dataclasses.replace(phi, output_bit=lambda bits, n: output_bit(bits, n), _tally={})
+
+
+def walked(phi):
+    """phi with a fresh tally and its output_bit carrying the prefix-walk
+    mark, as the lab marks the functionals it builds."""
+    copy = opaque(phi)
+    _with_prefix_walk(copy.output_bit)
+    return copy
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,6 +155,195 @@ def test_int_tally_reads_back_as_the_string_keyed_tally(drawn, run):
             assert len(counts) == 2**k
             read = {bit_string(k, i): c for i, c in enumerate(counts) if c}
             assert read == string_keyed_tally(phi, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(truth_tables(), st.sampled_from([1, 3, 64, ttmeasures.TALLY_RUN]), st.randoms())
+def test_prefix_walk_matches_per_length_enumeration(drawn, run, rng):
+    # the walk reads each level whole, so no batch size may change it
+    base, length = drawn
+    phi = walked(base)
+    lengths = list(range(length + 1))
+    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
+        for psi in (phi, dataclasses.replace(phi, _tally={})):
+            rng.shuffle(lengths)
+            for k in lengths:
+                assert _tally_for_length(psi, k) == ref._tally_for_length(base, k), k
+    assert sorted(phi._tally) == list(range(length + 1))
+
+
+# use bounds that repeat, that start at 0 or stay there, and one jump of 9
+@pytest.mark.parametrize(
+    "uses", [[0], [0, 0, 0], [0, 2, 2, 5], [3, 3, 3, 3], [1, 1, 4, 4, 9], [9, 9]], ids=str
+)
+def test_prefix_walk_over_repeated_and_zero_use_bounds(uses):
+    for seed in range(3):
+        base = table_tt(uses, seed)
+        phi, calls = counting(base, lambda bits, n: (bits, n))
+        phi = walked(phi)
+        for k in reversed(range(len(uses) + 1)):
+            assert _tally_for_length(phi, k) == ref._tally_for_length(base, k), k
+        # bit n is read once on each prefix of exactly u(n) bits
+        assert calls == {
+            (bits, n): 1 for n, u in enumerate(uses) for bits in itertools.product((0, 1), repeat=u)
+        }
+
+
+@settings(max_examples=100, deadline=None)
+@given(truth_tables(), st.randoms())
+def test_prefix_walk_reads_bit_n_once_per_prefix(drawn, rng):
+    base, length = drawn
+    phi, calls = counting(base, lambda bits, n: n)
+    phi = walked(phi)
+    lengths = rng.sample(range(length + 1), rng.randint(0, length + 1))
+    for k in lengths:
+        _tally_for_length(phi, k)
+    asked = max(lengths, default=0)
+    assert calls == {n: 2 ** base.use_bound(n) for n in range(asked)}
+    # the walk extends from the longest length asked; a fresh tally walks
+    # from the root
+    calls.clear()
+    _tally_for_length(dataclasses.replace(phi, _tally={}), asked)
+    assert calls == {n: 2 ** base.use_bound(n) for n in range(asked)}
+
+
+def test_pairwise_or_walk_to_length_8_reads_each_prefix_once():
+    # output bit n of pairwise_or reads 2n+2 input bits: 4^(n+1) prefixes
+    phi, calls = counting(pairwise_or_tt(), lambda bits, n: n)
+    phi = walked(phi)
+    assert all(c.passed for c in validate_measure(materialize_measure(phi), 8))
+    assert calls == {n: 4 ** (n + 1) for n in range(8)}
+    assert sum(calls.values()) == 87_380
+
+
+def test_a_new_or_cleared_tally_walks_from_the_root():
+    phi = pairwise_or_tt()
+    _tally_for_length(phi, 4)
+    fresh = dataclasses.replace(phi, _tally={})
+    assert _tally_for_length(fresh, 3) == ref._tally_for_length(phi, 3)
+    assert sorted(fresh._tally) == [0, 1, 2, 3]
+    for k in (4, 2, 5):  # the length walked to, then a shorter and a longer one
+        phi._tally.clear()
+        assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k)
+        assert sorted(phi._tally) == list(range(k + 1))
+
+
+@pytest.mark.parametrize("length", range(10))
+def test_pairwise_or_tally_is_bernoulli_3_4(length):
+    # the OR of two fair bits is 1 with probability 3/4, independently per
+    # pair: an output with i ones has 3^i of the 4^length input blocks
+    want = [3 ** bin(i).count("1") for i in range(2**length)], 4**length
+    native, copy = pairwise_or_tt(), opaque(pairwise_or_tt())
+    assert _tally_for_length(native, length) == _tally_for_length(copy, length) == want
+    assert "_prefix_walk" in vars(native) and "_prefix_walk" not in vars(copy)
+
+
+@pytest.mark.parametrize("make", [identity_tt, bit_flip_tt], ids=lambda f: f.__name__)
+def test_identity_and_bit_flip_tallies_are_uniform(make):
+    native, copy = make(), opaque(make())
+    for phi in (native, copy):
+        validate_measure(materialize_measure(phi), 14)
+        assert all(phi._tally[k] == ([1] * 2**k, 2**k) for k in range(15))
+    assert "_prefix_walk" in vars(native) and "_prefix_walk" not in vars(copy)
+
+
+@pytest.mark.parametrize(
+    "g, length",
+    [(square_fn(), 7), (half_fn(), 8), (identity_fn(), 8), (abs_offset_fn(), 8),
+     (complement_fn(), 8)],
+    ids=["square", "half", "identity", "abs_offset", "complement"],
+)
+def test_tt_from_ucf_walk_matches_per_length_enumeration(g, length):
+    phi = tt_from_ucf(g, 8)
+    lengths = list(range(length + 1))
+    random.Random(length).shuffle(lengths)
+    for k in lengths:
+        assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k), k
+
+
+def test_the_lab_marks_the_functionals_it_builds():
+    for phi in (identity_tt(), bit_flip_tt(), pairwise_or_tt(), tt_from_ucf(square_fn(), 8)):
+        assert phi.output_bit.prefix_walk is True, phi.name
+
+
+def cold_tally_peak(make, length):
+    """tracemalloc's peak while a fresh functional is validated to length."""
+    validate_measure(materialize_measure(make()), 4)  # warm the module
+    gc.collect()
+    tracemalloc.start()
+    try:
+        validate_measure(materialize_measure(make()), length)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the per-length enumeration peaked at 1.43 and 2.90 MiB; the walk may add
+# at most 1 MiB, its frontier included
+@pytest.mark.parametrize(
+    "make, length, before", [(pairwise_or_tt, 9, 1.43), (identity_tt, 14, 2.90)],
+    ids=["pairwise_or", "identity"],
+)
+def test_cold_tally_peak_stays_within_1_mib_of_the_enumeration(make, length, before):
+    peak = cold_tally_peak(make, length) / 2**20
+    assert peak < before + 1, f"{peak:.2f} MiB peak"
+
+
+def two_faults(first, second):
+    """Output bit 0 is `first` on the inputs that start with 1; output bit 1
+    is `second` on the inputs that start with 00; every other bit is 0."""
+
+    def output_bit(bits, n):
+        if n == 0:
+            return first if bits[0] else 0
+        return second if bits[:2] == (0, 0) else 0
+
+    return TTFunctional("two", lambda n: n + 1, output_bit)
+
+
+# a per-length enumeration names the first input block with a non-bit, and
+# the walk the least output bit: input 00 fails at bit 1, prefix 1 at bit 0
+@pytest.mark.parametrize("first, second", [(-1, 1.0), (256, 1.0), (2, 1.0), (1.0, -1)], ids=repr)
+def test_the_walk_names_the_least_bit_that_is_no_bit(first, second):
+    phi = two_faults(first, second)
+    per_length = (InvariantViolation, f"two: output bit 1 is {second!r}, not the int 0 or 1")
+    assert outcome(_tally_for_length, phi, 2) == per_length
+    assert outcome(ref._tally_for_length, phi, 2) == per_length
+    walk = (InvariantViolation, f"two: output bit 0 is {first!r}, not the int 0 or 1")
+    assert outcome(_tally_for_length, walked(phi), 2) == walk
+
+
+@pytest.mark.parametrize("values", [(5, 7), (256, -1), (1.0, 2)], ids=repr)
+def test_the_walk_names_the_first_prefix_that_is_no_bit(values):
+    # bit 1 is values[0] on prefix 01 and values[1] on prefix 10
+    table = {(0, 1): values[0], (1, 0): values[1]}
+    phi = TTFunctional("pair", lambda n: 2, lambda bits, n: table.get(bits[:2], 0) if n else 0)
+    message = f"pair: output bit 1 is {values[0]!r}, not the int 0 or 1"
+    assert outcome(_tally_for_length, walked(phi), 2) == (InvariantViolation, message)
+
+
+DECREASING = [
+    # bit 0 reads input bit 2, bit 1 input bit 0: the index leaks from the input of 1 bit
+    (lambda n: 3 if n == 0 else 1, 2, "dec: use bound u(1) = 1 is below u(0) = 3"),
+    # a tally of length 2 over 2 inputs, although bit 0 reads 2 bits
+    (lambda n: 2 if n == 0 else 1, 2, "dec: use bound u(1) = 1 is below u(0) = 2"),
+    (lambda n: [1, 4, 4, 3][n], 4, "dec: use bound u(3) = 3 is below u(2) = 4"),
+    (lambda n: -1, 1, "dec: use bound u(0) = -1 is below 0"),
+]
+
+
+@pytest.mark.parametrize("use_bound, length, message", DECREASING)
+def test_a_decreasing_use_bound_is_refused_before_any_output_bit(use_bound, length, message):
+    base = TTFunctional("dec", use_bound, lambda bits, n: bits[2] if n == 0 else bits[0])
+    per_length, calls = counting(base, lambda bits, n: n)
+    walk, walk_calls = counting(base, lambda bits, n: n)
+    for phi, calls in ((per_length, calls), (walked(walk), walk_calls)):
+        assert outcome(_tally_for_length, phi, length) == (InvariantViolation, message)
+        assert outcome(induced_measure_of_cylinder, phi, "0" * length) == (
+            InvariantViolation, message
+        )
+        assert not calls
+        assert not phi._tally
 
 
 def faulty_tt(value):
