@@ -209,8 +209,9 @@ def _from_pieces(name, pieces, modulus=None, closed_form=None) -> MarkovFunction
     return MarkovFunction(name, ev, tuple(x0 for x0, *_ in pieces if 0 < x0 < 1), modulus)
 
 
-# each built-in keeps its closed form beside its pieces: `range_on` and
-# `tt_from_ucf` read it per point
+# each built-in keeps its closed form beside its pieces: `range_on` reads it
+# per point, and so does `tt_from_ucf`'s output_bit through it (its output
+# level reads the grid, so the pieces)
 
 
 def identity_fn() -> MarkovFunction:

@@ -12,11 +12,14 @@ string.  A tally is ints from enumeration on: for output length k, the count
 of each output indexed by the output read as a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 
-The functionals this module builds are tallied by one walk over the trie of
-input prefixes, which reads output bit n once per prefix of length u(n) and
-fills the tally of every length it passes.  Any other output_bit callable,
-such as one put in by `dataclasses.replace`, is read on every input block
-of each length for each of its output bits.
+The functionals this module builds carry a native output level on
+output_bit: `output_bit.level(n)` gives bit n of every input prefix of length
+u(n) as bytes.  They are tallied by one walk over the trie of input prefixes,
+which reads each level once and fills the tally of every length it passes.
+The combinatorial functionals' levels are constants; `tt_from_ucf` builds its
+levels from g's values on the grid of each use bound (`MarkovFunction.grid`).
+Any other output_bit callable, such as one put in by `dataclasses.replace`,
+is read on every input block of each length for each of its output bits.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ USE_BOUND_BUDGET = 24
 # inputs a per-length tally enumerates per batch: the enumeration streams,
 # and a batch of 24-bit inputs stays near 0.25 MiB
 TALLY_RUN = 1024
+# grid points a run-built tt_from_ucf level samples at a time
+LEVEL_CHUNK = 4096
 TRANSPORT_LENGTH_CAP = 64
 OMEGA_CE_DEFAULT_BUDGET = 16
 
@@ -74,10 +79,13 @@ class TTFunctional:
     (counts, 2^use_bound(k-1)), with counts[i] the number of input blocks
     whose output is bit_string(k, i).
 
-    An output_bit that carries the prefix-walk mark (`_with_prefix_walk`;
-    identity_tt, bit_flip_tt, pairwise_or_tt and tt_from_ucf set it) is
-    tallied by one prefix walk and is given tuples of exactly use_bound(n)
-    bits; any other is read per length on tuples of use_bound(length-1) bits.
+    An output_bit with a native output level (`intervals._with_level`;
+    identity_tt, bit_flip_tt, pairwise_or_tt and tt_from_ucf set one) is
+    tallied by one prefix walk: `output_bit.level(n)` returns bit n of every
+    input prefix of length use_bound(n), in `product` order, as 2^use_bound(n)
+    bytes each 0 or 1 (a tally refuses any other with InvariantViolation).
+    Any other output_bit is read per length on tuples of use_bound(length-1)
+    bits.
     """
 
     name: str
@@ -86,24 +94,27 @@ class TTFunctional:
     _tally: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+# the levels of the combinatorial functionals: bit n of every prefix of u(n)
+# bits is a function of its last one or two bits, so each level repeats them
+
+
 def identity_tt() -> TTFunctional:
-    return TTFunctional("identity", lambda n: n + 1, _with_prefix_walk(lambda bits, n: bits[n]))
+    output_bit = _with_level(lambda bits, n: bits[n], lambda n: b"\0\1" * 2**n)
+    return TTFunctional("identity", lambda n: n + 1, output_bit)
 
 
 def bit_flip_tt() -> TTFunctional:
-    return TTFunctional(
-        "bit_flip", lambda n: n + 1, _with_prefix_walk(lambda bits, n: 1 - bits[n])
-    )
+    output_bit = _with_level(lambda bits, n: 1 - bits[n], lambda n: b"\1\0" * 2**n)
+    return TTFunctional("bit_flip", lambda n: n + 1, output_bit)
 
 
 def pairwise_or_tt() -> TTFunctional:
     """Output bit n is the OR of input bits 2n and 2n+1; pushes the uniform
     measure to Bernoulli(3/4)."""
-    return TTFunctional(
-        "pairwise_or",
-        lambda n: 2 * n + 2,
-        _with_prefix_walk(lambda bits, n: bits[2 * n] | bits[2 * n + 1]),
+    output_bit = _with_level(
+        lambda bits, n: bits[2 * n] | bits[2 * n + 1], lambda n: b"\0\1\1\1" * 4**n
     )
+    return TTFunctional("pairwise_or", lambda n: 2 * n + 2, output_bit)
 
 
 # a tally row holds an output's bits as the bytes 0 and 1; _DIGITS reads them
@@ -138,11 +149,11 @@ def _use_bounds(phi: TTFunctional, length: int) -> list[int]:
     return uses
 
 
-def _with_prefix_walk(output_bit):
-    """output_bit marked as reading bit n from input bits 0..use_bound(n)-1
-    alone, so that a tally may walk input prefixes (see `_tally_for_length`)."""
-    output_bit.prefix_walk = True
-    return output_bit
+def _check_row(phi: TTFunctional, row: bytes) -> None:
+    """Raise for the least output bit of a tally row that is no bit."""
+    if row.translate(None, _BIT_BYTES):
+        n = next(n for n, b in enumerate(row) if b > 1)
+        raise _non_bit(phi, n, row[n])
 
 
 def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
@@ -152,10 +163,11 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     enumeration serves all cylinders of that length.
 
     A use bound that decreases is refused with InvariantViolation before any
-    output bit is read.  Where output_bit carries the prefix-walk mark (the
+    output bit is read.  Where output_bit has a native output level (the
     functionals this module builds), `_walk_prefixes` tallies this length and
     every shorter one in one walk; any other callable is read on every input
-    block for each of its output bits, in enumeration order."""
+    block for each of its output bits, in enumeration order, and a non-bit is
+    named at the first block that holds one."""
     cached = phi._tally.get(length)
     if cached is not None:
         return cached
@@ -165,7 +177,7 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
             f"use bound {u} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
         )
     uses = _use_bounds(phi, length)
-    if getattr(phi.output_bit, "prefix_walk", False):
+    if getattr(phi.output_bit, "level", None) is not None:
         return _walk_prefixes(phi, uses)
     if length == 0:  # no columns to zip: the one empty input maps onto ""
         counts = [1]
@@ -178,15 +190,17 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
             columns = (map(phi.output_bit, run, repeat(n)) for n in range(length))
             try:
                 rows.update(map(bytes, zip(*columns)))
-            except (TypeError, ValueError):  # a bit that is no byte: name it
+            except (TypeError, ValueError):  # a bit that is no byte: name the
+                # first non-bit, in the runs read before or in this one
+                for row in rows:
+                    _check_row(phi, row)
                 _first_non_bit(phi, run, range(length))
                 raise
         counts = [0] * 2**length
-        while rows:  # each distinct output is read as its index once
-            row, c = rows.popitem()
-            if row.translate(None, _BIT_BYTES):
-                n = next(n for n, b in enumerate(row) if b > 1)
-                raise _non_bit(phi, n, row[n])
+        # in first-seen order: the first row with a non-bit is that of the
+        # first block with one
+        for row, c in rows.items():
+            _check_row(phi, row)
             counts[int(row.translate(_DIGITS), 2)] = c
     tally = phi._tally[length] = counts, 2**u
     return tally
@@ -194,11 +208,11 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
 
 def _walk_prefixes(phi: TTFunctional, uses: list[int]) -> tuple[list[int], int]:
     """The tally of every output length up to len(uses), from one walk over
-    the trie of input prefixes: each prefix of length u(n) is read once, as a
-    tuple of just those bits, for bit n of its output, and gets the output
-    index 2·(its parent's index) + bit n.  So bit n is read 2^u(n) times.  A
-    non-bit is named at the least n, then at the first prefix in enumeration
-    order.
+    the trie of input prefixes: output bit n is read as one level,
+    `output_bit.level(n)`, and each prefix of length u(n) gets the output
+    index 2·(its parent's index) + its byte there.  A level that is not
+    2^u(n) bytes, each 0 or 1, is refused with InvariantViolation; a non-bit
+    is named at the least n, then at the first prefix in enumeration order.
 
     The walk stops at the length asked and keeps its frontier, the index of
     every prefix of length u(len(uses)-1), beside the tally entry it wrote
@@ -208,19 +222,21 @@ def _walk_prefixes(phi: TTFunctional, uses: list[int]) -> tuple[list[int], int]:
     length 16), and a level in progress about 4 more: 0.5 MiB held and a
     1.5 MiB peak at u = 18 (pairwise_or to length 9), 32 MiB held and about
     96 MiB at the peak at USE_BOUND_BUDGET, where a per-length enumeration
-    streams its inputs in TALLY_RUN batches of about 0.25 MiB."""
+    streams its inputs in TALLY_RUN batches of about 0.25 MiB.  A level that
+    `tt_from_ucf` builds holds LEVEL_CHUNK grid values at a time beside its
+    bytes: a cold tally of tt(square) to length 14 (u = 16) peaks near 2 MiB."""
     length = len(uses)
     walk = vars(phi).get("_prefix_walk")
     if walk is None or walk[0] > length or phi._tally.get(walk[0]) is not walk[1]:
         walk = 0, phi._tally.setdefault(0, ([1], 1)), array("H", [0])
     start, tally, indices = walk
+    level = phi.output_bit.level
     for n in range(start, length):
-        inputs = product((0, 1), repeat=uses[n])
-        try:  # product reuses its tuple once output_bit lets go of it
-            bits = bytes(map(phi.output_bit, inputs, repeat(n)))
-        except (TypeError, ValueError):  # a bit that is no byte: name it
-            _first_non_bit(phi, product((0, 1), repeat=uses[n]), range(n, n + 1))
-            raise
+        bits = level(n)
+        if len(bits) != 2 ** uses[n]:
+            raise InvariantViolation(
+                f"{phi.name}: output level {n} holds {len(bits)} bits, not 2^{uses[n]}"
+            )
         if bits.translate(None, _BIT_BYTES):
             raise _non_bit(phi, n, next(b for b in bits if b > 1))
         # an index of more than 16 output bits takes 8 bytes
@@ -487,12 +503,43 @@ def transport_pushforward_check(
     )
 
 
+def _hull_bit(num: int, den: int, n: int) -> int:
+    """Bit n of num/den truncated toward zero, as int() truncates a Fraction
+    (the truncation of -x has the parity of that of x), and 1 at or above 1."""
+    return 1 if num >= den else ((abs(num) << (n + 1)) // den) & 1
+
+
+def _hull_level(g: MarkovFunction, u: int, n: int) -> bytes:
+    """Bit n of the hull's lower end over each step [k/2^u, (k+1)/2^u], for
+    k from 0 to 2^u - 1, from g's values on the grid (`MarkovFunction.grid`),
+    read LEVEL_CHUNK steps at a time.  g is monotone between its critical
+    points, so the minimum over a closed step is the lesser of its two ends;
+    a step with a critical point strictly inside, off the grid, takes its
+    minimum from `range_on`, as the per-prefix hull does."""
+    size = 2**u
+    out = bytearray()
+    for start in range(0, size, LEVEL_CHUNK):
+        ends, den = g.grid(size, range(start, min(start + LEVEL_CHUNK, size) + 1))
+        out += bytes(_hull_bit(m, den, n) for m in map(min, ends, islice(ends, 1, None)))
+    inside = (divmod(x.numerator * size, x.denominator) for x in g.critical_points)
+    for k in {k for k, off in inside if off and 0 <= k < size}:
+        lo = Fraction(k, size)
+        y = g.range_on(lo, lo + Fraction(1, size))[0]
+        out[k] = _hull_bit(y.numerator, y.denominator, n)
+    return bytes(out)
+
+
 def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
     """Build a truth-table functional from a uniformly continuous function
     with declared modulus θ: use u(n) = the least k with θ(2^{-n-2}) >= 2^{-k},
     and emit bit n of the lower endpoint of the certified output hull
     (rounding down at the boundary).  `depth` is not read: the use bound
-    comes from θ alone."""
+    comes from θ alone.
+
+    output_bit reads the hull of each prefix through `g.range_on`, once per
+    (u, prefix).  Its output level (`_hull_level`) reads g once per grid
+    point through `g.grid`, from the runs of g's pieces where its evaluator
+    carries them."""
     if g.modulus is None:
         raise InvariantViolation("a declared modulus is required")
     theta: ModulusFunction = g.modulus
@@ -521,14 +568,12 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
             lo = dyadic_value("".join(map(str, key[1])))
             ylo = g.range_on(lo, lo + Fraction(1, 2**u))[0]
             end = hull_lo[key] = ylo.numerator, ylo.denominator
-        num, den = end
-        if num >= den:  # an end >= 1 reads 1
-            return 1
-        # bit n of the end truncated toward zero, as int() truncates a Fraction:
-        # the truncation of -x has the parity of that of x
-        return ((abs(num) << (n + 1)) // den) & 1
+        return _hull_bit(*end, n)
 
-    return TTFunctional(f"tt({g.name})", use_bound, _with_prefix_walk(output_bit))
+    def level(n: int) -> bytes:
+        return _hull_level(g, use_bound(n), n)
+
+    return TTFunctional(f"tt({g.name})", use_bound, _with_level(output_bit, level))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from randlab.markov import (
     StagedCover,
     _modulus_precision,
     _by_piece,
-    _from_pieces,
     _node_extrema,
     _runs,
     _sample,
@@ -33,7 +32,7 @@ from randlab.markov import (
     square_fn,
     truncate,
 )
-from strategies import inner, polygons, rational
+from strategies import QUADRATICS, covers, polygons, rational
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=2**10)
 
@@ -232,35 +231,13 @@ def test_truncation_point_interval_sharing_a_left_end():
     assert truncate(square_fn(), c)(Fraction(3, 8)) == Fraction(5, 32)
 
 
-@st.composite
-def covers(draw):
-    """Non-overlapping closed intervals, point intervals and shared
-    endpoints included, as one or two stages in a random order."""
-    ends = sorted(draw(st.lists(inner, max_size=8)))
-    ivs = [RationalInterval(a, b) for a, b in zip(ends[::2], ends[1::2])]
-    ivs = draw(st.permutations(ivs))
-    cut = draw(st.integers(0, len(ivs)))
-    return StagedCover(stages=(tuple(ivs[:cut]), tuple(ivs[cut:])), size_bound=(1, 1))
-
-
 builtin_fns = (
     st.sampled_from(sorted(BUILTIN_FUNCTIONS)).map(function_by_name) | rational.map(const_fn)
 )
 
 
-def quadratic(name, *pieces):
-    return _from_pieces(name, [tuple(map(Fraction, piece)) for piece in pieces])
-
-
-# pieces with a, b and c all nonzero, which no built-in has: (x - 1/2)^2 and
-# 1 + x - x^2 split at their vertices, and the decreasing (x - 2)^2
 H = Fraction(1, 2)
-VERTEX_SQUARE = quadratic("(x-1/2)^2", (0, H * H, -1, 1), (H, H * H, -1, 1))
-QUADRATICS = [
-    VERTEX_SQUARE,
-    quadratic("1+x-x^2", (0, 1, 1, -1), (H, 1, 1, -1)),
-    quadratic("(x-2)^2", (0, 4, -4, 1)),
-]
+VERTEX_SQUARE = QUADRATICS[0]
 bases = builtin_fns | st.just(canonical_nonuc(6)) | st.sampled_from(QUADRATICS)
 tree_sizes = st.tuples(st.integers(-80, 80), st.integers(0, 6))
 grid_sizes = st.integers(1, 200) | st.sampled_from([2**d for d in range(11)])

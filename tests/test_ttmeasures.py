@@ -22,8 +22,9 @@ from randlab.errors import (
     ParseError,
     ZeroMassCylinder,
 )
-from randlab.intervals import bit_string, bit_strings
+from randlab.intervals import RationalInterval, _with_level, bit_string, bit_strings
 from randlab.markov import (
+    StagedCover,
     abs_offset_fn,
     complement_fn,
     const_fn,
@@ -31,6 +32,7 @@ from randlab.markov import (
     identity_fn,
     polygonal_fn,
     square_fn,
+    truncate,
 )
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
@@ -39,8 +41,8 @@ from randlab.ttmeasures import (
     MonotoneCDF,
     TransportStatus,
     TTFunctional,
+    _first_non_bit,
     _tally_for_length,
-    _with_prefix_walk,
     bernoulli_measure,
     bit_flip_tt,
     cdf,
@@ -55,6 +57,7 @@ from randlab.ttmeasures import (
     uniform_measure,
     validate_measure,
 )
+from strategies import QUADRATICS, covers, polygons
 
 FUNCTIONALS = [identity_tt(), pairwise_or_tt(), bit_flip_tt()]
 
@@ -95,16 +98,26 @@ def truth_tables(draw):
 
 
 def opaque(phi):
-    """phi with a fresh tally and an output_bit without the prefix-walk mark."""
+    """phi with a fresh tally and an output_bit without a native output level."""
     output_bit = phi.output_bit
     return dataclasses.replace(phi, output_bit=lambda bits, n: output_bit(bits, n), _tally={})
 
 
 def walked(phi):
-    """phi with a fresh tally and its output_bit carrying the prefix-walk
-    mark, as the lab marks the functionals it builds."""
+    """phi with a fresh tally and its output_bit carrying an output level
+    that reads it once per prefix, in `product` order.  An output bit that is
+    no byte is named at the first such prefix."""
     copy = opaque(phi)
-    _with_prefix_walk(copy.output_bit)
+
+    def level(n):
+        prefixes = lambda: itertools.product((0, 1), repeat=copy.use_bound(n))  # noqa: E731
+        try:  # product reuses its tuple once output_bit lets go of it
+            return bytes(map(copy.output_bit, prefixes(), itertools.repeat(n)))
+        except (TypeError, ValueError):  # a bit that is no byte: name it
+            _first_non_bit(copy, prefixes(), range(n, n + 1))
+            raise
+
+    _with_level(copy.output_bit, level)
     return copy
 
 
@@ -262,8 +275,141 @@ def test_tt_from_ucf_walk_matches_per_length_enumeration(g, length):
 
 
 def test_the_lab_marks_the_functionals_it_builds():
-    for phi in (identity_tt(), bit_flip_tt(), pairwise_or_tt(), tt_from_ucf(square_fn(), 8)):
-        assert phi.output_bit.prefix_walk is True, phi.name
+    # each carries a native output level, which the walk reads in place of
+    # output_bit
+    for native in (identity_tt(), bit_flip_tt(), pairwise_or_tt(), tt_from_ucf(square_fn(), 8)):
+        phi, calls = counting(native, lambda bits, n: n)
+        _with_level(phi.output_bit, native.output_bit.level)
+        assert _tally_for_length(phi, 5) == ref._tally_for_length(native, 5), native.name
+        assert not calls, native.name
+
+
+@pytest.mark.parametrize("make", [identity_tt, bit_flip_tt, pairwise_or_tt], ids=lambda f: f.__name__)
+def test_constant_levels_equal_a_per_prefix_read(make):
+    phi = make()
+    for n in range(9):
+        prefixes = itertools.product((0, 1), repeat=phi.use_bound(n))
+        assert phi.output_bit.level(n) == bytes(phi.output_bit(bits, n) for bits in prefixes), n
+
+
+def with_modulus(g):
+    """g with the declared modulus ε/4, so that u(n) = n + 4."""
+    return dataclasses.replace(g, modulus=ModulusFunction(lambda e: e / 4))
+
+
+def per_prefix_hull(slow, n):
+    """The oracle's output bit n on every prefix of u(n) bits, as bytes."""
+    prefixes = itertools.product((0, 1), repeat=slow.use_bound(n))
+    return bytes(slow.output_bit(b, n) for b in prefixes)
+
+
+CHUNKS = (1, 3, ttmeasures.LEVEL_CHUNK)
+
+
+def assert_level_is_the_per_prefix_hull(g, length, chunks=CHUNKS):
+    """tt_from_ucf's levels, and the tallies its walk builds from them, equal
+    the oracle's per-prefix hull below the length, with each level read in
+    chunks of each of the given numbers of grid steps."""
+    slow = ref.tt_from_ucf(g, 8)
+    hulls = [per_prefix_hull(slow, n) for n in range(length)]
+    for chunk in chunks:
+        phi = tt_from_ucf(g, 8)
+        with mock.patch.object(ttmeasures, "LEVEL_CHUNK", chunk):
+            assert [phi.output_bit.level(n) for n in range(length)] == hulls, chunk
+            assert _tally_for_length(phi, length) == ref._tally_for_length(slow, length)
+
+
+# a polygon with breakpoints off every dyadic grid and a hull below 0
+OFF_GRID_POLYGON = polygonal_fn(
+    [(0, Fraction(1, 2)), (Fraction(1, 3), 0), (Fraction(5, 7), Fraction(9, 10)), (1, Fraction(1, 5))]
+)
+THIRDS = StagedCover(
+    stages=((RationalInterval(Fraction(1, 3), Fraction(2, 3)),),), size_bound=(1,)
+)
+
+
+@pytest.mark.parametrize(
+    "g, length",
+    [
+        (square_fn(), 7), (half_fn(), 8), (identity_fn(), 8), (abs_offset_fn(), 8),
+        (complement_fn(), 8), (const_fn(Fraction(3, 2)), 6), (const_fn(Fraction(-1, 3)), 6),
+        (with_modulus(OFF_GRID_POLYGON), 6),
+        (with_modulus(polygonal_fn([(0, -1), (Fraction(2, 5), Fraction(-7, 3)), (1, 2)])), 6),
+        *[(with_modulus(q), 6) for q in QUADRATICS],
+        *[(with_modulus(truncate(q, THIRDS)), 6) for q in QUADRATICS],
+        (with_modulus(truncate(OFF_GRID_POLYGON, THIRDS)), 6),
+        # an evaluator without pieces, read per grid point
+        (with_modulus(dataclasses.replace(OFF_GRID_POLYGON, eval_at=OFF_GRID_POLYGON)), 6),
+        # two critical points, 3/40 and 4/43, inside the step [1/16, 3/32]
+        (with_modulus(truncate(
+            polygonal_fn([(0, 2), (Fraction(3, 40), 0), (Fraction(1, 5), 2), (1, 0)]),
+            StagedCover(stages=((RationalInterval(Fraction(4, 43), Fraction(1)),),),
+                        size_bound=(1,)),
+        )), 6),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_tt_from_ucf_level_is_the_per_prefix_hull(g, length):
+    assert_level_is_the_per_prefix_hull(g, length)
+
+
+piece_functions = (
+    polygons().map(polygonal_fn) | st.sampled_from(QUADRATICS)
+).flatmap(lambda f: st.just(f) | st.builds(truncate, st.just(f), covers()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(piece_functions, st.sampled_from(CHUNKS))
+def test_tt_from_ucf_level_is_the_per_prefix_hull_on_drawn_pieces(g, chunk):
+    assert_level_is_the_per_prefix_hull(with_modulus(g), 5, [chunk])
+
+
+def test_a_level_over_several_chunks_is_the_per_prefix_hull():
+    # u(9) = 13: two LEVEL_CHUNK chunks joined at grid point 4096
+    g = with_modulus(OFF_GRID_POLYGON)
+    phi, slow = tt_from_ucf(g, 8), ref.tt_from_ucf(g, 8)
+    assert phi.use_bound(9) == 13
+    assert phi.output_bit.level(9) == per_prefix_hull(slow, 9)
+
+
+def test_a_g_without_pieces_is_read_once_per_grid_point():
+    g = dataclasses.replace(square_fn(), eval_at=lambda x: x * x)
+    phi = tt_from_ucf(g, 8)
+    for k in (7, 3):
+        assert _tally_for_length(phi, k) == ref._tally_for_length(ref.tt_from_ucf(g, 8), k)
+    calls = []
+    counted = dataclasses.replace(g, eval_at=lambda x: calls.append(x) or x * x)
+    _tally_for_length(tt_from_ucf(counted, 8), 4)
+    # one value per grid point k/2^u, k = 0..2^u, for u(n) = n + 3 and n < 4
+    assert len(calls) == 9 + 17 + 33 + 65
+
+
+# identity's levels with a fault at output bit n
+LEVEL_FAULTS = [
+    # one byte too long
+    (2, b"\0\1" * 4 + b"\0", "identity: output level 2 holds 9 bits, not 2^3"),
+    (2, b"\0\2" * 4, "identity: output bit 2 is 2, not the int 0 or 1"),
+    # named at the first prefix that holds a non-bit
+    (1, b"\0\5\xff\1", "identity: output bit 1 is 5, not the int 0 or 1"),
+]
+
+
+@pytest.mark.parametrize("fault, faulty, message", LEVEL_FAULTS)
+def test_a_native_level_that_is_no_level_is_refused(fault, faulty, message):
+    level = lambda n: faulty if n == fault else b"\0\1" * 2**n  # noqa: E731
+    phi = dataclasses.replace(
+        identity_tt(), output_bit=_with_level(lambda bits, n: bits[n], level), _tally={}
+    )
+    assert outcome(_tally_for_length, phi, 4) == (InvariantViolation, message)
+    # the levels below the fault are tallied
+    assert sorted(phi._tally) == list(range(fault + 1))
+
+
+def test_a_replaced_use_bound_meets_the_level_guard():
+    # pairwise_or's level has 4^(n+1) bytes, so it does not fit u(n) = n + 1
+    phi = dataclasses.replace(pairwise_or_tt(), use_bound=lambda n: n + 1, _tally={})
+    message = "pairwise_or: output level 0 holds 4 bits, not 2^1"
+    assert outcome(_tally_for_length, phi, 3) == (InvariantViolation, message)
 
 
 def cold_tally_peak(make, length):
@@ -289,6 +435,13 @@ def test_cold_tally_peak_stays_within_1_mib_of_the_enumeration(make, length, bef
     assert peak < before + 1, f"{peak:.2f} MiB peak"
 
 
+def test_a_cold_tt_from_ucf_tally_peaks_under_8_mib():
+    # u = 16 at length 14: the level is read from the grid in chunks, and the
+    # hull cache of output_bit is never filled
+    peak = cold_tally_peak(lambda: tt_from_ucf(square_fn(), 8), 14) / 2**20
+    assert peak < 8, f"{peak:.2f} MiB peak"
+
+
 def two_faults(first, second):
     """Output bit 0 is `first` on the inputs that start with 1; output bit 1
     is `second` on the inputs that start with 00; every other bit is 0."""
@@ -309,6 +462,20 @@ def test_the_walk_names_the_least_bit_that_is_no_bit(first, second):
     per_length = (InvariantViolation, f"two: output bit 1 is {second!r}, not the int 0 or 1")
     assert outcome(_tally_for_length, phi, 2) == per_length
     assert outcome(ref._tally_for_length, phi, 2) == per_length
+    walk = (InvariantViolation, f"two: output bit 0 is {first!r}, not the int 0 or 1")
+    assert outcome(_tally_for_length, walked(phi), 2) == walk
+
+
+# two faults that are both bytes or neither, or a byte in block 00 and no
+# byte in the later block 10, read in one run or in runs of 1 or 3 blocks
+@pytest.mark.parametrize("run", [1, 3, ttmeasures.TALLY_RUN])
+@pytest.mark.parametrize("first, second", [(2, 3), (255, 2), (48, 95), (-1, 1.0), (1.0, 2)], ids=repr)
+def test_a_per_length_tally_names_the_first_block_that_is_no_bit(first, second, run):
+    phi = two_faults(first, second)
+    want = (InvariantViolation, f"two: output bit 1 is {second!r}, not the int 0 or 1")
+    assert outcome(ref._tally_for_length, phi, 2) == want
+    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
+        assert outcome(_tally_for_length, phi, 2) == want
     walk = (InvariantViolation, f"two: output bit 0 is {first!r}, not the int 0 or 1")
     assert outcome(_tally_for_length, walked(phi), 2) == walk
 
