@@ -187,12 +187,15 @@ def _sample(runs, indices: Sequence[int]) -> list[int]:
 
 
 def _by_piece(pieces):
-    """The evaluator of the function that `pieces` lists: at x, the last
-    piece that starts at or before x."""
+    """The evaluator of the function that `pieces` lists: at x in [0, 1], the
+    last piece that starts at or before x."""
     x0s = [x0 for x0, *_ in pieces]
     abc = [(a, b, c or None) for _, a, b, c in pieces]
 
     def ev(x: Fraction) -> Fraction:
+        # x < 0 or x > 1, read off the numerator as `range_on` does
+        if x.numerator < 0 or x.numerator > x.denominator:
+            raise ValueError(f"x = {x} outside [0, 1]")
         a, b, c = abc[bisect.bisect_right(x0s, x) - 1]
         return a + b * x if c is None else a + (b + c * x) * x
 
@@ -210,8 +213,7 @@ def _from_pieces(name, pieces, modulus=None, closed_form=None) -> MarkovFunction
 
 
 # each built-in keeps its closed form beside its pieces: `range_on` reads it
-# per point, and so does `tt_from_ucf`'s output_bit through it (its output
-# level reads the grid, so the pieces)
+# per point
 
 
 def identity_fn() -> MarkovFunction:

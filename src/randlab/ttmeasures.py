@@ -31,6 +31,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product, repeat
 from typing import Callable
 
@@ -49,7 +50,6 @@ from .intervals import (
     _with_level,
     bit_string,
     bit_strings,
-    dyadic_value,
     format_rational,
     over_lcm,
 )
@@ -117,10 +117,11 @@ def pairwise_or_tt() -> TTFunctional:
     return TTFunctional("pairwise_or", lambda n: 2 * n + 2, output_bit)
 
 
-# a tally row holds an output's bits as the bytes 0 and 1; _DIGITS reads them
-# as the digits "0" and "1"
+# a tally row holds an output's bits, and tt_from_ucf's output_bit its input
+# bits, as the bytes 0 and 1; _DIGITS reads them as the digits "0" and "1",
+# and any other byte as "x", which int(..., 2) refuses
 _BIT_BYTES = b"\x00\x01"
-_DIGITS = bytes.maketrans(_BIT_BYTES, b"01")
+_DIGITS = b"01" + b"x" * 254
 
 
 def _non_bit(phi: TTFunctional, n: int, value: object) -> InvariantViolation:
@@ -515,7 +516,7 @@ def _hull_level(g: MarkovFunction, u: int, n: int) -> bytes:
     read LEVEL_CHUNK steps at a time.  g is monotone between its critical
     points, so the minimum over a closed step is the lesser of its two ends;
     a step with a critical point strictly inside, off the grid, takes its
-    minimum from `range_on`, as the per-prefix hull does."""
+    minimum from `range_on` over that step."""
     size = 2**u
     out = bytearray()
     for start in range(0, size, LEVEL_CHUNK):
@@ -536,10 +537,11 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
     (rounding down at the boundary).  `depth` is not read: the use bound
     comes from θ alone.
 
-    output_bit reads the hull of each prefix through `g.range_on`, once per
-    (u, prefix).  Its output level (`_hull_level`) reads g once per grid
-    point through `g.grid`, from the runs of g's pieces where its evaluator
-    carries them."""
+    Its output level (`_hull_level`) reads g once per grid point through
+    `g.grid`, from the runs of g's pieces where its evaluator carries them.
+    output_bit reads its byte from its own copy of that level, at the index
+    of `bits[:u]` with missing bits read as 0: the hull over [0.bits,
+    0.bits + 2^-u]."""
     if g.modulus is None:
         raise InvariantViolation("a declared modulus is required")
     theta: ModulusFunction = g.modulus
@@ -556,22 +558,18 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
 
-    # the hull's lower end over [0.prefix, 0.prefix + 2^-u) as an int pair,
-    # once per (u, prefix); u is in the key because bits may be shorter than u
-    hull_lo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    def level(n: int) -> bytes:
+        return _hull_level(g, use_bound(n), n)
+
+    own_level = cache(level)  # output_bit's levels; the prefix walk keeps none
 
     def output_bit(bits: tuple[int, ...], n: int) -> int:
         u = use_bound(n)
-        key = (u, bits[:u])
-        end = hull_lo.get(key)
-        if end is None:
-            lo = dyadic_value("".join(map(str, key[1])))
-            ylo = g.range_on(lo, lo + Fraction(1, 2**u))[0]
-            end = hull_lo[key] = ylo.numerator, ylo.denominator
-        return _hull_bit(*end, n)
-
-    def level(n: int) -> bytes:
-        return _hull_level(g, use_bound(n), n)
+        try:
+            index = int(bytes(bits[:u]).translate(_DIGITS).ljust(u, b"0"), 2)
+        except (TypeError, ValueError):
+            raise ParseError(f"input bits {bits[:u]!r} are not all 0 or 1") from None
+        return own_level(n)[index]
 
     return TTFunctional(f"tt({g.name})", use_bound, _with_level(output_bit, level))
 

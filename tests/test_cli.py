@@ -229,10 +229,28 @@ def test_out_to_a_missing_directory_is_one_labcli_line(tmp_path):
     assert not target.exists()
 
 
+# interval strings with spaces and Unicode digits, read as their ASCII forms
+SPACED_ML = {
+    "type": "test_family", "kind": "ML",
+    "components": {"1": [[" ( \u0660/1 , \u0661/2 ) "]], "2": [["\t[ 0/\u0661 ,1/4)"]]},
+}
+# a union out of order, overlapping and spelled with unreduced non-dyadic ends
+UNREDUCED_ML = {
+    "type": "test_family", "kind": "ML",
+    "components": {"1": [["[10/30,12/28]", "(3/18,5/20)", "[0/7,2/14)", "(4/24,9/27)"]]},
+}
+UNREDUCED_SOLOVAY = {**UNREDUCED_ML, "kind": "SOLOVAY", "kind_data": {"total_bound": "1/2"}}
+NEGATIVE_CONSTANT = {"type": "martingale", "rule": "constant", "value": "-1"}
+
+
 def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
     # help is wrapped to the terminal width; pin it for both processes
     monkeypatch.setenv("COLUMNS", "80")
     target = tmp_path / "evaluate.json"
+    docs = {"spaced": SPACED_ML, "unreduced": UNREDUCED_ML,
+            "unreduced_solovay": UNREDUCED_SOLOVAY, "negative": NEGATIVE_CONSTANT}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     calls = [
         ["--format", "text", "verify", "--fixture", fixture("measure_uniform.json")],
         ["verify", "--fixture", fixture("ml_geometric.json")],
@@ -241,6 +259,10 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
         ["verify", "--depth", "x", "--fixture", fixture("ml_geometric.json")],
         ["--help"],
         ["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "4"],
+        ["verify", "--fixture", str(tmp_path / "spaced.json")],
+        ["verify", "--fixture", str(tmp_path / "unreduced.json")],
+        ["convert", "--fixture", str(tmp_path / "unreduced_solovay.json"), "--depth", "0"],
+        ["verify", "--fixture", str(tmp_path / "negative.json")],
     ]
     in_process = []
     for argv in calls:
@@ -248,12 +270,17 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         written = target.read_text() if "--out" in argv else None
         in_process.append((code, captured.out, captured.err, written))
-    assert [c[0] for c in in_process] == [0, 0, 1, 2, 0, 0]
+    assert [c[0] for c in in_process] == [0, 0, 1, 2, 0, 0, 0, 0, 0, 1]
     for argv, got in zip(calls, in_process):
         target.unlink(missing_ok=True)
         proc = run_labcli(*argv)
         written = target.read_text() if "--out" in argv else None
         assert got == (proc.returncode, proc.stdout, proc.stderr, written), argv
+    # the unreduced union converts to its canonical parts in lowest terms
+    parts = json.loads(in_process[8][1])["output"]["result"]["components"]["0"]
+    assert parts == [["[0/1,1/7)", "(1/6,3/7]"]]
+    # a negative constant fails at the root, in one line on stderr
+    assert in_process[9][1:3] == ("", "labcli: negative capital at ''\n")
 
 
 def test_report_deterministic_across_workers(capsys):
@@ -321,9 +348,11 @@ def assert_labcli_usage_error(capsys, argv):
         ["verify", "--fixture", fixture("ml_geometric.json"), "--depth", "-1"],
         ["no-such-command"],
         ["report", "--fixture-dir", os.path.join(FIXTURES, "no-such-dir")],
+        # Python's int reads "1_0" as 10
+        ["tree", "--function", "canonical_nonuc:1_0"],
     ],
     ids=["missing-fixture", "tree-depth-x", "verify-depth-negative", "no-such-command",
-         "report-missing-dir"],
+         "report-missing-dir", "tree-stage-count-1_0"],
 )
 def test_usage_error_is_one_labcli_line(capsys, argv):
     assert_labcli_usage_error(capsys, argv)
@@ -457,6 +486,11 @@ def with_block(key, value):
         (with_block("m", " 3 "), "block m is an integer, got ' 3 '"),
         (with_block("excluded", ["+2"]), "excluded is a list of integers, got ['+2']"),
         (demuth_with_update({"m": "١٢", "union": []}), "update m is an integer, got '١٢'"),
+        (with_path("name_half_script.json", ["exact"], 0), "exact: bad rational 0: expected"),
+        (with_path("ml_geometric.json", ["components", "1"], [["[0/1,1/2"]]),
+         "bad interval '[0/1,1/2'"),
+        (with_path("ml_geometric.json", ["components", "1"], [["[0/1,1/8]", "[3/4,1/2]"]]),
+         "lo > hi: 3/4 > 1/2"),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
          "table-martingale-hole", "top-level-list", "measure-p-int",
@@ -465,7 +499,7 @@ def with_block(key, value):
          "block-m-not-int", "type-not-string", "block-excluded-string", "block-excluded-bool",
          "block-excluded-float", "block-excluded-word", "pi1-c-string", "pi1-c-set-float",
          "component-underscore", "block-m-spaces", "block-excluded-plus",
-         "update-m-arabic-indic"],
+         "update-m-arabic-indic", "name-exact-zero", "union-unclosed", "union-lo-above-hi"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"
@@ -769,27 +803,36 @@ def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
 
 
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, code",
     [
-        (["verify"], with_component("ml_geometric.json", "1024")),
-        (["verify"], with_component("ml_geometric.json", "-1024")),
-        (["verify"], demuth_with_update({"m": 1024, "union": []})),
-        (["verify"], pi1_with_c_sets(1024)),
-        (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "1024"], None),
-        (DERIVE_AT_HALF + ["--scale", "254/16384"], None),
+        (["verify"], with_component("ml_geometric.json", "1024"), 0),
+        (["verify"], with_component("ml_geometric.json", "-1024"), 0),
+        (["verify"], demuth_with_update({"m": 1024, "union": []}), 0),
+        (["verify"], pi1_with_c_sets(1024), 1),
+        (["convert", "--fixture", fixture("solovay_geometric.json"), "--depth", "1024"], None,
+         0),
+        (DERIVE_AT_HALF + ["--scale", "254/16384"], None, 0),
         (["transport", "--measure", fixture("measure_uniform.json"), "--prefix", "0" * 64],
-         None),
-        (["tree", "--function", "const:0", "--depth", "16"], None),
+         None, 0),
+        (["tree", "--function", "const:0", "--depth", "16"], None, 0),
+        (["tree", "--function", "square", "--depth", "16"], None, 0),
+        (["tree", "--function", "canonical_nonuc:64", "--depth", "16"], None, 0),
+        # a pseudo-derivative at the right end of [0, 1]
+        (["derive", "--function", "square", "--at", "1"], None, 0),
+        (["derive", "--function", "abs_offset", "--at", "1"], None, 0),
+        (["derive", "--function", "canonical_nonuc:64", "--at", "1"], None, 1),
     ],
     ids=["component-1024", "component-minus-1024", "update-m-1024", "pi1-1024-c-sets",
-         "convert-depth-1024", "derive-pairs-65278", "transport-prefix-64", "tree-depth-16"],
+         "convert-depth-1024", "derive-pairs-65278", "transport-prefix-64", "tree-depth-16",
+         "tree-square-depth-16", "tree-nonuc-64-depth-16", "derive-square-at-1",
+         "derive-abs-offset-at-1", "derive-nonuc-64-at-1"],
 )
-def test_budget_limit_is_accepted(tmp_path, capsys, argv, doc):
+def test_budget_limit_is_accepted(tmp_path, capsys, argv, doc, code):
     if doc is not None:
         path = tmp_path / "at_budget.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--fixture", str(path)]
-    assert main(argv) in (0, 1)
+    assert main(argv) == code
     assert capsys.readouterr().err == ""
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -476,6 +477,7 @@ def test_grid_reads_the_piece_that_owns_x_one(f, n):
        st.lists(covers() | st.sampled_from(EDGE_COVERS), min_size=1, max_size=2), grid_reads())
 @example(LATE_CORNER, EDGE_COVERS[:2], (90, range(91)))
 @example(square_fn(), [EDGE_COVERS[2], EDGE_COVERS[1]], (64, range(60, 65)))
+@example(canonical_nonuc(20), [cover_of(Fraction(1, 3), Fraction(7, 8))], (90, range(91)))
 def test_truncation_grid_equals_per_point(base, cover_list, read):
     for cover in cover_list:
         base = truncate(base, cover)
@@ -495,6 +497,8 @@ def test_lab_evaluators_carry_a_native_grid():
         polygonal_fn([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]),
         truncate(square_fn(), HALF_COVER),
         truncate(truncate(canonical_nonuc(3), HALF_COVER), cover_of(Fraction(3, 4), 1)),
+        # a chord across several tents
+        truncate(canonical_nonuc(20), cover_of(Fraction(1, 3), Fraction(7, 8))),
         *QUADRATICS,
     ]
     assert all(isinstance(getattr(f.eval_at, "pieces", None), tuple) for f in fs)
@@ -577,8 +581,8 @@ TENT = polygonal_fn([(0, 0), (Fraction(1, 2), 1), (1, 0)])
      (Fraction(-1, 2), Fraction(0)), (Fraction(1), Fraction(3, 2))],
 )
 def test_cover_outside_the_unit_interval_is_a_cover_violation(lo, hi):
-    # read by piece, x < 0 would fall in the last piece: the truncation of
-    # TENT over [-1/4, 1/4] would read 3/2 at 0, where TENT is 0
+    # the chord would read TENT outside [0, 1], where evaluation by piece
+    # refuses x; the cover is refused first
     c = cover_of(lo, hi)
     assert check_H(c) == f"interval {RationalInterval(lo, hi)} lies outside [0, 1]"
     with pytest.raises(CoverViolation, match="outside"):
@@ -593,6 +597,19 @@ def test_cover_outside_the_unit_interval_is_a_cover_violation(lo, hi):
         TENT.range_on(lo, hi)
     # the ends of [0, 1] lie inside it
     assert TENT.range_on(Fraction(1), Fraction(1)) == TENT.range_on(Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [TENT, canonical_nonuc(3), truncate(TENT, cover_of(Fraction(1, 4), Fraction(3, 4)))],
+    ids=["polygon", "canonical_nonuc(3)", "truncation"],
+)
+@pytest.mark.parametrize("x", [Fraction(-1), Fraction(-1, 7), Fraction(8, 7), 2], ids=str)
+def test_evaluation_by_piece_refuses_x_outside_the_unit_interval(f, x):
+    # at x = -1 the last piece of TENT, 2 - 2x, would read 4
+    with pytest.raises(ValueError, match=re.escape(f"x = {x} outside [0, 1]")):
+        f(x)
+    assert [f(Fraction(0)), f(Fraction(1))] == [0, 0]
 
 
 @st.composite

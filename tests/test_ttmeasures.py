@@ -436,8 +436,8 @@ def test_cold_tally_peak_stays_within_1_mib_of_the_enumeration(make, length, bef
 
 
 def test_a_cold_tt_from_ucf_tally_peaks_under_8_mib():
-    # u = 16 at length 14: the level is read from the grid in chunks, and the
-    # hull cache of output_bit is never filled
+    # u = 16 at length 14: the level is read from the grid in chunks, and
+    # output_bit's own levels are never built
     peak = cold_tally_peak(lambda: tt_from_ucf(square_fn(), 8), 14) / 2**20
     assert peak < 8, f"{peak:.2f} MiB peak"
 
@@ -601,8 +601,9 @@ def test_induced_measure_matches_brute_force(phi, sigma):
 
 @pytest.mark.parametrize("phi", FUNCTIONALS, ids=lambda p: p.name)
 def test_induced_measure_additivity(phi):
+    # to length 14, or 9 for pairwise_or, whose use bound is 2n + 2
     mu = materialize_measure(phi)
-    checks = validate_measure(mu, 6)
+    checks = validate_measure(mu, 9 if phi.name == "pairwise_or" else 14)
     assert all(c.passed for c in checks)
 
 
@@ -905,11 +906,13 @@ def test_transport_at_the_length_cap_matches_fraction_descent(length, bit):
             ),
             6,
         ),
+        (with_modulus(OFF_GRID_POLYGON), 5),
     ],
     ids=["square", "half", "identity", "complement", "abs_offset", "const(-1/3)",
-         "const(1)", "polygonal"],
+         "const(1)", "polygonal", "off-grid-polygon"],
 )
 def test_hull_cache_matches_per_call_hull(g, length):
+    # output_bit reads its own level; the oracle builds each prefix's hull
     phi, slow = tt_from_ucf(g, 8), ref.tt_from_ucf(g, 8)
     # every tuple up to u(length-1) bits, so also tuples shorter than u(n):
     # one tuple read at several n shares bits[:u] across different u
@@ -917,6 +920,18 @@ def test_hull_cache_matches_per_call_hull(g, length):
         for bits in itertools.product((0, 1), repeat=m):
             for n in range(length):
                 assert phi.output_bit(bits, n) == slow.output_bit(bits, n), (bits, n)
+
+
+# 48 and 49 are the bytes "0" and "1"
+@pytest.mark.parametrize(
+    "bits", [(0, 2, 0, 0), (-1,), (256,), (48, 49), (1.0,), ("1",), ("01", 0)], ids=repr
+)
+def test_tt_from_ucf_refuses_an_input_entry_that_is_no_bit(bits):
+    phi = tt_from_ucf(with_modulus(OFF_GRID_POLYGON), 8)
+    message = f"input bits {bits!r} are not all 0 or 1"
+    assert outcome(phi.output_bit, bits, 0) == (ParseError, message)
+    # u(0) = 4: bits past the first four are not read, and True reads as 1
+    assert phi.output_bit((0, 1, 1, 0, 7), 0) == phi.output_bit((False, True, 1, 0), 0)
 
 
 @st.composite
