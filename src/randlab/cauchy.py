@@ -39,7 +39,7 @@ class CauchyName:
 
     def at(self, n: int) -> Fraction:
         if n < 0:
-            raise ValueError("precision index must be >= 0")
+            raise ValueError(f"precision index {n} < 0")
         if n not in self._cache:
             self._cache[n] = self.approx(n)
         return self._cache[n]
@@ -131,8 +131,8 @@ def compare_at(x: CauchyName, y: CauchyName, n: int) -> Comparison:
     symmetrically; INDISTINGUISHABLE when the windows overlap (equality of
     reals is undecidable, so equal names never separate).
     """
+    xa, ya = x.at(n), y.at(n)  # each refuses a negative n
     eps = Fraction(1, 2**n)
-    xa, ya = x.at(n), y.at(n)
     if xa + eps < ya - eps:
         return Comparison.LESS
     if ya + eps < xa - eps:

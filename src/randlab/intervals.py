@@ -3,18 +3,19 @@
 There is no rounding anywhere in this module.  Open/closed endpoint flags
 are carried explicitly: measure ignores endpoints, membership queries must
 not.  A `RationalInterval` has `Fraction` endpoints; an `IntervalUnion`
-holds its ends as ints over their least common denominator.  One pattern
-reads "[p/q,r/s)" into ints for `parse_interval` and for the union decoder
-`parse_union`.  The canonical check, `measure`, the coverage sweep and the
-string forms read those ints, and membership bisects them and
-cross-multiplies them with the query; Fractions are built only where a
-value leaves a union: `parts`, a witness, a measure.
+is always canonical and holds its ends as ints over their least common
+denominator; `normalize_union`, `parse_union` and `coverage_at_least` build
+it.  One pattern reads "[p/q,r/s)" into ints for `parse_interval` and for
+the union decoder `parse_union`.  The canonical check, `measure`, the
+coverage sweep and the string forms read those ints, and membership bisects
+them and cross-multiplies them with the query; Fractions are built only
+where a value leaves a union: `parts`, a witness, a measure.
 
-The Cantor-space helpers list {0,1}^n and {0,1}^{<=d} in one order each
-(`bit_strings`, `tree_strings`) and write rationals as ints over one
-denominator (`over_lcm`); `_product_level` is the native level of a product
-form, read through `CylinderMeasure.level` and `Martingale.level`, and
-`_unbalanced` compares two such levels for additivity or fairness.
+The Cantor-space helpers list {0,1}^n in cylinder order (`bit_strings`) and
+write rationals as ints over one denominator (`over_lcm`); `_product_level`
+is the native level of a product form, read through `CylinderMeasure.level`
+and `Martingale.level`, and `_unbalanced` compares two such levels for
+additivity or fairness.
 """
 
 from __future__ import annotations
@@ -160,26 +161,22 @@ def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@dataclass(frozen=True, repr=False, slots=True, kw_only=True)
 class IntervalUnion:
-    """A finite union of intervals, held as ints over one denominator.
+    """A canonical finite union of intervals, held as ints over one
+    denominator: parts sorted, pairwise disjoint, non-touching.
 
     `ends` lists lo₀, hi₀, lo₁, hi₁, … as ints over `den`, the least common
     denominator of the endpoints, and `opens` the open flag of each end, so
-    equal parts give equal fields.  `IntervalUnion(parts)` keeps the
-    `RationalInterval`s as given; `normalize_union` and `parse_union` give the
-    canonical union: parts sorted, pairwise disjoint, non-touching.  `parts`
-    builds the `RationalInterval`s on demand.
+    equal sets give equal fields.  `normalize_union`, `parse_union` and
+    `coverage_at_least` build it; the fields are kept as given, so a union
+    built from them must already be canonical.  `parts` builds the
+    `RationalInterval`s on demand.
     """
 
-    ends: tuple[int, ...]
-    den: int
-    opens: tuple[bool, ...]
-
-    def __init__(self, parts: Iterable[RationalInterval] = ()) -> None:
-        parts = tuple(parts)
-        ends, den = over_lcm(q for p in parts for q in (p.lo, p.hi))
-        _fill(self, ends, den, [f for p in parts for f in (p.lo_open, p.hi_open)])
+    ends: tuple[int, ...] = ()
+    den: int = 1
+    opens: tuple[bool, ...] = ()
 
     @property
     def parts(self) -> tuple[RationalInterval, ...]:
@@ -254,21 +251,13 @@ class IntervalUnion:
         return f"IntervalUnion(parts={self.parts!r})"
 
 
-def _fill(u: IntervalUnion, ends: Sequence[int], den: int, opens: Sequence[bool]) -> IntervalUnion:
-    """`u` with this int form, whose `den` is the least common denominator."""
-    object.__setattr__(u, "ends", tuple(ends))
-    object.__setattr__(u, "den", den)
-    object.__setattr__(u, "opens", tuple(opens))
-    return u
-
-
 def _ratio(n: int, den: int) -> str:
     """n/den as "p/q" in lowest terms."""
     g = math.gcd(n, den)
     return f"{n // g}/{den // g}"
 
 
-EMPTY_UNION = IntervalUnion(())
+EMPTY_UNION = IntervalUnion()
 
 
 def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
@@ -278,8 +267,9 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
     their set union is itself an interval.  Parts that are already canonical
     come back unchanged after one linear check.
     """
-    u = IntervalUnion(intervals)
-    return _canonical(u.ends, u.den, u.opens)
+    parts = tuple(intervals)
+    ends, den = over_lcm(q for p in parts for q in (p.lo, p.hi))
+    return _canonical(ends, den, [f for p in parts for f in (p.lo_open, p.hi_open)])
 
 
 def parse_union(texts: Iterable[Any]) -> IntervalUnion:
@@ -317,7 +307,7 @@ def _canonical(ends: Sequence[int], den: int, opens: Sequence[bool]) -> Interval
     for i in range(1, len(ends) - 1, 2):
         if ends[i] > ends[i + 1] or ends[i] == ends[i + 1] and not (opens[i] and opens[i + 1]):
             return _components(ends, den, opens, 1)
-    return _fill(object.__new__(IntervalUnion), ends, den, opens)
+    return IntervalUnion(ends=tuple(ends), den=den, opens=tuple(opens))
 
 
 def dyadic_value(sigma: str) -> Fraction:
@@ -341,19 +331,14 @@ def dyadic_cylinder(sigma: str) -> RationalInterval:
 def bit_strings(n: int) -> list[str]:
     """{0,1}^n in lexicographic order, which is the left-to-right order of
     the length-n cylinders; [""] at n = 0."""
+    if n < 0:
+        raise ValueError(f"string length {n} < 0")
     return [format(i, f"0{n}b") for i in range(2**n)] if n else [""]
 
 
 def bit_string(k: int, i: int) -> str:
     """The i-th string of bit_strings(k)."""
     return format(i, f"0{k}b") if k else ""
-
-
-def tree_strings(depth: int) -> list[str]:
-    """{0,1}^{<=depth} in heap order, bit_strings(0) + ... + bit_strings(depth):
-    node h is bin(h + 1)[3:], its children are nodes 2h + 1 and 2h + 2 and
-    its parent is node (h - 1) // 2; [] for a negative depth."""
-    return [bin(h)[3:] for h in range(1, 2 ** (depth + 1))] if depth >= 0 else []
 
 
 def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
@@ -402,16 +387,16 @@ def coverage_at_least(
     """Points lying in at least `threshold` of the given unions.
 
     One endpoint sweep, O(P log P) for P parts in all.  Parts are counted in
-    place of unions, so each union is canonicalised first.
+    place of unions, which is the same count because each union is
+    canonical: its parts are disjoint.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if threshold > len(unions):
         return EMPTY_UNION
-    canonical = [_canonical(u.ends, u.den, u.opens) for u in unions]
-    den = math.lcm(*(u.den for u in canonical))
-    ends = [e * (den // u.den) for u in canonical for e in u.ends]
-    return _components(ends, den, [f for u in canonical for f in u.opens], threshold)
+    den = math.lcm(*(u.den for u in unions))
+    ends = [e * (den // u.den) for u in unions for e in u.ends]
+    return _components(ends, den, [f for u in unions for f in u.opens], threshold)
 
 
 def _components(ends: Sequence[int], den: int, opens: Sequence[bool], threshold: int) -> IntervalUnion:
@@ -451,4 +436,4 @@ def _components(ends: Sequence[int], den: int, opens: Sequence[bool], threshold:
         runs += [x] * edges
         flags += [not covered] * edges
     g = math.gcd(den, *runs)
-    return _fill(object.__new__(IntervalUnion), [x // g for x in runs], den // g, flags)
+    return IntervalUnion(ends=tuple(x // g for x in runs), den=den // g, opens=tuple(flags))

@@ -62,6 +62,8 @@ class Martingale:
         """
         if k > self.depth_budget:
             raise over_budget(f"|sigma| {k}", "depth_budget", self.depth_budget)
+        if k < 0:
+            raise ValueError(f"level {k} < 0")
         native = getattr(self.value_at, "level", None)
         if native is None:
             return over_lcm(map(self.value, bit_strings(k)))

@@ -303,6 +303,8 @@ class CylinderMeasure:
         and an induced measure reads its tally.  Any other callable is called
         once per string, in order.
         """
+        if k < 0:
+            raise ValueError(f"level {k} < 0")
         native = getattr(self.mass, "level", None)
         if native is None:
             return over_lcm(map(self.mass, bit_strings(k)[::step]))
@@ -614,6 +616,8 @@ class MonotoneCDF:
         and g(1) = μ(root) as an int over its own, from one top-down pass:
         g at the midpoint of [σ) is g at its left end plus μ(σ0).  So only
         the left children and, for g(1), the root are read."""
+        if self.depth < 0:
+            raise ValueError(f"cdf depth {self.depth} < 0")
         g, den = [0], 1  # g at i/2^k for 0 <= i < 2^k, as ints over den
         for k in range(1, self.depth + 1):
             left, left_den = self.mu.level(k, 2)

@@ -406,7 +406,13 @@ def normalize_union(intervals) -> IntervalUnion:
             out[-1] = RationalInterval(cur.lo, hi, cur.lo_open, hi_open)
         else:
             out.append(iv)
-    return IntervalUnion(parts=tuple(out))
+    ends = [x for p in out for x in (p.lo, p.hi)]
+    den = math.lcm(*(x.denominator for x in ends))
+    return IntervalUnion(
+        ends=tuple(x.numerator * (den // x.denominator) for x in ends),
+        den=den,
+        opens=tuple(f for p in out for f in (p.lo_open, p.hi_open)),
+    )
 
 
 def measure(u: IntervalUnion) -> Fraction:

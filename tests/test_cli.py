@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import randlab
 from randlab import serialize
 from randlab.cli import main
 from randlab.errors import ParseError
@@ -23,7 +24,9 @@ from randlab.serialize import FIELDS, ListOf, ObjectOf, Record
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 FIXTURES = os.path.join(ROOT, "fixtures")
-SRC = os.path.join(ROOT, "src")
+# the directory that holds the `randlab` these tests import: the checkout's
+# src/, or site-packages when they run against the installed package
+LAB_PATH = os.path.dirname(os.path.dirname(os.path.abspath(randlab.__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import fixtures as bundles  # noqa: E402  (the benchmark's fixture bundles)
 
@@ -37,16 +40,29 @@ def load(name: str):
         return json.load(fh)
 
 
-def run_labcli(*argv, timeout=10, cwd=None):
-    """labcli in a fresh interpreter; a hang fails the test after `timeout` s."""
+def run_python(*argv, timeout=10, cwd=None):
+    """A fresh interpreter that imports the `randlab` these tests import; a
+    hang fails the test after `timeout` s."""
     return subprocess.run(
-        [sys.executable, "-m", "randlab.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=dict(os.environ, PYTHONPATH=LAB_PATH),
         timeout=timeout,
         cwd=cwd,
     )
+
+
+def run_labcli(*argv, timeout=10, cwd=None):
+    """labcli in a fresh interpreter, as `run_python` starts it."""
+    return run_python("-m", "randlab.cli", *argv, timeout=timeout, cwd=cwd)
+
+
+@pytest.mark.parametrize("cwd", [None, ROOT])
+def test_a_child_imports_the_randlab_under_test(cwd):
+    proc = run_python("-c", "import randlab; print(randlab.__file__)", cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.abspath(proc.stdout.strip()) == os.path.abspath(randlab.__file__)
 
 
 def assert_one_labcli_line(proc) -> str:

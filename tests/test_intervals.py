@@ -14,6 +14,7 @@ from randlab.intervals import (
     EMPTY_UNION,
     IntervalUnion,
     RationalInterval,
+    _canonical,
     coverage_at_least,
     dyadic_cylinder,
     dyadic_value,
@@ -215,7 +216,7 @@ def test_normalize_union_is_canonical(ivs):
     parts = u.parts
     for a, b in zip(parts, parts[1:]):
         assert a.hi <= b.lo
-        assert ref.disjoint_from_interval(IntervalUnion((a,)), b)
+        assert ref.disjoint_from_interval(normalize_union([a]), b)
     # idempotent
     assert normalize_union(parts) == u
 
@@ -260,9 +261,9 @@ def test_interval_order_check_compares_as_fractions(lo, hi, lo_open, hi_open):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(measure_intervals, max_size=8), st.booleans())
-def test_measure_equals_reference(ivs, canonical):
-    u = normalize_union(ivs) if canonical else IntervalUnion(tuple(ivs))
+@given(st.lists(measure_intervals, max_size=8))
+def test_measure_equals_reference(ivs):
+    u = normalize_union(ivs)
     got = u.measure
     assert type(got) is Fraction
     assert got == ref.measure(u)
@@ -319,7 +320,7 @@ def test_coverage_at_least_counts_overlap():
 
 
 def test_coverage_threshold_beyond_count_is_empty():
-    u1 = IntervalUnion((RationalInterval(Fraction(0), Fraction(1, 2)),))
+    u1 = normalize_union([RationalInterval(Fraction(0), Fraction(1, 2))])
     assert coverage_at_least([u1], 2).is_empty
     assert coverage_at_least([], 1).is_empty
 
@@ -334,11 +335,9 @@ grid_interval = st.tuples(eighths, eighths, st.booleans(), st.booleans()).map(
 )
 any_interval = st.one_of(grid_interval, interval_strategy())
 canonical_unions = st.lists(any_interval, max_size=5).map(ref.normalize_union)
-# raw parts: unsorted, overlapping or touching, as IntervalUnion(parts) allows
-raw_unions = st.lists(any_interval, max_size=5).map(
-    lambda ivs: IntervalUnion(tuple(ivs))
-)
-union_lists = st.lists(st.one_of(canonical_unions, raw_unions), max_size=6)
+# the same sets built by the lab from unsorted, overlapping or touching parts
+lab_unions = st.lists(any_interval, max_size=5).map(normalize_union)
+union_lists = st.lists(st.one_of(canonical_unions, lab_unions), max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,13 +386,13 @@ def test_coverage_sweep_equals_reference(data):
 
 
 def test_coverage_counts_unions_not_parts():
-    # two touching closed parts of one union cover 1/2 once, not twice
+    # two touching closed parts of one union merge, so they cover 1/2 once
     half = Fraction(1, 2)
-    raw = IntervalUnion(
-        (RationalInterval(Fraction(0), half), RationalInterval(half, Fraction(1)))
+    u = normalize_union(
+        (RationalInterval(half, Fraction(1)), RationalInterval(Fraction(0), half))
     )
-    assert coverage_at_least([raw, raw], 3).is_empty
-    assert coverage_at_least([raw, raw], 2).parts == (
+    assert coverage_at_least([u, u], 3).is_empty
+    assert coverage_at_least([u, u], 2).parts == (
         RationalInterval(Fraction(0), Fraction(1)),
     )
 
@@ -404,7 +403,7 @@ def test_coverage_point_between_open_parts():
     left = RationalInterval(Fraction(0), half, True, True)
     right = RationalInterval(half, Fraction(1), True, True)
     u = normalize_union([left, right])
-    point = IntervalUnion((RationalInterval(half, half),))
+    point = normalize_union([RationalInterval(half, half)])
     assert coverage_at_least([u, u], 2) == u
     assert coverage_at_least([u, point], 1).parts == (
         RationalInterval(Fraction(0), Fraction(1), True, True),
@@ -495,7 +494,7 @@ def test_unreduced_spellings_decode_to_equal_unions(pairs):
 
 
 def test_empty_union_fields_and_repr():
-    assert EMPTY_UNION == IntervalUnion(()) == parse_union([])
+    assert EMPTY_UNION == IntervalUnion() == normalize_union([]) == parse_union([])
     assert (EMPTY_UNION.ends, EMPTY_UNION.den, EMPTY_UNION.opens) == ((), 1, ())
     assert repr(EMPTY_UNION) == "IntervalUnion(parts=())"
     u = parse_union(["(0/3,1/3)", "[1/2,3/4]"])
@@ -503,10 +502,44 @@ def test_empty_union_fields_and_repr():
     assert repr(u).count("RationalInterval(") == 2
 
 
-@given(st.lists(any_interval, max_size=6))
-def test_raw_union_keeps_its_parts(ivs):
-    # IntervalUnion(parts) keeps unsorted, overlapping parts as given
-    assert IntervalUnion(ivs).parts == tuple(ivs)
+def test_interval_union_takes_no_parts():
+    # a union is built from parts by normalize_union; the fields are
+    # keyword-only, so no list of parts is taken as the union as given
+    iv = RationalInterval(Fraction(0), Fraction(1, 2))
+    with pytest.raises(TypeError):
+        IntervalUnion((iv,))
+    with pytest.raises(TypeError):
+        IntervalUnion(parts=(iv,))
+
+
+def assert_canonical(u):
+    """u passes `_canonical`'s check unchanged, its fields are tuples of
+    ints and bools, and den is the least common denominator."""
+    assert type(u.ends) is tuple and type(u.opens) is tuple
+    assert all(type(e) is int for e in u.ends) and all(type(f) is bool for f in u.opens)
+    assert len(u.opens) == len(u.ends) and len(u.ends) % 2 == 0
+    assert math.gcd(u.den, *u.ends) == 1
+    u.parts  # each part is a RationalInterval: lo <= hi, a point closed
+    assert _canonical(u.ends, u.den, u.opens) == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_built_union_is_canonical_and_equals_its_oracle(data):
+    # unsorted parts on a grid of eighths, which overlap and touch often
+    ivs = data.draw(st.lists(any_interval, max_size=8).flatmap(st.permutations))
+    u = normalize_union(ivs)
+    assert_canonical(u)
+    assert u == ref.normalize_union(ivs)
+    texts = [str(iv) for iv in ivs]
+    v = parse_union(texts)
+    assert_canonical(v)
+    assert v == ref.parse_union(texts) == u
+    unions = data.draw(st.lists(lab_unions, max_size=6))
+    threshold = data.draw(st.integers(1, len(unions) + 1))
+    w = coverage_at_least(unions, threshold)
+    assert_canonical(w)
+    assert w == ref.coverage_at_least(unions, threshold)
 
 
 # window ends over denominators prime to the unions' (which divide

@@ -14,15 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 import oracles as ref
 from oracles import recorded_outcome
 from randlab.errors import InvariantViolation
-from randlab.intervals import bit_strings, dyadic_value, tree_strings
+from randlab.cauchy import compare_at, const_name
+from randlab.intervals import bit_strings, dyadic_value
 from randlab.martingales import (
     check_fairness,
+    constant_martingale,
     savings_growth_constants,
     savings_transform,
     savings_violation_search,
     table_martingale,
 )
-from randlab.ttmeasures import MonotoneCDF, table_measure, validate_measure
+from randlab.ttmeasures import MonotoneCDF, table_measure, uniform_measure, validate_measure
 
 MAX_DEPTH = 6
 
@@ -97,17 +99,25 @@ _RISING_THIRDS = {
 }
 
 
-def test_tree_strings_are_the_levels_in_heap_order():
-    assert tree_strings(-1) == []
-    for d in range(7):
-        nodes = tree_strings(d)
-        assert nodes == [s for k in range(d + 1) for s in bit_strings(k)]
-        index = {s: h for h, s in enumerate(nodes)}
-        for h, s in enumerate(nodes):
-            if len(s) < d:
-                assert (index[s + "0"], index[s + "1"]) == (2 * h + 1, 2 * h + 2)
-            if s:
-                assert index[s[:-1]] == (h - 1) // 2
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bit_strings(-1), "string length -1 < 0"),
+        (lambda: uniform_measure().level(-1), "level -1 < 0"),
+        (lambda: table_measure("t", {"": Fraction(1)}).level(-2), "level -2 < 0"),
+        (lambda: constant_martingale().level(-1), "level -1 < 0"),
+        (lambda: table_martingale({"": Fraction(1)}).level(-1), "level -1 < 0"),
+        (lambda: const_name(Fraction(0)).at(-2), "precision index -2 < 0"),
+        (lambda: compare_at(const_name(Fraction(0)), const_name(Fraction(1)), -1),
+         "precision index -1 < 0"),
+        (lambda: MonotoneCDF(uniform_measure(), -1).knots(), "cdf depth -1 < 0"),
+        (lambda: MonotoneCDF(uniform_measure(), -3).is_monotone(), "cdf depth -3 < 0"),
+    ],
+    ids=["bit-strings", "native-level", "table-level", "native-capitals",
+         "table-capitals", "name-at", "compare-at", "knots", "is-monotone"],
+)
+def test_a_negative_size_is_a_value_error_naming_it(call, message):
+    assert ref.outcome(call) == (ValueError, message)
 
 
 def test_bit_strings_are_the_cylinders_left_to_right():
