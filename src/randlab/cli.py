@@ -171,20 +171,28 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
 def _function(name: str) -> markov.MarkovFunction:
     try:
         return markov.function_by_name(name)
-    except ValueError as exc:
+    except (ValueError, ParseError) as exc:
         raise ParseError(f"--function: {exc}") from exc
+
+
+def _rational(flag: str, text: str) -> Fraction:
+    """The rational a flag gives, or a ParseError that names the flag."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
 
 
 def cmd_derive(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     f = _function(args.function)
-    z = const_name(parse_rational(args.at))
+    at = _rational("--at", args.at)
+    scale = _rational("--scale", args.scale)
+    tol = _rational("--tol", args.tol)
     try:
-        est = derivatives.pseudo_derivative(
-            f, z, parse_rational(args.scale), args.precision
-        )
+        est = derivatives.pseudo_derivative(f, const_name(at), scale, args.precision)
     except ValueError as exc:
         raise ParseError(f"derive: {exc}") from exc
-    verdict = derivatives.classify_denjoy(est, parse_rational(args.tol))
+    verdict = derivatives.classify_denjoy(est, tol)
     output = {
         "upper": "inf" if est.upper_infinite else format_rational(est.upper),
         "lower": "-inf" if est.lower_infinite else format_rational(est.lower),

@@ -14,10 +14,12 @@ Every reader of f on a grid k/n (0 <= k <= n, the right end included) goes
 through `MarkovFunction.grid(n, ks)`, which gives the values at the indices
 `ks` as integers over one common denominator.  Every function the lab builds
 has one native form, a piece list on its evaluator: a + b·x + c·x² on each
-piece, monotone there (see `MarkovFunction.grid`).  `_runs` turns it into
-int runs a + b·k + c·k² on k/n, from which `_sample` writes the values at
-any sorted grid indices, the part of a range inside a linear run as one
-integer progression.  Any other evaluator is called once per grid point
+piece, monotone there (see `MarkovFunction.grid`).  The evaluator reads its
+point values from the same pieces, as ints (`_by_piece`), and refuses x
+outside [0, 1]; the built-ins have no other evaluator.  `_runs` turns the
+pieces into int runs a + b·k + c·k² on k/n, from which `_sample` writes the
+values at any sorted grid indices, the part of a range inside a linear run
+as one integer progression.  Any other evaluator is called once per grid point
 read.  So an oscillation tree of a function with pieces reads its nodes'
 ends and the grid points beside each run start; only a tree of any other
 evaluator costs O(2^{depth+4}) whatever its size.
@@ -187,67 +189,62 @@ def _sample(runs, indices: Sequence[int]) -> list[int]:
 
 
 def _by_piece(pieces):
-    """The evaluator of the function that `pieces` lists: at x in [0, 1], the
-    last piece that starts at or before x."""
-    x0s = [x0 for x0, *_ in pieces]
-    abc = [(a, b, c or None) for _, a, b, c in pieces]
+    """The evaluator of the function that `pieces` lists: at x = p/q in
+    [0, 1], the last piece that starts at or before x, in ints.  The piece
+    starts are ints over one denominator, and each piece's a, b, c ints over
+    another, den, so the value is ((a·q + b·p)·q + c·p²) / (den·q²)."""
+    starts, sden = over_lcm(x0 for x0, *_ in pieces)
+    ints, den = over_lcm(v for piece in pieces for v in piece[1:])
+    abc = list(zip(*[iter(ints)] * 3))
 
     def ev(x: Fraction) -> Fraction:
+        p, q = x.numerator, x.denominator
         # x < 0 or x > 1, read off the numerator as `range_on` does
-        if x.numerator < 0 or x.numerator > x.denominator:
+        if p < 0 or p > q:
             raise ValueError(f"x = {x} outside [0, 1]")
-        a, b, c = abc[bisect.bisect_right(x0s, x) - 1]
-        return a + b * x if c is None else a + (b + c * x) * x
+        a, b, c = abc[bisect.bisect_right(starts, p * sden, key=q.__mul__) - 1]
+        return Fraction((a * q + b * p) * q + c * p * p, den * q * q)
 
     return ev
 
 
-def _from_pieces(name, pieces, modulus=None, closed_form=None) -> MarkovFunction:
+def _from_pieces(name, pieces, modulus=None) -> MarkovFunction:
     """The function that `pieces` lists, its piece starts inside (0, 1) its
-    critical points.  The evaluator, which carries the pieces, is evaluation
-    by piece, or `closed_form`, equal to it on [0, 1], where one is given."""
+    critical points.  Its evaluator, evaluation by piece, carries the pieces,
+    so point values and grid values are read from the same pieces."""
     pieces = tuple(pieces)
-    ev = closed_form or _by_piece(pieces)
+    ev = _by_piece(pieces)
     ev.pieces = pieces
     return MarkovFunction(name, ev, tuple(x0 for x0, *_ in pieces if 0 < x0 < 1), modulus)
 
 
-# each built-in keeps its closed form beside its pieces: `range_on` reads it
-# per point
-
-
 def identity_fn() -> MarkovFunction:
-    pieces = [(ZERO, ZERO, ONE, ZERO)]
-    return _from_pieces("identity", pieces, ModulusFunction(lambda eps: eps), lambda x: x)
+    return _from_pieces("identity", [(ZERO, ZERO, ONE, ZERO)], ModulusFunction(lambda eps: eps))
 
 
 def square_fn() -> MarkovFunction:
     # |x^2 - y^2| <= 2|x - y| on [0,1]
-    pieces = [(ZERO, ZERO, ZERO, ONE)]
-    return _from_pieces("square", pieces, ModulusFunction(lambda eps: eps / 2), lambda x: x * x)
+    return _from_pieces("square", [(ZERO, ZERO, ZERO, ONE)], ModulusFunction(lambda eps: eps / 2))
 
 
 def const_fn(q: Fraction) -> MarkovFunction:
-    pieces = [(ZERO, q, ZERO, ZERO)]
-    return _from_pieces(f"const({q})", pieces, ModulusFunction(lambda eps: ONE), lambda x: q)
+    return _from_pieces(f"const({q})", [(ZERO, q, ZERO, ZERO)], ModulusFunction(lambda eps: ONE))
 
 
 def abs_offset_fn() -> MarkovFunction:
     """|x - 1/2|: the canonical corner example."""
     h = Fraction(1, 2)
     pieces = [(ZERO, h, -ONE, ZERO), (h, -h, ONE, ZERO)]
-    modulus = ModulusFunction(lambda eps: eps)
-    return _from_pieces("abs_offset", pieces, modulus, lambda x: abs(x - h))
+    return _from_pieces("abs_offset", pieces, ModulusFunction(lambda eps: eps))
 
 
 def half_fn() -> MarkovFunction:
     pieces = [(ZERO, ZERO, Fraction(1, 2), ZERO)]
-    return _from_pieces("half", pieces, ModulusFunction(lambda eps: 2 * eps), lambda x: x / 2)
+    return _from_pieces("half", pieces, ModulusFunction(lambda eps: 2 * eps))
 
 
 def complement_fn() -> MarkovFunction:
-    pieces = [(ZERO, ONE, -ONE, ZERO)]
-    return _from_pieces("complement", pieces, ModulusFunction(lambda eps: eps), lambda x: 1 - x)
+    return _from_pieces("complement", [(ZERO, ONE, -ONE, ZERO)], ModulusFunction(lambda eps: eps))
 
 
 def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunction:

@@ -18,6 +18,7 @@ replace a module's function.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -75,6 +76,7 @@ from randlab.ttmeasures import tt_from_ucf as lab_tt_from_ucf
 
 VALUE_HELPERS = (
     "apply_prefix",
+    "builtin_value",
     "modulus_precision",
     "nonuc_critical_points",
     "nonuc_value",
@@ -115,6 +117,40 @@ def recorded_outcome(f, obj, *args):
 
 
 # --- part (i): Markov computable functions, oscillation and slopes
+
+
+def _by_piece(pieces):
+    """Evaluation by piece in `Fraction`s: at x in [0, 1], a + b·x + c·x² of
+    the last piece that starts at or before x."""
+    x0s = [x0 for x0, *_ in pieces]
+    abc = [(a, b, c or None) for _, a, b, c in pieces]
+
+    def ev(x: Fraction) -> Fraction:
+        if x.numerator < 0 or x.numerator > x.denominator:
+            raise ValueError(f"x = {x} outside [0, 1]")
+        a, b, c = abc[bisect.bisect_right(x0s, x) - 1]
+        return a + b * x if c is None else a + (b + c * x) * x
+
+    return ev
+
+
+# the built-ins' values in closed form, by the function's name: the oracle
+# of evaluation by piece on them
+CLOSED_FORMS = {
+    "identity": lambda x: x,
+    "square": lambda x: x * x,
+    "abs_offset": lambda x: abs(x - Fraction(1, 2)),
+    "half": lambda x: x / 2,
+    "complement": lambda x: 1 - x,
+}
+
+
+def builtin_value(f, x):
+    """The value at x in [0, 1] of a built-in or of `const_fn(q)`, named
+    "const(q)", by its closed form."""
+    if f.name.startswith("const("):
+        return Fraction(f.name[len("const("):-1])
+    return CLOSED_FORMS[f.name](x)
 
 
 def polygonal_value(breakpoints, x):

@@ -398,6 +398,29 @@ def test_derive_bad_input_exits_two(capsys, flags):
     assert_labcli_usage_error(capsys, argv)
 
 
+DERIVE_SQUARE = ["derive", "--function", "square", "--at", "1/3"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (DERIVE_SQUARE + ["--tol", "x"], "--tol", "x"),
+        (DERIVE_SQUARE + ["--at", "x"], "--at", "x"),
+        (DERIVE_SQUARE + ["--at", "1/0"], "--at", "1/0"),
+        (DERIVE_SQUARE + ["--scale", "x"], "--scale", "x"),
+        (DERIVE_SQUARE + ["--function", "const:x"], "--function", "x"),
+        (["tree", "--function", "const:x"], "--function", "x"),
+        (["tree", "--function", "const:1/0"], "--function", "1/0"),
+    ],
+    ids=["derive-tol", "derive-at", "derive-at-zero-denominator", "derive-scale",
+         "derive-const", "tree-const", "tree-const-zero-denominator"],
+)
+def test_a_bad_rational_names_its_flag(capsys, argv, flag, text):
+    err = assert_labcli_usage_error(capsys, argv)
+    assert err.startswith(f"labcli: {flag}: bad rational {text!r}: "), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bound", ["0/1", "-1/1"])
 def test_convert_non_positive_solovay_bound_exits_two(tmp_path, bound):
     doc = load("solovay_geometric.json")

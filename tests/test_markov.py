@@ -517,7 +517,7 @@ def test_quadratic_pieces_evaluate_their_polynomials(x):
 @example(abs_offset_fn(), Fraction(1, 2))
 @example(square_fn(), Fraction(1))
 def test_closed_form_equals_evaluation_by_piece(f, x):
-    assert f(x) == _by_piece(f.eval_at.pieces)(x)
+    assert ref.builtin_value(f, x) == f(x) == _by_piece(f.eval_at.pieces)(x)
 
 
 @pytest.mark.xfail(
@@ -537,7 +537,7 @@ def cube_counting(calls):
 
 
 def test_grid_of_replaced_evaluator_is_per_point():
-    # the closed form of square belongs to its evaluator, not to the function
+    # the pieces of square belong to its evaluator, not to the function
     calls = []
     f = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
     ints, den = f.grid(64, range(64))
@@ -599,17 +599,24 @@ def test_cover_outside_the_unit_interval_is_a_cover_violation(lo, hi):
     assert TENT.range_on(Fraction(1), Fraction(1)) == TENT.range_on(Fraction(0), Fraction(0))
 
 
-@pytest.mark.parametrize(
-    "f",
-    [TENT, canonical_nonuc(3), truncate(TENT, cover_of(Fraction(1, 4), Fraction(3, 4)))],
-    ids=["polygon", "canonical_nonuc(3)", "truncation"],
-)
+REFUSING = {
+    "polygon": TENT,
+    "canonical_nonuc(3)": canonical_nonuc(3),
+    "truncation": truncate(TENT, cover_of(Fraction(1, 4), Fraction(3, 4))),
+    **{name: function_by_name(name) for name in BUILTIN_FUNCTIONS},
+    "const(1/3)": const_fn(Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("f", REFUSING.values(), ids=REFUSING.keys())
 @pytest.mark.parametrize("x", [Fraction(-1), Fraction(-1, 7), Fraction(8, 7), 2], ids=str)
 def test_evaluation_by_piece_refuses_x_outside_the_unit_interval(f, x):
-    # at x = -1 the last piece of TENT, 2 - 2x, would read 4
+    # at x = -1 the last piece of TENT, 2 - 2x, would read 4, and square
+    # would read 4 at x = 2
     with pytest.raises(ValueError, match=re.escape(f"x = {x} outside [0, 1]")):
         f(x)
-    assert [f(Fraction(0)), f(Fraction(1))] == [0, 0]
+    oracle = ref._by_piece(f.eval_at.pieces)
+    assert [f(Fraction(0)), f(Fraction(1))] == [oracle(Fraction(0)), oracle(Fraction(1))]
 
 
 @st.composite
@@ -649,6 +656,16 @@ def test_tree_of_nested_truncation_equals_reference(base, c1, c2, size):
 
 
 native_fns = grid_bases | st.builds(truncate, grid_bases, covers())
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_fns, st.lists(unit, max_size=8))
+def test_evaluation_by_piece_equals_its_oracle(f, xs):
+    # every piece start, where the bisection changes piece, and both ends
+    pieces = f.eval_at.pieces
+    xs += [x0 for x0, *_ in pieces] + [Fraction(0), Fraction(1)]
+    lab, oracle = _by_piece(pieces), ref._by_piece(pieces)
+    assert [ref.outcome(lab, x) for x in xs] == [ref.outcome(oracle, x) for x in xs]
 
 
 @settings(max_examples=60, deadline=None)
