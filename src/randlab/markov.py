@@ -55,7 +55,8 @@ class StagedCover:
     """A c.e. set of closed rational intervals as a replayable staged script.
 
     size_bound[k] is the stage after which every newly enumerated interval
-    must have length < 2^{-k} (the H(C) protocol).
+    must have length < 2^{-k} (the H(C) protocol), for k over 0..len(stages)-1;
+    a k past the end of size_bound reads its last entry.
     """
 
     stages: tuple[tuple[RationalInterval, ...], ...]
@@ -68,33 +69,32 @@ class StagedCover:
 def check_H(c: StagedCover) -> Optional[str]:
     """The first violation of the cover's intervals lying in [0, 1], of
     non-overlap or of the staged size-bound protocol, or None when the cover
-    satisfies H(C)."""
-    ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
-    for a, b in zip(ivs, ivs[1:]):
-        if b.lo < a.hi:
-            return f"overlap between {a} and {b}"
+    satisfies H(C).  The comparisons are in ints, every end over one
+    denominator; only a violation's message builds a `Fraction`."""
+    ivs = c.all_intervals()
+    ends, den = over_lcm(e for iv in ivs for e in (iv.lo, iv.hi))
+    # (lo, hi, index) ascending: intervals with equal ends keep stage order
+    spans = sorted(zip(ends[::2], ends[1::2], range(len(ivs))))
+    for (_, a_hi, i), (b_lo, _, j) in zip(spans, spans[1:]):
+        if b_lo < a_hi:
+            return f"overlap between {ivs[i]} and {ivs[j]}"
     # with no overlap, the first interval starts lowest and the last ends highest
-    for iv in ivs[:1] + ivs[-1:]:
-        if iv.lo < 0 or iv.hi > 1:
-            return f"interval {iv} lies outside [0, 1]"
+    for lo, hi, i in spans[:1] + spans[-1:]:
+        if lo < 0 or hi > den:
+            return f"interval {ivs[i]} lies outside [0, 1]"
     if c.stages and not c.size_bound:
         return f"no size bound for a cover of {len(c.stages)} stages"
+    stage_of = [s for s, stage in enumerate(c.stages) for _ in stage]
+    widths = [hi - lo for lo, hi in zip(ends[::2], ends[1::2])]
     for k in range(len(c.stages)):
-        bound_stage = c.size_bound[k] if k < len(c.size_bound) else c.size_bound[-1]
-        for s in range(bound_stage + 1, len(c.stages)):
-            for iv in c.stages[s]:
-                if iv.length >= Fraction(1, 2**k):
-                    return (
-                        f"size violation at k={k}: stage {s} interval {iv} "
-                        f"has length {iv.length} >= 2^-{k}"
-                    )
+        bound_stage = c.size_bound[min(k, len(c.size_bound) - 1)]
+        for s, width, iv in zip(stage_of, widths, ivs):
+            if s > bound_stage and width << k >= den:
+                return (
+                    f"size violation at k={k}: stage {s} interval {iv} "
+                    f"has length {iv.length} >= 2^-{k}"
+                )
     return None
-
-
-def _require_H(c: StagedCover) -> None:
-    violation = check_H(c)
-    if violation is not None:
-        raise CoverViolation(violation)
 
 
 @dataclass(frozen=True)
@@ -316,13 +316,11 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     """[f, C]: equal to f outside (and at the endpoints of) every interval of
     the cover, linear across each interval's interior.  A base with pieces
     gives a truncation with pieces (see `_splice`); any other is read per
-    point outside the chords."""
-    _require_H(c)
-    return _truncate(f, c)
-
-
-def _truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
-    """`truncate` over a cover already checked against H(C)."""
+    point outside the chords.  A cover that fails H(C) raises
+    `CoverViolation` before f is read."""
+    violation = check_H(c)
+    if violation is not None:
+        raise CoverViolation(violation)
     # a point interval sorts before an interval starting at the same point,
     # so the search below finds the one with an interior
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
@@ -454,8 +452,9 @@ def slope_bounds_check(
     Upper clause: [f,C](y) - [f,C](x) < z(y-x) on all ordered grid pairs
     x < y, where the grid has `grid` subdivisions of [0,1]; the first failing
     pair in (x, y) order is the counterexample.  The clause is one pass over
-    integer values, O(grid), not a loop over the pairs.  The cover is
-    checked against H(C) before either clause reads f.
+    integer values, O(grid), not a loop over the pairs.  The truncation is
+    built, and so the cover checked against H(C), before the lower clause
+    runs.
     """
     if w >= z:
         raise ValueError("requires w < z")
@@ -463,7 +462,7 @@ def slope_bounds_check(
         raise ValueError("requires grid >= 1")
     if (pairs := grid * (grid + 1) // 2) > SLOPE_GRID_PAIR_BUDGET:
         raise over_budget(f"{pairs} grid pairs", "SLOPE_GRID_PAIR_BUDGET", SLOPE_GRID_PAIR_BUDGET)
-    _require_H(c)
+    t = truncate(f, c)
     for iv in c.all_intervals():
         if not w * (iv.hi - iv.lo) < f(iv.hi) - f(iv.lo):
             return SlopeBoundsVerdict(
@@ -471,7 +470,6 @@ def slope_bounds_check(
                 f"lower clause fails on {iv}: w·(b-a) = {w * iv.length}, "
                 f"f(b)-f(a) = {f(iv.hi) - f(iv.lo)}",
             )
-    t = _truncate(f, c)
     tv, den = t.grid(grid, range(grid + 1))
     # the pair x = i/grid < y = j/grid fails iff g_j >= g_i, where
     # g_k = t(k/grid) - z·k/grid, here scaled to an int by den·z.den·grid > 0

@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from randlab import intervals
 from randlab.cauchy import const_name, scripted_name
@@ -49,7 +49,7 @@ from randlab.intervals import (
     dyadic_value,
     format_rational,
 )
-from randlab.markov import SlopeBoundsVerdict, truncate
+from randlab.markov import SlopeBoundsVerdict, StagedCover, truncate
 from randlab.martingales import (
     FairnessReport,
     Martingale,
@@ -190,6 +190,32 @@ def nonuc_critical_points(k):
     ivs = map(tent_interval, range(k))
     marks = [p for iv in ivs for p in (iv.lo, (iv.lo + iv.hi) / 2, iv.hi)]
     return tuple(p for p in marks if 0 < p < 1)
+
+
+def check_H(c: StagedCover) -> Optional[str]:
+    """The protocol check in `Fraction`s: the intervals sorted with tuple
+    keys, and each length compared with `Fraction(1, 2**k)`.  Stages are
+    numbered from 0, also for a size bound below -1."""
+    ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
+    for a, b in zip(ivs, ivs[1:]):
+        if b.lo < a.hi:
+            return f"overlap between {a} and {b}"
+    # with no overlap, the first interval starts lowest and the last ends highest
+    for iv in ivs[:1] + ivs[-1:]:
+        if iv.lo < 0 or iv.hi > 1:
+            return f"interval {iv} lies outside [0, 1]"
+    if c.stages and not c.size_bound:
+        return f"no size bound for a cover of {len(c.stages)} stages"
+    for k in range(len(c.stages)):
+        bound_stage = c.size_bound[k] if k < len(c.size_bound) else c.size_bound[-1]
+        for s in range(max(bound_stage + 1, 0), len(c.stages)):
+            for iv in c.stages[s]:
+                if iv.length >= Fraction(1, 2**k):
+                    return (
+                        f"size violation at k={k}: stage {s} interval {iv} "
+                        f"has length {iv.length} >= 2^-{k}"
+                    )
+    return None
 
 
 def truncation_value(f, ivs, x):

@@ -29,6 +29,28 @@ def covers(draw):
     return StagedCover(stages=(tuple(ivs[:cut]), tuple(ivs[cut:])), size_bound=(1, 1))
 
 
+@st.composite
+def staged_covers(draw):
+    """Covers that reach every outcome of `check_H`: 0 to 4 stages of
+    intervals that may overlap, touch, be points or have an end outside
+    [0, 1], and size bounds that may be empty, shorter than the stages or
+    negative."""
+    ends = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=16), max_size=8))
+    if draw(st.booleans()):
+        ends.sort()  # non-overlapping intervals, point intervals and shared ends
+    ivs = [RationalInterval(*sorted(pair)) for pair in zip(ends[::2], ends[1::2])]
+    if ivs and draw(st.booleans()):
+        i = draw(st.integers(0, len(ivs) - 1))
+        d = draw(st.sampled_from([Fraction(1, 16), Fraction(1)]))
+        lo, hi = ivs[i].lo, ivs[i].hi
+        ivs[i] = draw(st.sampled_from([RationalInterval(lo - d, hi), RationalInterval(lo, hi + d)]))
+    stages = ()
+    if count := draw(st.integers(0, 4)):
+        cuts = sorted(draw(st.lists(st.integers(0, len(ivs)), min_size=count - 1, max_size=count - 1)))
+        stages = tuple(tuple(ivs[a:b]) for a, b in zip([0, *cuts], [*cuts, len(ivs)]))
+    return StagedCover(stages, tuple(draw(st.lists(st.integers(-3, 3), max_size=5))))
+
+
 def quadratic(name, *pieces):
     return _from_pieces(name, [tuple(map(Fraction, piece)) for piece in pieces])
 

@@ -88,7 +88,8 @@ def test_verify_valid_fixture_exits_zero(capsys):
 
 
 def test_verify_broken_schnorr_exits_one(tmp_path, capsys):
-    doc = json.load(open(fixture("schnorr_geometric.json")))
+    with open(fixture("schnorr_geometric.json")) as fh:
+        doc = json.load(fh)
     doc["kind_data"]["declared_measures"]["2"] = "1/8"
     bad = tmp_path / "broken_schnorr.json"
     bad.write_text(json.dumps(doc))

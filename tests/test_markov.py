@@ -33,7 +33,7 @@ from randlab.markov import (
     square_fn,
     truncate,
 )
-from strategies import QUADRATICS, covers, polygons, rational
+from strategies import QUADRATICS, covers, polygons, rational, staged_covers
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=2**10)
 
@@ -91,10 +91,45 @@ def test_nonuc_range_is_exact():
     assert lo == 0 and hi == 7
 
 
+def tent_cover(size_bound) -> StagedCover:
+    """The tents of canonical_nonuc at its stage budget, one per stage: the
+    tent in stage n has length 2^{-n-2}."""
+    stages = tuple((iv,) for iv, _ in nonuc_tents(CANONICAL_NONUC_STAGE_BUDGET))
+    return StagedCover(stages=stages, size_bound=tuple(size_bound))
+
+
 def test_check_H_accepts_disjoint_tents():
     stages = tuple((iv,) for iv, _ in nonuc_tents(10))
     c = StagedCover(stages=stages, size_bound=tuple(range(len(stages))))
     assert check_H(c) is None
+    assert check_H(tent_cover(range(CANONICAL_NONUC_STAGE_BUDGET))) is None
+    # every k past the 10 entries reads the last, 9: stage 10 has length
+    # 2^-12, which breaks the bound first at k = 12
+    violation = check_H(tent_cover(range(10)))
+    assert violation.startswith("size violation at k=12: stage 10 interval ")
+
+
+@settings(max_examples=500, deadline=None)
+@given(staged_covers())
+@example(tent_cover(range(CANONICAL_NONUC_STAGE_BUDGET)))
+@example(tent_cover(range(10)))
+# a bound below -1 leaves every stage bound; the stage is named from 0
+@example(StagedCover(stages=((), (RationalInterval(Fraction(0), Fraction(3, 4)),)), size_bound=(-3,)))
+def test_check_H_equals_its_oracle(c):
+    violation = check_H(c)
+    assert violation == ref.check_H(c)
+    if violation is None:
+        return
+    # the cover is refused, with the same text, before f is read
+    calls = []
+    base = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
+    with pytest.raises(CoverViolation) as refused:
+        truncate(base, c)
+    assert str(refused.value) == violation
+    with pytest.raises(CoverViolation) as refused:
+        slope_bounds_check(base, c, Fraction(0), Fraction(2), 8)
+    assert str(refused.value) == violation
+    assert calls == []
 
 
 def test_check_H_rejects_overlap():
@@ -123,7 +158,7 @@ def test_cover_without_size_bound_is_a_cover_violation():
     assert check_H(c) == "no size bound for a cover of 1 stages"
     with pytest.raises(CoverViolation, match="no size bound"):
         truncate(square_fn(), c)
-    # the lower clause holds (0 < 1/4), so the check reaches the truncation
+    # the truncation checks the cover before the lower clause runs
     with pytest.raises(CoverViolation, match="no size bound"):
         slope_bounds_check(identity_fn(), c, Fraction(0), Fraction(2), 8)
 
@@ -561,14 +596,15 @@ def test_truncation_grid_over_replaced_base_reads_the_replacement():
 
 def test_slope_check_of_replaced_base_reads_it_per_point_outside_the_chords():
     # a base without a native grid leaves the truncation without one: the
-    # lower clause reads f(b) then f(a), the chord its ends, and the upper
-    # clause the base at each grid point outside the chord's interior
+    # truncation reads the chord's ends, then the lower clause f(b) and
+    # f(a), and the upper clause the base at each grid point outside the
+    # chord's interior
     calls = []
     base = dataclasses.replace(square_fn(), eval_at=cube_counting(calls))
     v = slope_bounds_check(base, HALF_COVER, Fraction(-1), Fraction(8), 8)
     assert v.passed
     outside = [Fraction(k, 8) for k in [0, 4, 5, 6, 7, 8]]
-    assert calls == [Fraction(1, 2), 0, 0, Fraction(1, 2)] + outside
+    assert calls == [0, Fraction(1, 2), Fraction(1, 2), 0] + outside
 
 
 TENT = polygonal_fn([(0, 0), (Fraction(1, 2), 1), (1, 0)])

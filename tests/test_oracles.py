@@ -70,7 +70,7 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 # `contains` is left out, as the lab never asks a union for a point
 PATCHED = (
     "parse_rational", "normalize_union", "coverage_at_least", "_by_piece",
-    "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
+    "check_H", "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
     "check_fairness", "savings_transform", "savings_violation_search",
     "savings_growth_constants", "bernoulli_measure", "validate_measure", "cdf",
     "transport", "transport_pushforward_check", "tt_from_ucf", "_tally_for_length",
