@@ -388,7 +388,9 @@ def coverage_at_least(
 
     One endpoint sweep, O(P log P) for P parts in all.  Parts are counted in
     place of unions, which is the same count because each union is
-    canonical: its parts are disjoint.
+    canonical: its parts are disjoint.  At threshold 1 this is the union of
+    the unions, and parts that come in order and apart, as `_canonical`
+    checks in one linear pass, are returned as they are, with no sweep.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -396,7 +398,10 @@ def coverage_at_least(
         return EMPTY_UNION
     den = math.lcm(*(u.den for u in unions))
     ends = [e * (den // u.den) for u in unions for e in u.ends]
-    return _components(ends, den, [f for u in unions for f in u.opens], threshold)
+    opens = [f for u in unions for f in u.opens]
+    if threshold == 1:
+        return _canonical(ends, den, opens)
+    return _components(ends, den, opens, threshold)
 
 
 def _components(ends: Sequence[int], den: int, opens: Sequence[bool], threshold: int) -> IntervalUnion:

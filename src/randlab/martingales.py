@@ -217,7 +217,8 @@ def savings_transform(m: Martingale, depth: int) -> Martingale:
     Working capital follows the base martingale's proportional bets; whenever
     it reaches twice the initial capital, half is moved to the bank, which
     never shrinks.  The result is fair and satisfies
-    M'(τ) >= M'(σ) - 2·M(ε) for all τ ⊒ σ within depth.
+    M'(τ) >= M'(σ) - 2·M(ε) for all τ ⊒ σ within depth.  Each level of the
+    base is read whole, by `m.level(k)`.
     """
     base, base_den = m.level(0)
     rn, rd = base[0], base_den  # the initial capital ref = rn/rd
@@ -229,15 +230,7 @@ def savings_transform(m: Martingale, depth: int) -> Martingale:
     # later base capital is not 0.
     js, bank, bank_den = [0 if rn else None], [0], 1
     for k in range(1, depth + 1):
-        if k < depth or all(base) or hasattr(m.value_at, "level"):
-            base, base_den = m.level(k)
-        else:
-            # a zero capital places no bet: an opaque base's last-level
-            # children of one go unread
-            parents = base
-            base, base_den = over_lcm(
-                m.value(s) if parents[i >> 1] else 0 for i, s in enumerate(bit_strings(k))
-            )
+        base, base_den = m.level(k)
         # w = v/2^j is an int over w_den = base_den·2^k, as j <= k
         w_den = base_den << k
         den = math.lcm(bank_den, w_den)

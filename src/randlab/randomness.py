@@ -69,8 +69,9 @@ class TestFamily:
     measures and `relativized` (SCHNORR), total bound (SOLOVAY), (q, C)
     data (PI1), change budgets (DEMUTH/WEAK_DEMUTH), and for
     INTERVAL_SEQUENCE `blocks`, a list of records {m, r, table, excluded}:
-    the table Q^m_r maps k to the interval Q^m_r(k), and excluded is the set
-    E^m_r of the indices k it excises.
+    the table Q^m_r maps k to Q^m_r(k), one interval held as the one-part
+    IntervalUnion it denotes, and excluded is the set E^m_r of the indices
+    k it excises.
     """
 
     kind: TestKind
@@ -112,12 +113,13 @@ def _bound_check(m: int, version: int, u: IntervalUnion) -> CheckRecord:
     )
 
 
-def _live_blocks(t: TestFamily) -> Iterator[tuple[int, int, list[RationalInterval]]]:
+def _live_blocks(t: TestFamily) -> Iterator[tuple[int, int, list[IntervalUnion]]]:
     """Each block (m, r) of an interval-sequence test, in (m, r) order, with
-    its parts Q^m_r(k) in k order, less the indices excised by E^m_r."""
+    its entries Q^m_r(k), one-part unions, in k order, less the indices
+    excised by E^m_r; `coverage_at_least(entries, 1)` is their union."""
     for b in sorted(t.kind_data["blocks"], key=lambda b: (b["m"], b["r"])):
         excl = b["excluded"]
-        yield b["m"], b["r"], [iv for k, iv in sorted(b["table"].items()) if k not in excl]
+        yield b["m"], b["r"], [u for k, u in sorted(b["table"].items()) if k not in excl]
 
 
 def validate(t: TestFamily) -> ValidationReport:
@@ -139,7 +141,7 @@ def validate(t: TestFamily) -> ValidationReport:
                 CheckRecord(
                     name=f"declared[m={m}]",
                     passed=dec == actual,
-                    detail=f"declared {dec and format_rational(dec)} vs actual "
+                    detail=f"declared {dec if dec is None else format_rational(dec)} vs actual "
                     f"{format_rational(actual)}",
                 )
             )
@@ -159,9 +161,9 @@ def validate(t: TestFamily) -> ValidationReport:
             )
 
     if t.kind is TestKind.INTERVAL_SEQUENCE:
-        per_m: dict[int, list[RationalInterval]] = {}
+        per_m: dict[int, list[IntervalUnion]] = {}
         for m, r, live in _live_blocks(t):
-            u = normalize_union(live)
+            u = coverage_at_least(live, 1)
             bound = Fraction(1, 2 ** (m + r))
             records.append(
                 CheckRecord(
@@ -171,9 +173,9 @@ def validate(t: TestFamily) -> ValidationReport:
                     f"{format_rational(bound)}",
                 )
             )
-            per_m.setdefault(m, []).extend(live)
-        for m, ivs in sorted(per_m.items()):
-            u = normalize_union(ivs)
+            per_m.setdefault(m, []).append(u)
+        for m, unions in sorted(per_m.items()):
+            u = coverage_at_least(unions, 1)
             bound = Fraction(1, 2**m)
             records.append(
                 CheckRecord(
@@ -269,7 +271,12 @@ def _membership(u: IntervalUnion, z: CauchyName) -> Verdict:
 
 def evaluate(t: TestFamily, z: CauchyName, depth: int) -> EvaluationSummary:
     """Per-component membership of z (final versions), plus the kind's
-    finite-depth passing convention."""
+    finite-depth passing convention.
+
+    A kind with no convention of its own says z escapes only when some
+    component shows it escaped, names the undecided components when none
+    did, says z is in the intersection only when every materialized
+    component captured it, and says when no component was materialized."""
     idx = [m for m in t.indices() if m <= depth]
     per: dict[int, Verdict] = {m: _membership(t.final(m), z) for m in idx}
     captured = tuple(m for m in idx if per[m].result is VerdictResult.CAPTURED)
@@ -288,12 +295,14 @@ def evaluate(t: TestFamily, z: CauchyName, depth: int) -> EvaluationSummary:
         convention = (
             f"passing witness m={escaped[0]}" if escaped else "no escape found"
         )
+    elif escaped:
+        convention = "escapes the intersection at materialized depth"
+    elif undecided:
+        convention = f"no escape found; undecided at m={','.join(map(str, undecided))}"
+    elif idx:
+        convention = "in intersection up to depth"
     else:
-        convention = (
-            "in intersection up to depth"
-            if len(captured) == len(idx)
-            else "escapes the intersection at materialized depth"
-        )
+        convention = "no component materialized up to depth"
     return EvaluationSummary(per, captured, escaped, undecided, convention)
 
 
@@ -407,11 +416,11 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
         raise ValueError("source must be an interval-sequence test")
     if depth > COMPONENT_INDEX_BUDGET:
         raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
-    per_m: dict[int, list[RationalInterval]] = {}
+    per_m: dict[int, list[IntervalUnion]] = {}
     for m, r, live in _live_blocks(_checked(t)):
         if r <= depth:
             per_m.setdefault(m, []).extend(live)
-    comps = {m: [normalize_union(ivs)] for m, ivs in per_m.items()}
+    comps = {m: [coverage_at_least(entries, 1)] for m, entries in per_m.items()}
     declared = {m: comps[m][0].measure for m in comps}
     return TestFamily(
         TestKind.SCHNORR,
@@ -427,9 +436,10 @@ def schnorr_to_interval_sequence(
     """Reverse direction, consuming a LimitOracle mind-change script.
 
     The oracle, queried at ("block", m, r) and stage s, returns the current
-    guess for the r-th block group of G_m as a tuple of intervals.  Each mind
-    change excises all previously emitted indices for (m, r) via E^m_r; the
-    final stage's groups must satisfy the per-block measure bound.  Each
+    guess for the r-th block group of G_m as a tuple of intervals, each
+    stored in the table as its one-part union.  Each mind change excises
+    all previously emitted indices for (m, r) via E^m_r; the final stage's
+    groups must satisfy the per-block measure bound.  Each
     query's stages 0..depth are read once, by `oracle.guesses`; a query with
     more mind changes than `oracle.budget` raises BudgetExceeded.
     """
@@ -450,11 +460,11 @@ def schnorr_to_interval_sequence(
                     f"{len(guesses) - 1} times up to stage {depth} "
                     f"> its budget ({oracle.budget})"
                 )
-            table: dict[int, RationalInterval] = {}
+            table: dict[int, IntervalUnion] = {}
             excl: set[int] = set()
             for guess in guesses:
                 excl.update(table)
-                table.update(enumerate(guess, len(table)))
+                table.update(enumerate((normalize_union([iv]) for iv in guess), len(table)))
             if table:
                 blocks.append({"m": m, "r": r, "table": table, "excluded": frozenset(excl)})
     return _checked(TestFamily(

@@ -15,16 +15,7 @@ from typing import Any, Callable, NamedTuple
 
 from .cauchy import CauchyName, const_name, scripted_name
 from .errors import ParseError
-from .intervals import (
-    IntervalUnion,
-    RationalInterval,
-    _as_index,
-    format_interval,
-    format_rational,
-    parse_interval,
-    parse_rational,
-    parse_union,
-)
+from .intervals import IntervalUnion, _as_index, format_rational, parse_rational, parse_union
 from .martingales import Martingale, all_in_on_0, constant_martingale, split_bet, table_martingale
 from .randomness import COMPONENT_INDEX_BUDGET, TestFamily, TestKind
 from .ttmeasures import (
@@ -65,7 +56,7 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
         payload["total_bound"] = format_rational(kd["total_bound"])
     elif t.kind is TestKind.INTERVAL_SEQUENCE:
         payload["blocks"] = [
-            {**b, "table": {str(k): format_interval(iv) for k, iv in b["table"].items()},
+            {**b, "table": {str(k): str(u) for k, u in b["table"].items()},
              "excluded": sorted(b["excluded"])}
             for b in kd["blocks"]
         ]
@@ -171,11 +162,9 @@ def _positive_rational(value: Any, name: str) -> Fraction:
     return q
 
 
-def _interval(value: Any, name: str) -> RationalInterval:
-    try:
-        return parse_interval(value)
-    except (ParseError, ValueError) as exc:
-        raise ParseError(f"{name}: {exc}") from exc
+def _interval(value: Any, name: str) -> IntervalUnion:
+    """One interval string, as the one-part union it denotes."""
+    return _union([value], name)
 
 
 def _union(value: Any, name: str) -> IntervalUnion:

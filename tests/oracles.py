@@ -39,6 +39,7 @@ from randlab.errors import (
     InvariantViolation,
     ParseError,
     ZeroMassCylinder,
+    over_budget,
 )
 from randlab.intervals import (
     EMPTY_UNION,
@@ -59,7 +60,7 @@ from randlab.martingales import (
     split_bet,
     table_martingale,
 )
-from randlab.randomness import COMPONENT_INDEX_BUDGET, CheckRecord, TestFamily, TestKind
+from randlab.randomness import COMPONENT_INDEX_BUDGET, CheckRecord, TestFamily, TestKind, validate
 from randlab.serialize import _decoder
 from randlab.ttmeasures import (
     TRANSPORT_LENGTH_CAP,
@@ -508,6 +509,31 @@ def coverage_at_least(unions: Sequence[IntervalUnion], threshold: int) -> Interv
     return normalize_union(pieces)
 
 
+def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
+    """The conversion before block tables held unions and were merged by
+    `coverage_at_least`: the one part of each live entry Q^m_r(k), r <=
+    depth, through the sort-and-merge `normalize_union`."""
+    if t.kind is not TestKind.INTERVAL_SEQUENCE:
+        raise ValueError("source must be an interval-sequence test")
+    if depth > COMPONENT_INDEX_BUDGET:
+        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
+    failed = validate(t).first_failure()
+    if failed is not None:
+        raise InvariantViolation(failed.detail)
+    per_m: dict[int, list[RationalInterval]] = {}
+    for b in t.kind_data["blocks"]:
+        if b["r"] <= depth:
+            live = [u.parts[0] for k, u in b["table"].items() if k not in b["excluded"]]
+            per_m.setdefault(b["m"], []).extend(live)
+    comps = {m: [normalize_union(ivs)] for m, ivs in sorted(per_m.items())}
+    return TestFamily(
+        TestKind.SCHNORR,
+        comps,
+        {"declared_measures": {m: u.measure for m, (u,) in comps.items()}, "relativized": True},
+        label=f"is_to_schnorr({t.label})",
+    )
+
+
 # --- part (iii): tt-functionals, the measures they induce, transports
 
 
@@ -870,7 +896,7 @@ def test_family_from_json(doc):
                 "m": _index(rec["m"], "block m"),
                 "r": _index(rec["r"], "block r"),
                 "table": {
-                    _integer(k, "block table key"): parse_interval(iv)
+                    _integer(k, "block table key"): intervals.parse_union([iv])
                     for k, iv in rec["table"].items()
                 },
                 "excluded": _index_set(rec.get("excluded", []), "excluded"),

@@ -1,8 +1,11 @@
-"""Every imported name is read: a stdlib `ast` scan of the package and the tests.
+"""Every imported name is read, and every private name of the package too:
+a stdlib `ast` scan of the package and the tests.
 
 A name bound by `import` or `from ... import` must be read somewhere in its
 module, as a name or as the base of an attribute.  A name listed in the
 module's `__all__` counts as read; `from __future__` imports are skipped.
+A module-level `_name` defined in `src/randlab` must be read somewhere in
+`src/randlab`, so code that nothing calls is deleted.
 """
 
 from __future__ import annotations
@@ -60,3 +63,49 @@ def test_no_unused_imports():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The module-level `_name`s (functions, classes and assigned names, not
+    dunders) that `sources` define and none of them reads, as a name or as an
+    attribute, in definition order."""
+    defined: list[str] = []
+    read: set[str] = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        name for name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unread_private_names_flags_what_nothing_reads():
+    sources = [
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f(): return _A\n"
+        "def _g(): pass\n"
+        "class _C: pass\n",
+        "import m\nm._g()\n",
+    ]
+    assert unread_private_names(sources) == ["_B", "_f", "_C"]
+
+
+def test_no_unread_private_names():
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "randlab", "*.py")))
+    assert paths
+    sources = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert unread_private_names(sources) == []

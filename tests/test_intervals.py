@@ -375,14 +375,30 @@ def test_bisected_membership_equals_reference(data):
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.data())
-def test_coverage_sweep_equals_reference(data):
-    unions = data.draw(union_lists)
-    threshold = data.draw(st.integers(1, len(unions) + 1))
-    # RationalInterval equality compares both endpoints and both flags
+@given(union_lists, st.integers(1, 7))
+# at threshold 1, unions whose parts come in order and apart are kept as
+# they are, with no sweep
+@example([normalize_union([RationalInterval(Fraction(0), Fraction(1, 8), True, True),
+                           RationalInterval(Fraction(1, 8), Fraction(1, 4), True)]),
+          normalize_union([RationalInterval(Fraction(1, 3), Fraction(1, 3))]),
+          EMPTY_UNION,
+          normalize_union([RationalInterval(Fraction(1, 2), Fraction(1))])], 1)
+def test_coverage_sweep_equals_reference(unions, threshold):
+    # threshold runs past the number of unions (at most 6)
     assert coverage_at_least(unions, threshold) == ref.coverage_at_least(
         unions, threshold
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(canonical_unions, st.data())
+def test_coverage_of_a_union_cut_into_runs_of_parts_is_that_union(u, data):
+    # the union's parts, in order and apart, cut into unions of consecutive
+    # parts: at threshold 1 they come back as they are
+    parts = u.parts
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(parts)), max_size=3)))
+    runs = [normalize_union(parts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(parts)])]
+    assert coverage_at_least(runs, 1) == u
 
 
 def test_coverage_counts_unions_not_parts():

@@ -212,16 +212,16 @@ def test_which_hole_a_parse_error_names():
     )
 
 
-def test_opaque_savings_skips_last_level_children_of_a_zero_capital():
-    # "1" is 0 and "10", "11" are missing: the last level reads only "00", "01"
+def test_opaque_savings_reads_the_children_of_a_zero_capital():
+    # "1" is 0 and "10", "11" are missing: the last level is read whole, as
+    # every earlier one is, so the transform names the first hole; the
+    # per-node oracle places no bet on a zero capital and reads neither
     table = {"": Fraction(1), "0": Fraction(2), "1": Fraction(0),
              "00": Fraction(4), "01": Fraction(0)}
-    m = table_martingale(table)
-    saved, expected = savings_transform(m, 2), ref.savings_transform(m, 2)
-    nodes = [s for k in range(3) for s in bit_strings(k)]
-    assert [saved.value(s) for s in nodes] == [expected.value(s) for s in nodes]
-    with pytest.raises(ParseError):
-        savings_transform(m, 3)
+    m = table_martingale(table, "t")
+    assert outcome(savings_transform, m, 2, catch=ParseError) == hole("10", "martingale")
+    expected = ref.savings_transform(m, 2)
+    assert [expected.value(s) for s in ("10", "11")] == [Fraction(0)] * 2
 
 
 # --- fairness: the level pass against the depth-first walk

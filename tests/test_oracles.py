@@ -76,6 +76,7 @@ PATCHED = (
     "transport", "transport_pushforward_check", "tt_from_ucf", "_tally_for_length",
     "test_family_from_json", "updates_from_json", "measure_from_json",
     "martingale_from_json", "name_from_json", "parse_union", "_union_to_json",
+    "interval_sequence_to_schnorr",
 )
 UNION_METHODS = ("witness_containing", "disjoint_from_interval")
 METHODS = ("measure", *UNION_METHODS, "knots", "is_monotone")

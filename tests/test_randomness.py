@@ -4,7 +4,10 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import oracles as ref
+from oracles import outcome
 
 from randlab.cauchy import const_name, scripted_name
 from randlab.errors import (
@@ -13,8 +16,9 @@ from randlab.errors import (
     MeasureBoundViolation,
     NotPrefixFree,
     ParseError,
+    RandlabError,
 )
-from randlab.intervals import RationalInterval, normalize_union
+from randlab.intervals import RationalInterval, format_rational, normalize_union
 from randlab.randomness import (
     TestFamily,
     TestKind,
@@ -78,20 +82,23 @@ def test_schnorr_declared_mismatch_fails():
 
 
 def test_schnorr_declared_index_without_component_is_checked(tmp_path, capsys):
-    # index 9 has no component, so its actual measure is 0
+    # index 9 has no component, so its actual measure is 0; a declared 0 is
+    # written as p/q too
     with open(os.path.join(FIXTURES, "schnorr_geometric.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["kind_data"]["declared_measures"]["9"] = "1/2"
     path = tmp_path / "schnorr_extra.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["verify", "--fixture", str(path)]) == 1
-    records = json.loads(capsys.readouterr().out)["records"]
-    failed = [r for r in records if r["status"] == "FAIL"]
-    assert failed == [{"name": "schnorr_extra.json:declared[m=9]", "status": "FAIL",
-                       "detail": "declared 1/2 vs actual 0/1"}]
-    # declared indices are checked in sorted order with the components'
-    declared = [r["name"] for r in records if ":declared[" in r["name"]]
-    assert declared == [f"schnorr_extra.json:declared[m={m}]" for m in range(10)]
+    for dec, shown, status in (("1/2", "1/2", "FAIL"), ("0", "0/1", "PASS")):
+        doc["kind_data"]["declared_measures"]["9"] = dec
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--fixture", str(path)]) == (status == "FAIL")
+        records = json.loads(capsys.readouterr().out)["records"]
+        nine = {"name": "schnorr_extra.json:declared[m=9]", "status": status,
+                "detail": f"declared {shown} vs actual 0/1"}
+        # m = 9 fails, or passes, alone
+        assert [r for r in records if r["status"] == "FAIL" or r["name"] == nine["name"]] == [nine]
+        # declared indices are checked in sorted order with the components'
+        declared = [r["name"] for r in records if ":declared[" in r["name"]]
+        assert declared == [f"schnorr_extra.json:declared[m={m}]" for m in range(10)]
 
 
 def test_solovay_running_sum_bound():
@@ -252,8 +259,8 @@ def iseq_family() -> TestFamily:
         for r in range(1, 4):
             w = Fraction(1, 2 ** (m + r + 1))
             table = {
-                0: RationalInterval(Fraction(0), w, True, True),
-                1: RationalInterval(Fraction(1, 2), Fraction(1, 2) + w, True, True),
+                0: normalize_union([RationalInterval(Fraction(0), w, True, True)]),
+                1: normalize_union([RationalInterval(Fraction(1, 2), Fraction(1, 2) + w, True, True)]),
             }
             blocks.append({"m": m, "r": r, "table": table, "excluded": frozenset({1})})
     return TestFamily(TestKind.INTERVAL_SEQUENCE, {}, {"blocks": blocks})
@@ -349,7 +356,8 @@ def test_schnorr_to_interval_sequence_reads_each_stage_once():
     assert sorted(calls) == sorted((q, s) for q in queries for s in range(4))
     # the blocks are the guesses at stages 0..3, each change excising the last
     assert t.kind_data["blocks"] == [
-        {"m": q[1], "r": q[2], "table": dict(enumerate(three_mind_changes(q, s)[0] for s in range(4))),
+        {"m": q[1], "r": q[2],
+         "table": dict(enumerate(normalize_union(three_mind_changes(q, s)) for s in range(4))),
          "excluded": {0, 1, 2}}
         for q in queries
     ]
@@ -392,7 +400,7 @@ def test_build_pi1_ml_test_checks_its_input_first(monkeypatch):
 
 
 def test_interval_sequence_to_schnorr_checks_its_input():
-    block = {"m": 1, "r": 1, "table": {0: FULL.parts[0]}, "excluded": frozenset()}
+    block = {"m": 1, "r": 1, "table": {0: FULL}, "excluded": frozenset()}
     t = TestFamily(TestKind.INTERVAL_SEQUENCE, {}, {"blocks": [block]})
     with pytest.raises(InvariantViolation) as info:
         interval_sequence_to_schnorr(t, 4)
@@ -452,3 +460,104 @@ def test_exact_name_is_captured_by_the_first_part_holding_it(m, u, q):
         assert verdict == Verdict(VerdictResult.ESCAPED)
     else:
         assert verdict == Verdict(VerdictResult.CAPTURED, first)
+
+
+def is_doc(*blocks):
+    """An interval-sequence fixture document of blocks (m, r, table, excluded)."""
+    return {"type": "test_family", "kind": "INTERVAL_SEQUENCE", "kind_data": {"blocks": [
+        {"m": m, "r": r, "table": table, "excluded": excluded} for m, r, table, excluded in blocks
+    ]}}
+
+
+@st.composite
+def is_docs(draw):
+    """Up to five blocks (m, r), each with up to four entries on the
+    sixteenths of [0, 2^-(m+r)] (so that its bound holds) or of [0, 1], keys
+    in any order, and excised indices that may or may not be keys."""
+    blocks = []
+    for m, r in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=5, unique=True)):
+        scale = Fraction(1, 2 ** (m + r)) if draw(st.booleans()) else Fraction(1)
+        ends = st.integers(0, 16).map(lambda k: scale * Fraction(k, 16))
+        entry = st.builds(_interval, ends, ends, st.booleans(), st.booleans()).map(str)
+        table = draw(st.dictionaries(st.integers(0, 9).map(str), entry, max_size=4))
+        blocks.append((m, r, table, draw(st.lists(st.integers(0, 9), max_size=3, unique=True))))
+    return is_doc(*blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(is_docs())
+# entries that overlap, that touch at an end one of them holds, that touch at
+# an end both leave open, and points, one of them inside another entry
+@example(is_doc((1, 1, {"0": "[0/1,1/8]", "1": "(1/16,3/16)", "2": "[3/16,1/4)",
+                        "3": "(1/4,3/8)", "4": "[1/2,1/2]", "5": "[5/16,5/16]"}, [])))
+# keys out of order, excised indices among and past them, and a block whose
+# every entry is excised
+@example(is_doc((2, 1, {"7": "(1/16,1/8)", "2": "[0/1,1/32]", "5": "[1/2,1/1]"}, [5, 9]),
+                (0, 3, {"1": "[0/1,1/1]"}, [1]),
+                (2, 0, {"0": "(1/8,1/4)"}, []),
+                (1, 2, {}, [])))
+def test_interval_sequence_blocks_match_the_sort_and_merge(doc):
+    t = serialize.test_family_from_json(doc)
+    assert serialize.test_family_from_json(serialize.test_family_to_json(t)) == t
+    for depth in range(6):
+        assert outcome(interval_sequence_to_schnorr, t, depth, catch=RandlabError) == outcome(
+            ref.interval_sequence_to_schnorr, t, depth, catch=RandlabError)
+    # each block's live entries, and each m's, merged by the oracle
+    expected, per_m = [], {}
+    for b in sorted(t.kind_data["blocks"], key=lambda b: (b["m"], b["r"])):
+        m, r = b["m"], b["r"]
+        parts = [u.parts[0] for k, u in b["table"].items() if k not in b["excluded"]]
+        per_m.setdefault(m, []).extend(parts)
+        mu, bound = ref.normalize_union(parts).measure, Fraction(1, 2 ** (m + r))
+        expected.append((f"block_bound[m={m},r={r}]", mu <= bound,
+                         f"measure {format_rational(mu)} vs {format_rational(bound)}"))
+    for m, parts in sorted(per_m.items()):
+        mu, bound = ref.normalize_union(parts).measure, Fraction(1, 2**m)
+        expected.append((f"aggregate_bound[m={m}]", mu <= bound,
+                         f"aggregate measure {format_rational(mu)} vs {format_rational(bound)}"))
+    assert [(c.name, c.passed, c.detail) for c in validate(t).records] == expected
+
+
+def shown_convention(kind, captured, escaped, undecided) -> str:
+    """The convention text of a `kind` test whose components captured,
+    escaped or left undecided the name, as tuples of their indices."""
+    if kind is TestKind.SOLOVAY:
+        return f"hit count among materialized components: {len(captured)}"
+    if kind is TestKind.DEMUTH:
+        return (f"hits among final versions: {len(captured)}; "
+                f"escapes: {len(escaped)} (passing = escaping almost every m)")
+    if kind is TestKind.WEAK_DEMUTH:
+        return f"passing witness m={escaped[0]}" if escaped else "no escape found"
+    if escaped:
+        return "escapes the intersection at materialized depth"
+    if undecided:
+        return f"no escape found; undecided at m={','.join(map(str, undecided))}"
+    return "in intersection up to depth" if captured else "no component materialized up to depth"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(TestKind),
+    st.dictionaries(st.integers(0, 4), canonical_unions, max_size=4),
+    st.integers(0, 16).map(lambda k: Fraction(k, 16)),
+    st.booleans(),
+    st.integers(0, 4),
+)
+# the one component leaves the name's only value, 1/2, open: undecided
+@example(TestKind.ML, {1: normalize_union([RationalInterval(Fraction(0), Fraction(1, 2), hi_open=True)])},
+         Fraction(1, 2), False, 4)
+# no component at all
+@example(TestKind.INTERVAL_SEQUENCE, {}, Fraction(1, 2), True, 4)
+def test_conventions_claim_only_what_the_components_show(kind, unions, q, exact, depth):
+    t = TestFamily(kind, {m: [u] for m, u in unions.items()})
+    # a name without an exact tag whose values all sit at q stays undecided
+    # wherever q is an end of a part
+    z = const_name(q) if exact else scripted_name([q] * 50, "still")
+    s = evaluate(t, z, depth)
+    shown = [tuple(m for m, v in sorted(s.per_component.items()) if v.result is res)
+             for res in VerdictResult]
+    assert [s.captured, s.escaped, s.undecided] == shown
+    assert s.convention == shown_convention(kind, *shown)
+    for m, u in unions.items():
+        if m <= depth and not exact and q in {Fraction(e, u.den) for e in u.ends}:
+            assert s.per_component[m].result is VerdictResult.UNDECIDED_AT_DEPTH
