@@ -8,10 +8,8 @@ __version__ = "0.1.0"
 
 from .intervals import (
     IntervalUnion,
-    Rational,
     RationalInterval,
     dyadic_cylinder,
-    format_interval,
     format_rational,
     normalize_union,
     parse_interval,
@@ -22,10 +20,8 @@ from .cauchy import CauchyName, Comparison, ModulusFunction, const_name, scripte
 __all__ = [
     "__version__",
     "IntervalUnion",
-    "Rational",
     "RationalInterval",
     "dyadic_cylinder",
-    "format_interval",
     "format_rational",
     "normalize_union",
     "parse_interval",

@@ -17,12 +17,7 @@ from typing import Any, NoReturn, Optional, Sequence
 from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .cauchy import const_name
 from .errors import BudgetExceeded, ParseError, RandlabError
-from .intervals import (
-    RationalInterval,
-    format_interval,
-    format_rational,
-    parse_rational,
-)
+from .intervals import RationalInterval, format_rational, parse_rational
 from .randomness import CheckRecord
 
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
@@ -139,7 +134,7 @@ def cmd_evaluate(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
             f"component[m={m}]",
             v.result is not randomness.VerdictResult.UNDECIDED_AT_DEPTH,
             v.result.value
-            + ("" if v.witness is None else f" via {format_interval(v.witness)}"),
+            + ("" if v.witness is None else f" via {v.witness}"),
         )
         for m, v in sorted(summary.per_component.items())
     ]
@@ -159,9 +154,7 @@ def cmd_transport(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     output = {
         "c_prefix": res.c_prefix,
         "status": res.status.value,
-        "image": format_interval(
-            RationalInterval(res.image_lo, res.image_hi, False, True)
-        ),
+        "image": str(RationalInterval(res.image_lo, res.image_hi, False, True)),
     }
     ok = res.status is ttmeasures.TransportStatus.OK
     detail = f"-> {res.c_prefix!r}, image {output['image']}"

@@ -5,11 +5,12 @@ are carried explicitly: measure ignores endpoints, membership queries must
 not.  A `RationalInterval` has `Fraction` endpoints; an `IntervalUnion`
 is always canonical and holds its ends as ints over their least common
 denominator; `normalize_union`, `parse_union` and `coverage_at_least` build
-it.  One pattern reads "[p/q,r/s)" into ints for `parse_interval` and for
-the union decoder `parse_union`.  The canonical check, `measure`, the
-coverage sweep and the string forms read those ints, and membership bisects
-them and cross-multiplies them with the query; Fractions are built only
-where a value leaves a union: `parts`, a witness, a measure.
+it.  One pattern reads "[p/q,r/s)" into ints for the union decoder
+`parse_union`, and `parse_interval` returns the one part of a one-string
+union.  The canonical check, `measure`, the coverage sweep and the string
+forms read those ints, and membership bisects them and cross-multiplies
+them with the query; Fractions are built only where a value leaves a
+union: `parts`, a witness, a measure.
 
 The Cantor-space helpers list {0,1}^n in cylinder order (`bit_strings`) and
 write rationals as ints over one denominator (`over_lcm`); `_product_level`
@@ -30,8 +31,6 @@ from operator import add, itemgetter, mul, ne
 from typing import Any, Iterable, NoReturn, Optional, Sequence
 
 from .errors import ParseError
-
-Rational = Fraction
 
 _RATIONAL = re.compile(r"(-?\d+)(?:/(\d+))?")
 # a whole "[p/q,r/s)" string: the brackets and the four integers (q and s
@@ -88,11 +87,8 @@ class RationalInterval:
     hi_open: bool = False
 
     def __post_init__(self) -> None:
-        d = self.lo.numerator * self.hi.denominator - self.hi.numerator * self.lo.denominator
-        if d > 0:
-            raise ValueError(f"lo > hi: {self.lo} > {self.hi}")
-        if d == 0 and (self.lo_open or self.hi_open):
-            raise ValueError("degenerate interval must be closed on both ends")
+        lo, hi = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        _check_order(self.lo_open, *lo, *hi, self.hi_open)
 
     @property
     def length(self) -> Fraction:
@@ -112,15 +108,10 @@ class RationalInterval:
 
 
 def parse_interval(text: str) -> RationalInterval:
-    """Parse "[lo,hi)" style interval strings; brackets encode openness.
-
-    `_interval_ints` reads the whole string, and each endpoint is built from
-    the integers it read."""
-    v = _interval_ints(text)
-    if v is None:
-        _refuse_interval(text)
-    lo_open, p, q, r, s, hi_open = v
-    return RationalInterval(Fraction(p, q), Fraction(r, s), lo_open, hi_open)
+    """Parse "[lo,hi)" style interval strings; brackets encode openness: the
+    one part of `parse_union([text])`."""
+    (part,) = parse_union([text]).parts
+    return part
 
 
 def _interval_ints(text: Any) -> Optional[tuple[bool, int, int, int, int, bool]]:
@@ -147,10 +138,6 @@ def _refuse_interval(text: Any) -> NoReturn:
     for part in body:
         parse_rational(part)  # raises for the first endpoint it refuses
     raise ParseError(f"bad interval {text!r}")
-
-
-def format_interval(iv: RationalInterval) -> str:
-    return str(iv)
 
 
 def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -273,17 +260,20 @@ def normalize_union(intervals: Iterable[RationalInterval]) -> IntervalUnion:
 
 
 def parse_union(texts: Iterable[Any]) -> IntervalUnion:
-    """normalize_union(parse_interval(t) for t in texts), read as ints.
+    """The canonical union of the intervals "[p/q,r/s)" that the strings
+    write, read as ints.
 
-    Each string is read by `_interval_ints` and its lo <= hi checked by
-    cross-multiplying; a string refused by either goes to `parse_interval`,
-    which raises its error.  The ends are scaled to the lcm of the
-    denominators as written and reduced by one gcd; no Fraction is built."""
+    Each string is read by `_interval_ints`, and a string it refuses raises
+    the ParseError of `_refuse_interval`.  Its lo <= hi is checked by
+    cross-multiplying, with the ValueError of `RationalInterval` (the same
+    `_check_order`).  The ends are scaled to the lcm of the denominators as
+    written and reduced by one gcd; no Fraction is built."""
     nums, dens, opens = [], [], []
     for text in texts:
         v = _interval_ints(text)
-        if v is None or _misordered(*v):
-            parse_interval(text)  # raises the error for this string
+        if v is None:
+            _refuse_interval(text)
+        _check_order(*v)
         lo_open, p, q, r, s, hi_open = v
         nums += p, r
         dens += q, s
@@ -294,10 +284,14 @@ def parse_union(texts: Iterable[Any]) -> IntervalUnion:
     return _canonical([e // g for e in ends], den // g, opens)
 
 
-def _misordered(lo_open: bool, p: int, q: int, r: int, s: int, hi_open: bool) -> bool:
-    """Whether p/q > r/s, or p/q == r/s with an open end (q, s > 0)."""
+def _check_order(lo_open: bool, p: int, q: int, r: int, s: int, hi_open: bool) -> None:
+    """Raise ValueError where p/q > r/s, or p/q == r/s with an open end
+    (q, s > 0)."""
     d = p * s - r * q
-    return d > 0 or d == 0 and (lo_open or hi_open)
+    if d > 0:
+        raise ValueError(f"lo > hi: {Fraction(p, q)} > {Fraction(r, s)}")
+    if d == 0 and (lo_open or hi_open):
+        raise ValueError("degenerate interval must be closed on both ends")
 
 
 def _canonical(ends: Sequence[int], den: int, opens: Sequence[bool]) -> IntervalUnion:

@@ -69,7 +69,7 @@ class Martingale:
             return over_lcm(map(self.value, bit_strings(k)))
         ints, den = native(k)
         if min(ints) < 0:
-            s = bit_strings(k)[next(i for i, v in enumerate(ints) if v < 0)]
+            s = bit_string(k, next(i for i, v in enumerate(ints) if v < 0))
             raise InvariantViolation(f"negative capital at {s!r}")
         return ints, den
 

@@ -12,7 +12,8 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import cache
+from typing import Callable, Iterator, Optional, Sequence
 
 from .cauchy import CauchyName
 from .errors import (
@@ -256,11 +257,11 @@ class EvaluationSummary:
     note: str = "finite-depth surrogate; no infinite-level verdict is asserted"
 
 
-def _membership(u: IntervalUnion, z: CauchyName) -> Verdict:
+def _membership(u: IntervalUnion, window: Callable[[int], RationalInterval]) -> Verdict:
+    """The verdict on u of the name whose window at precision p is
+    window(p), read at p = 4, 5, ... until one decides."""
     for p in range(4, EVALUATE_MAX_PRECISION + 1):
-        # an exact name's window is its point at every precision: the first
-        # pass finds the first part holding it, or finds no part does
-        w = z.window(p) if z.exact is None else RationalInterval(z.exact, z.exact)
+        w = window(p)
         hit = u.witness_containing(w)
         if hit is not None:
             return Verdict(VerdictResult.CAPTURED, hit)
@@ -278,7 +279,12 @@ def evaluate(t: TestFamily, z: CauchyName, depth: int) -> EvaluationSummary:
     did, says z is in the intersection only when every materialized
     component captured it, and says when no component was materialized."""
     idx = [m for m in t.indices() if m <= depth]
-    per: dict[int, Verdict] = {m: _membership(t.final(m), z) for m in idx}
+    # each precision's window is built once, for every component; an exact
+    # name's window is its point at every precision: the first pass finds the
+    # first part holding it, or finds no part does
+    point = None if z.exact is None else RationalInterval(z.exact, z.exact)
+    window = cache(z.window) if point is None else lambda p: point
+    per: dict[int, Verdict] = {m: _membership(t.final(m), window) for m in idx}
     captured = tuple(m for m in idx if per[m].result is VerdictResult.CAPTURED)
     escaped = tuple(m for m in idx if per[m].result is VerdictResult.ESCAPED)
     undecided = tuple(

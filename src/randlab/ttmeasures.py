@@ -19,11 +19,13 @@ which reads each level once and fills the tally of every length it passes.
 The combinatorial functionals' levels are constants; `tt_from_ucf` builds its
 levels from g's values on the grid of each use bound (`MarkovFunction.grid`).
 Any other output_bit callable, such as one put in by `dataclasses.replace`,
-is read on every input block of each length for each of its output bits.
+is read on every input block of each length for each of its output bits, in
+one streaming count of the output rows.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import sys
@@ -57,9 +59,6 @@ from .markov import MarkovFunction
 from .randomness import CheckRecord
 
 USE_BOUND_BUDGET = 24
-# inputs a per-length tally enumerates per batch: the enumeration streams,
-# and a batch of 24-bit inputs stays near 0.25 MiB
-TALLY_RUN = 1024
 # grid points a run-built tt_from_ucf level samples at a time
 LEVEL_CHUNK = 4096
 TRANSPORT_LENGTH_CAP = 64
@@ -77,7 +76,9 @@ class TTFunctional:
     asked and raises InvariantViolation at the first decrease.  `_tally`
     keeps the tally of each output length k enumerated so far:
     (counts, 2^use_bound(k-1)), with counts[i] the number of input blocks
-    whose output is bit_string(k, i).
+    whose output is bit_string(k, i).  Each instance starts with its own
+    empty cache, of the type passed in: a `dataclasses.replace` copy shares
+    no tally with its original.
 
     An output_bit with a native output level (`intervals._with_level`;
     identity_tt, bit_flip_tt, pairwise_or_tt and tt_from_ucf set one) is
@@ -92,6 +93,11 @@ class TTFunctional:
     use_bound: Callable[[int], int]
     output_bit: Callable[[tuple[int, ...], int], int]
     _tally: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tally = copy.copy(self._tally)
+        tally.clear()
+        object.__setattr__(self, "_tally", tally)
 
 
 # the levels of the combinatorial functionals: bit n of every prefix of u(n)
@@ -128,17 +134,6 @@ def _non_bit(phi: TTFunctional, n: int, value: object) -> InvariantViolation:
     return InvariantViolation(f"{phi.name}: output bit {n} is {value!r}, not the int 0 or 1")
 
 
-def _first_non_bit(phi: TTFunctional, run, positions: range) -> None:
-    """Raise for the first output bit at the positions, over the run in
-    enumeration order, that is not the int 0 or 1 (True reads as 1), by
-    reading the run again."""
-    for bits in run:
-        for n in positions:
-            value = phi.output_bit(bits, n)
-            if not isinstance(value, int) or value not in (0, 1):
-                raise _non_bit(phi, n, value)
-
-
 def _use_bounds(phi: TTFunctional, length: int) -> list[int]:
     """u(0), ..., u(length-1), refused with InvariantViolation at the first n
     where u(n) < u(n-1), or u(0) < 0."""
@@ -150,13 +145,6 @@ def _use_bounds(phi: TTFunctional, length: int) -> list[int]:
     return uses
 
 
-def _check_row(phi: TTFunctional, row: bytes) -> None:
-    """Raise for the least output bit of a tally row that is no bit."""
-    if row.translate(None, _BIT_BYTES):
-        n = next(n for n, b in enumerate(row) if b > 1)
-        raise _non_bit(phi, n, row[n])
-
-
 def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     """Count, for every output string of the given length, how many input
     blocks of length u = use_bound(length-1) map onto it, as (counts, 2^u):
@@ -166,9 +154,10 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     A use bound that decreases is refused with InvariantViolation before any
     output bit is read.  Where output_bit has a native output level (the
     functionals this module builds), `_walk_prefixes` tallies this length and
-    every shorter one in one walk; any other callable is read on every input
-    block for each of its output bits, in enumeration order, and a non-bit is
-    named at the first block that holds one."""
+    every shorter one in one walk.  Any other callable is read on every input
+    block, block by block and output bit by output bit, one output row in
+    flight beside the Counter of distinct rows; a non-bit is named at the
+    first block that holds one, at its least output bit."""
     cached = phi._tally.get(length)
     if cached is not None:
         return cached
@@ -180,29 +169,22 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     uses = _use_bounds(phi, length)
     if getattr(phi.output_bit, "level", None) is not None:
         return _walk_prefixes(phi, uses)
-    if length == 0:  # no columns to zip: the one empty input maps onto ""
-        counts = [1]
-    else:
-        # one map over a run of inputs per output position; the zipped
-        # columns are the outputs, counted as bytes (about a third of a tuple's size)
-        rows: Counter = Counter()
-        inputs = product((0, 1), repeat=u)
-        while run := tuple(islice(inputs, TALLY_RUN)):
-            columns = (map(phi.output_bit, run, repeat(n)) for n in range(length))
-            try:
-                rows.update(map(bytes, zip(*columns)))
-            except (TypeError, ValueError):  # a bit that is no byte: name the
-                # first non-bit, in the runs read before or in this one
-                for row in rows:
-                    _check_row(phi, row)
-                _first_non_bit(phi, run, range(length))
-                raise
-        counts = [0] * 2**length
-        # in first-seen order: the first row with a non-bit is that of the
-        # first block with one
+    # one map over the inputs per output position: zip turns the columns into
+    # the outputs, each counted as bytes (about a third of a tuple's size)
+    columns = [map(phi.output_bit, product((0, 1), repeat=u), repeat(n)) for n in range(length)]
+    counts = [0] * 2**length
+    try:
+        # no columns to zip at length 0: the one empty input maps onto ""
+        rows = Counter(map(bytes, zip(*columns))) if length else {b"": 1}
         for row, c in rows.items():
-            _check_row(phi, row)
-            counts[int(row.translate(_DIGITS), 2)] = c
+            counts[int(b"0" + row.translate(_DIGITS), 2)] = c
+    except (TypeError, ValueError):  # a bit that is no byte, or a byte above 1
+        for bits in product((0, 1), repeat=u):
+            for n in range(length):
+                value = phi.output_bit(bits, n)
+                if not isinstance(value, int) or value not in (0, 1):
+                    raise _non_bit(phi, n, value)
+        raise
     tally = phi._tally[length] = counts, 2**u
     return tally
 
@@ -223,7 +205,7 @@ def _walk_prefixes(phi: TTFunctional, uses: list[int]) -> tuple[list[int], int]:
     length 16), and a level in progress about 4 more: 0.5 MiB held and a
     1.5 MiB peak at u = 18 (pairwise_or to length 9), 32 MiB held and about
     96 MiB at the peak at USE_BOUND_BUDGET, where a per-length enumeration
-    streams its inputs in TALLY_RUN batches of about 0.25 MiB.  A level that
+    holds one output row and the Counter of distinct rows.  A level that
     `tt_from_ucf` builds holds LEVEL_CHUNK grid values at a time beside its
     bytes: a cold tally of tt(square) to length 14 (u = 16) peaks near 2 MiB."""
     length = len(uses)
@@ -307,7 +289,10 @@ class CylinderMeasure:
             raise ValueError(f"level {k} < 0")
         native = getattr(self.mass, "level", None)
         if native is None:
-            return over_lcm(map(self.mass, bit_strings(k)[::step]))
+            # bit_strings(k)[::step] from their indices, formatted here: a
+            # public helper called per string would be one traced span each
+            strings = (format(i, f"0{k}b") for i in range(0, 2**k, step)) if k else [""]
+            return over_lcm(map(self.mass, strings))
         ints, den = native(k)
         return ints[::step], den
 
@@ -378,7 +363,7 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
             )
         if negative is None and min(masses) < 0:
             i = next(i for i, m in enumerate(masses) if m < 0)
-            s = bit_strings(k)[i] or "ε"
+            s = bit_string(k, i) or "ε"
             mass = format_rational(Fraction(masses[i], den))
             negative = CheckRecord(f"nonnegative[{s}]", False, f"mass({s}) = {mass}")
         parents, parent_den = masses, den

@@ -5,7 +5,10 @@ A name bound by `import` or `from ... import` must be read somewhere in its
 module, as a name or as the base of an attribute.  A name listed in the
 module's `__all__` counts as read; `from __future__` imports are skipped.
 A module-level `_name` defined in `src/randlab` must be read somewhere in
-`src/randlab`, so code that nothing calls is deleted.
+`src/randlab`, so code that nothing calls is deleted.  A name in
+`randlab.__all__` must be read outside the module that defines it and the
+package's `__init__.py`, in `src/randlab` or the tests, or be named in
+README.md.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 import ast
 import glob
 import os
+import re
+
+import randlab
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
@@ -65,6 +71,27 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def defined_and_read(source: str) -> tuple[list[str], set[str]]:
+    """The module-level names that `source` defines (functions, classes and
+    assigned names), in definition order, and the names it reads, as a name
+    or as an attribute."""
+    tree = ast.parse(source)
+    defined: list[str] = []
+    read: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return defined, read
+
+
 def unread_private_names(sources: list[str]) -> list[str]:
     """The module-level `_name`s (functions, classes and assigned names, not
     dunders) that `sources` define and none of them reads, as a name or as an
@@ -72,18 +99,9 @@ def unread_private_names(sources: list[str]) -> list[str]:
     defined: list[str] = []
     read: set[str] = set()
     for source in sources:
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        names, reads = defined_and_read(source)
+        defined += names
+        read |= reads
     return [
         name for name in defined
         if name.startswith("_") and not name.startswith("__") and name not in read
@@ -109,3 +127,45 @@ def test_no_unread_private_names():
         with open(path, encoding="utf-8") as fh:
             sources.append(fh.read())
     assert unread_private_names(sources) == []
+
+
+def unread_exports(sources: dict[str, str], readme: str, exported: list[str]) -> list[str]:
+    """The exported names that no source reads, as a name or as an attribute,
+    outside the modules that define them at module level and `__init__.py`,
+    and that `readme` never names as a word, in export order."""
+    scans = {path: defined_and_read(source) for path, source in sources.items()}
+
+    def read_elsewhere(name: str) -> bool:
+        return any(
+            name in read and name not in defined and path != "__init__.py"
+            for path, (defined, read) in scans.items()
+        )
+
+    return [
+        name for name in exported
+        if not read_elsewhere(name) and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)
+    ]
+
+
+def test_unread_exports_flags_what_only_its_home_reads():
+    sources = {
+        "__init__.py": "from .m import A, B, C, D, E\n__all__ = ['A', 'B', 'C', 'D', 'E']\n",
+        "m.py": "A = B = C = D = 1\nclass E: pass\nprint(A, B)\n",
+        "n.py": "from m import B\nprint(B)\n",
+        "test_m.py": "import randlab\nrandlab.C\n",
+    }
+    assert unread_exports(sources, "`D` and DE", ["A", "B", "C", "D", "E"]) == ["A", "E"]
+
+
+def test_every_export_is_read_outside_its_home():
+    paths = sorted(
+        glob.glob(os.path.join(ROOT, "src", "randlab", "*.py"))
+        + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+    )
+    sources = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.relpath(path, os.path.join(ROOT, "src", "randlab"))] = fh.read()
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    assert unread_exports(sources, readme, randlab.__all__) == []

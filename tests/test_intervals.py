@@ -18,7 +18,6 @@ from randlab.intervals import (
     coverage_at_least,
     dyadic_cylinder,
     dyadic_value,
-    format_interval,
     format_rational,
     normalize_union,
     over_lcm,
@@ -189,12 +188,12 @@ def test_over_lcm_of_no_values():
 
 @given(interval_strategy())
 def test_interval_round_trip(iv):
-    assert parse_interval(format_interval(iv)) == iv
+    assert parse_interval(str(iv)) == iv
 
 
 def test_interval_bracket_styles():
-    assert format_interval(RationalInterval(Fraction(0), Fraction(1, 2), False, True)) == "[0/1,1/2)"
-    assert format_interval(RationalInterval(Fraction(1, 3), Fraction(1), True, False)) == "(1/3,1/1]"
+    assert str(RationalInterval(Fraction(0), Fraction(1, 2), False, True)) == "[0/1,1/2)"
+    assert str(RationalInterval(Fraction(1, 3), Fraction(1), True, False)) == "(1/3,1/1]"
 
 
 def test_degenerate_closed_interval_has_zero_length():

@@ -41,7 +41,7 @@ from randlab.ttmeasures import (
     MonotoneCDF,
     TransportStatus,
     TTFunctional,
-    _first_non_bit,
+    _non_bit,
     _tally_for_length,
     bernoulli_measure,
     bit_flip_tt,
@@ -113,8 +113,11 @@ def walked(phi):
         prefixes = lambda: itertools.product((0, 1), repeat=copy.use_bound(n))  # noqa: E731
         try:  # product reuses its tuple once output_bit lets go of it
             return bytes(map(copy.output_bit, prefixes(), itertools.repeat(n)))
-        except (TypeError, ValueError):  # a bit that is no byte: name it
-            _first_non_bit(copy, prefixes(), range(n, n + 1))
+        except (TypeError, ValueError):  # a bit that is no byte: name the first
+            for bits in prefixes():
+                value = copy.output_bit(bits, n)
+                if not isinstance(value, int) or value not in (0, 1):
+                    raise _non_bit(copy, n, value)
             raise
 
     _with_level(copy.output_bit, level)
@@ -122,66 +125,61 @@ def walked(phi):
 
 
 @settings(max_examples=150, deadline=None)
-@given(truth_tables(), st.sampled_from([1, 3, 64, ttmeasures.TALLY_RUN]))
-def test_tally_matches_per_length_enumeration(drawn, run):
+@given(truth_tables())
+def test_tally_matches_per_length_enumeration(drawn):
     phi, length = drawn
-    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
-        for k in range(length + 1):
-            assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k)
+    for k in range(length + 1):
+        assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k)
 
 
 @settings(max_examples=100, deadline=None)
-@given(truth_tables(), st.sampled_from([1, 3, ttmeasures.TALLY_RUN]))
-def test_tally_makes_the_per_length_output_bit_calls(drawn, run):
+@given(truth_tables())
+def test_tally_makes_the_per_length_output_bit_calls(drawn):
     base, length = drawn
     phi, calls = counting(base, lambda bits, n: (bits, n))
     slow, ref_calls = counting(base, lambda bits, n: (bits, n))
-    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
-        for k in range(length + 1):
-            _tally_for_length(phi, k)
-            ref._tally_for_length(slow, k)
+    for k in range(length + 1):
+        _tally_for_length(phi, k)
+        ref._tally_for_length(slow, k)
     assert calls == ref_calls
 
 
 def string_keyed_tally(phi, length):
-    """The tally as the lab kept it before it held ints: the same run-wise
+    """The tally as the lab kept it before it held ints: the same streaming
     enumeration, each distinct output row joined into its string key."""
     u = phi.use_bound(length - 1) if length > 0 else 0
     if length == 0:
         return {"": 1}
-    rows = Counter()
-    inputs = itertools.product((0, 1), repeat=u)
-    while run := tuple(itertools.islice(inputs, ttmeasures.TALLY_RUN)):
-        columns = (map(phi.output_bit, run, itertools.repeat(n)) for n in range(length))
-        rows.update(map(bytes, zip(*columns)))
+    columns = (
+        map(phi.output_bit, itertools.product((0, 1), repeat=u), itertools.repeat(n))
+        for n in range(length)
+    )
+    rows = Counter(map(bytes, zip(*columns)))
     return {"".join(map(str, row)): c for row, c in rows.items()}
 
 
 @settings(max_examples=100, deadline=None)
-@given(truth_tables(), st.sampled_from([1, 3, ttmeasures.TALLY_RUN]))
-def test_int_tally_reads_back_as_the_string_keyed_tally(drawn, run):
+@given(truth_tables())
+def test_int_tally_reads_back_as_the_string_keyed_tally(drawn):
     phi, length = drawn
-    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
-        for k in range(length + 1):
-            counts, den = _tally_for_length(phi, k)
-            assert den == 2 ** (phi.use_bound(k - 1) if k else 0)
-            assert len(counts) == 2**k
-            read = {bit_string(k, i): c for i, c in enumerate(counts) if c}
-            assert read == string_keyed_tally(phi, k)
+    for k in range(length + 1):
+        counts, den = _tally_for_length(phi, k)
+        assert den == 2 ** (phi.use_bound(k - 1) if k else 0)
+        assert len(counts) == 2**k
+        read = {bit_string(k, i): c for i, c in enumerate(counts) if c}
+        assert read == string_keyed_tally(phi, k)
 
 
 @settings(max_examples=150, deadline=None)
-@given(truth_tables(), st.sampled_from([1, 3, 64, ttmeasures.TALLY_RUN]), st.randoms())
-def test_prefix_walk_matches_per_length_enumeration(drawn, run, rng):
-    # the walk reads each level whole, so no batch size may change it
+@given(truth_tables(), st.randoms())
+def test_prefix_walk_matches_per_length_enumeration(drawn, rng):
     base, length = drawn
     phi = walked(base)
     lengths = list(range(length + 1))
-    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
-        for psi in (phi, dataclasses.replace(phi, _tally={})):
-            rng.shuffle(lengths)
-            for k in lengths:
-                assert _tally_for_length(psi, k) == ref._tally_for_length(base, k), k
+    for psi in (phi, dataclasses.replace(phi, _tally={})):
+        rng.shuffle(lengths)
+        for k in lengths:
+            assert _tally_for_length(psi, k) == ref._tally_for_length(base, k), k
     assert sorted(phi._tally) == list(range(length + 1))
 
 
@@ -239,6 +237,33 @@ def test_a_new_or_cleared_tally_walks_from_the_root():
         phi._tally.clear()
         assert _tally_for_length(phi, k) == ref._tally_for_length(phi, k)
         assert sorted(phi._tally) == list(range(k + 1))
+
+
+class TaggedTally(dict):
+    """A tally cache that carries state of its own, as a counting one does."""
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+
+def test_a_replaced_copy_starts_with_its_own_empty_tally():
+    phi = pairwise_or_tt()
+    _tally_for_length(phi, 2)
+    held = dict(phi._tally)
+    # the copy reads its own output_bit, and writes nothing into phi's tally
+    psi = dataclasses.replace(phi, output_bit=lambda bits, n: 0)
+    assert not psi._tally
+    assert induced_measure_of_cylinder(psi, "11") == 0
+    assert induced_measure_of_cylinder(psi, "00") == 1
+    assert phi._tally == held
+    assert induced_measure_of_cylinder(phi, "11") == Fraction(9, 16)
+    # a cache passed in keeps its type and state, and so does a copy's
+    tagged = dataclasses.replace(phi, _tally=TaggedTally("t"))
+    _tally_for_length(tagged, 3)
+    for chi in (tagged, dataclasses.replace(tagged, name="copy")):
+        assert type(chi._tally) is TaggedTally and chi._tally.tag == "t"
+    assert sorted(tagged._tally) == [0, 1, 2, 3] and not chi._tally
 
 
 @pytest.mark.parametrize("length", range(10))
@@ -442,16 +467,22 @@ def test_a_cold_tt_from_ucf_tally_peaks_under_8_mib():
     assert peak < 8, f"{peak:.2f} MiB peak"
 
 
-def two_faults(first, second):
-    """Output bit 0 is `first` on the inputs that start with 1; output bit 1
-    is `second` on the inputs that start with 00; every other bit is 0."""
+def two_faults(first, second, clean=0):
+    """Output bit 1 is `second` on input block `clean`, and output bit 0 is
+    `first` on every block past the next one; every other bit is 0.  Both
+    bits read the least number of input bits that has a block past
+    clean + 1, and the blocks are those inputs read as binary ints, in
+    enumeration order.  At clean = 0: bit 0 faults on the inputs that start
+    with 1, and bit 1 on 00."""
+    u = (clean + 2).bit_length()
 
     def output_bit(bits, n):
+        block = int("".join(map(str, bits[:u])), 2)
         if n == 0:
-            return first if bits[0] else 0
-        return second if bits[:2] == (0, 0) else 0
+            return first if block > clean + 1 else 0
+        return second if block == clean else 0
 
-    return TTFunctional("two", lambda n: n + 1, output_bit)
+    return TTFunctional("two", lambda n: u, output_bit)
 
 
 # a per-length enumeration names the first input block with a non-bit, and
@@ -466,16 +497,16 @@ def test_the_walk_names_the_least_bit_that_is_no_bit(first, second):
     assert outcome(_tally_for_length, walked(phi), 2) == walk
 
 
-# two faults that are both bytes or neither, or a byte in block 00 and no
-# byte in the later block 10, read in one run or in runs of 1 or 3 blocks
-@pytest.mark.parametrize("run", [1, 3, ttmeasures.TALLY_RUN])
+# two faults that are both bytes or neither, or a byte in one block and no
+# byte in a later one, after 0, 1, 3 or 1024 clean blocks: the Counter holds
+# their rows when the fault is met, and the scan must read past them
+@pytest.mark.parametrize("clean", [0, 1, 3, 1024])
 @pytest.mark.parametrize("first, second", [(2, 3), (255, 2), (48, 95), (-1, 1.0), (1.0, 2)], ids=repr)
-def test_a_per_length_tally_names_the_first_block_that_is_no_bit(first, second, run):
-    phi = two_faults(first, second)
+def test_a_per_length_tally_names_the_first_block_that_is_no_bit(first, second, clean):
+    phi = two_faults(first, second, clean)
     want = (InvariantViolation, f"two: output bit 1 is {second!r}, not the int 0 or 1")
     assert outcome(ref._tally_for_length, phi, 2) == want
-    with mock.patch.object(ttmeasures, "TALLY_RUN", run):
-        assert outcome(_tally_for_length, phi, 2) == want
+    assert outcome(_tally_for_length, phi, 2) == want
     walk = (InvariantViolation, f"two: output bit 0 is {first!r}, not the int 0 or 1")
     assert outcome(_tally_for_length, walked(phi), 2) == walk
 
@@ -579,7 +610,7 @@ def test_pairwise_or_to_length_8_makes_the_pinned_output_bit_calls():
 def test_pairwise_or_call_multiset_matches_oracle_across_runs():
     phi, calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
     slow, ref_calls = counting(pairwise_or_tt(), lambda bits, n: (bits, n))
-    for k in range(8):  # 2^14 inputs at length 7: several runs
+    for k in range(8):  # 2^14 inputs at length 7
         assert _tally_for_length(phi, k) == ref._tally_for_length(slow, k)
     assert calls == ref_calls
 
