@@ -35,7 +35,7 @@ class CauchyName:
     approx: Callable[[int], Fraction]
     provenance: str = ""
     exact: Optional[Fraction] = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def at(self, n: int) -> Fraction:
         if n < 0:

@@ -17,7 +17,7 @@ from typing import Any, NoReturn, Optional, Sequence
 from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .cauchy import const_name
 from .errors import BudgetExceeded, ParseError, RandlabError
-from .intervals import RationalInterval, format_rational, parse_rational
+from .intervals import RationalInterval, format_rational
 from .randomness import CheckRecord
 
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
@@ -168,19 +168,11 @@ def _function(name: str) -> markov.MarkovFunction:
         raise ParseError(f"--function: {exc}") from exc
 
 
-def _rational(flag: str, text: str) -> Fraction:
-    """The rational a flag gives, or a ParseError that names the flag."""
-    try:
-        return parse_rational(text)
-    except ParseError as exc:
-        raise ParseError(f"{flag}: {exc}") from exc
-
-
 def cmd_derive(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     f = _function(args.function)
-    at = _rational("--at", args.at)
-    scale = _rational("--scale", args.scale)
-    tol = _rational("--tol", args.tol)
+    at = serialize._rational(args.at, "--at")
+    scale = serialize._rational(args.scale, "--scale")
+    tol = serialize._rational(args.tol, "--tol")
     try:
         est = derivatives.pseudo_derivative(f, const_name(at), scale, args.precision)
     except ValueError as exc:

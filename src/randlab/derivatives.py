@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cauchy import CauchyName
-from .errors import DegeneratePair, over_budget
+from .errors import DegeneratePair, check_budget
 from .markov import MarkovFunction
 
 BLOWUP_THRESHOLD = Fraction(2**16)
@@ -67,10 +67,7 @@ def pseudo_derivative(
     a time, and only the two extremes become Fractions.
     """
     d = grid_denominator
-    if d > GRID_DENOMINATOR_BUDGET:
-        raise over_budget(
-            f"grid_denominator {d}", "GRID_DENOMINATOR_BUDGET", GRID_DENOMINATOR_BUDGET
-        )
+    check_budget(d, "grid_denominator {}", "GRID_DENOMINATOR_BUDGET", GRID_DENOMINATOR_BUDGET)
     if h < Fraction(1, 2 ** (d + 2)):
         raise ValueError(
             f"scale h = {h} is below 2^-{d + 2}, a quarter step of the grid k/2^{d}"
@@ -85,11 +82,9 @@ def pseudo_derivative(
     b_min, b_span = math.ceil(w.lo * size), math.floor(h * size)
     # at most b_span partners per left point: bound the pairs before any f call
     pairs = max(0, a_last - a_first + 1) * b_span
-    if pairs > PSEUDO_DERIVATIVE_PAIR_BUDGET:
-        raise over_budget(
-            f"up to {pairs} grid pairs", "PSEUDO_DERIVATIVE_PAIR_BUDGET",
-            PSEUDO_DERIVATIVE_PAIR_BUDGET,
-        )
+    check_budget(
+        pairs, "up to {} grid pairs", "PSEUDO_DERIVATIVE_PAIR_BUDGET", PSEUDO_DERIVATIVE_PAIR_BUDGET
+    )
     # per gap g (in grid steps): the left ends a_first <= ka <= a_last whose
     # partner ka + g lies right of the window (>= b_min) and on the grid.
     # A partner is at most size and ka >= a_first >= 0, so no gap past

@@ -13,10 +13,13 @@ class BudgetExceeded(RandlabError):
     """An enumeration/depth/precision budget was exceeded."""
 
 
-def over_budget(subject: str, name: str, limit: int) -> BudgetExceeded:
-    """BudgetExceeded("<subject> > NAME (limit)"), the subject naming the size
-    asked for.  The caller compares and raises, so hot checks stay inline."""
-    return BudgetExceeded(f"{subject} > {name} ({limit})")
+def check_budget(size: int, subject: str, name: str, limit: int) -> None:
+    """Raise BudgetExceeded("<subject> > NAME (limit)") when size > limit.
+
+    `subject` names the size asked for, with `{}` where the size goes; it is
+    formatted only on failure.  The one check for every named budget."""
+    if size > limit:
+        raise BudgetExceeded(f"{subject.format(size)} > {name} ({limit})")
 
 
 class CoverViolation(RandlabError):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,11 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(int(p), int(q or 1))
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
+    except ValueError as exc:
+        # an integer longer than int reads; the text is too long to echo
+        raise ParseError(
+            f"bad rational: an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _as_index(value: Any) -> Optional[int]:

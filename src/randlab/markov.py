@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
-from .errors import CoverViolation, ExtensionUndefined, over_budget
+from .errors import CoverViolation, ExtensionUndefined, check_budget
 from .intervals import RationalInterval, _as_index, bit_string, over_lcm, parse_rational
 
 ZERO = Fraction(0)
@@ -272,11 +272,9 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     """
     if stage_count < 1:
         raise ValueError(f"stage_count {stage_count} < 1")
-    if stage_count > CANONICAL_NONUC_STAGE_BUDGET:
-        raise over_budget(
-            f"stage_count {stage_count}", "CANONICAL_NONUC_STAGE_BUDGET",
-            CANONICAL_NONUC_STAGE_BUDGET,
-        )
+    check_budget(
+        stage_count, "stage_count {}", "CANONICAL_NONUC_STAGE_BUDGET", CANONICAL_NONUC_STAGE_BUDGET
+    )
     # per tent: the rise from lo, the fall from its peak at mid, and 0 from
     # hi up to the next tent; the function is continuous, so each piece may
     # own its left end
@@ -398,8 +396,7 @@ def oscillation_tree(f: MarkovFunction, n: int, depth: int) -> set[str]:
     Any other `eval_at` is called once per grid point, O(2^{depth+4})
     whatever the tree's size.
     """
-    if depth > OSCILLATION_DEPTH_BUDGET:
-        raise over_budget(f"depth {depth}", "OSCILLATION_DEPTH_BUDGET", OSCILLATION_DEPTH_BUDGET)
+    check_budget(depth, "depth {}", "OSCILLATION_DEPTH_BUDGET", OSCILLATION_DEPTH_BUDGET)
     if depth < 0:
         raise ValueError(f"tree depth {depth} < 0")
     # extrema[k] = (minima, maxima) over the grid slices of the nodes at
@@ -460,8 +457,9 @@ def slope_bounds_check(
         raise ValueError("requires w < z")
     if grid < 1:
         raise ValueError("requires grid >= 1")
-    if (pairs := grid * (grid + 1) // 2) > SLOPE_GRID_PAIR_BUDGET:
-        raise over_budget(f"{pairs} grid pairs", "SLOPE_GRID_PAIR_BUDGET", SLOPE_GRID_PAIR_BUDGET)
+    check_budget(
+        grid * (grid + 1) // 2, "{} grid pairs", "SLOPE_GRID_PAIR_BUDGET", SLOPE_GRID_PAIR_BUDGET
+    )
     t = truncate(f, c)
     for iv in c.all_intervals():
         if not w * (iv.hi - iv.lo) < f(iv.hi) - f(iv.lo):
@@ -498,8 +496,7 @@ class ExtensionResult:
 def _modulus_precision(theta: ModulusFunction, eps: Fraction) -> int:
     """Least m >= 0 with 2^{-m+1} <= theta(eps)."""
     m = ceil_log2(2 / theta(eps))
-    if m > MODULUS_PRECISION_BUDGET:
-        raise over_budget(f"precision {m}", "MODULUS_PRECISION_BUDGET", MODULUS_PRECISION_BUDGET)
+    check_budget(m, "precision {}", "MODULUS_PRECISION_BUDGET", MODULUS_PRECISION_BUDGET)
     return m
 
 
@@ -511,10 +508,7 @@ def eval_extension(f: MarkovFunction, z: CauchyName, n: int) -> ExtensionResult:
     window is refined up to the budget; a hull that never shrinks is
     finite-scale evidence the extension is undefined here.
     """
-    if n > EXTENSION_PRECISION_BUDGET:
-        raise over_budget(
-            f"precision {n}", "EXTENSION_PRECISION_BUDGET", EXTENSION_PRECISION_BUDGET
-        )
+    check_budget(n, "precision {}", "EXTENSION_PRECISION_BUDGET", EXTENSION_PRECISION_BUDGET)
     eps = Fraction(1, 2**n)
 
     def hull(m: int) -> tuple[Fraction, Fraction]:

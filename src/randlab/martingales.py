@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional
 
-from .errors import InvariantViolation, ParseError, over_budget
+from .errors import InvariantViolation, ParseError, check_budget
 from .intervals import (
     _product_level,
     _unbalanced,
@@ -44,7 +44,8 @@ class Martingale:
 
     def value(self, sigma: str) -> Fraction:
         if len(sigma) > self.depth_budget:
-            raise over_budget(f"|sigma| {len(sigma)}", "depth_budget", self.depth_budget)
+            # guarded here: value runs once per string
+            check_budget(len(sigma), "|sigma| {}", "depth_budget", self.depth_budget)
         v = self.value_at(sigma)
         if v.numerator < 0:
             raise InvariantViolation(f"negative capital at {sigma!r}")
@@ -60,8 +61,7 @@ class Martingale:
         is one (see `CylinderMeasure.level`); any other callable is read
         once per string, in order, through `value`.
         """
-        if k > self.depth_budget:
-            raise over_budget(f"|sigma| {k}", "depth_budget", self.depth_budget)
+        check_budget(k, "|sigma| {}", "depth_budget", self.depth_budget)
         if k < 0:
             raise ValueError(f"level {k} < 0")
         native = getattr(self.value_at, "level", None)
@@ -140,8 +140,7 @@ def check_fairness(m: Martingale, depth: int) -> FairnessReport:
     in level order) where the walk may have returned a failure that it met
     before reading it.
     """
-    if depth > FAIRNESS_DEPTH_BUDGET:
-        raise over_budget(f"depth {depth}", "FAIRNESS_DEPTH_BUDGET", FAIRNESS_DEPTH_BUDGET)
+    check_budget(depth, "depth {}", "FAIRNESS_DEPTH_BUDGET", FAIRNESS_DEPTH_BUDGET)
     if depth <= 0:
         return FairnessReport(True)
     if hasattr(m.value_at, "level"):

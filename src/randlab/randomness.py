@@ -21,7 +21,7 @@ from .errors import (
     InvariantViolation,
     MeasureBoundViolation,
     NotPrefixFree,
-    over_budget,
+    check_budget,
 )
 from .intervals import (
     EMPTY_UNION,
@@ -318,8 +318,7 @@ def convert_solovay_to_ml(t: TestFamily, depth: int) -> TestFamily:
     checked exactly)."""
     if t.kind is not TestKind.SOLOVAY:
         raise ValueError("source must be a Solovay test")
-    if depth > COMPONENT_INDEX_BUDGET:
-        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
+    check_budget(depth, "depth {}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     bound: Fraction = t.kind_data["total_bound"]
     if bound <= 0:
         raise InvariantViolation(
@@ -420,8 +419,7 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
     measure recorded as the declared (relativized) Schnorr measure."""
     if t.kind is not TestKind.INTERVAL_SEQUENCE:
         raise ValueError("source must be an interval-sequence test")
-    if depth > COMPONENT_INDEX_BUDGET:
-        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
+    check_budget(depth, "depth {}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     per_m: dict[int, list[IntervalUnion]] = {}
     for m, r, live in _live_blocks(_checked(t)):
         if r <= depth:
@@ -451,8 +449,7 @@ def schnorr_to_interval_sequence(
     """
     if t.kind is not TestKind.SCHNORR:
         raise ValueError("source must be a Schnorr test")
-    if depth > COMPONENT_INDEX_BUDGET:
-        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
+    check_budget(depth, "depth {}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     blocks: list[dict] = []
     for m in t.indices():
         if m > depth:

@@ -28,10 +28,6 @@ from .ttmeasures import (
 SCHEMA_VERSION = "0.1.0"
 
 
-def _union_to_json(u: IntervalUnion) -> list[str]:
-    return u.strings()
-
-
 def test_family_to_json(t: TestFamily) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "type": "test_family",
@@ -39,7 +35,7 @@ def test_family_to_json(t: TestFamily) -> dict[str, Any]:
         "kind": t.kind.value,
         "label": t.label,
         "components": {
-            str(m): [_union_to_json(u) for u in versions]
+            str(m): [u.strings() for u in versions]
             for m, versions in sorted(t.components.items())
         },
     }

@@ -43,7 +43,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
     ZeroMassCylinder,
-    over_budget,
+    check_budget,
 )
 from .intervals import (
     _check_bits,
@@ -162,10 +162,7 @@ def _tally_for_length(phi: TTFunctional, length: int) -> tuple[list[int], int]:
     if cached is not None:
         return cached
     u = phi.use_bound(length - 1) if length > 0 else 0
-    if u > USE_BOUND_BUDGET:
-        raise over_budget(
-            f"use bound {u} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
-        )
+    check_budget(u, f"use bound {{}} at length {length}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET)
     uses = _use_bounds(phi, length)
     if getattr(phi.output_bit, "level", None) is not None:
         return _walk_prefixes(phi, uses)
@@ -421,11 +418,8 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
     The input cylinder [a) maps to the image interval [g(0.a), g(0.a+2^-|a|));
     emit output bits while a dyadic half splits the image cleanly.
     """
-    if len(a_prefix) > TRANSPORT_LENGTH_CAP:
-        # the output stops at the cap, so it could never reach status OK
-        raise over_budget(
-            f"prefix length {len(a_prefix)}", "TRANSPORT_LENGTH_CAP", TRANSPORT_LENGTH_CAP
-        )
+    # the output stops at the cap, so a longer prefix could never reach status OK
+    check_budget(len(a_prefix), "prefix length {}", "TRANSPORT_LENGTH_CAP", TRANSPORT_LENGTH_CAP)
     _check_bits(a_prefix)
     # lo = lo_n/q and hi = hi_n/q in ints
     (lo_n, lo_d), (hi_n, hi_d) = _cdf_ints(mu, a_prefix), _cdf_ints(mu, a_prefix, True)
@@ -538,10 +532,7 @@ def tt_from_ucf(g: MarkovFunction, depth: int) -> TTFunctional:
     def use_bound(n: int) -> int:
         if n not in use_cache:
             k = ceil_log2(1 / theta(Fraction(1, 2 ** (n + 2))))
-            if k > USE_BOUND_BUDGET:
-                raise over_budget(
-                    f"use bound {k} at bit {n}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET
-                )
+            check_budget(k, f"use bound {{}} at bit {n}", "USE_BOUND_BUDGET", USE_BOUND_BUDGET)
             use_cache[n] = max(k, n + 1)
         return use_cache[n]
 

@@ -39,7 +39,7 @@ from randlab.errors import (
     InvariantViolation,
     ParseError,
     ZeroMassCylinder,
-    over_budget,
+    check_budget,
 )
 from randlab.intervals import (
     EMPTY_UNION,
@@ -440,8 +440,8 @@ def parse_union(texts) -> IntervalUnion:
     return normalize_union(parse_interval(t) for t in texts)
 
 
-def _union_to_json(u: IntervalUnion) -> list[str]:
-    """`serialize._union_to_json` before the int form: each part's string."""
+def strings(u: IntervalUnion) -> list[str]:
+    """`IntervalUnion.strings` before the int form: each part's string."""
     return [str(p) for p in u.parts]
 
 
@@ -515,8 +515,7 @@ def interval_sequence_to_schnorr(t: TestFamily, depth: int) -> TestFamily:
     depth, through the sort-and-merge `normalize_union`."""
     if t.kind is not TestKind.INTERVAL_SEQUENCE:
         raise ValueError("source must be an interval-sequence test")
-    if depth > COMPONENT_INDEX_BUDGET:
-        raise over_budget(f"depth {depth}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
+    check_budget(depth, "depth {}", "COMPONENT_INDEX_BUDGET", COMPONENT_INDEX_BUDGET)
     failed = validate(t).first_failure()
     if failed is not None:
         raise InvariantViolation(failed.detail)

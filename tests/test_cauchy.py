@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -52,6 +53,14 @@ def test_scripted_name_repeats_last_value():
     z = scripted_name([Fraction(0), Fraction(1, 4)], "script")
     assert z.at(1) == Fraction(1, 4)
     assert z.at(30) == Fraction(1, 4)
+
+
+def test_a_replaced_name_reads_its_own_approximations():
+    z = const_name(Fraction(1, 3))
+    assert z.at(5) == Fraction(1, 3)
+    w = replace(z, approx=lambda n: Fraction(0), exact=None)
+    assert (w.at(5), w.at(6)) == (0, 0)
+    assert z.at(6) == Fraction(1, 3)
 
 
 @given(rationals, rationals, st.integers(0, 16))

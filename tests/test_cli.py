@@ -348,6 +348,10 @@ def test_negative_depth_is_usage_error(capsys, argv):
     assert "--depth: expected a non-negative integer, got '-1'" in captured.err
 
 
+# the most digits int reads from a string, 0 (or absent) for no limit
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def assert_labcli_usage_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -389,9 +393,13 @@ def test_help_still_exits_zero(capsys):
         ["--function", "canonical_nonuc:x"],
         ["--at", "2"],
         ["--scale", "0"],
+        pytest.param(
+            ["--at", "1/" + "1" * (INT_DIGIT_LIMIT + 1)],
+            marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int reads any length"),
+        ),
     ],
     ids=["precision-negative", "precision-15", "unknown-function",
-         "bad-stage-count", "at-outside-unit", "scale-zero"],
+         "bad-stage-count", "at-outside-unit", "scale-zero", "at-past-int-digit-limit"],
 )
 def test_derive_bad_input_exits_two(capsys, flags):
     # later flags override the defaults given first

@@ -8,7 +8,8 @@ A module-level `_name` defined in `src/randlab` must be read somewhere in
 `src/randlab`, so code that nothing calls is deleted.  A name in
 `randlab.__all__` must be read outside the module that defines it and the
 package's `__init__.py`, in `src/randlab` or the tests, or be named in
-README.md.
+README.md.  `BudgetExceeded` is built in `src/randlab` only by
+`errors.check_budget` and by the two budgets with their own wording.
 """
 
 from __future__ import annotations
@@ -127,6 +128,53 @@ def test_no_unread_private_names():
         with open(path, encoding="utf-8") as fh:
             sources.append(fh.read())
     assert unread_private_names(sources) == []
+
+
+def budget_exceeded_builders(sources: dict[str, str]) -> list[str]:
+    """Where each module in `sources` calls `BudgetExceeded(...)`, as the
+    module and its enclosing classes and functions joined by dots (the module
+    alone at module level), in source order."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "BudgetExceeded" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            visit(child, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_budget_exceeded_builders_names_each_enclosing_function():
+    sources = {
+        "m": "def f():\n    raise BudgetExceeded('x')\n"
+        "class C:\n    def g(self):\n        def h():\n"
+        "            return errors.BudgetExceeded('y')\n"
+        "BudgetExceeded\nBudgetExceeded('z')\n",
+        "n": "raise ValueError(BudgetExceeded('w'))\n",
+    }
+    assert budget_exceeded_builders(sources) == ["m.f", "m.C.g.h", "m", "n"]
+
+
+def test_only_the_budget_checks_build_budget_exceeded():
+    # every named budget goes through errors.check_budget; the Demuth version
+    # budget and the LimitOracle mind-change budget keep their own wording
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "randlab", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)[: -len(".py")]] = fh.read()
+    assert sorted(set(budget_exceeded_builders(sources))) == [
+        "errors.check_budget",
+        "randomness.demuth_update",
+        "randomness.schnorr_to_interval_sequence",
+    ]
 
 
 def unread_exports(sources: dict[str, str], readme: str, exported: list[str]) -> list[str]:

@@ -65,7 +65,7 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 # the oracles that take their function's arguments and return what it
 # returns; `_tally_for_length` is kept in `phi._tally` below, as the lab keeps
 # its own, `measure` replaces the property `IntervalUnion.measure`,
-# `witness_containing` and `disjoint_from_interval` the methods of
+# `witness_containing`, `disjoint_from_interval` and `strings` the methods of
 # `IntervalUnion`, and `knots` and `is_monotone` the methods of `MonotoneCDF`;
 # `contains` is left out, as the lab never asks a union for a point
 PATCHED = (
@@ -75,10 +75,10 @@ PATCHED = (
     "savings_growth_constants", "bernoulli_measure", "validate_measure", "cdf",
     "transport", "transport_pushforward_check", "tt_from_ucf", "_tally_for_length",
     "test_family_from_json", "updates_from_json", "measure_from_json",
-    "martingale_from_json", "name_from_json", "parse_union", "_union_to_json",
+    "martingale_from_json", "name_from_json", "parse_union",
     "interval_sequence_to_schnorr",
 )
-UNION_METHODS = ("witness_containing", "disjoint_from_interval")
+UNION_METHODS = ("witness_containing", "disjoint_from_interval", "strings")
 METHODS = ("measure", *UNION_METHODS, "knots", "is_monotone")
 
 
