@@ -13,10 +13,10 @@ them with the query; Fractions are built only where a value leaves a
 union: `parts`, a witness, a measure.
 
 The Cantor-space helpers list {0,1}^n in cylinder order (`bit_strings`) and
-write rationals as ints over one denominator (`over_lcm`); `_product_level`
-is the native level of a product form, read through `CylinderMeasure.level`
-and `Martingale.level`, and `_unbalanced` compares two such levels for
-additivity or fairness.
+write rationals as ints over one denominator (`over_lcm`); `_product`
+builds each product form, per-string read and native level, from its
+factors, and `_unbalanced` compares two levels, as `CylinderMeasure.level`
+and `Martingale.level` give them, for additivity or fairness.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, count, groupby, repeat
 from operator import add, itemgetter, mul, ne
 from typing import Any, Iterable, NoReturn, Optional, Sequence
@@ -45,7 +46,7 @@ _INDEX_TEXT = re.compile(r"-?[0-9]+")
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a plain integer) into a Fraction; no decimal forms.
 
-    Each integer is read once, by `int`, which accepts the same Unicode
+    Each integer is read once, by `_int`, whose `int` accepts the same Unicode
     decimal digits that the pattern's digit class matches."""
     if not isinstance(text, str):
         raise ParseError(f'bad rational {text!r}: expected a "p/q" string')
@@ -54,23 +55,27 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: expected p/q")
     p, q = m.groups()
     try:
-        return Fraction(int(p), int(q or 1))
+        return Fraction(_int(p, "bad rational"), _int(q or "1", "bad rational"))
     except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: zero denominator") from exc
+
+
+def _int(digits: str, name: str) -> int:
+    """int(digits), or a ParseError naming `name` and int's digit limit."""
+    try:
+        return int(digits)
     except ValueError as exc:
-        # an integer longer than int reads; the text is too long to echo
-        raise ParseError(
-            f"bad rational: an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{name}: an integer of more than {limit} digits") from exc
 
 
-def _as_index(value: Any) -> Optional[int]:
+def _as_index(value: Any, name: str) -> Optional[int]:
     """`value` as an int when it is an int (not a bool) or a string of ASCII
-    digits with at most a leading minus, else None."""
+    digits with at most a leading minus (read by `_int`), else None."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INDEX_TEXT.fullmatch(value):
-        return int(value)
+        return _int(value, name)
     return None
 
 
@@ -127,8 +132,11 @@ def _interval_ints(text: Any) -> Optional[tuple[bool, int, int, int, int, bool]]
     if m is None:
         return None
     lb, p, q, r, s, rb = m.groups()
-    q, s = int(q or 1), int(s or 1)
-    return (lb == "(", int(p), q, int(r), s, rb == ")") if q and s else None
+    try:
+        p, q, r, s = int(p), int(q or 1), int(r), int(s or 1)
+    except ValueError:  # past int's digit limit, which _refuse_interval names
+        return None
+    return (lb == "(", p, q, r, s, rb == ")") if q and s else None
 
 
 def _refuse_interval(text: Any) -> NoReturn:
@@ -341,11 +349,19 @@ def bit_string(k: int, i: int) -> str:
     return format(i, f"0{k}b") if k else ""
 
 
-def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
-    """The native level of the product form σ ↦ root · f0^#0 · f1^#1 / q^|σ|
-    (see `CylinderMeasure.level`): level k as (ints, den) in bit_strings(k)
-    order, each child its parent's int times f0 or f1."""
-    n, d = root.as_integer_ratio()
+def _product(f0: int, f1: int, q: int, root: Any = 1, counted: str = "1"):
+    """The product form σ ↦ root · f0^#0 · f1^#1 / q^|σ|, root anything
+    `Fraction` takes: a read counts the `counted` characters of σ (any other
+    is the other bit) and builds one Fraction from ints once per count and
+    length; its native level (see `CylinderMeasure.level`) is level k as
+    (ints, den) in bit_strings(k) order, each child its parent's int times
+    f0 or f1."""
+    n, d = Fraction(root).as_integer_ratio()
+    fc, fo = (f1, f0) if counted == "1" else (f0, f1)
+    value = cache(lambda c, m: Fraction(n * fc**c * fo ** (m - c), d * q**m))
+
+    def read(sigma: str) -> Fraction:
+        return value(sigma.count(counted), len(sigma))
 
     def level(k: int) -> tuple[list[int], int]:
         if f0 == f1:
@@ -358,7 +374,7 @@ def _product_level(f0: int, f1: int, q: int, root: Fraction = Fraction(1)):
             ints = children
         return ints, d * q**k
 
-    return level
+    return _with_level(read, level)
 
 
 def _unbalanced(

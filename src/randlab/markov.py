@@ -509,6 +509,8 @@ def eval_extension(f: MarkovFunction, z: CauchyName, n: int) -> ExtensionResult:
     finite-scale evidence the extension is undefined here.
     """
     check_budget(n, "precision {}", "EXTENSION_PRECISION_BUDGET", EXTENSION_PRECISION_BUDGET)
+    if n < 0:
+        raise ValueError(f"precision {n} < 0")
     eps = Fraction(1, 2**n)
 
     def hull(m: int) -> tuple[Fraction, Fraction]:
@@ -546,7 +548,7 @@ def function_by_name(name: str) -> MarkovFunction:
     if name in BUILTIN_FUNCTIONS:
         return BUILTIN_FUNCTIONS[name]()
     if name.startswith("canonical_nonuc:"):
-        stages = _as_index(text := name.split(":", 1)[1])
+        stages = _as_index(text := name.split(":", 1)[1], "stage count")
         if stages is None:
             raise ValueError(f"stage count {text!r} of {name!r} is not ASCII digits")
         return canonical_nonuc(stages)

@@ -8,8 +8,8 @@ whole levels of capitals through `Martingale.level`, as ints over one
 denominator; a savings result keeps its levels as int rows.
 
 `check_fairness` reads whole levels too where `value_at` carries a native
-`level` (`split_bet`, `constant_martingale`, `all_in_on_0` and savings
-results), comparing each level with the next in ints.  Any other callable is
+`level` (the product forms of `intervals._product` and savings results),
+comparing each level with the next in ints.  Any other callable is
 walked depth first, 1-child first, three capital reads per node, stopping at
 the first failure.  Both report the first failure in that walk's preorder;
 they differ only on a negative capital (see `check_fairness`).
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .errors import InvariantViolation, ParseError, check_budget
 from .intervals import (
-    _product_level,
+    _product,
     _unbalanced,
     _with_level,
     bit_string,
@@ -79,19 +79,13 @@ class Martingale:
 
 
 def constant_martingale(capital: Fraction = Fraction(1)) -> Martingale:
-    return Martingale(
-        "constant", _with_level(lambda s: capital, _product_level(1, 1, 1, capital))
-    )
+    return Martingale("constant", _product(1, 1, 1, capital))
 
 
 def all_in_on_0() -> Martingale:
     """Bets everything on the next bit being 0; busts on the first 1:
-    the capital is 2^#0 · 0^#1."""
-
-    def v(s: str) -> Fraction:
-        return Fraction(2 ** len(s)) if "1" not in s else Fraction(0)
-
-    return Martingale("all_in_on_0", _with_level(v, _product_level(2, 0, 1)))
+    the capital is 2^#0 · 0^#1; any character other than "1" counts as a 0."""
+    return Martingale("all_in_on_0", _product(2, 0, 1))
 
 
 def split_bet(p: Fraction) -> Martingale:
@@ -104,12 +98,7 @@ def split_bet(p: Fraction) -> Martingale:
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0,1]")
     win, lose, b = 2 * p.numerator, 2 * (p.denominator - p.numerator), p.denominator
-
-    def v(s: str) -> Fraction:
-        zeros = s.count("0")
-        return Fraction(win**zeros * lose ** (len(s) - zeros), b ** len(s))
-
-    return Martingale(f"split_bet({p})", _with_level(v, _product_level(win, lose, b)))
+    return Martingale(f"split_bet({p})", _product(win, lose, b, counted="0"))
 
 
 def table_martingale(table: dict[str, Fraction], name: str = "table") -> Martingale:

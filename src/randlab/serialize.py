@@ -117,7 +117,7 @@ def _kind(value: Any, name: str) -> TestKind:
 
 def _integer(value: Any, name: str) -> int:
     """`value`, an int or a decimal string as `_as_index` reads one, as an int."""
-    m = _as_index(value)
+    m = _as_index(value, name)
     if m is None:
         raise ParseError(f"{name} is an integer, got {value!r}")
     return m
@@ -138,7 +138,7 @@ def _index_set(value: Any, name: str) -> frozenset[int]:
     """`value`, a list of ints or decimal strings, as a set of ints: each
     entry is read as `_integer` reads one."""
     if isinstance(value, list):
-        entries = [_as_index(v) for v in value]
+        entries = [_as_index(v, name) for v in value]
         if None not in entries:
             return frozenset(entries)
     raise ParseError(f"{name} is a list of integers, got {value!r}")

@@ -6,9 +6,9 @@ computed through cylinder decompositions, and drives the greedy transport
 of dyadic prefixes along the quantile coupling.
 
 Whole levels {0,1}^k of masses come from `CylinderMeasure.level` as ints over
-one denominator: a product form builds each child from its parent, an induced
-measure returns its tally, and any other mass callable is read once per
-string.  A tally is ints from enumeration on: for output length k, the count
+one denominator: `intervals._product` builds a product form's level child
+by child, an induced measure returns its tally, and any other mass callable
+is read once per string.  A tally holds ints: for output length k, the count
 of each output indexed by the output read as a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .intervals import (
     _check_bits,
-    _product_level,
+    _product,
     _unbalanced,
     _with_level,
     bit_string,
@@ -253,12 +253,12 @@ def _appended(indices: array, bits: bytes) -> array:
 
 def induced_measure_of_cylinder(phi: TTFunctional, sigma: str) -> Fraction:
     """λ_Φ([σ)) = λ(Φ⁻¹[σ)), exactly, via the per-length tally; 0 for a σ
-    that is not a bit string."""
+    that is not a bit string, which tallies nothing."""
+    if sigma.strip("01"):  # int(σ, 2) also reads "0_1", " 1" and "+1"
+        return Fraction(0)
     if sigma == "":
         return Fraction(1)
     counts, den = _tally_for_length(phi, len(sigma))
-    if sigma.strip("01"):  # int(σ, 2) also reads "0_1", " 1" and "+1"
-        return Fraction(0)
     return Fraction(counts[int(sigma, 2)], den)
 
 
@@ -278,9 +278,9 @@ class CylinderMeasure:
 
         The native level belongs to the callable: it is the `level` attribute
         of `mass` when there is one, so `dataclasses.replace(mu, mass=g)`
-        reads g's masses.  A product form builds each child from its parent
-        and an induced measure reads its tally.  Any other callable is called
-        once per string, in order.
+        reads g's masses.  A product form (`intervals._product`) builds each
+        child from its parent and an induced measure reads its tally.  Any
+        other callable is called once per string, in order.
         """
         if k < 0:
             raise ValueError(f"level {k} < 0")
@@ -295,9 +295,7 @@ class CylinderMeasure:
 
 
 def uniform_measure() -> CylinderMeasure:
-    return CylinderMeasure(
-        "uniform", _with_level(lambda s: Fraction(1, 2 ** len(s)), _product_level(1, 1, 2))
-    )
+    return CylinderMeasure("uniform", _product(1, 1, 2))
 
 
 def bernoulli_measure(p: Fraction) -> CylinderMeasure:
@@ -307,14 +305,7 @@ def bernoulli_measure(p: Fraction) -> CylinderMeasure:
     if not 0 < p < 1:
         raise ValueError("bias must lie strictly between 0 and 1")
     a, b = p.numerator, p.denominator
-
-    def mass(sigma: str) -> Fraction:
-        ones = sigma.count("1")
-        return Fraction(a**ones * (b - a) ** (len(sigma) - ones), b ** len(sigma))
-
-    return CylinderMeasure(
-        f"bernoulli {format_rational(p)}", _with_level(mass, _product_level(b - a, a, b))
-    )
+    return CylinderMeasure(f"bernoulli {format_rational(p)}", _product(b - a, a, b))
 
 
 def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
@@ -464,9 +455,10 @@ def transport_pushforward_check(
 ) -> PushforwardCheck:
     """Sum source mass of depth-level cylinders whose transport extends τ;
     the discrepancy from 2^{-|τ|} must be explained by boundary cylinders
-    (those whose output is still a proper prefix of τ)."""
+    (those whose output is still a proper prefix of τ); τ must be bits."""
     if depth < len(tau):
         raise ValueError("depth must be at least the target length")
+    _check_bits(tau)
     inside, boundary = [], []
     for a in bit_strings(depth):
         m = mu(a)

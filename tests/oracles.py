@@ -834,7 +834,7 @@ def savings_growth_constants(base: Martingale, transformed: Martingale, depth: i
 
 
 def _integer(value, what):
-    m = _as_index(value)
+    m = _as_index(value, what)
     if m is None:
         raise ParseError(f"{what} is an integer, got {value!r}")
     return m
@@ -852,7 +852,7 @@ def _index(value, what, low=0):
 
 def _index_set(value, what):
     if isinstance(value, list):
-        entries = [_as_index(v) for v in value]
+        entries = [_as_index(v, what) for v in value]
         if None not in entries:
             return frozenset(entries)
     raise ParseError(f"{what} is a list of integers, got {value!r}")

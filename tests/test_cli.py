@@ -348,8 +348,11 @@ def test_negative_depth_is_usage_error(capsys, argv):
     assert "--depth: expected a non-negative integer, got '-1'" in captured.err
 
 
-# the most digits int reads from a string, 0 (or absent) for no limit
+# the most digits int reads from a string, 0 (or absent) for no limit, and
+# a string of one digit more
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+PAST_INT_DIGIT_LIMIT = "1" * (INT_DIGIT_LIMIT + 1)
+NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int reads any length")
 
 
 def assert_labcli_usage_error(capsys, argv):
@@ -393,10 +396,7 @@ def test_help_still_exits_zero(capsys):
         ["--function", "canonical_nonuc:x"],
         ["--at", "2"],
         ["--scale", "0"],
-        pytest.param(
-            ["--at", "1/" + "1" * (INT_DIGIT_LIMIT + 1)],
-            marks=pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int reads any length"),
-        ),
+        pytest.param(["--at", "1/" + PAST_INT_DIGIT_LIMIT], marks=NEEDS_INT_DIGIT_LIMIT),
     ],
     ids=["precision-negative", "precision-15", "unknown-function",
          "bad-stage-count", "at-outside-unit", "scale-zero", "at-past-int-digit-limit"],
@@ -539,6 +539,17 @@ def with_block(key, value):
          "bad interval '[0/1,1/2'"),
         (with_path("ml_geometric.json", ["components", "1"], [["[0/1,1/8]", "[3/4,1/2]"]]),
          "lo > hi: 3/4 > 1/2"),
+        # an integer of more digits than int reads is refused, the limit named
+        pytest.param(with_path("ml_geometric.json", ["components", PAST_INT_DIGIT_LIMIT], [[]]),
+                     f"component index: an integer of more than {INT_DIGIT_LIMIT} digits",
+                     marks=NEEDS_INT_DIGIT_LIMIT),
+        pytest.param(with_path("pi1_halfpoint.json", ["kind_data", "C"], [[PAST_INT_DIGIT_LIMIT]]),
+                     f"a PI1 C set: an integer of more than {INT_DIGIT_LIMIT} digits",
+                     marks=NEEDS_INT_DIGIT_LIMIT),
+        pytest.param(with_path("ml_geometric.json", ["components", "1"],
+                               [[f"[0/1,1/{PAST_INT_DIGIT_LIMIT})"]]),
+                     f"component version: bad rational: an integer of more than {INT_DIGIT_LIMIT}"
+                     " digits", marks=NEEDS_INT_DIGIT_LIMIT),
     ],
     ids=["update-without-m", "update-without-union", "table-measure-hole",
          "table-martingale-hole", "top-level-list", "measure-p-int",
@@ -547,7 +558,9 @@ def with_block(key, value):
          "block-m-not-int", "type-not-string", "block-excluded-string", "block-excluded-bool",
          "block-excluded-float", "block-excluded-word", "pi1-c-string", "pi1-c-set-float",
          "component-underscore", "block-m-spaces", "block-excluded-plus",
-         "update-m-arabic-indic", "name-exact-zero", "union-unclosed", "union-lo-above-hi"],
+         "update-m-arabic-indic", "name-exact-zero", "union-unclosed", "union-lo-above-hi",
+         "component-past-int-digit-limit", "pi1-c-past-int-digit-limit",
+         "union-past-int-digit-limit"],
 )
 def test_fixture_hole_exits_two(tmp_path, capsys, doc, named):
     path = tmp_path / "hole.json"
@@ -779,6 +792,15 @@ def test_tree_stage_count_over_budget_exits_two():
     proc = run_labcli("tree", "--function", "canonical_nonuc:100000", "--depth", "2")
     err = assert_one_labcli_line(proc)
     assert "CANONICAL_NONUC_STAGE_BUDGET" in err and "100000" in err
+
+
+@NEEDS_INT_DIGIT_LIMIT
+def test_tree_stage_count_past_the_int_digit_limit_names_the_flag(capsys):
+    argv = ["tree", "--function", f"canonical_nonuc:{PAST_INT_DIGIT_LIMIT}", "--depth", "2"]
+    err = assert_labcli_usage_error(capsys, argv)
+    assert err == (
+        f"labcli: --function: stage count: an integer of more than {INT_DIGIT_LIMIT} digits\n"
+    )
 
 
 @pytest.mark.parametrize("count", ["1_0", " 3", "+3", "\u0663", "x", "-3", "0"])

@@ -242,6 +242,21 @@ def test_eval_extension_undefined_at_limit_point():
         eval_extension(canonical_nonuc(20), const_name(Fraction(1)), 8)
 
 
+class Unread:
+    """An argument that fails the test where any attribute of it is read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name}")
+
+
+def test_eval_extension_refuses_a_negative_precision_before_reading_f_or_z():
+    with pytest.raises(ValueError, match=re.escape("precision -1 < 0")):
+        eval_extension(Unread(), Unread(), -1)
+    # the budget is checked first
+    with pytest.raises(BudgetExceeded):
+        eval_extension(Unread(), Unread(), 21)
+
+
 def test_function_registry():
     assert function_by_name("identity")(Fraction(1, 3)) == Fraction(1, 3)
     assert function_by_name("const:2/3")(Fraction(1, 5)) == Fraction(2, 3)

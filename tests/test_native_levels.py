@@ -91,9 +91,14 @@ def test_native_measure_level_is_the_per_node_reads(mu, k):
 @example(split_bet(Fraction(0)), 3)
 @example(split_bet(Fraction(1)), 3)
 @example(constant_martingale(Fraction(0)), 2)
+# a capital given as an int or a float reads as a Fraction
+@example(constant_martingale(2), 2)
+@example(constant_martingale(0.5), 2)
 def test_native_martingale_level_is_the_per_node_reads(m, k):
     assert hasattr(m.value_at, "level")
-    assert rationals(m.level(k)) == ref.level(m, k)
+    reads = ref.level(m, k)
+    assert rationals(m.level(k)) == reads
+    assert all(type(v) is Fraction for v in reads)
 
 
 @settings(max_examples=100, deadline=None)

@@ -583,6 +583,15 @@ def test_a_cylinder_that_is_no_bit_string_has_mass_0(phi, sigma):
     assert type(got) is Fraction
 
 
+def test_a_cylinder_that_is_no_bit_string_is_refused_before_any_tally():
+    # the oracle would enumerate 2^26 input blocks; the lab's tally of
+    # length 13 would need use bound 26 > USE_BOUND_BUDGET
+    phi = pairwise_or_tt()
+    got = induced_measure_of_cylinder(phi, "x" * 13)
+    assert got == 0 and type(got) is Fraction
+    assert not phi._tally
+
+
 def test_identity_tally_to_length_14_holds_under_1_mib():
     # warm the module, so that only the tally of the functional below is held
     validate_measure(materialize_measure(identity_tt()), 4)
@@ -908,6 +917,12 @@ def test_transport_refuses_a_prefix_not_of_bits_before_any_mass(a):
     got = recorded_outcome(transport, uniform_measure(), a)
     assert got == recorded_outcome(ref.transport, uniform_measure(), a)
     assert got == ((ParseError, f"bad bit string {a!r}"), [])
+
+
+@pytest.mark.parametrize("tau", ["2", "01x", " 1"])
+def test_pushforward_refuses_a_target_not_of_bits_before_any_mass(tau):
+    got = recorded_outcome(transport_pushforward_check, uniform_measure(), tau, 3)
+    assert got == ((ParseError, f"bad bit string {tau!r}"), [])
 
 
 @pytest.mark.parametrize("length", [TRANSPORT_LENGTH_CAP + d for d in (-1, 0, 1)])
