@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, NoReturn, Optional, Sequence
@@ -17,10 +18,12 @@ from typing import Any, NoReturn, Optional, Sequence
 from . import __version__, derivatives, markov, martingales, randomness, serialize, ttmeasures
 from .cauchy import const_name
 from .errors import BudgetExceeded, ParseError, RandlabError
-from .intervals import RationalInterval, format_rational
+from .intervals import _INDEX_TEXT, RationalInterval, _int, format_rational
 from .randomness import CheckRecord
 
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
+# a non-negative integer flag; a signed one is intervals._INDEX_TEXT
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _resolve(path: str) -> str:
@@ -222,15 +225,18 @@ def cmd_report(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:
     return records, {"fixtures": [os.path.basename(p) for p in paths]}
 
 
-def _natural(text: str) -> int:
-    """argparse type: a non-negative integer; any budget is the library's to check."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer(text: str, signed: bool = False) -> int:
+    """argparse type: ASCII digits, with a leading minus only when `signed`,
+    read by `intervals._int`; any budget is the library's to check.  A
+    refusal quotes at most the first 20 characters of the text."""
+    kind = "an integer" if signed else "a non-negative integer"
+    if (_INDEX_TEXT if signed else _DIGITS).fullmatch(text):
+        try:
+            return _int(text, kind)
+        except ParseError:
+            kind += f" of at most {sys.get_int_max_str_digits()} digits"
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"expected {kind}, got {shown}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,13 +271,13 @@ def _parser() -> argparse.ArgumentParser:
         "verify", help="validate fixture invariants exactly", parents=[common]
     )
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--depth", type=_integer, default=8)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("evaluate", help="membership of a point in a test", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
     p.add_argument("--name", required=True, help="cauchy_name fixture path")
-    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--depth", type=_integer, default=8)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("transport", help="transport a dyadic prefix along a cdf", parents=[common])
@@ -291,7 +297,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--precision",
-        type=_natural,
+        type=_integer,
         default=14,
         help="p: slopes are taken over the grid k/2^p, "
         f"0..{derivatives.GRID_DENOMINATOR_BUDGET} (default %(default)s); see --scale",
@@ -301,20 +307,20 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="oscillation tree of a function", parents=[common])
     p.add_argument("--function", required=True)
-    p.add_argument("--precision", type=int, default=0)
-    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--precision", type=functools.partial(_integer, signed=True), default=0)
+    p.add_argument("--depth", type=_integer, default=8)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("convert", help="between test formalisms", parents=[common])
     p.add_argument("--fixture", action="append", required=True)
-    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--depth", type=_integer, default=8)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("report", help="verify every fixture in a directory", parents=[common])
     p.add_argument("--fixture-dir", default=None)
-    p.add_argument("--depth", type=_natural, default=8)
+    p.add_argument("--depth", type=_integer, default=8)
     # accepted for compatibility; fixtures are always verified in order
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_integer, default=1)
     p.set_defaults(fn=cmd_report)
 
     return parser

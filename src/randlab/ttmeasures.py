@@ -12,6 +12,12 @@ is read once per string.  A tally holds ints: for output length k, the count
 of each output indexed by the output read as a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 
+`transport` maps [a) to its image [g(0.a), g(0.a + 2^-|a|)), each end a sum
+of cylinder masses, and checks it against the image of a's first half.  A
+mass callable with a native level reads purely, so each mass those four
+ends need is read once and the ends are partial sums of them over one
+denominator; any other callable is read by four cdf walks, call for call.
+
 The functionals this module builds carry a native output level on
 output_bit: `output_bit.level(n)` gives bit n of every input prefix of length
 u(n) as bytes.  They are tallied by one walk over the trie of input prefixes,
@@ -34,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product, repeat
+from itertools import accumulate, islice, product, repeat
 from typing import Callable
 
 from .cauchy import ModulusFunction, ceil_log2
@@ -403,26 +409,64 @@ class TransportResult:
     image_hi: Fraction
 
 
+def _cdf_ends(mu: CylinderMeasure, a: str):
+    """g at both ends of [a), then at both ends of [a[:|a|/2]), each pair as
+    (lo, hi, q), ints over one q, by two `_cdf_ints` walks per pair: the
+    reads of any mass callable, call for call."""
+    for sigma in (a, a[: len(a) // 2]):
+        (lo, lo_d), (hi, hi_d) = _cdf_ints(mu, sigma), _cdf_ints(mu, sigma, True)
+        q = math.lcm(lo_d, hi_d)
+        yield lo * (q // lo_d), hi * (q // hi_d), q
+
+
+def _native_ends(mu: CylinderMeasure, a: str):
+    """The pairs of `_cdf_ends` for pure reads, each mass read once.
+
+    lo is the sum of μ(a[:i] + "0") over the 1-bits i of a; hi drops the run
+    of 1s after the last 0 at r and adds μ(a[:r+1]), which is μ(ε) where
+    there is no 0.  Those masses are read over one lcm; the half's ends are
+    partial sums of them, plus its own last-0 mass, read only when the half
+    is asked for and only if it is not μ(a[:r+1])."""
+    n, r = len(a), a.rfind("0")
+    strings = [a[:i] + "0" for i, b in enumerate(a) if b == "1"]
+    ints, q = over_lcm(map(mu, strings + [a[: r + 1]]))
+    # sums[k] is the sum of the first k 1-bits' masses
+    sums = list(accumulate(ints[:-1], initial=0))
+    yield sums[-1], sums[len(strings) - (n - 1 - r)] + ints[-1], q
+    half = a[: n // 2]
+    k, r_h = half.count("1"), half.rfind("0")
+    x, d = (ints[-1], q) if r_h == r else mu(half[: r_h + 1]).as_integer_ratio()
+    h_q = math.lcm(q, d)
+    s = h_q // q
+    yield sums[k] * s, sums[k - (len(half) - 1 - r_h)] * s + x * (h_q // d), h_q
+
+
 def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
     """Greedy cylinder descent along the distribution function.
 
     The input cylinder [a) maps to the image interval [g(0.a), g(0.a+2^-|a|));
-    emit output bits while a dyadic half splits the image cleanly.
+    emit output bits while a dyadic half splits the image cleanly.  From
+    length 8 on, an image longer than half its half-prefix's is refused.
+
+    Where `mu.mass` carries a native level its reads are pure, and each mass
+    the four image ends need is read once (`_native_ends`); any other
+    callable is read by four `_cdf_ints` walks, call for call.  Either way a
+    mass is read only where those walks read it, and the half's only past
+    the zero-mass test.
     """
     # the output stops at the cap, so a longer prefix could never reach status OK
     check_budget(len(a_prefix), "prefix length {}", "TRANSPORT_LENGTH_CAP", TRANSPORT_LENGTH_CAP)
     _check_bits(a_prefix)
+    native = getattr(mu.mass, "level", None) is not None
+    ends = (_native_ends if native else _cdf_ends)(mu, a_prefix)
     # lo = lo_n/q and hi = hi_n/q in ints
-    (lo_n, lo_d), (hi_n, hi_d) = _cdf_ints(mu, a_prefix), _cdf_ints(mu, a_prefix, True)
-    q = math.lcm(lo_d, hi_d)
-    lo_n, hi_n = lo_n * (q // lo_d), hi_n * (q // hi_d)
+    lo_n, hi_n, q = next(ends)
     if lo_n == hi_n:
         raise ZeroMassCylinder(f"cylinder {a_prefix!r} has image of length 0")
     if len(a_prefix) >= 8:
-        half = a_prefix[: len(a_prefix) // 2]
-        (h_lo, h_lo_d), (h_hi, h_hi_d) = _cdf_ints(mu, half), _cdf_ints(mu, half, True)
-        # hi - lo > (h_hi - h_lo)/2, cross-multiplied by the positive 2·q·h_lo_d·h_hi_d
-        if 2 * (hi_n - lo_n) * h_lo_d * h_hi_d > (h_hi * h_lo_d - h_lo * h_hi_d) * q:
+        h_lo, h_hi, h_q = next(ends)
+        # hi - lo > (h_hi - h_lo)/2, cross-multiplied by the positive 2·q·h_q
+        if 2 * (hi_n - lo_n) * h_q > (h_hi - h_lo) * q:
             raise AtomSuspected(
                 f"image of {a_prefix!r} is not shrinking against its half-prefix"
             )

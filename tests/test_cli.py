@@ -382,6 +382,37 @@ def test_usage_error_is_one_labcli_line(capsys, argv):
     assert_labcli_usage_error(capsys, argv)
 
 
+# Python's int reads "1_0" as 10 and " 2", "+3" and the Arabic-Indic digit
+# three as 2, 3 and 3; an integer flag is ASCII digits, and a text past
+# int's digit limit is quoted by a short prefix, not whole
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", " 2", "+3", "\u0663",
+     pytest.param("1" * max(5000, INT_DIGIT_LIMIT + 1), marks=NEEDS_INT_DIGIT_LIMIT)],
+    ids=["underscore", "space", "plus", "arabic-indic", "5000-digits"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "--function", "square", "--depth"],
+        ["tree", "--function", "square", "--precision"],
+        ["derive", "--function", "square", "--at", "1/3", "--precision"],
+        ["verify", "--fixture", fixture("ml_geometric.json"), "--depth"],
+        ["report", "--fixture-dir", FIXTURES, "--workers"],
+    ],
+    ids=["tree-depth", "tree-precision", "derive-precision", "verify-depth", "report-workers"],
+)
+def test_integer_flag_is_ascii_digits(capsys, argv, text):
+    err = assert_labcli_usage_error(capsys, argv + [text])
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert f"{argv[-1]}: expected a" in err and repr(text[:20])[:-1] in err
+
+
+def test_tree_precision_may_be_negative(capsys):
+    assert main(["tree", "--function", "square", "--precision", "-3", "--depth", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_help_still_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: labcli")

@@ -10,6 +10,8 @@ A module-level `_name` defined in `src/randlab` must be read somewhere in
 package's `__init__.py`, in `src/randlab` or the tests, or be named in
 README.md.  `BudgetExceeded` is built in `src/randlab` only by
 `errors.check_budget` and by the two budgets with their own wording.
+No `add_argument` in `src/randlab/cli.py` passes `type=int`, which reads
+`1_0`, ` 2` and `+3` as integers.
 """
 
 from __future__ import annotations
@@ -217,3 +219,34 @@ def test_every_export_is_read_outside_its_home():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     assert unread_exports(sources, readme, randlab.__all__) == []
+
+
+def int_typed_arguments(source: str) -> list[int]:
+    """The lines of `source` where an `add_argument` call passes `type=int`."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "add_argument"
+        and any(
+            k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+            for k in node.keywords
+        )
+    ]
+
+
+def test_int_typed_arguments_flags_each_int_type():
+    source = (
+        "p.add_argument('--a', type=int)\n"
+        "p.add_argument('--b', type=_integer, default=int)\n"
+        "add_argument('--c', default=1,\n"
+        "             type=int)\n"
+        "p.add_option('--d', type=int)\n"
+    )
+    assert int_typed_arguments(source) == [1, 3]
+
+
+def test_no_cli_flag_is_read_by_int():
+    # an integer flag goes through cli._integer, which reads ASCII digits
+    with open(os.path.join(ROOT, "src", "randlab", "cli.py"), encoding="utf-8") as fh:
+        assert int_typed_arguments(fh.read()) == []

@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
 from oracles import outcome, recorded_outcome
@@ -883,6 +883,81 @@ def test_bernoulli_float_bias_gives_exact_masses():
 def test_bernoulli_transport_matches_fraction_descent(p, a):
     mu = bernoulli_measure(p)
     assert outcome(transport, mu, a) == outcome(ref.transport, mu, a)
+
+
+# measures whose mass carries a native level, so transport reads each mass
+# once, with the output length each tallies cheaply and the most its use
+# bound admits (a product form tallies nothing: both are past the cap)
+NATIVE_MEASURES = [
+    (uniform_measure(), TRANSPORT_LENGTH_CAP + 1, TRANSPORT_LENGTH_CAP + 1),
+    (bernoulli_measure(Fraction(1, 100)), TRANSPORT_LENGTH_CAP + 1, TRANSPORT_LENGTH_CAP + 1),
+    (bernoulli_measure(Fraction(99, 100)), TRANSPORT_LENGTH_CAP + 1, TRANSPORT_LENGTH_CAP + 1),
+    (bernoulli_measure(Fraction(3, 4)), TRANSPORT_LENGTH_CAP + 1, TRANSPORT_LENGTH_CAP + 1),
+    (materialize_measure(identity_tt()), 14, 24),
+    (materialize_measure(pairwise_or_tt()), 7, 12),
+    # g maps into [0, 1/2]: every cylinder past "1" has mass 0
+    (materialize_measure(tt_from_ucf(half_fn(), 8)), 14, 24),
+]
+
+
+def within_tally_reach(a, cheap, budget):
+    """a, kept from reading a mass of length cheap+1..budget, whose tally is
+    slow (2^u(k-1) inputs at length k): up to the budget a is cut to
+    a[:cheap], and past it bits cheap..budget-1 are set to 0, so that its
+    reads end at the first mass past the budget."""
+    if len(a) <= cheap:
+        return a
+    if len(a) <= budget:
+        return a[:cheap]
+    return a[:cheap] + "0" * (budget - cheap) + a[budget:]
+
+
+def read_once(mu, a):
+    """outcome(transport, mu, a) with mu's mass recorded and given a native
+    level, checked against the opaque path: the same outcome, and each
+    string read at most once, only strings its four cdf walks read, in the
+    order they first read them."""
+    calls = []
+
+    def recorded(sigma):
+        calls.append(sigma)
+        return mu.mass(sigma)
+
+    got = outcome(transport, dataclasses.replace(mu, mass=_with_level(recorded, mu.level)), a)
+    want, walked = recorded_outcome(transport, mu, a)
+    assert got == want
+    assert calls == [s for s in dict.fromkeys(walked) if s in calls]
+    return got
+
+
+def native_id(value):
+    return getattr(value, "name", str(value))
+
+
+@pytest.mark.parametrize("mu, cheap, budget", NATIVE_MEASURES, ids=native_id)
+@settings(max_examples=150, deadline=None)
+@given(a=st.text(alphabet="01", max_size=TRANSPORT_LENGTH_CAP + 1))
+# the empty prefix, all 1s (no 0 at all), all 0s at the cap, a half with no
+# 0, and lengths 7 and 8, the first with the half-prefix check
+@example(a="")
+@example(a="1" * TRANSPORT_LENGTH_CAP)
+@example(a="0" * TRANSPORT_LENGTH_CAP)
+@example(a="1111" + "0110")
+@example(a="0110100")
+@example(a="01101001")
+def test_native_transport_matches_fraction_descent(mu, cheap, budget, a):
+    a = within_tally_reach(a, cheap, budget)
+    assert outcome(transport, mu, a) == read_once(mu, a) == outcome(ref.transport, mu, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_measures(), st.data())
+def test_table_with_a_level_transports_as_the_fraction_descent(mdp, data):
+    # non-additive, negative and missing masses through the native path: an
+    # image with lo > hi, a null cylinder, an atom or a hole in the table
+    mu, _, prefixes = mdp
+    a = data.draw(prefixes)
+    assert read_once(mu, a) == outcome(ref.transport, mu, a)
 
 
 @settings(max_examples=300, deadline=None)
