@@ -22,6 +22,11 @@ from .intervals import _INDEX_TEXT, RationalInterval, _int, format_rational
 from .randomness import CheckRecord
 
 FIXTURE_DIR_ENV = "LABCLI_FIXTURE_DIR"
+# the deepest level `verify` and `report` check, per fixture type: --depth
+# is clipped to it (a test family's checks read no depth)
+MEASURE_VERIFY_DEPTH = 6
+MARTINGALE_VERIFY_DEPTH = 8
+CAUCHY_NAME_VERIFY_DEPTH = 16
 # a non-negative integer flag; a signed one is intervals._INDEX_TEXT
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -49,23 +54,23 @@ def _verify_test_family(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord
     return records + list(randomness.validate(t).records)
 
 
-def _table_depth(doc: dict[str, Any], cap: int) -> int:
-    """cap, or for a decoded table fixture the smaller of cap and the depth
-    the table is given to: its longest key, a bit string.  A level shorter
-    than that with a missing string is a hole, read as such."""
+def _table_depth(doc: dict[str, Any], depth: int) -> int:
+    """depth, or for a decoded table fixture the smaller of depth and the
+    depth the table is given to: its longest key, a bit string.  A level
+    shorter than that with a missing string is a hole, read as such."""
     if doc["rule"] != "table":
-        return cap
-    return min(cap, max(map(len, doc["table"]), default=0))
+        return depth
+    return min(depth, max(map(len, doc["table"]), default=0))
 
 
 def _verify_measure(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     mu = serialize.measure_from_json(doc)
-    return ttmeasures.validate_measure(mu, _table_depth(doc, min(depth, 6)))
+    return ttmeasures.validate_measure(mu, _table_depth(doc, depth))
 
 
 def _verify_martingale(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     m = serialize.martingale_from_json(doc)
-    d = _table_depth(doc, min(depth, 8))
+    d = _table_depth(doc, depth)
     rep = martingales.check_fairness(m, d)
     capitals, den = m.level(d)
     level_sum = Fraction(sum(capitals), den)
@@ -82,27 +87,27 @@ def _verify_martingale(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]
 
 def _verify_name(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
     z = serialize.name_from_json(doc)
-    d = min(depth, 16)
-    name = f"cauchy_contract_to_{d}"
-    for n in range(d + 1):
-        for k in range(n, d + 1):
+    name = f"cauchy_contract_to_{depth}"
+    for n in range(depth + 1):
+        for k in range(n, depth + 1):
             gap = abs(z.at(k) - z.at(n))
             if gap > Fraction(1, 2**n):
                 return [CheckRecord(name, False, f"|q_{k} - q_{n}| = {format_rational(gap)}")]
     # a name that gives its exact value must approximate it: |q_n - exact| <= 2^-n
     if z.exact is not None:
-        for n in range(d + 1):
+        for n in range(depth + 1):
             gap = abs(z.at(n) - z.exact)
             if gap > Fraction(1, 2**n):
                 return [CheckRecord(name, False, f"|q_{n} - exact| = {format_rational(gap)}")]
     return [CheckRecord(name, True)]
 
 
+# each fixture type's verifier and the depth it clips --depth to
 _VERIFIERS = {
-    "test_family": _verify_test_family,
-    "measure": _verify_measure,
-    "martingale": _verify_martingale,
-    "cauchy_name": _verify_name,
+    "test_family": (_verify_test_family, None),
+    "measure": (_verify_measure, MEASURE_VERIFY_DEPTH),
+    "martingale": (_verify_martingale, MARTINGALE_VERIFY_DEPTH),
+    "cauchy_name": (_verify_name, CAUCHY_NAME_VERIFY_DEPTH),
 }
 
 
@@ -110,11 +115,12 @@ def verify_fixture(path: str, depth: int) -> list[CheckRecord]:
     """The fixture's checks, each named after the fixture's file."""
     doc = serialize.load_fixture(_resolve(path))
     kind = doc.get("type")
-    verifier = _VERIFIERS.get(kind) if isinstance(kind, str) else None
-    if verifier is None:
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
         raise ParseError(f"{path}: unknown fixture type {kind!r}")
+    verifier, cap = _VERIFIERS[kind]
+    records = verifier(doc, depth if cap is None else min(depth, cap))
     tag = os.path.basename(path)
-    return [CheckRecord(f"{tag}:{r.name}", r.passed, r.detail) for r in verifier(doc, depth)]
+    return [CheckRecord(f"{tag}:{r.name}", r.passed, r.detail) for r in records]
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[CheckRecord], dict]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab, and the one budget check."""
+
+import math
 
 
 class RandlabError(Exception):
@@ -13,13 +15,32 @@ class BudgetExceeded(RandlabError):
     """An enumeration/depth/precision budget was exceeded."""
 
 
+# a size in a message is written whole up to this many digits
+SIZE_DIGITS_SHOWN = 20
+
+
+def format_size(size: int) -> str:
+    """`size` in decimal, or past SIZE_DIGITS_SHOWN digits its leading
+    digits and its digit count ("12345678901234567890... (4000 digits)"),
+    found without writing the whole int, which may be past int's digit
+    limit for text."""
+    m = abs(size)
+    if m < 10**SIZE_DIGITS_SHOWN:
+        return str(size)
+    digits = int((m.bit_length() - 1) * math.log10(2)) + 1  # at most 1 off
+    digits += (m >= 10**digits) - (m < 10 ** (digits - 1))
+    lead = m // 10 ** (digits - SIZE_DIGITS_SHOWN)
+    return f"{'-' if size < 0 else ''}{lead}... ({digits} digits)"
+
+
 def check_budget(size: int, subject: str, name: str, limit: int) -> None:
     """Raise BudgetExceeded("<subject> > NAME (limit)") when size > limit.
 
-    `subject` names the size asked for, with `{}` where the size goes; it is
-    formatted only on failure.  The one check for every named budget."""
+    `subject` names the size asked for, with `{}` where the size goes, which
+    `format_size` writes; it is formatted only on failure.  The one check
+    for every named budget."""
     if size > limit:
-        raise BudgetExceeded(f"{subject.format(size)} > {name} ({limit})")
+        raise BudgetExceeded(f"{subject.format(format_size(size))} > {name} ({limit})")
 
 
 class CoverViolation(RandlabError):

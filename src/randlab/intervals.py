@@ -15,8 +15,9 @@ union: `parts`, a witness, a measure.
 The Cantor-space helpers list {0,1}^n in cylinder order (`bit_strings`) and
 write rationals as ints over one denominator (`over_lcm`); `_product`
 builds each product form, per-string read and native level, from its
-factors, and `_unbalanced` compares two levels, as `CylinderMeasure.level`
-and `Martingale.level` give them, for additivity or fairness.
+factors, `_table` reads a table of masses or capitals, `_level` reads a
+whole level of either, for `CylinderMeasure.level` and `Martingale.level`,
+and `_unbalanced` compares two levels for additivity or fairness.
 """
 
 from __future__ import annotations
@@ -353,9 +354,8 @@ def _product(f0: int, f1: int, q: int, root: Any = 1, counted: str = "1"):
     """The product form σ ↦ root · f0^#0 · f1^#1 / q^|σ|, root anything
     `Fraction` takes: a read counts the `counted` characters of σ (any other
     is the other bit) and builds one Fraction from ints once per count and
-    length; its native level (see `CylinderMeasure.level`) is level k as
-    (ints, den) in bit_strings(k) order, each child its parent's int times
-    f0 or f1."""
+    length; its native level (see `_level`) is level k as (ints, den) in
+    bit_strings(k) order, each child its parent's int times f0 or f1."""
     n, d = Fraction(root).as_integer_ratio()
     fc, fo = (f1, f0) if counted == "1" else (f0, f1)
     value = cache(lambda c, m: Fraction(n * fc**c * fo ** (m - c), d * q**m))
@@ -391,9 +391,40 @@ def _unbalanced(
 
 
 def _with_level(read, level):
-    """The cylinder function `read` carrying its native level (see
-    `CylinderMeasure.level`)."""
+    """The cylinder function `read` carrying its native level (see `_level`)."""
     read.level = level
+    return read
+
+
+def _level(read, k: int, step: int = 1) -> tuple[list[int], int]:
+    """Level k of the cylinder function `read` (a mass or a capital): its
+    values at bit_strings(k)[::step] as (ints, den), the i-th ints[i]/den.
+
+    The native level is the `level` attribute of `read` when there is one,
+    so a `dataclasses.replace` copy reads its own callable's; it is sliced
+    only for step > 1, so it must return a list no cache keeps.  Any other
+    callable is called once per string, in order."""
+    if k < 0:
+        raise ValueError(f"level {k} < 0")
+    native = getattr(read, "level", None)
+    if native is None:
+        # bit_strings(k)[::step] from their indices, formatted here: a
+        # public helper called per string would be one traced span each
+        strings = (format(i, f"0{k}b") for i in range(0, 2**k, step)) if k else [""]
+        return over_lcm(map(read, strings))
+    ints, den = native(k)
+    return (ints[::step] if step > 1 else ints), den
+
+
+def _table(table: dict[str, Any], missing: str):
+    """The cylinder function that reads `table`: a string it lacks raises
+    ParseError(f"{missing} {sigma!r}")."""
+
+    def read(sigma: str) -> Any:
+        if sigma in table:
+            return table[sigma]
+        raise ParseError(f"{missing} {sigma!r}")
+
     return read
 
 

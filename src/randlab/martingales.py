@@ -23,15 +23,8 @@ from fractions import Fraction
 from operator import sub
 from typing import Callable, Optional
 
-from .errors import InvariantViolation, ParseError, check_budget
-from .intervals import (
-    _product,
-    _unbalanced,
-    _with_level,
-    bit_string,
-    bit_strings,
-    over_lcm,
-)
+from .errors import InvariantViolation, check_budget
+from .intervals import _level, _product, _table, _unbalanced, _with_level, bit_string
 
 FAIRNESS_DEPTH_BUDGET = 16
 
@@ -52,22 +45,12 @@ class Martingale:
         return v
 
     def level(self, k: int) -> tuple[list[int], int]:
-        """The capitals of bit_strings(k) as (ints, den), the capital of the
-        i-th being ints[i]/den, with the checks of `value`: k past the depth
-        budget and a negative capital, at the first in level order, raise as
-        there.
-
-        The native level is the `level` attribute of `value_at` when there
-        is one (see `CylinderMeasure.level`); any other callable is read
-        once per string, in order, through `value`.
-        """
+        """The capitals of bit_strings(k) as (ints, den), read by
+        `intervals._level` from `value_at`, with the checks of `value`: k
+        past the depth budget raises before any read, and a negative
+        capital, at the first in level order, once the level is read."""
         check_budget(k, "|sigma| {}", "depth_budget", self.depth_budget)
-        if k < 0:
-            raise ValueError(f"level {k} < 0")
-        native = getattr(self.value_at, "level", None)
-        if native is None:
-            return over_lcm(map(self.value, bit_strings(k)))
-        ints, den = native(k)
+        ints, den = _level(self.value_at, k)
         if min(ints) < 0:
             s = bit_string(k, next(i for i, v in enumerate(ints) if v < 0))
             raise InvariantViolation(f"negative capital at {s!r}")
@@ -102,12 +85,7 @@ def split_bet(p: Fraction) -> Martingale:
 
 
 def table_martingale(table: dict[str, Fraction], name: str = "table") -> Martingale:
-    def v(s: str) -> Fraction:
-        if s in table:
-            return table[s]
-        raise ParseError(f"table martingale {name!r} has no capital for {s!r}")
-
-    return Martingale(name, v)
+    return Martingale(name, _table(table, f"table martingale {name!r} has no capital for"))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from .cauchy import CauchyName, const_name, scripted_name
-from .errors import ParseError
+from .errors import ParseError, format_size
 from .intervals import IntervalUnion, _as_index, format_rational, parse_rational, parse_union
 from .martingales import Martingale, all_in_on_0, constant_martingale, split_bet, table_martingale
 from .randomness import COMPONENT_INDEX_BUDGET, TestFamily, TestKind
@@ -128,7 +128,7 @@ def _index(value: Any, name: str, low: int = 0) -> int:
     m = _integer(value, name)
     if not low <= m <= COMPONENT_INDEX_BUDGET:
         raise ParseError(
-            f"{name} {m} is outside {low}..COMPONENT_INDEX_BUDGET "
+            f"{name} {format_size(m)} is outside {low}..COMPONENT_INDEX_BUDGET "
             f"({COMPONENT_INDEX_BUDGET})"
         )
     return m

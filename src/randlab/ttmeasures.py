@@ -5,11 +5,12 @@ space by exact preimage counting.  Its distribution function on [0,1] is
 computed through cylinder decompositions, and drives the greedy transport
 of dyadic prefixes along the quantile coupling.
 
-Whole levels {0,1}^k of masses come from `CylinderMeasure.level` as ints over
-one denominator: `intervals._product` builds a product form's level child
-by child, an induced measure returns its tally, and any other mass callable
-is read once per string.  A tally holds ints: for output length k, the count
-of each output indexed by the output read as a binary int, over 2^u.
+Whole levels {0,1}^k of masses come from `CylinderMeasure.level`, through
+`intervals._level`, as ints over one denominator: `intervals._product` builds
+a product form's level child by child, an induced measure copies its tally,
+and any other mass callable is read once per string.  A tally holds ints:
+for output length k, the count of each output indexed by the output read as
+a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 
 `transport` maps [a) to its image [g(0.a), g(0.a + 2^-|a|)), each end a sum
@@ -53,7 +54,9 @@ from .errors import (
 )
 from .intervals import (
     _check_bits,
+    _level,
     _product,
+    _table,
     _unbalanced,
     _with_level,
     bit_string,
@@ -68,6 +71,8 @@ USE_BOUND_BUDGET = 24
 # grid points a run-built tt_from_ucf level samples at a time
 LEVEL_CHUNK = 4096
 TRANSPORT_LENGTH_CAP = 64
+# the deepest level of masses read: a level of depth k holds 2^k ints
+MEASURE_DEPTH_BUDGET = 20
 OMEGA_CE_DEFAULT_BUDGET = 16
 
 
@@ -279,25 +284,11 @@ class CylinderMeasure:
         return self.mass(sigma)
 
     def level(self, k: int, step: int = 1) -> tuple[list[int], int]:
-        """The masses of bit_strings(k)[::step] as (ints, den): the mass of
-        the i-th is ints[i]/den.  step = 2 reads the left children σ0 alone.
-
-        The native level belongs to the callable: it is the `level` attribute
-        of `mass` when there is one, so `dataclasses.replace(mu, mass=g)`
-        reads g's masses.  A product form (`intervals._product`) builds each
-        child from its parent and an induced measure reads its tally.  Any
-        other callable is called once per string, in order.
-        """
-        if k < 0:
-            raise ValueError(f"level {k} < 0")
-        native = getattr(self.mass, "level", None)
-        if native is None:
-            # bit_strings(k)[::step] from their indices, formatted here: a
-            # public helper called per string would be one traced span each
-            strings = (format(i, f"0{k}b") for i in range(0, 2**k, step)) if k else [""]
-            return over_lcm(map(self.mass, strings))
-        ints, den = native(k)
-        return ints[::step], den
+        """The masses of bit_strings(k)[::step] as (ints, den), read by
+        `intervals._level` from `mass`: step = 2 reads the left children σ0
+        alone.  k past MEASURE_DEPTH_BUDGET raises before any read."""
+        check_budget(k, "level {}", "MEASURE_DEPTH_BUDGET", MEASURE_DEPTH_BUDGET)
+        return _level(self.mass, k, step)
 
 
 def uniform_measure() -> CylinderMeasure:
@@ -315,29 +306,27 @@ def bernoulli_measure(p: Fraction) -> CylinderMeasure:
 
 
 def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
-    def mass(sigma: str) -> Fraction:
-        if sigma in table:
-            return table[sigma]
-        raise ParseError(f"table measure {name!r} has no mass for cylinder {sigma!r}")
-
+    mass = _table(table, f"table measure {name!r} has no mass for cylinder")
     return CylinderMeasure(name, mass)
 
 
 def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
-    # the native level is the tally itself, ints over 2^u from the calls each
-    # mass would make; it is the cached list, so it is read and never mutated
-    return CylinderMeasure(
-        f"induced({phi.name})",
-        _with_level(
-            lambda s: induced_measure_of_cylinder(phi, s), lambda k: _tally_for_length(phi, k)
-        ),
-    )
+    # the native level is a copy of the tally, ints over 2^u from the calls
+    # each mass would make
+    def level(k: int) -> tuple[list[int], int]:
+        counts, den = _tally_for_length(phi, k)
+        return counts.copy(), den
+
+    mass = _with_level(lambda s: induced_measure_of_cylinder(phi, s), level)
+    return CylinderMeasure(f"induced({phi.name})", mass)
 
 
 def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]:
     """Exact additivity μ(σ) = μ(σ0) + μ(σ1) at every node to the depth,
     plus total mass 1 at the root and one failed record for the first
-    negative mass in level order, if any."""
+    negative mass in level order, if any; a depth past
+    MEASURE_DEPTH_BUDGET raises before any level is read."""
+    check_budget(depth, "depth {}", "MEASURE_DEPTH_BUDGET", MEASURE_DEPTH_BUDGET)
     parents, parent_den = mu.level(0)
     root = Fraction(parents[0], parent_den)
     checks = [CheckRecord("total_mass", root == 1, f"mass(ε) = {format_rational(root)}")]
@@ -499,10 +488,12 @@ def transport_pushforward_check(
 ) -> PushforwardCheck:
     """Sum source mass of depth-level cylinders whose transport extends τ;
     the discrepancy from 2^{-|τ|} must be explained by boundary cylinders
-    (those whose output is still a proper prefix of τ); τ must be bits."""
+    (those whose output is still a proper prefix of τ); τ must be bits, and
+    the depth at most MEASURE_DEPTH_BUDGET."""
     if depth < len(tau):
         raise ValueError("depth must be at least the target length")
     _check_bits(tau)
+    check_budget(depth, "depth {}", "MEASURE_DEPTH_BUDGET", MEASURE_DEPTH_BUDGET)
     inside, boundary = [], []
     for a in bit_strings(depth):
         m = mu(a)

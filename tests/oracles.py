@@ -684,7 +684,9 @@ def is_monotone(g) -> bool:
 
 def level(obj, k: int) -> list[Fraction]:
     """`CylinderMeasure.level` and `Martingale.level` as one read per string
-    of bit_strings(k), of a mass or, with its checks, a capital."""
+    of bit_strings(k), of a mass or, with its checks, a capital.  A capital
+    read stops at the first negative, where `Martingale.level` reads the
+    whole level first: they differ only where a later read raises."""
     read = obj.value if isinstance(obj, Martingale) else obj.mass
     return [read(s) for s in bit_strings(k)]
 

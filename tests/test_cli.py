@@ -887,12 +887,24 @@ PAIRS = "PSEUDO_DERIVATIVE_PAIR_BUDGET"
          None, ["TRANSPORT_LENGTH_CAP", "65"]),
         (["tree", "--function", "square", "--depth", "17"],
          None, ["OSCILLATION_DEPTH_BUDGET", "17"]),
+        # a size of more than 20 digits is written by its digit count
+        (["tree", "--function", "square", "--depth", "1" * 4000],
+         None, ["OSCILLATION_DEPTH_BUDGET", "11111111111111111111... (4000 digits)"]),
+        (["derive", "--function", "square", "--at", "1/3", "--precision", "1" * 4000],
+         None, [GRID, "11111111111111111111... (4000 digits)"]),
+        (["verify"], with_component("ml_geometric.json", "1" * 4000),
+         [INDEX, "11111111111111111111... (4000 digits)"]),
+        # more grid pairs than int writes as text
+        (["derive", "--function", "square", "--at", "1/3", "--precision", "14",
+          "--scale", "9" * 4300 + "/1"], None, [PAIRS, "(4308 digits) grid pairs"]),
     ],
     ids=["component-1025", "component-minus-1025", "update-m-1025", "update-m-negative",
          "block-m-1025", "block-r-1025", "pi1-1025-c-sets", "convert-depth-1025",
          "convert-depth-15000", "convert-is-depth-1025", "derive-precision-15",
          "derive-pairs-65790", "derive-scale-1",
-         "transport-prefix-65", "tree-depth-17"],
+         "transport-prefix-65", "tree-depth-17", "tree-depth-4000-digits",
+         "derive-precision-4000-digits", "component-4000-digits",
+         "derive-pairs-past-digit-limit"],
 )
 def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
     if doc is not None:
@@ -901,6 +913,7 @@ def test_budget_exceeded_exits_two(tmp_path, argv, doc, named):
         argv = argv + ["--fixture", str(path)]
     err = assert_one_labcli_line(run_labcli(*argv))
     assert all(part in err for part in named)
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(

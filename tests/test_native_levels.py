@@ -2,14 +2,16 @@
 
 A product form (uniform, Bernoulli, split_bet, constant, all_in_on_0), an
 induced measure and a savings result carry a native `level` on their mass
-or capital callable; `CylinderMeasure.level` and `Martingale.level` read it.
-Each property checks that a native level equals `ref.level`, one read per
-string, as rationals, and that the six level consumers give on these
-objects what their oracles give.  The properties of test_levels.py draw
+or capital callable; `CylinderMeasure.level` and `Martingale.level` read it,
+and read any other callable once per string, through one reader,
+`intervals._level`.  Each property checks that a level equals `ref.level`,
+one read per string, as rationals, and that the six level consumers give on
+these objects what their oracles give.  The properties of test_levels.py draw
 only tables, which take the per-node path.
 """
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles as ref
 from oracles import outcome, recorded_outcome
 from randlab.errors import BudgetExceeded, InvariantViolation, ParseError
-from randlab.intervals import _with_level, bit_strings, over_lcm
+from randlab.intervals import _level, _with_level, bit_strings
 from randlab.markov import half_fn, square_fn
 from randlab.martingales import (
     FairnessReport,
@@ -66,10 +68,12 @@ product_martingales = (
 
 
 def with_native_level(m, depth_budget=None):
-    """m, its capitals also given as a native level read per string."""
-    level = lambda k: over_lcm(map(m.value_at, bit_strings(k)))  # noqa: E731
+    """m, its capitals also given as a native level read per string, on a
+    callable of its own: m.value_at keeps no level."""
+    read = functools.partial(m.value_at)
+    level = functools.partial(_level, m.value_at)
     budget = m.depth_budget if depth_budget is None else depth_budget
-    return Martingale("native", _with_level(m.value_at, level), budget)
+    return Martingale("native", _with_level(read, level), budget)
 
 
 def rationals(level):
@@ -112,6 +116,57 @@ def test_savings_level_is_the_per_node_reads(m, depth, k):
     # the level is a copy: a consumer may change it
     saved.level(k)[0].append(1)
     assert rationals(saved.level(k)) == ref.level(saved, k)
+
+
+@st.composite
+def level_cases(draw):
+    """(a measure or a martingale, k, step): a product form, an induced
+    measure, a savings result, or a table of every string of length k, of
+    masses or of non-negative capitals; a measure may be a
+    `dataclasses.replace` copy whose mass is opaque, and is read at step 1
+    or 2, a martingale at step 1."""
+    k = draw(st.integers(0, MAX_DEPTH))
+    values = st.lists(capitals, min_size=2**k, max_size=2**k).map(
+        lambda vs: dict(zip(bit_strings(k), vs))
+    )
+    measures = product_measures | induced_measures | values.map(
+        lambda table: table_measure("t", table)
+    )
+    martingales = product_martingales | values.map(table_martingale) | st.builds(
+        savings_transform, product_martingales, st.integers(k, MAX_DEPTH)
+    )
+    if draw(st.booleans()):
+        mu = draw(measures)
+        if draw(st.booleans()):
+            mu = dataclasses.replace(mu, mass=functools.partial(mu.mass))
+        return mu, k, draw(st.sampled_from([1, 2]))
+    return draw(martingales), k, 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_cases())
+def test_every_level_is_the_per_string_reads_and_a_copy(case):
+    obj, k, step = case
+    read = functools.partial(obj.level, *((k,) if step == 1 else (k, step)))
+    ints, den = read()
+    assert all(type(x) is int for x in ints) and type(den) is int
+    assert rationals((ints, den)) == ref.level(obj, k)[::step]
+    # a consumer may change what it was handed; the next read is unchanged
+    ints.append(1)
+    ints[0] += 1
+    assert rationals(read()) == ref.level(obj, k)[::step]
+
+
+def test_a_negative_capital_then_a_hole_raises_alike_on_both_paths():
+    # every level is read whole before a negative capital is refused, so
+    # "11", missing, is met after "00" is read, on the per-string path too
+    table = {"": Fraction(1), "0": Fraction(1), "1": Fraction(1), "00": Fraction(-1),
+             "01": Fraction(3), "10": Fraction(0)}
+    opaque = table_martingale(table, "t")
+    got = outcome(opaque.level, 2, catch=(ParseError, InvariantViolation))
+    assert got == hole("11", "martingale")
+    assert got == outcome(with_native_level(opaque).level, 2,
+                          catch=(ParseError, InvariantViolation))
 
 
 @settings(max_examples=60, deadline=None)
