@@ -43,6 +43,8 @@ def _resolve(path: str) -> str:
 
 
 def _verify_test_family(doc: dict[str, Any], depth: int) -> Sequence[CheckRecord]:
+    """The family's updates, then its `randomness.validate` records: a test
+    family is checked whole, so `depth` is not read."""
     t = serialize.test_family_from_json(doc)
     records = []
     for m, u in serialize.updates_from_json(doc):

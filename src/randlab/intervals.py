@@ -14,10 +14,12 @@ union: `parts`, a witness, a measure.
 
 The Cantor-space helpers list {0,1}^n in cylinder order (`bit_strings`) and
 write rationals as ints over one denominator (`over_lcm`); `_product`
-builds each product form, per-string read and native level, from its
-factors, `_table` reads a table of masses or capitals, `_level` reads a
-whole level of either, for `CylinderMeasure.level` and `Martingale.level`,
-and `_unbalanced` compares two levels for additivity or fairness.
+builds each product form, per-string read, native ratio and native level,
+from its factors, `_table` reads a table of masses or capitals, `_level`
+reads a whole level of either, for `CylinderMeasure.level` and
+`Martingale.level`, `_ratios` reads the masses of several prefixes as ints
+over one denominator, for `ttmeasures.cdf` and `transport`, and
+`_unbalanced` compares two levels for additivity or fairness.
 """
 
 from __future__ import annotations
@@ -158,7 +160,11 @@ def _refuse_interval(text: Any) -> NoReturn:
 def over_lcm(values: Iterable[Fraction]) -> tuple[list[int], int]:
     """The rationals as (ints, den): value i is ints[i]/den, where den is the
     lcm of their denominators (1 for no values)."""
-    pairs = [v.as_integer_ratio() for v in values]
+    return _over_lcm([v.as_integer_ratio() for v in values])
+
+
+def _over_lcm(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """`over_lcm` of the rationals n/d given as (n, d) pairs, d > 0."""
     den = math.lcm(*{d for _, d in pairs})
     return [n * (den // d) for n, d in pairs], den
 
@@ -354,14 +360,20 @@ def _product(f0: int, f1: int, q: int, root: Any = 1, counted: str = "1"):
     """The product form σ ↦ root · f0^#0 · f1^#1 / q^|σ|, root anything
     `Fraction` takes: a read counts the `counted` characters of σ (any other
     is the other bit) and builds one Fraction from ints once per count and
-    length; its native level (see `_level`) is level k as (ints, den) in
-    bit_strings(k) order, each child its parent's int times f0 or f1."""
+    length; its native ratio (see `_ratios`) is the same value as the int
+    pair (n · fc^c · fo^(m−c), d · q^m), c the count and m the length, not in
+    lowest terms; its native level (see `_level`) is level k as (ints, den)
+    in bit_strings(k) order, each child its parent's int times f0 or f1."""
     n, d = Fraction(root).as_integer_ratio()
     fc, fo = (f1, f0) if counted == "1" else (f0, f1)
-    value = cache(lambda c, m: Fraction(n * fc**c * fo ** (m - c), d * q**m))
+    pair = cache(lambda c, m: (n * fc**c * fo ** (m - c), d * q**m))
+    value = cache(lambda c, m: Fraction(*pair(c, m)))
 
     def read(sigma: str) -> Fraction:
         return value(sigma.count(counted), len(sigma))
+
+    def ratio(sigma: str) -> tuple[int, int]:
+        return pair(sigma.count(counted), len(sigma))
 
     def level(k: int) -> tuple[list[int], int]:
         if f0 == f1:
@@ -374,7 +386,7 @@ def _product(f0: int, f1: int, q: int, root: Any = 1, counted: str = "1"):
             ints = children
         return ints, d * q**k
 
-    return _with_level(read, level)
+    return _with_level(read, level, ratio)
 
 
 def _unbalanced(
@@ -390,9 +402,12 @@ def _unbalanced(
     return list(compress(count(), map(ne, lhs, map(mul, sums, repeat(parent_den)))))
 
 
-def _with_level(read, level):
-    """The cylinder function `read` carrying its native level (see `_level`)."""
+def _with_level(read, level, ratio=None):
+    """The cylinder function `read` carrying its native level (see `_level`)
+    and, where one is given, its native ratio (see `_ratios`)."""
     read.level = level
+    if ratio is not None:
+        read.ratio = ratio
     return read
 
 
@@ -414,6 +429,18 @@ def _level(read, k: int, step: int = 1) -> tuple[list[int], int]:
         return over_lcm(map(read, strings))
     ints, den = native(k)
     return (ints[::step] if step > 1 else ints), den
+
+
+def _ratios(read, strings: Iterable[str]) -> tuple[list[int], int]:
+    """The masses of `strings` as (ints, den), the i-th ints[i]/den, den the
+    lcm of their denominators: read from the native `ratio` attribute of
+    `read`, σ ↦ (num, den) with den > 0, where it has one, so that no
+    Fraction is built; any other callable is called once per string, in
+    order, as `over_lcm(map(read, strings))`."""
+    native = getattr(read, "ratio", None)
+    if native is None:
+        return over_lcm(map(read, strings))
+    return _over_lcm(list(map(native, strings)))
 
 
 def _table(table: dict[str, Any], missing: str):

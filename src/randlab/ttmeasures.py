@@ -13,11 +13,16 @@ for output length k, the count of each output indexed by the output read as
 a binary int, over 2^u.
 Measure validation and the distribution function's knots read only levels.
 
-`transport` maps [a) to its image [g(0.a), g(0.a + 2^-|a|)), each end a sum
-of cylinder masses, and checks it against the image of a's first half.  A
-mass callable with a native level reads purely, so each mass those four
-ends need is read once and the ends are partial sums of them over one
-denominator; any other callable is read by four cdf walks, call for call.
+`cdf` sums the masses of the prefixes left of a dyadic point.  `transport`
+maps [a) to its image [g(0.a), g(0.a + 2^-|a|)), each end a sum of cylinder
+masses, and checks it against the image of a's first half.  A mass callable
+with a native level reads purely, so each mass those four ends need is read
+once and the ends are partial sums of them over one denominator; any other
+callable is read by four cdf walks, call for call.  Both read prefix masses
+as ints over one denominator, through `intervals._ratios`: a product form's
+or an induced measure's mass carries a native ratio, each mass as an int
+pair, so no Fraction is built per mass; any other callable is called once
+per string.
 
 The functionals this module builds carry a native output level on
 output_bit: `output_bit.level(n)` gives bit n of every input prefix of length
@@ -40,7 +45,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, islice, product, repeat
 from typing import Callable
 
@@ -56,6 +61,7 @@ from .intervals import (
     _check_bits,
     _level,
     _product,
+    _ratios,
     _table,
     _unbalanced,
     _with_level,
@@ -71,6 +77,9 @@ USE_BOUND_BUDGET = 24
 # grid points a run-built tt_from_ucf level samples at a time
 LEVEL_CHUNK = 4096
 TRANSPORT_LENGTH_CAP = 64
+# the longest dyadic cdf reads, in bits: transport's image ends are dyadics
+# of at most TRANSPORT_LENGTH_CAP bits
+CDF_LENGTH_BUDGET = 64
 # the deepest level of masses read: a level of depth k holds 2^k ints
 MEASURE_DEPTH_BUDGET = 20
 OMEGA_CE_DEFAULT_BUDGET = 16
@@ -265,12 +274,18 @@ def _appended(indices: array, bits: bytes) -> array:
 def induced_measure_of_cylinder(phi: TTFunctional, sigma: str) -> Fraction:
     """λ_Φ([σ)) = λ(Φ⁻¹[σ)), exactly, via the per-length tally; 0 for a σ
     that is not a bit string, which tallies nothing."""
+    return Fraction(*_induced_ratio(phi, sigma))
+
+
+def _induced_ratio(phi: TTFunctional, sigma: str) -> tuple[int, int]:
+    """λ_Φ([σ)) as the int pair (count, 2^u) of its tally, not in lowest
+    terms: (1, 1) for σ = "" and (0, 1) for a σ that is not a bit string."""
     if sigma.strip("01"):  # int(σ, 2) also reads "0_1", " 1" and "+1"
-        return Fraction(0)
+        return 0, 1
     if sigma == "":
-        return Fraction(1)
+        return 1, 1
     counts, den = _tally_for_length(phi, len(sigma))
-    return Fraction(counts[int(sigma, 2)], den)
+    return counts[int(sigma, 2)], den
 
 
 @dataclass(frozen=True)
@@ -311,13 +326,14 @@ def table_measure(name: str, table: dict[str, Fraction]) -> CylinderMeasure:
 
 
 def materialize_measure(phi: TTFunctional) -> CylinderMeasure:
-    # the native level is a copy of the tally, ints over 2^u from the calls
-    # each mass would make
+    # the native level is a copy of the tally, and the native ratio a count
+    # of it, ints over 2^u from the calls each mass would make
     def level(k: int) -> tuple[list[int], int]:
         counts, den = _tally_for_length(phi, k)
         return counts.copy(), den
 
-    mass = _with_level(lambda s: induced_measure_of_cylinder(phi, s), level)
+    mass = _with_level(lambda s: induced_measure_of_cylinder(phi, s), level,
+                       partial(_induced_ratio, phi))
     return CylinderMeasure(f"induced({phi.name})", mass)
 
 
@@ -359,29 +375,41 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
 
 def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
     """g(d) = μ[0, d) for a dyadic d in [0, 1], via the binary-expansion
-    cylinder decomposition of [0, d)."""
-    if d < 0 or d > 1:
-        raise ValueError("argument must lie in [0, 1]")
-    if d == 1:
-        return mu("")
+    cylinder decomposition of [0, d): μ(ε) at d = 1, else the sum of the
+    prefix masses that `_cdf_ints` reads as ints, one Fraction in all.  A
+    mass with a native ratio is read only through it, so no Fraction is
+    built per mass; any other is called once per prefix, as it always was.
+
+    d is checked from its numerator and denominator: outside [0, 1] or not
+    dyadic raises ValueError, and a denominator past 2^CDF_LENGTH_BUDGET
+    raises BudgetExceeded, each before any mass is read."""
     num, den = d.numerator, d.denominator
+    if num < 0 or num > den:
+        raise ValueError("argument must lie in [0, 1]")
+    if num == den:  # μ(ε): as the mass gives it, or from its native ratio
+        ratio = getattr(mu.mass, "ratio", None)
+        return mu("") if ratio is None else Fraction(*ratio(""))
     if den & (den - 1):
         raise ValueError("argument must be dyadic")
     length = den.bit_length() - 1
+    check_budget(length, "dyadic length {}", "CDF_LENGTH_BUDGET", CDF_LENGTH_BUDGET)
     return Fraction(*_cdf_ints(mu, bit_string(length, num)))
 
 
 def _cdf_ints(mu: CylinderMeasure, sigma: str, right: bool = False) -> tuple[int, int]:
     """g at the left end of the cylinder [σ), or at its right end, as a
     (numerator, denominator) int pair: the masses μ(σ[:i] + "0") left of the
-    point, one per 1-bit at i, summed over one lcm.  σ must be a bit string.
-    The right end of [p01…1) is 0.p1, and 1 = μ(ε) for a σ without a 0."""
+    point, one per 1-bit at i, read by `intervals._ratios` (as ints where
+    the mass carries a native ratio, else one call each, in order) and
+    summed over one lcm.  σ must be a bit string.  The right end of
+    [p01…1) is 0.p1, and 1 = μ(ε) for a σ without a 0."""
     if right:
         i = sigma.rfind("0")
         if i < 0:
-            return mu("").as_integer_ratio()
+            (one,), den = _ratios(mu.mass, [""])
+            return one, den
         sigma = sigma[:i] + "1"
-    ints, den = over_lcm(mu(sigma[:i] + "0") for i, b in enumerate(sigma) if b == "1")
+    ints, den = _ratios(mu.mass, [sigma[:i] + "0" for i, b in enumerate(sigma) if b == "1"])
     return sum(ints), den
 
 
@@ -413,18 +441,19 @@ def _native_ends(mu: CylinderMeasure, a: str):
 
     lo is the sum of μ(a[:i] + "0") over the 1-bits i of a; hi drops the run
     of 1s after the last 0 at r and adds μ(a[:r+1]), which is μ(ε) where
-    there is no 0.  Those masses are read over one lcm; the half's ends are
-    partial sums of them, plus its own last-0 mass, read only when the half
-    is asked for and only if it is not μ(a[:r+1])."""
+    there is no 0.  Those masses are read by one `intervals._ratios` call,
+    as ints over one lcm (from the native ratio where the mass has one); the
+    half's ends are partial sums of them, plus its own last-0 mass, read only
+    when the half is asked for and only if it is not μ(a[:r+1])."""
     n, r = len(a), a.rfind("0")
     strings = [a[:i] + "0" for i, b in enumerate(a) if b == "1"]
-    ints, q = over_lcm(map(mu, strings + [a[: r + 1]]))
+    ints, q = _ratios(mu.mass, strings + [a[: r + 1]])
     # sums[k] is the sum of the first k 1-bits' masses
     sums = list(accumulate(ints[:-1], initial=0))
     yield sums[-1], sums[len(strings) - (n - 1 - r)] + ints[-1], q
     half = a[: n // 2]
     k, r_h = half.count("1"), half.rfind("0")
-    x, d = (ints[-1], q) if r_h == r else mu(half[: r_h + 1]).as_integer_ratio()
+    (x,), d = ([ints[-1]], q) if r_h == r else _ratios(mu.mass, [half[: r_h + 1]])
     h_q = math.lcm(q, d)
     s = h_q // q
     yield sums[k] * s, sums[k - (len(half) - 1 - r_h)] * s + x * (h_q // d), h_q
@@ -441,7 +470,8 @@ def transport(mu: CylinderMeasure, a_prefix: str) -> TransportResult:
     the four image ends need is read once (`_native_ends`); any other
     callable is read by four `_cdf_ints` walks, call for call.  Either way a
     mass is read only where those walks read it, and the half's only past
-    the zero-mass test.
+    the zero-mass test, and the masses are read as ints by
+    `intervals._ratios`: through the native ratio where the mass has one.
     """
     # the output stops at the cap, so a longer prefix could never reach status OK
     check_budget(len(a_prefix), "prefix length {}", "TRANSPORT_LENGTH_CAP", TRANSPORT_LENGTH_CAP)

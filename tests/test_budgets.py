@@ -38,6 +38,8 @@ from randlab.intervals import _with_level
 from randlab.ttmeasures import (
     CylinderMeasure,
     LimitOracle,
+    bernoulli_measure,
+    cdf,
     identity_tt,
     induced_measure_of_cylinder,
     transport,
@@ -122,6 +124,9 @@ CASES = [
     (lambda: ucf_use_bound(23),
      "use bound 25 at bit 23 > USE_BOUND_BUDGET (24)",
      lambda: ucf_use_bound(22)),
+    (lambda: cdf(bernoulli_measure(Fraction(3, 4)), Fraction(2**65 - 1, 2**65)),
+     "dyadic length 65 > CDF_LENGTH_BUDGET (64)",
+     lambda: cdf(bernoulli_measure(Fraction(3, 4)), Fraction(2**64 - 1, 2**64))),
     (lambda: transport(uniform_measure(), "0" * 65),
      "prefix length 65 > TRANSPORT_LENGTH_CAP (64)",
      lambda: transport(uniform_measure(), "0" * 64)),
@@ -145,7 +150,7 @@ IDS = [
     "grid-denominator", "derivative-pairs", "derivative-pairs-past-digit-limit",
     "nonuc-stages", "tree-depth", "slope-pairs",
     "modulus-precision", "extension-precision", "martingale-depth", "martingale-level",
-    "fairness-depth", "tally-use-bound", "ucf-use-bound", "transport-cap",
+    "fairness-depth", "tally-use-bound", "ucf-use-bound", "cdf-length", "transport-cap",
     "solovay-to-ml-depth", "is-to-schnorr-depth", "schnorr-to-is-depth", "measure-level",
     "validate-measure-depth", "pushforward-depth",
 ]
@@ -170,6 +175,17 @@ def test_a_measure_depth_past_the_budget_raises_before_any_read(check):
     mu = CylinderMeasure("unread", _with_level(unread, unread))
     with pytest.raises(BudgetExceeded):
         check(mu, 21)
+
+
+@pytest.mark.parametrize(
+    "mass", [unread, _with_level(unread, unread, unread)], ids=["opaque", "native"]
+)
+def test_a_cdf_argument_past_the_budget_raises_before_any_read(mass):
+    # 4,000 bits: the mass read took about 0.45 s before the budget
+    d = Fraction(2**4000 - 1, 2**4000)
+    with pytest.raises(BudgetExceeded) as info:
+        cdf(CylinderMeasure("unread", mass), d)
+    assert str(info.value) == "dyadic length 4000 > CDF_LENGTH_BUDGET (64)"
 
 
 @pytest.mark.parametrize(

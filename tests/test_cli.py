@@ -331,6 +331,14 @@ def test_verify_martingale_at_depth_0(capsys):
     assert level_sum["status"] == "PASS" and level_sum["detail"] == "1/1 vs 1/1"
 
 
+def test_verify_checks_a_test_family_whole_at_any_depth(capsys):
+    # --depth is not read for a test family: every component is checked
+    argv = ["verify", "--fixture", fixture("ml_geometric.json"), "--depth"]
+    shallow, deep = run(capsys, *argv, "0"), run(capsys, *argv, "8")
+    assert shallow == deep
+    assert shallow[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

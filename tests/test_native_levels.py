@@ -6,8 +6,11 @@ or capital callable; `CylinderMeasure.level` and `Martingale.level` read it,
 and read any other callable once per string, through one reader,
 `intervals._level`.  Each property checks that a level equals `ref.level`,
 one read per string, as rationals, and that the six level consumers give on
-these objects what their oracles give.  The properties of test_levels.py draw
-only tables, which take the per-node path.
+these objects what their oracles give.  The product forms and an induced
+measure also carry a native `ratio`, a mass or capital as an int pair, which
+`intervals._ratios` reads for `cdf` and `transport`: it is checked against
+the per-string read.  The properties of test_levels.py draw only tables,
+which take the per-node path.
 """
 
 import dataclasses
@@ -88,6 +91,22 @@ def test_native_measure_level_is_the_per_node_reads(mu, k):
     masses = ref.level(mu, k)
     assert rationals(mu.level(k)) == masses
     assert rationals(mu.level(k, 2)) == masses[::2]
+
+
+# every bit string up to MAX_DEPTH, and strings that are not bit strings
+RATIO_STRINGS = [s for k in range(MAX_DEPTH + 1) for s in bit_strings(k)] + ["2", "01x", " 1"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_measures.map(lambda mu: mu.mass) | induced_measures.map(lambda mu: mu.mass)
+       | product_martingales.map(lambda m: m.value_at))
+@example(constant_martingale(2).value_at)
+@example(constant_martingale(0.5).value_at)
+def test_native_ratio_is_the_per_string_read(read):
+    for s in RATIO_STRINGS:
+        num, den = read.ratio(s)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == read(s), s
 
 
 @settings(max_examples=100, deadline=None)

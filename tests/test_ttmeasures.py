@@ -914,19 +914,29 @@ def within_tally_reach(a, cheap, budget):
 
 def read_once(mu, a):
     """outcome(transport, mu, a) with mu's mass recorded and given a native
-    level, checked against the opaque path: the same outcome, and each
-    string read at most once, only strings its four cdf walks read, in the
-    order they first read them."""
-    calls = []
+    level, and mu's native ratio where its mass has one, checked against the
+    opaque path: the same outcome, and each string read at most once, by the
+    mass or its ratio, only strings its four cdf walks read, in the order
+    they first read them.  A mass with a ratio is read only through it."""
+    calls, ratio_calls = [], []
+    ratio = getattr(mu.mass, "ratio", None)
 
     def recorded(sigma):
         calls.append(sigma)
         return mu.mass(sigma)
 
-    got = outcome(transport, dataclasses.replace(mu, mass=_with_level(recorded, mu.level)), a)
+    def recorded_ratio(sigma):
+        calls.append(sigma)
+        ratio_calls.append(sigma)
+        return ratio(sigma)
+
+    mass = _with_level(recorded, mu.level, recorded_ratio if ratio else None)
+    got = outcome(transport, dataclasses.replace(mu, mass=mass), a)
     want, walked = recorded_outcome(transport, mu, a)
     assert got == want
     assert calls == [s for s in dict.fromkeys(walked) if s in calls]
+    if ratio is not None:
+        assert ratio_calls == calls
     return got
 
 
@@ -948,6 +958,50 @@ def native_id(value):
 def test_native_transport_matches_fraction_descent(mu, cheap, budget, a):
     a = within_tally_reach(a, cheap, budget)
     assert outcome(transport, mu, a) == read_once(mu, a) == outcome(ref.transport, mu, a)
+
+
+def ratio_only(mu):
+    """mu with a mass whose per-string read raises, that keeps the native
+    level and ratio of mu's mass."""
+
+    def unread(sigma):
+        raise AssertionError(f"per-string read of {sigma!r}")
+
+    return dataclasses.replace(mu, mass=_with_level(unread, mu.mass.level, mu.mass.ratio))
+
+
+def cdf_points(cheap):
+    """Dyadics of up to min(cheap, TRANSPORT_LENGTH_CAP) bits in [0, 1] and
+    one step outside it, and rationals in [-1, 2] of denominator up to 24,
+    most not dyadic."""
+    lengths = st.integers(0, min(cheap, TRANSPORT_LENGTH_CAP))
+    dyadics = lengths.flatmap(lambda k: st.integers(-1, 2**k + 1).map(lambda i: Fraction(i, 2**k)))
+    return dyadics | st.fractions(-1, 2, max_denominator=24)
+
+
+# the ends of [0, 1], one point outside each end, and a point not dyadic
+EDGE_POINTS = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("mu, cheap, budget", NATIVE_MEASURES, ids=native_id)
+@settings(max_examples=100, deadline=None)
+@given(a=st.text(alphabet="01", max_size=TRANSPORT_LENGTH_CAP + 1), data=st.data())
+def test_native_cdf_and_transport_read_only_the_ratio(mu, cheap, budget, a, data):
+    a = within_tally_reach(a, cheap, budget)
+    assert outcome(transport, ratio_only(mu), a) == outcome(transport, mu, a)
+    for d in EDGE_POINTS + [data.draw(cdf_points(cheap))]:
+        assert outcome(cdf, ratio_only(mu), d) == outcome(cdf, mu, d)
+
+
+@pytest.mark.parametrize("mu, cheap, budget", NATIVE_MEASURES, ids=native_id)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_native_cdf_matches_fraction_sum(mu, cheap, budget, data):
+    for d in EDGE_POINTS + [data.draw(cdf_points(cheap))]:
+        got = outcome(cdf, mu, d, catch=ValueError)
+        assert got == outcome(ref.cdf, mu, d, catch=ValueError)
+        # the opaque path: the same value from the same mass calls
+        assert recorded_outcome(cdf, mu, d) == recorded_outcome(ref.cdf, mu, d)
 
 
 @settings(max_examples=300, deadline=None)
