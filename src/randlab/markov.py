@@ -13,16 +13,19 @@ the sampled candidates.
 Every reader of f on a grid k/n (0 <= k <= n, the right end included) goes
 through `MarkovFunction.grid(n, ks)`, which gives the values at the indices
 `ks` as integers over one common denominator.  Every function the lab builds
-has one native form, a piece list on its evaluator: a + b·x + c·x² on each
-piece, monotone there (see `MarkovFunction.grid`).  The evaluator reads its
-point values from the same pieces, as ints (`_by_piece`), and refuses x
-outside [0, 1]; the built-ins have no other evaluator.  `_runs` turns the
-pieces into int runs a + b·k + c·k² on k/n, from which `_sample` writes the
-values at any sorted grid indices, the part of a range inside a linear run
-as one integer progression.  Any other evaluator is called once per grid point
-read.  So an oscillation tree of a function with pieces reads its nodes'
-ends and the grid points beside each run start; only a tree of any other
-evaluator costs O(2^{depth+4}) whatever its size.
+has one native form on its evaluator, `Pieces`: the piece starts as ints
+over one denominator and each piece's a, b, c as ints over another, the
+function (a + b·x + c·x²)/den on each piece and monotone there.  The
+constructors write it directly in ints (a truncation splices its chords into
+its base's ints), with no Fraction arithmetic.  The evaluator reads its
+point values from the same ints (`_by_piece`) and refuses x outside [0, 1];
+the built-ins have no other evaluator.  `_runs` turns the pieces into int
+runs a + b·k + c·k² on k/n, from which `_sample` writes the values at any
+sorted grid indices, the part of a range inside a linear run as one integer
+progression.  Any other evaluator is called once per grid point read.  So
+an oscillation tree of a function with pieces reads its nodes' ends and the
+grid points beside each run start; only a tree of any other evaluator costs
+O(2^{depth+4}) whatever its size.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cauchy import CauchyName, ModulusFunction, ceil_log2
 from .errors import CoverViolation, ExtensionUndefined, check_budget
-from .intervals import RationalInterval, _as_index, bit_string, over_lcm, parse_rational
+from .intervals import RationalInterval, _as_index, _over_lcm, bit_string, over_lcm, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,11 +124,12 @@ class MarkovFunction:
 
         The native form belongs to the evaluator: it is the `pieces`
         attribute of `eval_at` when there is one, so `dataclasses.replace(f,
-        eval_at=g)` reads g's values.  It lists pieces (x0, a, b, c) with x0
-        ascending from 0: the value at x is a + b·x + c·x² from x0 up to the
-        next piece's x0 (the last piece's through 1), and monotone there.
-        `_runs` turns them into runs on k/n.  Any other evaluator is called
-        exactly once per index, in order.
+        eval_at=g)` reads g's values.  It is a `Pieces`, ints: piece i
+        starts at starts[i]/sden, ascending from 0, and the value at x is
+        (a + b·x + c·x²)/den from there up to the next start (the last
+        piece's through 1), monotone there.  `_runs` turns them into runs on
+        k/n.  Any other evaluator is called exactly once per index, in
+        order.
         """
         if n < 1:
             raise ValueError(f"grid size {n} < 1")
@@ -149,23 +153,33 @@ class MarkovFunction:
         return min(vals), max(vals)
 
 
-def _runs(pieces, n: int) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The runs on the grid k/n of the function that `pieces` lists (see
-    MarkovFunction.grid), as ints over one denominator: (runs, den), where
-    the value at k/n is (a + b·k + c·k²)/den from the run (k0, a, b, c) up to
-    the next run's k0 (the last run's up to n)."""
+class Pieces(NamedTuple):
+    """The native form of every function `markov` builds, in ints: piece i
+    starts at starts[i]/sden, the starts ascending from 0, and from there up
+    to the next start (the last piece through 1) the function is
+    (a + b·x + c·x²)/den for (a, b, c) = abc[i], monotone there.  Kept in
+    lowest terms, gcd(sden, *starts) = gcd(den, *coefficients) = 1, so equal
+    piece lists have equal fields."""
+
+    starts: tuple[int, ...]
+    sden: int
+    abc: tuple[tuple[int, int, int], ...]
+    den: int
+
+
+def _runs(pieces: Pieces, n: int) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The runs on the grid k/n of the function that `pieces` lists, as ints
+    over one denominator: (runs, den), where the value at k/n is
+    (a + b·k + c·k²)/den from the run (k0, a, b, c) up to the next run's k0
+    (the last run's up to n).  A piece that starts at s/sden runs from
+    k0 = ⌈s·n/sden⌉, its value at k/n (a·n² + b·n·k + c·k²)/(den·n²)."""
+    starts, sden, abc, den = pieces
     # the last piece owns x = 1, so its run is kept whenever it starts at or
     # before k = n
-    starts = [-(-x0.numerator * n // x0.denominator) for x0, *_ in pieces] + [n + 1]
+    ks = [-(-s * n // sden) for s in starts] + [n + 1]
     nn = n * n
-    kept = [
-        (k0, a, b / n if b else b, c / nn if c else c)
-        for (_, a, b, c), k0, k1 in zip(pieces, starts, starts[1:])
-        if k0 < k1
-    ]
-    ints, den = over_lcm(q for run in kept for q in run[1:])
-    coefs = zip(*[iter(ints)] * 3)
-    return [(run[0], *abc) for run, abc in zip(kept, coefs)], den
+    runs = [(k0, a * nn, b * n, c) for (a, b, c), k0, k1 in zip(abc, ks, ks[1:]) if k0 < k1]
+    return runs, den * nn
 
 
 def _sample(runs, indices: Sequence[int]) -> list[int]:
@@ -188,14 +202,11 @@ def _sample(runs, indices: Sequence[int]) -> list[int]:
     return out
 
 
-def _by_piece(pieces):
+def _by_piece(pieces: Pieces):
     """The evaluator of the function that `pieces` lists: at x = p/q in
-    [0, 1], the last piece that starts at or before x, in ints.  The piece
-    starts are ints over one denominator, and each piece's a, b, c ints over
-    another, den, so the value is ((a·q + b·p)·q + c·p²) / (den·q²)."""
-    starts, sden = over_lcm(x0 for x0, *_ in pieces)
-    ints, den = over_lcm(v for piece in pieces for v in piece[1:])
-    abc = list(zip(*[iter(ints)] * 3))
+    [0, 1], the last piece that starts at or before x, in ints, so the value
+    is ((a·q + b·p)·q + c·p²) / (den·q²)."""
+    starts, sden, abc, den = pieces
 
     def ev(x: Fraction) -> Fraction:
         p, q = x.numerator, x.denominator
@@ -208,58 +219,71 @@ def _by_piece(pieces):
     return ev
 
 
-def _from_pieces(name, pieces, modulus=None) -> MarkovFunction:
-    """The function that `pieces` lists, its piece starts inside (0, 1) its
-    critical points.  Its evaluator, evaluation by piece, carries the pieces,
-    so point values and grid values are read from the same pieces."""
-    pieces = tuple(pieces)
+def _from_pieces(name, starts, sden, abc, den, modulus=None) -> MarkovFunction:
+    """The function whose pieces start at starts[i]/sden with coefficients
+    abc[i] over den (see `Pieces`), put in lowest terms; its piece starts
+    inside (0, 1) are its critical points.  Its evaluator, evaluation by
+    piece, carries the pieces, so point values and grid values are read
+    from the same ints."""
+    if (g := math.gcd(sden, *starts)) > 1:
+        starts, sden = [s // g for s in starts], sden // g
+    if (g := math.gcd(den, *itertools.chain.from_iterable(abc))) > 1:
+        abc, den = [(a // g, b // g, c // g) for a, b, c in abc], den // g
+    pieces = Pieces(tuple(starts), sden, tuple(abc), den)
     ev = _by_piece(pieces)
     ev.pieces = pieces
-    return MarkovFunction(name, ev, tuple(x0 for x0, *_ in pieces if 0 < x0 < 1), modulus)
+    crit = tuple(Fraction(s, sden) for s in starts if 0 < s < sden)
+    return MarkovFunction(name, ev, crit, modulus)
 
 
 def identity_fn() -> MarkovFunction:
-    return _from_pieces("identity", [(ZERO, ZERO, ONE, ZERO)], ModulusFunction(lambda eps: eps))
+    return _from_pieces("identity", [0], 1, [(0, 1, 0)], 1, ModulusFunction(lambda eps: eps))
 
 
 def square_fn() -> MarkovFunction:
     # |x^2 - y^2| <= 2|x - y| on [0,1]
-    return _from_pieces("square", [(ZERO, ZERO, ZERO, ONE)], ModulusFunction(lambda eps: eps / 2))
+    return _from_pieces("square", [0], 1, [(0, 0, 1)], 1, ModulusFunction(lambda eps: eps / 2))
 
 
 def const_fn(q: Fraction) -> MarkovFunction:
-    return _from_pieces(f"const({q})", [(ZERO, q, ZERO, ZERO)], ModulusFunction(lambda eps: ONE))
+    num, den = q.as_integer_ratio()
+    return _from_pieces(f"const({q})", [0], 1, [(num, 0, 0)], den, ModulusFunction(lambda eps: ONE))
 
 
 def abs_offset_fn() -> MarkovFunction:
-    """|x - 1/2|: the canonical corner example."""
-    h = Fraction(1, 2)
-    pieces = [(ZERO, h, -ONE, ZERO), (h, -h, ONE, ZERO)]
-    return _from_pieces("abs_offset", pieces, ModulusFunction(lambda eps: eps))
+    """|x - 1/2|: the canonical corner example, (1 - 2x)/2 up to 1/2 and
+    (2x - 1)/2 from there."""
+    abc = [(1, -2, 0), (-1, 2, 0)]
+    return _from_pieces("abs_offset", [0, 1], 2, abc, 2, ModulusFunction(lambda eps: eps))
 
 
 def half_fn() -> MarkovFunction:
-    pieces = [(ZERO, ZERO, Fraction(1, 2), ZERO)]
-    return _from_pieces("half", pieces, ModulusFunction(lambda eps: 2 * eps))
+    return _from_pieces("half", [0], 1, [(0, 1, 0)], 2, ModulusFunction(lambda eps: 2 * eps))
 
 
 def complement_fn() -> MarkovFunction:
-    return _from_pieces("complement", [(ZERO, ONE, -ONE, ZERO)], ModulusFunction(lambda eps: eps))
+    return _from_pieces("complement", [0], 1, [(1, -1, 0)], 1, ModulusFunction(lambda eps: eps))
 
 
 def polygonal_fn(breakpoints: Sequence[tuple[Fraction, Fraction]]) -> MarkovFunction:
-    """The polygon through `breakpoints`, whose x strictly increase from 0 to 1."""
-    points = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
-    xs = [x for x, _ in points]
-    if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
+    """The polygon through `breakpoints`, whose x strictly increase from 0 to 1.
+
+    The x's are read as ints X over one lcm L and the y's as ints Y over
+    another, M; from (X0/L, Y0/M) to (X1/L, Y1/M) the polygon is
+    (Y0·X1 - Y1·X0 + (Y1 - Y0)·L·x) / ((X1 - X0)·M)."""
+    xs, sden = over_lcm(x for x, _ in breakpoints)
+    ys, yden = over_lcm(y for _, y in breakpoints)
+    if len(xs) < 2 or xs[0] != 0 or xs[-1] != sden:
         raise ValueError("breakpoints must span [0,1]")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise ValueError("breakpoint x-coordinates must strictly increase")
-    pieces = []
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        s = (y1 - y0) / (x1 - x0)
-        pieces.append((x0, y0 - s * x0, s, ZERO))
-    return _from_pieces("polygonal", pieces)
+    coefs, den = _over_lcm([
+        pair
+        for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:])
+        for pair in ((y0 * x1 - y1 * x0, x1 - x0), ((y1 - y0) * sden, x1 - x0))
+    ])
+    abc = [(a, b, 0) for a, b in zip(coefs[::2], coefs[1::2])]
+    return _from_pieces("polygonal", xs[:-1], sden, abc, den * yden)
 
 
 def canonical_nonuc(stage_count: int) -> MarkovFunction:
@@ -275,50 +299,77 @@ def canonical_nonuc(stage_count: int) -> MarkovFunction:
     check_budget(
         stage_count, "stage_count {}", "CANONICAL_NONUC_STAGE_BUDGET", CANONICAL_NONUC_STAGE_BUDGET
     )
-    # per tent: the rise from lo, the fall from its peak at mid, and 0 from
-    # hi up to the next tent; the function is continuous, so each piece may
-    # own its left end
-    pieces = []
+    # with t = 2^{n+3}, I_n is [(t-8)/t, (t-6)/t] and its peak lies at
+    # (t-7)/t.  Per tent: the rise n·t·x - n(t-8) from lo, the fall
+    # n(t-6) - n·t·x from the peak, and 0 from hi up to the next tent; every
+    # start is written over the last tent's t, 2^{stage_count+2}.  The
+    # function is continuous, so each piece may own its left end
+    starts: list[int] = []
+    abc: list[tuple[int, int, int]] = []
     for n in range(stage_count):
-        lo = 1 - Fraction(1, 2**n)
-        hi = 1 - Fraction(3, 2 ** (n + 2))
-        mid = (lo + hi) / 2
-        peak = Fraction(n)
-        up, down = peak / (mid - lo), peak / (hi - mid)
-        pieces += [(lo, -up * lo, up, ZERO), (mid, down * hi, -down, ZERO), (hi, ZERO, ZERO, ZERO)]
-    return _from_pieces(f"canonical_nonuc({stage_count})", pieces)
+        t, shift = 8 << n, stage_count - 1 - n
+        starts += [(t - 8) << shift, (t - 7) << shift, (t - 6) << shift]
+        abc += [(-n * (t - 8), n * t, 0), (n * (t - 6), -n * t, 0), (0, 0, 0)]
+    return _from_pieces(f"canonical_nonuc({stage_count})", starts, 4 << stage_count, abc, 1)
 
 
-def _splice(pieces, chords):
-    """The pieces of [f, C] from f's `pieces` and the chords (lo, hi, a, s),
-    sorted, of the cover's intervals with an interior, in one merge: f's
-    pieces up to lo, the chord a + s·x from lo, and from hi on the piece of
-    f that holds hi.  The chord owns lo, where it equals f."""
-    out = []
-    i, m = 0, len(pieces)
-    for lo, hi, a, s in chords:
-        while i < m and pieces[i][0] < lo:
-            out.append(pieces[i])
+def _splice(pieces: Pieces, ivs: Sequence[RationalInterval]):
+    """The pieces of [f, C], as (starts, sden, abc, den), from f's `pieces`
+    and the cover's intervals, in ints.
+
+    The interval ends are read as ints E over one lcm L, so f at E/L is
+    N/(den·L²), and the chord across [E0/L, E1/L] is
+    (N0·E1 - N1·E0 + (N1 - N0)·L·x) / (den·L²·(E1 - E0)).  One merge writes
+    f's pieces up to each chord's lo, the chord from lo, and from hi on the
+    piece of f that holds hi; the chord owns lo, where it equals f."""
+    starts, sden, abc, den = pieces
+    ends, el = over_lcm(e for iv in ivs for e in (iv.lo, iv.hi))
+    # the intervals with an interior, ascending; under H(C) they are disjoint
+    spans = sorted((lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi)
+
+    def value(e: int) -> int:
+        a, b, c = abc[bisect.bisect_right(starts, e * sden, key=el.__mul__) - 1]
+        return (a * el + b * e) * el + c * e * e
+
+    pairs = []
+    for lo, hi in spans:
+        n0, n1 = value(lo), value(hi)
+        pairs += [(n0 * hi - n1 * lo, hi - lo), ((n1 - n0) * el, hi - lo)]
+    coefs, width = _over_lcm(pairs)
+    # every start over lcm(sden, L), every coefficient over den·L²·width
+    out_den = math.lcm(sden, el)
+    per_start, per_end, scale = out_den // sden, out_den // el, el * el * width
+    base = [(s * per_start, (a * scale, b * scale, c * scale)) for s, (a, b, c) in zip(starts, abc)]
+    out: list[tuple[int, tuple[int, int, int]]] = []
+    i, m = 0, len(base)
+    for (lo, hi), a, b in zip(spans, coefs[::2], coefs[1::2]):
+        lo, hi = lo * per_end, hi * per_end
+        while i < m and base[i][0] < lo:
+            out.append(base[i])
             i += 1
         if out and out[-1][0] == lo:
             out.pop()  # the previous chord ends where this one starts
-        out.append((lo, a, s, ZERO))
-        while i < m and pieces[i][0] <= hi:
+        out.append((lo, (a, b, 0)))
+        while i < m and base[i][0] <= hi:
             i += 1
-        out.append((hi, *pieces[i - 1][1:]))
-    out += pieces[i:]
-    return out
+        out.append((hi, base[i - 1][1]))
+    out += base[i:]
+    return [s for s, _ in out], out_den, [p for _, p in out], den * scale
 
 
 def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
     """[f, C]: equal to f outside (and at the endpoints of) every interval of
     the cover, linear across each interval's interior.  A base with pieces
-    gives a truncation with pieces (see `_splice`); any other is read per
-    point outside the chords.  A cover that fails H(C) raises
-    `CoverViolation` before f is read."""
+    gives a truncation with pieces, spliced in ints (see `_splice`); any
+    other is read per point outside the chords.  A cover that fails H(C)
+    raises `CoverViolation` before f is read."""
     violation = check_H(c)
     if violation is not None:
         raise CoverViolation(violation)
+    name = f"[{f.name},C]"
+    pieces = getattr(f.eval_at, "pieces", None)
+    if pieces is not None:
+        return _from_pieces(name, *_splice(pieces, c.all_intervals()))
     # a point interval sorts before an interval starting at the same point,
     # so the search below finds the one with an interior
     ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
@@ -329,10 +380,6 @@ def truncate(f: MarkovFunction, c: StagedCover) -> MarkovFunction:
         ylo, yhi = f(iv.lo), f(iv.hi)
         s = (yhi - ylo) / iv.length if iv.length else ZERO
         chords.append((iv.lo, iv.hi, ylo - s * iv.lo, s))
-    name = f"[{f.name},C]"
-    pieces = getattr(f.eval_at, "pieces", None)
-    if pieces is not None:
-        return _from_pieces(name, _splice(pieces, [ch for ch in chords if ch[0] < ch[1]]))
     los = [iv.lo for iv in ivs]
 
     def ev(x: Fraction) -> Fraction:

@@ -376,9 +376,11 @@ def validate_measure(mu: CylinderMeasure, depth: int) -> tuple[CheckRecord, ...]
 def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
     """g(d) = μ[0, d) for a dyadic d in [0, 1], via the binary-expansion
     cylinder decomposition of [0, d): μ(ε) at d = 1, else the sum of the
-    prefix masses that `_cdf_ints` reads as ints, one Fraction in all.  A
-    mass with a native ratio is read only through it, so no Fraction is
-    built per mass; any other is called once per prefix, as it always was.
+    prefix masses that `_cdf_ints` reads as ints, one Fraction in all.  Each
+    mass, μ(ε) too, is read by `intervals._ratios`: through the native ratio
+    where the mass has one, so no Fraction is built per mass, else by one
+    call per prefix, as it always was.  So the value is a Fraction whatever
+    type the mass gives (an int or a float 0.75 from a table).
 
     d is checked from its numerator and denominator: outside [0, 1] or not
     dyadic raises ValueError, and a denominator past 2^CDF_LENGTH_BUDGET
@@ -386,9 +388,9 @@ def cdf(mu: CylinderMeasure, d: Fraction) -> Fraction:
     num, den = d.numerator, d.denominator
     if num < 0 or num > den:
         raise ValueError("argument must lie in [0, 1]")
-    if num == den:  # μ(ε): as the mass gives it, or from its native ratio
-        ratio = getattr(mu.mass, "ratio", None)
-        return mu("") if ratio is None else Fraction(*ratio(""))
+    if num == den:  # μ(ε), from its native ratio or one call
+        (one,), den = _ratios(mu.mass, [""])
+        return Fraction(one, den)
     if den & (den - 1):
         raise ValueError("argument must be dyadic")
     length = den.bit_length() - 1

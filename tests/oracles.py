@@ -11,8 +11,10 @@ catalogue on them.  Budgets are the caller's to check, except where a
 property compares the error: ``pseudo_derivative`` and ``transport``.
 
 The helpers in ``VALUE_HELPERS`` give one value of a lab object (a capital,
-a function value, a use bound, a union field of a fixture) rather than
-replace a module's function.
+a function value, a use bound, a union field of a fixture, the Fraction
+view of a piece list) rather than replace a module's function;
+``native_function`` writes Fraction pieces in the lab's int form, as the
+constructors' oracles build them.
 ``outcome`` and ``recorded_outcome`` are what the properties compare.
 """
 
@@ -26,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from randlab import intervals
+from randlab import intervals, markov
 from randlab.cauchy import const_name, scripted_name
 from randlab.derivatives import (
     BLOWUP_THRESHOLD,
@@ -36,6 +38,7 @@ from randlab.derivatives import (
 from randlab.errors import (
     AtomSuspected,
     BudgetExceeded,
+    CoverViolation,
     InvariantViolation,
     ParseError,
     ZeroMassCylinder,
@@ -50,7 +53,13 @@ from randlab.intervals import (
     dyadic_value,
     format_rational,
 )
-from randlab.markov import SlopeBoundsVerdict, StagedCover, truncate
+from randlab.markov import (
+    CANONICAL_NONUC_STAGE_BUDGET,
+    MarkovFunction,
+    SlopeBoundsVerdict,
+    StagedCover,
+    _from_pieces,
+)
 from randlab.martingales import (
     FairnessReport,
     Martingale,
@@ -78,7 +87,9 @@ from randlab.ttmeasures import tt_from_ucf as lab_tt_from_ucf
 VALUE_HELPERS = (
     "apply_prefix",
     "builtin_value",
+    "fraction_pieces",
     "modulus_precision",
+    "native_function",
     "nonuc_critical_points",
     "nonuc_value",
     "polygonal_critical_points",
@@ -120,11 +131,31 @@ def recorded_outcome(f, obj, *args):
 # --- part (i): Markov computable functions, oscillation and slopes
 
 
+def fraction_pieces(pieces):
+    """The Fraction view of a lab piece list (`markov.Pieces`): a tuple of
+    (x0, a, b, c), the function a + b·x + c·x² from x0 on."""
+    starts, sden, abc, den = pieces
+    return tuple(
+        (Fraction(s, sden), Fraction(a, den), Fraction(b, den), Fraction(c, den))
+        for s, (a, b, c) in zip(starts, abc)
+    )
+
+
+def native_function(name, pieces, modulus=None):
+    """The lab function of the Fraction pieces (x0, a, b, c), x0 ascending
+    from 0: the pieces written over two lcms, one for the starts and one for
+    the coefficients, as `markov._from_pieces` takes them."""
+    starts, sden = intervals.over_lcm(x0 for x0, *_ in pieces)
+    ints, den = intervals.over_lcm(v for piece in pieces for v in piece[1:])
+    return _from_pieces(name, starts, sden, list(zip(*[iter(ints)] * 3)), den, modulus)
+
+
 def _by_piece(pieces):
     """Evaluation by piece in `Fraction`s: at x in [0, 1], a + b·x + c·x² of
-    the last piece that starts at or before x."""
-    x0s = [x0 for x0, *_ in pieces]
-    abc = [(a, b, c or None) for _, a, b, c in pieces]
+    the last piece of the Fraction view that starts at or before x."""
+    view = fraction_pieces(pieces)
+    x0s = [x0 for x0, *_ in view]
+    abc = [(a, b, c or None) for _, a, b, c in view]
 
     def ev(x: Fraction) -> Fraction:
         if x.numerator < 0 or x.numerator > x.denominator:
@@ -133,6 +164,84 @@ def _by_piece(pieces):
         return a + b * x if c is None else a + (b + c * x) * x
 
     return ev
+
+
+def polygonal_fn(breakpoints):
+    """The polygon built in Fractions: each segment's slope and intercept."""
+    points = tuple((Fraction(x), Fraction(y)) for x, y in breakpoints)
+    xs = [x for x, _ in points]
+    if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1:
+        raise ValueError("breakpoints must span [0,1]")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("breakpoint x-coordinates must strictly increase")
+    pieces = []
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        s = (y1 - y0) / (x1 - x0)
+        pieces.append((x0, y0 - s * x0, s, Fraction(0)))
+    return native_function("polygonal", pieces)
+
+
+def canonical_nonuc(stage_count):
+    """The tents built in Fractions: per tent, its rise from lo, its fall
+    from the peak at mid and 0 from hi, each slope peak / half-width."""
+    if stage_count < 1:
+        raise ValueError(f"stage_count {stage_count} < 1")
+    check_budget(
+        stage_count, "stage_count {}", "CANONICAL_NONUC_STAGE_BUDGET", CANONICAL_NONUC_STAGE_BUDGET
+    )
+    zero = Fraction(0)
+    pieces = []
+    for n in range(stage_count):
+        iv = tent_interval(n)
+        lo, hi = iv.lo, iv.hi
+        mid = (lo + hi) / 2
+        up, down = n / (mid - lo), n / (hi - mid)
+        pieces += [(lo, -up * lo, up, zero), (mid, down * hi, -down, zero), (hi, zero, zero, zero)]
+    return native_function(f"canonical_nonuc({stage_count})", pieces)
+
+
+def truncate(f, c):
+    """[f, C] with Fraction chords: spliced into the Fraction view of f's
+    pieces where it has them, else read per point outside the chords.  The
+    cover is checked by `markov.check_H`, so that where the oracles are
+    patched into the lab, `check_H`'s oracle checks it."""
+    violation = markov.check_H(c)
+    if violation is not None:
+        raise CoverViolation(violation)
+    ivs = sorted(c.all_intervals(), key=lambda iv: (iv.lo, iv.hi))
+    chords = []
+    for iv in ivs:
+        ylo, yhi = f(iv.lo), f(iv.hi)
+        s = (yhi - ylo) / iv.length if iv.length else Fraction(0)
+        chords.append((iv.lo, iv.hi, ylo - s * iv.lo, s))
+    name = f"[{f.name},C]"
+    pieces = getattr(f.eval_at, "pieces", None)
+    if pieces is not None:
+        # f's pieces up to each chord's lo, the chord from lo, and from hi
+        # on the piece of f that holds hi
+        view = fraction_pieces(pieces)
+        out = []
+        i, m = 0, len(view)
+        for lo, hi, a, s in (ch for ch in chords if ch[0] < ch[1]):
+            while i < m and view[i][0] < lo:
+                out.append(view[i])
+                i += 1
+            if out and out[-1][0] == lo:
+                out.pop()
+            out.append((lo, a, s, Fraction(0)))
+            while i < m and view[i][0] <= hi:
+                i += 1
+            out.append((hi, *view[i - 1][1:]))
+        return native_function(name, out + list(view[i:]))
+
+    def ev(x):
+        for lo, hi, a, s in chords:
+            if lo < x < hi:
+                return a + s * x
+        return f(x)
+
+    crit = {p for iv in ivs for p in (iv.lo, iv.hi)} | set(f.critical_points)
+    return MarkovFunction(name, ev, tuple(sorted(p for p in crit if 0 < p < 1)))
 
 
 # the built-ins' values in closed form, by the function's name: the oracle
@@ -655,8 +764,9 @@ def cdf(mu, d: Fraction) -> Fraction:
     """g(d) as a running Fraction sum over the binary expansion of d."""
     if d < 0 or d > 1:
         raise ValueError("argument must lie in [0, 1]")
-    if d == 1:
-        return mu("")
+    if d == 1:  # μ(ε) as a Fraction, whatever type the mass gives
+        (one,), den = intervals._ratios(mu.mass, [""])
+        return Fraction(one, den)
     num, den = d.numerator, d.denominator
     if den & (den - 1):
         raise ValueError("argument must be dyadic")

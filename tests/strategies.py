@@ -4,8 +4,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from oracles import native_function
 from randlab.intervals import RationalInterval
-from randlab.markov import StagedCover, _from_pieces
+from randlab.markov import StagedCover
 
 rational = st.fractions(min_value=-16, max_value=16, max_denominator=64)
 inner = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -52,7 +53,8 @@ def staged_covers(draw):
 
 
 def quadratic(name, *pieces):
-    return _from_pieces(name, [tuple(map(Fraction, piece)) for piece in pieces])
+    """The lab function of the pieces (x0, a, b, c): a + b·x + c·x² from x0."""
+    return native_function(name, [tuple(map(Fraction, piece)) for piece in pieces])
 
 
 # pieces with a, b and c all nonzero, which no built-in has: (x - 1/2)^2 and

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles as ref
+from randlab import markov
 from randlab.cauchy import ModulusFunction, const_name
 from randlab.derivatives import DenjoyVerdict, classify_denjoy, pseudo_derivative
 from randlab.errors import BudgetExceeded, CoverViolation, ExtensionUndefined
@@ -14,6 +15,7 @@ from randlab.markov import (
     BUILTIN_FUNCTIONS,
     CANONICAL_NONUC_STAGE_BUDGET,
     OSCILLATION_DEPTH_BUDGET,
+    Pieces,
     StagedCover,
     _modulus_precision,
     _by_piece,
@@ -551,7 +553,7 @@ def test_lab_evaluators_carry_a_native_grid():
         truncate(canonical_nonuc(20), cover_of(Fraction(1, 3), Fraction(7, 8))),
         *QUADRATICS,
     ]
-    assert all(isinstance(getattr(f.eval_at, "pieces", None), tuple) for f in fs)
+    assert all(isinstance(getattr(f.eval_at, "pieces", None), Pieces) for f in fs)
 
 
 @given(unit)
@@ -714,7 +716,7 @@ native_fns = grid_bases | st.builds(truncate, grid_bases, covers())
 def test_evaluation_by_piece_equals_its_oracle(f, xs):
     # every piece start, where the bisection changes piece, and both ends
     pieces = f.eval_at.pieces
-    xs += [x0 for x0, *_ in pieces] + [Fraction(0), Fraction(1)]
+    xs += [x0 for x0, *_ in ref.fraction_pieces(pieces)] + [Fraction(0), Fraction(1)]
     lab, oracle = _by_piece(pieces), ref._by_piece(pieces)
     assert [ref.outcome(lab, x) for x in xs] == [ref.outcome(oracle, x) for x in xs]
 
@@ -815,3 +817,105 @@ def test_modulus_precision_equals_reference(delta):
     else:
         assert _modulus_precision(theta, Fraction(1, 2)) == want
 
+
+def assert_equals_fraction_built(f, oracle, sizes=(1, 7, 64, 90), tree=(0, 5)):
+    """f, built in ints, is its Fraction-built oracle: the same pieces and
+    critical points, the Fraction evaluation of the oracle's pieces at every
+    piece start and both ends and on the grids k/n, the same range over the
+    whole interval and between piece starts, and the same tree."""
+    assert (f.name, f.eval_at.pieces, f.critical_points) == (
+        oracle.name, oracle.eval_at.pieces, oracle.critical_points
+    )
+    by_fractions = ref._by_piece(oracle.eval_at.pieces)
+    starts = [x0 for x0, *_ in ref.fraction_pieces(oracle.eval_at.pieces)]
+    xs = starts + [Fraction(0), Fraction(1)]
+    assert [f(x) for x in xs] == [by_fractions(x) for x in xs]
+    for n in sizes:
+        ints, den = f.grid(n, range(n + 1))
+        want = [by_fractions(Fraction(k, n)) for k in range(n + 1)]
+        assert [Fraction(v, den) for v in ints] == want
+    # the range between two piece starts reads both ends and every start
+    # between them
+    for lo, hi in [(Fraction(0), Fraction(1)), (starts[len(starts) // 2], Fraction(1))]:
+        vals = [by_fractions(x) for x in xs if lo <= x <= hi]
+        assert f.range_on(lo, hi) == (min(vals), max(vals))
+    assert oscillation_tree(f, *tree) == ref.oscillation_tree(oracle, *tree)
+
+
+@pytest.mark.parametrize("k", range(1, CANONICAL_NONUC_STAGE_BUDGET + 1))
+def test_canonical_nonuc_equals_its_fraction_oracle(k):
+    assert_equals_fraction_built(canonical_nonuc(k), ref.canonical_nonuc(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygons(), tree_sizes)
+def test_polygon_equals_its_fraction_oracle(breakpoints, tree):
+    f, oracle = polygonal_fn(breakpoints), ref.polygonal_fn(breakpoints)
+    assert_equals_fraction_built(f, oracle, tree=tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    builtin_fns
+    | polygons().map(polygonal_fn)
+    | st.integers(1, CANONICAL_NONUC_STAGE_BUDGET).map(canonical_nonuc),
+    st.lists(covers() | st.sampled_from(EDGE_COVERS), min_size=1, max_size=2),
+    tree_sizes,
+)
+@example(canonical_nonuc(20), [cover_of(Fraction(1, 3), Fraction(7, 8))], (0, 6))
+@example(LATE_CORNER, EDGE_COVERS[:2], (80, 6))
+def test_truncation_equals_its_fraction_oracle(base, cover_list, tree):
+    f = oracle = base
+    for cover in cover_list:
+        f, oracle = truncate(f, cover), ref.truncate(oracle, cover)
+    assert_equals_fraction_built(f, oracle, tree=tree)
+
+
+def recording(f, calls):
+    """f with an evaluator that records every x it is called at and carries
+    f's pieces."""
+
+    def ev(x):
+        calls.append(x)
+        return f.eval_at(x)
+
+    ev.pieces = f.eval_at.pieces
+    return dataclasses.replace(f, eval_at=ev)
+
+
+CONSTRUCTED = {
+    **REFUSING,
+    "quadratic": VERTEX_SQUARE,
+    "truncation of canonical_nonuc(20)": truncate(canonical_nonuc(20), cover_of(Fraction(1, 3), Fraction(7, 8))),
+    "nested truncation": truncate(truncate(TENT, EDGE_COVERS[2]), EDGE_COVERS[1]),
+}
+
+
+@pytest.mark.parametrize("f", CONSTRUCTED.values(), ids=CONSTRUCTED.keys())
+def test_native_readers_never_call_the_evaluator(f):
+    # grids, trees, pseudo-derivatives and truncations read the pieces only
+    calls = []
+    g = recording(f, calls)
+    assert g.grid(90, range(91)) == f.grid(90, range(91))
+    assert oscillation_tree(g, 0, 6) == oscillation_tree(f, 0, 6)
+    z, h = const_name(Fraction(1, 3)), Fraction(1, 16)
+    assert pseudo_derivative(g, z, h, 10) == pseudo_derivative(f, z, h, 10)
+    cover = cover_of(Fraction(1, 4), Fraction(3, 4))
+    assert truncate(g, cover).eval_at.pieces == truncate(f, cover).eval_at.pieces
+    assert calls == []
+
+
+def test_canonical_nonuc_at_its_stage_budget(monkeypatch):
+    k = CANONICAL_NONUC_STAGE_BUDGET
+    f, oracle = canonical_nonuc(k), ref.canonical_nonuc(k)
+    assert f.eval_at.pieces == oracle.eval_at.pieces
+    by_fractions = ref._by_piece(oracle.eval_at.pieces)
+    n = 2**14
+    ints, den = f.grid(n, range(n + 1))
+    assert [Fraction(v, den) for v in ints] == [by_fractions(Fraction(j, n)) for j in range(n + 1)]
+    # one stage past the budget is refused before any function is built
+    built = []
+    monkeypatch.setattr(markov, "_from_pieces", lambda *args: built.append(args))
+    with pytest.raises(BudgetExceeded, match=f"stage_count {k + 1} > CANONICAL_NONUC_STAGE_BUDGET"):
+        canonical_nonuc(k + 1)
+    assert built == []

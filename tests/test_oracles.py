@@ -11,7 +11,8 @@ patches the oracles into the randlab modules all at once and checks that
 - `labcli report --fixture-dir fixtures` gives the same bytes as before
   the patch;
 - the last op of each op class of every benchmark workload's catalogue
-  gives the digest frozen in `perfbench/digests.json`.
+  (in function_grids, of each op class on each kind of function) gives the
+  digest frozen in `perfbench/digests.json`.
 
 So fast paths that are each right alone but wrong together, or reached by a
 route that no property draws, show up here.  Every binding of a patched
@@ -70,7 +71,8 @@ MODULES = [sys.modules["randlab"], *vars(LAB).values()]
 # `contains` is left out, as the lab never asks a union for a point
 PATCHED = (
     "parse_rational", "normalize_union", "coverage_at_least", "_by_piece",
-    "check_H", "oscillation_tree", "slope_bounds_check", "pseudo_derivative",
+    "polygonal_fn", "canonical_nonuc", "truncate", "check_H", "oscillation_tree",
+    "slope_bounds_check", "pseudo_derivative",
     "check_fairness", "savings_transform", "savings_violation_search",
     "savings_growth_constants", "bernoulli_measure", "validate_measure", "cdf",
     "transport", "transport_pushforward_check", "tt_from_ucf", "_tally_for_length",
@@ -150,10 +152,19 @@ def patch_oracles(monkeypatch) -> Counter:
 
 
 def catalogue_slice(workload) -> list[tuple]:
-    """The last spec of each op class, in catalogue order.  In cantor_levels
-    most of these read Bernoulli(3/5) or split_bet(3/5), which tell a
-    cylinder's two children apart, where the first specs' bias 1/2 does not."""
-    last = {spec[0]: spec for spec in workload.catalogue()}
+    """The last spec of each op class, in catalogue order; in function_grids
+    the last of each op class on each kind of function (a built-in, a
+    polygon, `canonical_nonuc` or a truncation), so that every constructor
+    runs.  In cantor_levels most of these read Bernoulli(3/5) or
+    split_bet(3/5), which tell a cylinder's two children apart, where the
+    first specs' bias 1/2 does not."""
+    def op_class(spec):
+        if workload.name != "function_grids":
+            return spec[0]
+        kind = spec[1].partition(":")[0]
+        return spec[0], kind if kind in ("poly", "nonuc", "trunc") else "built-in"
+
+    last = {op_class(spec): spec for spec in workload.catalogue()}
     return list(last.values())
 
 

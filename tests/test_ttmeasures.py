@@ -685,6 +685,19 @@ def test_cdf_bernoulli_oracle_values():
     assert cdf(mu, Fraction(1)) == 1
 
 
+@pytest.mark.parametrize(
+    "root, want", [(1, Fraction(1)), (Fraction(1), Fraction(1)), (0.75, Fraction(3, 4))], ids=repr
+)
+def test_cdf_is_a_fraction_at_every_point(root, want):
+    # μ(ε) as a table gives it, an int or a float, still comes back as a
+    # Fraction at d = 1, as every other d does
+    mu = table_measure("t", {"": root, "0": 1, "1": 0})
+    for lab in (cdf, ref.cdf):
+        values = [lab(mu, Fraction(1)), lab(mu, Fraction(1, 2)), lab(mu, Fraction(0))]
+        assert [type(v) for v in values] == [Fraction] * 3
+        assert values == [want, Fraction(1), Fraction(0)]
+
+
 def test_cdf_monotone_to_depth_12():
     g = MonotoneCDF(bernoulli_measure(Fraction(3, 4)), 12)
     assert g.is_monotone()
